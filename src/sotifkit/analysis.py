@@ -18,7 +18,12 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ContractViolationError, IncompleteAnalysisError, ParameterError
+from .errors import (
+    ContractViolationError,
+    IncompleteAnalysisError,
+    ParameterError,
+    check_keys,
+)
 from .scenario import EffectModel, Scenario
 from .simulator import Stage, SweepStats
 
@@ -122,11 +127,11 @@ class SeverityRules:
 
 
 def load_severity_rules(path: str | Path) -> SeverityRules:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    allowed = {"s3_impact_speed", "s2_impact_speed", "false_activation_severity"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+    data = check_keys(
+        json.loads(Path(path).read_text(encoding="utf-8")),
+        str(path),
+        allowed=("s3_impact_speed", "s2_impact_speed", "false_activation_severity"),
+    )
     kwargs: dict = {}
     if "s3_impact_speed" in data:
         kwargs["s3_impact_speed"] = float(data["s3_impact_speed"])
@@ -247,9 +252,6 @@ def build_analysis_sheet(
                 f"scenario '{scenario.id}' has effects but no affected subsystem"
             )
         hazards = link_hazards(stats, registry)
-        for hazard_id in hazards:
-            if hazard_id not in registry:
-                raise ContractViolationError(f"hazard '{hazard_id}' not in registry")
         severity = Severity.S0
         if stats.collision_rate > 0.0:
             severity = severity_rules.collision_severity(stats.impact_speed_max)

@@ -60,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     run.add_argument("--runs", type=int, default=100, help="runs per scenario (default 100)")
     run.add_argument("--dt", type=float, default=0.001, help="integration step in s (default 0.001)")
-    run.add_argument("--workers", type=int, default=1, help="concurrent sweep workers (default 1)")
     run.add_argument(
         "--no-gate",
         action="store_true",
@@ -85,6 +84,11 @@ def _cmd_taxonomy_validate(path: Path) -> int:
         return EXIT_ERROR
     print(f"OK: {len(taxonomy.roots)} root categories, {taxonomy.leaf_count()} leaf conditions")
     return EXIT_OK
+
+
+def _stage_failed(stage: str, exc: Exception) -> int:
+    print(f"error in stage '{stage}': {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -113,8 +117,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         cfg = SimConfig(dt=args.dt)
     except (OSError, ValueError, SotifkitError) as exc:
-        print(f"error in stage 'load': {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _stage_failed("load", exc)
 
     try:
         bundle = run_campaign(
@@ -127,16 +130,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             base_seed=args.seed,
             runs_per_scenario=args.runs,
             cfg=cfg,
-            workers=args.workers,
             severity_rules=severity_rules,
             input_digests=digests,
             trace_dir=args.out / "traces",
         )
     except PipelineError as exc:
-        print(f"error in stage '{exc.stage}': {exc.cause}", file=sys.stderr)
-        return EXIT_ERROR
+        return _stage_failed(exc.stage, exc.cause)
 
-    bundle_path = write_bundle(bundle, args.out)
+    try:
+        bundle_path = write_bundle(bundle, args.out)
+    except OSError as exc:
+        return _stage_failed("write", exc)
     print(f"wrote {bundle_path}")
 
     passed = sum(1 for v in bundle.acceptance if v.passed)

@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the key check of the JSON
+loaders."""
 
 from __future__ import annotations
+
+from typing import Iterable, Mapping
 
 
 class SotifkitError(Exception):
@@ -68,3 +71,28 @@ class PipelineError(SotifkitError, RuntimeError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+
+def check_keys(
+    data: object,
+    context: str,
+    required: Iterable[str] = (),
+    allowed: Iterable[str] = (),
+) -> Mapping:
+    """Return ``data`` if it is a JSON object holding every ``required`` key
+    and no key outside ``allowed`` (required keys are always allowed).
+
+    Raises ValueError prefixed with ``context`` (the file, and the index or
+    field within it) otherwise, so every loader reports a malformed
+    document the same way.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{context}: expected a JSON object, got {type(data).__name__}")
+    required = set(required)
+    missing = required - data.keys()
+    if missing:
+        raise ValueError(f"{context}: missing keys {sorted(missing)}")
+    unknown = data.keys() - required - set(allowed)
+    if unknown:
+        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
+    return data

@@ -1,8 +1,8 @@
 """Campaign orchestration and the argumentation report bundle.
 
-``run_campaign`` executes the whole pipeline (filter -> generate -> sweep
--> analyze -> mitigate -> risk -> acceptance) and returns a
-:class:`ReportBundle`; ``write_bundle`` persists it as JSON plus CSV
+``run_campaign`` executes the whole pipeline (filter -> generate ->
+mitigate -> sweep -> export -> analyze -> risk -> acceptance) and returns
+a :class:`ReportBundle`; ``write_bundle`` persists it as JSON plus CSV
 tables plus a Markdown summary.  Bundles record digests of their input
 files and the base seed, so a bundle is reproducible bit-for-bit (minus
 the timestamp) from the same inputs.
@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,7 +32,7 @@ from .analysis import (
     write_analysis_csv,
     write_analysis_json,
 )
-from .errors import ContractViolationError, PipelineError
+from .errors import ContractViolationError, PipelineError, check_keys
 from .risk import (
     AcceptanceCriteria,
     AcceptanceVerdict,
@@ -102,7 +103,6 @@ class RunMeta:
     dt: float
     max_time: float
     perception_tick: float
-    workers: int
     input_digests: Mapping[str, str]
     odd_well_formed: bool
 
@@ -179,17 +179,17 @@ class ReportBundle:
         return all(v.passed for v in self.acceptance)
 
 
+@contextmanager
 def _stage(name: str):
-    class _Guard:
-        def __enter__(self):
-            return self
+    """Re-raise any error of the block as :class:`PipelineError` naming
+    the stage."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, exc) from exc
-            return False
 
-    return _Guard()
+_NOT_APPLICABLE = "not applicable: override would move an effect away from neutral"
 
 
 def run_campaign(
@@ -202,7 +202,6 @@ def run_campaign(
     base_seed: int = 0,
     runs_per_scenario: int = 100,
     cfg: SimConfig | None = None,
-    workers: int = 1,
     registry: Mapping[str, Hazard] | None = None,
     severity_rules: SeverityRules | None = None,
     subsystem_overrides: Mapping[str, Sequence[str]] | None = None,
@@ -227,15 +226,34 @@ def run_campaign(
     with _stage("generate"):
         scenarios = generate_scenarios(odd, relevant, mapping, base_seed)
         nominal = scenarios[0]
+        conditions = [s for s in scenarios if not s.is_nominal]
+
+    # (mitigation, base scenario, mitigated scenario or None when the
+    # mitigation is not applicable), mitigation-major.
+    with _stage("mitigate"):
+        trials = [
+            (
+                mitigation,
+                scenario,
+                apply_mitigation(scenario, mitigation)
+                if mitigation_applicable(scenario, mitigation)
+                else None,
+            )
+            for mitigation in mitigations
+            for scenario in conditions
+        ]
+    all_scenarios = scenarios + [m for _, _, m in trials if m is not None]
 
     with _stage("sweep"):
-        stats = monte_carlo_sweep(scenarios, cfg, runs_per_scenario, workers)
+        stats = monte_carlo_sweep(all_scenarios, cfg, runs_per_scenario)
         stats_by_id = {s.scenario_id: s for s in stats}
         nominal_stats = stats_by_id[nominal.id]
-        if trace_dir is not None:
+
+    if trace_dir is not None:
+        with _stage("export"):
             trace_path = Path(trace_dir)
             trace_path.mkdir(parents=True, exist_ok=True)
-            for scenario in scenarios:
+            for scenario in all_scenarios:
                 trace = simulate(scenario, cfg, run_index=0)
                 export_trace_jsonl(trace, trace_path / f"{scenario.id}.jsonl")
 
@@ -244,71 +262,40 @@ def run_campaign(
             scenarios, stats, registry, severity_rules, subsystem_overrides
         )
 
-    all_scenarios = list(scenarios)
-    all_stats = list(stats)
-    mitigation_table: list[MitigationOutcome] = []
-    with _stage("mitigate"):
-        for mitigation in mitigations:
-            for scenario in scenarios:
-                if scenario.is_nominal:
-                    continue
-                before = stats_by_id[scenario.id]
-                if mitigation.effect_overrides and not mitigation_applicable(
-                    scenario, mitigation
-                ):
-                    mitigation_table.append(
-                        MitigationOutcome(
-                            mitigation_id=mitigation.id,
-                            scenario_id=scenario.id,
-                            mitigated_scenario_id=None,
-                            applied=False,
-                            note="not applicable: override would move an effect away from neutral",
-                            gap_mean_before=before.gap_mean,
-                            gap_mean_after=None,
-                            collision_rate_before=before.collision_rate,
-                            collision_rate_after=None,
-                            false_activation_rate_before=before.false_activation_rate,
-                            false_activation_rate_after=None,
-                            passes_after=None,
-                        )
-                    )
-                    continue
-                mitigated = apply_mitigation(scenario, mitigation)
-                (after,) = monte_carlo_sweep([mitigated], cfg, runs_per_scenario, workers)
-                if trace_dir is not None:
-                    export_trace_jsonl(
-                        simulate(mitigated, cfg, run_index=0),
-                        Path(trace_dir) / f"{mitigated.id}.jsonl",
-                    )
-                all_scenarios.append(mitigated)
-                all_stats.append(after)
-                verdict = acceptance_check(nominal_stats, after, criteria)
-                mitigation_table.append(
-                    MitigationOutcome(
-                        mitigation_id=mitigation.id,
-                        scenario_id=scenario.id,
-                        mitigated_scenario_id=mitigated.id,
-                        applied=True,
-                        note=mitigation.description,
-                        gap_mean_before=before.gap_mean,
-                        gap_mean_after=after.gap_mean,
-                        collision_rate_before=before.collision_rate,
-                        collision_rate_after=after.collision_rate,
-                        false_activation_rate_before=before.false_activation_rate,
-                        false_activation_rate_after=after.false_activation_rate,
-                        passes_after=verdict.passed,
-                    )
-                )
-
     with _stage("risk"):
         risk_table = evaluate_residual_risk(sheet, stats, occurrences, odd.vehicle.v_r)
 
     with _stage("acceptance"):
         verdicts = [
             acceptance_check(nominal_stats, stats_by_id[s.id], criteria)
-            for s in scenarios
-            if not s.is_nominal
+            for s in conditions
         ]
+        mitigation_table = []
+        for mitigation, scenario, mitigated in trials:
+            before = stats_by_id[scenario.id]
+            after = None if mitigated is None else stats_by_id[mitigated.id]
+            mitigation_table.append(
+                MitigationOutcome(
+                    mitigation_id=mitigation.id,
+                    scenario_id=scenario.id,
+                    mitigated_scenario_id=None if mitigated is None else mitigated.id,
+                    applied=after is not None,
+                    note=_NOT_APPLICABLE if after is None else mitigation.description,
+                    gap_mean_before=before.gap_mean,
+                    gap_mean_after=None if after is None else after.gap_mean,
+                    collision_rate_before=before.collision_rate,
+                    collision_rate_after=None if after is None else after.collision_rate,
+                    false_activation_rate_before=before.false_activation_rate,
+                    false_activation_rate_after=(
+                        None if after is None else after.false_activation_rate
+                    ),
+                    passes_after=(
+                        None
+                        if after is None
+                        else acceptance_check(nominal_stats, after, criteria).passed
+                    ),
+                )
+            )
 
     leaves_by_root = {
         root.id: sum(
@@ -333,7 +320,6 @@ def run_campaign(
         dt=cfg.dt,
         max_time=cfg.max_time,
         perception_tick=cfg.perception_tick,
-        workers=workers,
         input_digests=dict(input_digests or {}),
         odd_well_formed=odd.is_nominally_well_formed,
     )
@@ -342,7 +328,7 @@ def run_campaign(
         meta=meta,
         taxonomy_summary=taxonomy_summary,
         scenarios=tuple(ScenarioSummary.of(s) for s in all_scenarios),
-        kpi_table=tuple(all_stats),
+        kpi_table=tuple(stats),
         analysis_sheet=tuple(sheet),
         risk_table=tuple(risk_table),
         mitigation_table=tuple(mitigation_table),
@@ -398,7 +384,12 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
 
 
 def bundle_from_dict(data: Mapping) -> ReportBundle:
-    meta = RunMeta(**data["meta"])
+    fields = [f.name for f in dataclasses.fields(RunMeta)]
+    # Bundles written while the sweep still had a thread pool record its
+    # worker count in meta.workers.  It never changed a result, so it is
+    # accepted and dropped.
+    raw_meta = check_keys(data["meta"], "meta", required=fields, allowed=("workers",))
+    meta = RunMeta(**{name: raw_meta[name] for name in fields})
     scenarios = tuple(
         ScenarioSummary(
             id=s["id"],

@@ -41,6 +41,7 @@ from .errors import (
     IncompleteOccurrenceError,
     InvalidComparisonError,
     ParameterError,
+    check_keys,
 )
 from .simulator import SweepStats
 
@@ -359,9 +360,9 @@ def load_occurrences(path: str | Path) -> list[OccurrenceSpec]:
         raise ValueError(f"{path}: occurrence file must be a JSON list")
     specs = []
     for i, item in enumerate(data):
-        unknown = set(item) - {"leaf_id", "exposure_rate", "source"}
-        if unknown:
-            raise ValueError(f"{path}[{i}]: unknown keys {sorted(unknown)}")
+        check_keys(
+            item, f"{path}[{i}]", required=("leaf_id", "exposure_rate"), allowed=("source",)
+        )
         specs.append(
             OccurrenceSpec(
                 leaf_id=item["leaf_id"],
@@ -374,19 +375,16 @@ def load_occurrences(path: str | Path) -> list[OccurrenceSpec]:
 
 def load_criteria(path: str | Path) -> AcceptanceCriteria:
     """Load acceptance criteria from JSON."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    required = {
-        "max_final_gap_degradation",
-        "max_collision_rate",
-        "max_false_activation_rate",
-        "min_ttc_at_trigger",
-    }
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    unknown = set(data) - required
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+    data = check_keys(
+        json.loads(Path(path).read_text(encoding="utf-8")),
+        str(path),
+        required=(
+            "max_final_gap_degradation",
+            "max_collision_rate",
+            "max_false_activation_rate",
+            "min_ttc_at_trigger",
+        ),
+    )
     return AcceptanceCriteria(**{k: float(v) for k, v in data.items()})
 
 

@@ -15,11 +15,16 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import core
 from .core import VehicleParams
-from .errors import InvalidMitigationError, ParameterError, UnmappedConditionError
+from .errors import (
+    InvalidMitigationError,
+    ParameterError,
+    UnmappedConditionError,
+    check_keys,
+)
 from .taxonomy import TriggeringCondition
 
 __all__ = [
@@ -156,9 +161,7 @@ class EffectModel:
 
 
 def _effect_from_partial(partial: Mapping[str, float], context: str) -> EffectModel:
-    unknown = set(partial) - set(EFFECT_FIELDS)
-    if unknown:
-        raise ValueError(f"{context}: unknown effect fields {sorted(unknown)}")
+    check_keys(partial, context, allowed=EFFECT_FIELDS)
     return EffectModel(**{k: float(v) for k, v in partial.items()})
 
 
@@ -292,29 +295,18 @@ def generate_scenarios(
     return scenarios
 
 
-def _check_improves(field_name: str, old: float, new: float, mitigation_id: str) -> float:
-    if field_name in _IMPROVES_UP:
-        if new < old:
-            raise InvalidMitigationError(
-                f"mitigation '{mitigation_id}' worsens {field_name}: {old} -> {new}"
-            )
-        return min(1.0, new)  # clamp at neutral
-    if new > old:
-        raise InvalidMitigationError(
-            f"mitigation '{mitigation_id}' worsens {field_name}: {old} -> {new}"
-        )
-    return max(0.0, new)
+def _worsens(field_name: str, old: float, new: float) -> bool:
+    """True when moving the effect field from ``old`` to ``new`` moves it
+    away from neutral."""
+    return new < old if field_name in _IMPROVES_UP else new > old
 
 
 def mitigation_applicable(scenario: Scenario, m: MitigationSpec) -> bool:
     """True when every override weakly improves this scenario's effects."""
-    for field_name, new in m.effect_overrides.items():
-        old = getattr(scenario.effects, field_name)
-        if field_name in _IMPROVES_UP and new < old:
-            return False
-        if field_name in _IMPROVES_DOWN and new > old:
-            return False
-    return True
+    return not any(
+        _worsens(field_name, getattr(scenario.effects, field_name), new)
+        for field_name, new in m.effect_overrides.items()
+    )
 
 
 def apply_mitigation(scenario: Scenario, m: MitigationSpec) -> Scenario:
@@ -328,7 +320,13 @@ def apply_mitigation(scenario: Scenario, m: MitigationSpec) -> Scenario:
     updates = {}
     for field_name, new in m.effect_overrides.items():
         old = getattr(scenario.effects, field_name)
-        updates[field_name] = _check_improves(field_name, old, float(new), m.id)
+        new = float(new)
+        if _worsens(field_name, old, new):
+            raise InvalidMitigationError(
+                f"mitigation '{m.id}' worsens {field_name}: {old} -> {new}"
+            )
+        # clamp at neutral
+        updates[field_name] = min(1.0, new) if field_name in _IMPROVES_UP else max(0.0, new)
     effects = dataclasses.replace(scenario.effects, **updates)
 
     odd = scenario.odd
@@ -347,31 +345,15 @@ def apply_mitigation(scenario: Scenario, m: MitigationSpec) -> Scenario:
     )
 
 
-def _require_keys(data: Mapping, required: Iterable[str], allowed: Iterable[str], context: str) -> None:
-    missing = set(required) - set(data)
-    if missing:
-        raise ValueError(f"{context}: missing keys {sorted(missing)}")
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
-
-
 def load_odd(path: str | Path) -> OddDefinition:
     """Load an ODD definition from JSON."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    _require_keys(
-        data,
+    data = check_keys(
+        json.loads(Path(path).read_text(encoding="utf-8")),
+        str(path),
         required=("d_object", "d_perception", "mu", "odd_tags", "vehicle"),
-        allowed=("d_object", "d_perception", "mu", "odd_tags", "vehicle"),
-        context=str(path),
     )
-    _require_keys(
-        data["vehicle"],
-        required=_VEHICLE_FIELDS,
-        allowed=_VEHICLE_FIELDS,
-        context=f"{path}: vehicle",
-    )
-    vehicle = VehicleParams(**{k: float(data["vehicle"][k]) for k in _VEHICLE_FIELDS})
+    raw_vehicle = check_keys(data["vehicle"], f"{path}: vehicle", required=_VEHICLE_FIELDS)
+    vehicle = VehicleParams(**{k: float(raw_vehicle[k]) for k in _VEHICLE_FIELDS})
     return OddDefinition(
         d_object=float(data["d_object"]),
         d_perception=float(data["d_perception"]),
@@ -383,8 +365,11 @@ def load_odd(path: str | Path) -> OddDefinition:
 
 def load_effect_mapping(path: str | Path) -> EffectMapping:
     """Load an effect-mapping table from JSON."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    _require_keys(data, required=(), allowed=("defaults", "by_leaf", "by_category"), context=str(path))
+    data = check_keys(
+        json.loads(Path(path).read_text(encoding="utf-8")),
+        str(path),
+        allowed=("defaults", "by_leaf", "by_category"),
+    )
     mapping = EffectMapping(
         by_leaf=data.get("by_leaf", {}),
         by_category=data.get("by_category", {}),
@@ -407,11 +392,11 @@ def load_mitigations(path: str | Path) -> list[MitigationSpec]:
         raise ValueError(f"{path}: mitigations file must be a JSON list")
     mitigations = []
     for i, item in enumerate(data):
-        _require_keys(
+        check_keys(
             item,
+            f"{path}[{i}]",
             required=("id", "description"),
-            allowed=("id", "description", "effect_overrides", "vehicle_overrides"),
-            context=f"{path}[{i}]",
+            allowed=("effect_overrides", "vehicle_overrides"),
         )
         mitigations.append(
             MitigationSpec(

@@ -37,7 +37,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -478,10 +477,6 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
     )
 
 
-def _run_kpis(scenario: Scenario, cfg: SimConfig, run_index: int) -> KpiReport:
-    return compute_kpis(simulate(scenario, cfg, run_index), scenario)
-
-
 def _aggregate(scenario: Scenario, kpis: Sequence[KpiReport]) -> SweepStats:
     gaps = [k.final_gap for k in kpis]
     speeds = [k.impact_speed for k in kpis]
@@ -506,14 +501,12 @@ def monte_carlo_sweep(
     scenarios: Sequence[Scenario],
     cfg: SimConfig | None = None,
     runs_per_scenario: int = 1,
-    workers: int = 1,
 ) -> list[SweepStats]:
     """Repeated-run KPI statistics per scenario.
 
     Run i of a scenario uses the random stream (scenario.seed, i), so the
-    result is a pure function of the inputs: execution order and the
-    worker count cannot change it.  Simulation errors are re-raised with
-    the scenario id attached.
+    result is a pure function of the inputs: execution order cannot change
+    it.  Simulation errors are re-raised with the scenario id attached.
     """
     if runs_per_scenario < 1:
         raise ParameterError(f"runs_per_scenario must be >= 1, got {runs_per_scenario}")
@@ -523,16 +516,10 @@ def monte_carlo_sweep(
     results: list[SweepStats] = []
     for scenario in scenarios:
         try:
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    kpis = list(
-                        pool.map(
-                            lambda i: _run_kpis(scenario, cfg, i),
-                            range(runs_per_scenario),
-                        )
-                    )
-            else:
-                kpis = [_run_kpis(scenario, cfg, i) for i in range(runs_per_scenario)]
+            kpis = [
+                compute_kpis(simulate(scenario, cfg, i), scenario)
+                for i in range(runs_per_scenario)
+            ]
         except SimulationError as exc:
             raise SimulationError(f"scenario '{scenario.id}': {exc}") from exc
         results.append(_aggregate(scenario, kpis))

@@ -22,6 +22,22 @@ from sotifkit.report import bundle_to_dict
 from sotifkit.scenario import load_mitigations
 
 
+_FIXTURE_ODD = json.loads(fixture_path("odd.json").read_text())
+
+# Input documents that are not JSON objects where one is expected, or lack
+# a required key: (flag, document).
+MALFORMED_INPUTS = {
+    "occurrence-item-not-object": ("--occurrence", [1]),
+    "occurrence-item-without-leaf-id": ("--occurrence", [{"exposure_rate": 0.1}]),
+    "criteria-not-object": ("--criteria", 5),
+    "severity-rules-not-object": ("--severity-rules", 5),
+    "odd-not-object": ("--odd", 5),
+    "vehicle-not-object": ("--odd", {**_FIXTURE_ODD, "vehicle": 5}),
+    "mitigation-not-object": ("--mitigations", [5]),
+    "effect-entry-not-object": ("--effects", {"by_leaf": {"x": 5}}),
+}
+
+
 @pytest.fixture(scope="module")
 def campaign_inputs():
     return dict(
@@ -82,15 +98,6 @@ class TestRunCampaign:
         b = bundle_to_dict(run_campaign(**kwargs))
         a["meta"].pop("created_utc")
         b["meta"].pop("created_utc")
-        assert a == b
-
-    def test_workers_do_not_change_results(self, campaign_inputs):
-        kwargs = dict(**campaign_inputs, base_seed=7, runs_per_scenario=8)
-        a = bundle_to_dict(run_campaign(**kwargs, workers=1))
-        b = bundle_to_dict(run_campaign(**kwargs, workers=6))
-        for d in (a, b):
-            d["meta"].pop("created_utc")
-            d["meta"].pop("workers")
         assert a == b
 
     def test_gravel_fails_gate_with_h1(self, small_bundle):
@@ -300,6 +307,50 @@ class TestCli:
         args[args.index("--odd") + 1] = str(tmp_path / "missing.json")
         assert main(args) == EXIT_ERROR
         assert "stage 'load'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_malformed_input_reported(self, case, tmp_path, capsys):
+        flag, document = MALFORMED_INPUTS[case]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        args = self._run_args(tmp_path / "bundle")
+        if flag in args:
+            args[args.index(flag) + 1] = str(path)
+        else:
+            args += [flag, str(path)]
+        assert main(args) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "stage 'load'" in err and str(path) in err
+        assert "Traceback" not in err
+
+    def test_export_error_names_export(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(self._run_args(blocker / "bundle")) == EXIT_ERROR
+        assert "stage 'export'" in capsys.readouterr().err
+
+    def test_write_error_names_write(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        (out / "bundle.json").mkdir(parents=True)
+        assert main(self._run_args(out)) == EXIT_ERROR
+        assert "stage 'write'" in capsys.readouterr().err
+
+    # Versions whose sweep had a thread pool wrote meta.workers; any other
+    # extra meta key is an error.
+    @pytest.mark.parametrize("key, code", [("workers", EXIT_OK), ("colour", EXIT_ERROR)])
+    def test_report_extra_meta_key(self, key, code, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        main(self._run_args(out, ["--no-gate"]))
+        data = json.loads((out / "bundle.json").read_text())
+        data["meta"][key] = 1
+        (out / "bundle.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == code
+        captured = capsys.readouterr()
+        if code == EXIT_OK:
+            assert captured.out == (out / "summary.md").read_text()
+        else:
+            assert "cannot load bundle" in captured.err
 
     def test_report_reemits_summary(self, tmp_path, capsys):
         out = tmp_path / "bundle"
