@@ -23,6 +23,7 @@ from .errors import (
     IncompleteAnalysisError,
     ParameterError,
     check_keys,
+    check_number,
 )
 from .scenario import EffectModel, Scenario
 from .simulator import Stage, SweepStats
@@ -133,10 +134,9 @@ def load_severity_rules(path: str | Path) -> SeverityRules:
         allowed=("s3_impact_speed", "s2_impact_speed", "false_activation_severity"),
     )
     kwargs: dict = {}
-    if "s3_impact_speed" in data:
-        kwargs["s3_impact_speed"] = float(data["s3_impact_speed"])
-    if "s2_impact_speed" in data:
-        kwargs["s2_impact_speed"] = float(data["s2_impact_speed"])
+    for name in ("s3_impact_speed", "s2_impact_speed"):
+        if name in data:
+            kwargs[name] = check_number(data[name], f"{path}: {name}")
     if "false_activation_severity" in data:
         kwargs["false_activation_severity"] = Severity[data["false_activation_severity"]]
     return SeverityRules(**kwargs)

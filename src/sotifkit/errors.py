@@ -1,8 +1,10 @@
-"""Exception types shared across the toolkit, and the key check of the JSON
-loaders."""
+"""Exception types shared across the toolkit, and the key and number checks
+of the JSON loaders."""
 
 from __future__ import annotations
 
+import contextlib
+import math
 from typing import Iterable, Mapping
 
 
@@ -96,3 +98,18 @@ def check_keys(
     if unknown:
         raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
     return data
+
+
+def check_number(value: object, context: str) -> float:
+    """Return ``value`` as a float if it is a finite JSON number (an int or
+    a float, not a bool).
+
+    Raises ValueError prefixed with ``context`` (the file and the field)
+    for anything else: a bool, a string, a list, an object, null, or a
+    non-finite or float-overflowing value.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"{context}: expected a finite number, got {value!r}")

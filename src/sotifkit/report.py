@@ -23,10 +23,8 @@ from typing import Mapping, Sequence
 from . import __version__
 from .analysis import (
     AnalysisRow,
-    Hazard,
     SeverityRules,
     build_analysis_sheet,
-    default_registry,
     row_from_dict,
     row_to_dict,
     write_analysis_csv,
@@ -202,9 +200,7 @@ def run_campaign(
     base_seed: int = 0,
     runs_per_scenario: int = 100,
     cfg: SimConfig | None = None,
-    registry: Mapping[str, Hazard] | None = None,
     severity_rules: SeverityRules | None = None,
-    subsystem_overrides: Mapping[str, Sequence[str]] | None = None,
     input_digests: Mapping[str, str] | None = None,
     trace_dir: str | Path | None = None,
 ) -> ReportBundle:
@@ -216,8 +212,6 @@ def run_campaign(
     """
     if cfg is None:
         cfg = SimConfig()
-    if registry is None:
-        registry = default_registry()
 
     with _stage("filter"):
         all_conditions = enumerate_leaves(taxonomy)
@@ -258,9 +252,7 @@ def run_campaign(
                 export_trace_jsonl(trace, trace_path / f"{scenario.id}.jsonl")
 
     with _stage("analyze"):
-        sheet = build_analysis_sheet(
-            scenarios, stats, registry, severity_rules, subsystem_overrides
-        )
+        sheet = build_analysis_sheet(scenarios, stats, severity_rules=severity_rules)
 
     with _stage("risk"):
         risk_table = evaluate_residual_risk(sheet, stats, occurrences, odd.vehicle.v_r)
@@ -353,37 +345,44 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
     return {
         "meta": dataclasses.asdict(bundle.meta),
         "taxonomy_summary": dict(bundle.taxonomy_summary),
-        "scenarios": [
-            {
-                "id": s.id,
-                "leaf_id": s.leaf_id,
-                "category_path": list(s.category_path),
-                "intensity": s.intensity,
-                "effects": dict(s.effects),
-                "seed": s.seed,
-            }
-            for s in bundle.scenarios
-        ],
+        "scenarios": [dataclasses.asdict(s) for s in bundle.scenarios],
         "kpi_table": [_stats_to_dict(s) for s in bundle.kpi_table],
         "analysis_sheet": [row_to_dict(r) for r in bundle.analysis_sheet],
         "risk_table": [risk_to_dict(r) for r in bundle.risk_table],
         "mitigation_table": [dataclasses.asdict(m) for m in bundle.mitigation_table],
         "acceptance": {
             "criteria": dataclasses.asdict(bundle.criteria),
-            "verdicts": [
-                {
-                    "scenario_id": v.scenario_id,
-                    "passed": v.passed,
-                    "violations": [dataclasses.asdict(x) for x in v.violations],
-                }
-                for v in bundle.acceptance
-            ],
+            "verdicts": [dataclasses.asdict(v) for v in bundle.acceptance],
             "all_passed": bundle.all_passed,
         },
     }
 
 
+_BUNDLE_TABLES = ("scenarios", "kpi_table", "analysis_sheet", "risk_table", "mitigation_table")
+
+
 def bundle_from_dict(data: Mapping) -> ReportBundle:
+    check_keys(
+        data, "bundle", required=("meta", "taxonomy_summary", "acceptance", *_BUNDLE_TABLES)
+    )
+    acceptance = check_keys(
+        data["acceptance"],
+        "acceptance",
+        required=("criteria", "verdicts"),
+        allowed=("all_passed",),
+    )
+    if not isinstance(data["taxonomy_summary"], dict):
+        raise ValueError("taxonomy_summary: expected a JSON object")
+    tables = {name: data[name] for name in _BUNDLE_TABLES}
+    tables["acceptance.verdicts"] = acceptance["verdicts"]
+    for name, table in tables.items():
+        if not (isinstance(table, list) and all(isinstance(x, dict) for x in table)):
+            raise ValueError(f"{name}: expected a JSON list of objects")
+    criteria = check_keys(
+        acceptance["criteria"],
+        "acceptance.criteria",
+        required=[f.name for f in dataclasses.fields(AcceptanceCriteria)],
+    )
     fields = [f.name for f in dataclasses.fields(RunMeta)]
     # Bundles written while the sweep still had a thread pool record its
     # worker count in meta.workers.  It never changed a result, so it is
@@ -407,7 +406,7 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
             passed=v["passed"],
             violations=tuple(Violation(**x) for x in v["violations"]),
         )
-        for v in data["acceptance"]["verdicts"]
+        for v in acceptance["verdicts"]
     )
     return ReportBundle(
         meta=meta,
@@ -419,7 +418,7 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
         mitigation_table=tuple(
             MitigationOutcome(**m) for m in data["mitigation_table"]
         ),
-        criteria=AcceptanceCriteria(**data["acceptance"]["criteria"]),
+        criteria=AcceptanceCriteria(**criteria),
         acceptance=verdicts,
     )
 

@@ -42,6 +42,7 @@ from .errors import (
     InvalidComparisonError,
     ParameterError,
     check_keys,
+    check_number,
 )
 from .simulator import SweepStats
 
@@ -366,7 +367,7 @@ def load_occurrences(path: str | Path) -> list[OccurrenceSpec]:
         specs.append(
             OccurrenceSpec(
                 leaf_id=item["leaf_id"],
-                exposure_rate=float(item["exposure_rate"]),
+                exposure_rate=check_number(item["exposure_rate"], f"{path}[{i}]: exposure_rate"),
                 source=item.get("source", ""),
             )
         )
@@ -385,7 +386,7 @@ def load_criteria(path: str | Path) -> AcceptanceCriteria:
             "min_ttc_at_trigger",
         ),
     )
-    return AcceptanceCriteria(**{k: float(v) for k, v in data.items()})
+    return AcceptanceCriteria(**{k: check_number(v, f"{path}: {k}") for k, v in data.items()})
 
 
 RISK_CSV_HEADER = (

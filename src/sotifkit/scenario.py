@@ -24,6 +24,7 @@ from .errors import (
     ParameterError,
     UnmappedConditionError,
     check_keys,
+    check_number,
 )
 from .taxonomy import TriggeringCondition
 
@@ -89,6 +90,8 @@ class OddDefinition:
     vehicle: VehicleParams
 
     def __post_init__(self) -> None:
+        for name in ("d_object", "d_perception", "mu"):
+            core._require_finite(name, getattr(self, name))
         if not self.d_object > 0:
             raise ParameterError(f"d_object must be > 0, got {self.d_object}")
         if not self.d_perception > 0:
@@ -139,6 +142,8 @@ class EffectModel:
     rho_add: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in EFFECT_FIELDS:
+            core._require_finite(name, getattr(self, name))
         if not 0.0 < self.perception_range_factor <= 1.0:
             raise ParameterError(
                 f"perception_range_factor must be in (0, 1], got {self.perception_range_factor}"
@@ -162,7 +167,7 @@ class EffectModel:
 
 def _effect_from_partial(partial: Mapping[str, float], context: str) -> EffectModel:
     check_keys(partial, context, allowed=EFFECT_FIELDS)
-    return EffectModel(**{k: float(v) for k, v in partial.items()})
+    return EffectModel(**{k: check_number(v, f"{context}: {k}") for k, v in partial.items()})
 
 
 @dataclass(frozen=True)
@@ -353,11 +358,13 @@ def load_odd(path: str | Path) -> OddDefinition:
         required=("d_object", "d_perception", "mu", "odd_tags", "vehicle"),
     )
     raw_vehicle = check_keys(data["vehicle"], f"{path}: vehicle", required=_VEHICLE_FIELDS)
-    vehicle = VehicleParams(**{k: float(raw_vehicle[k]) for k in _VEHICLE_FIELDS})
+    vehicle = VehicleParams(
+        **{k: check_number(raw_vehicle[k], f"{path}: vehicle.{k}") for k in _VEHICLE_FIELDS}
+    )
     return OddDefinition(
-        d_object=float(data["d_object"]),
-        d_perception=float(data["d_perception"]),
-        mu=float(data["mu"]),
+        d_object=check_number(data["d_object"], f"{path}: d_object"),
+        d_perception=check_number(data["d_perception"], f"{path}: d_perception"),
+        mu=check_number(data["mu"], f"{path}: mu"),
         odd_tags=frozenset(data["odd_tags"]),
         vehicle=vehicle,
     )
@@ -376,10 +383,13 @@ def load_effect_mapping(path: str | Path) -> EffectMapping:
         defaults=data.get("defaults"),
     )
     # Validate every entry eagerly so bad magnitudes fail at load time.
-    for name, entry in mapping.by_leaf.items():
-        _effect_from_partial(entry, f"{path}: by_leaf[{name}]")
-    for name, entry in mapping.by_category.items():
-        _effect_from_partial(entry, f"{path}: by_category[{name}]")
+    for name, section in (("by_leaf", mapping.by_leaf), ("by_category", mapping.by_category)):
+        if not isinstance(section, dict):
+            raise ValueError(
+                f"{path}: {name}: expected a JSON object, got {type(section).__name__}"
+            )
+        for key, entry in section.items():
+            _effect_from_partial(entry, f"{path}: {name}[{key}]")
     if mapping.defaults is not None:
         _effect_from_partial(mapping.defaults, f"{path}: defaults")
     return mapping

@@ -366,7 +366,8 @@ def _ghost_draws(
 
 
 def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 0) -> SimTrace:
-    """Run one scenario to its terminal and return the full trace.
+    """Run one scenario to its terminal: every event, and the ego state at
+    each event step.
 
     ``run_index`` selects the run's random stream within the scenario's
     seed (sweeps use 0, 1, 2, ...); equal inputs give bit-identical traces.
@@ -386,8 +387,10 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     range_eff = scenario.odd.d_perception * scenario.effects.perception_range_factor
 
     events: list[SimEvent] = []
+    event_steps: set[int] = set()
 
     def add(step: int, kind: EventKind, gap: float) -> None:
+        event_steps.add(step)
         events.append(SimEvent(step * dt, _STAGE_FOR_KIND[kind], kind, gap))
 
     n_vis = _first_visible_tick(res, range_eff, cfg.tick_steps)
@@ -405,14 +408,9 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
 
     events.sort(key=lambda e: (e.time, _STAGE_ORDER[e.stage]))
 
-    sample_steps = sorted(
-        set(range(0, res.terminal_step, cfg.tick_steps))
-        | {round(e.time / dt) for e in events}
-        | {res.terminal_step}
-    )
     states = tuple(
         core.KinematicState(position=res.x(n), velocity=res.v(n), time=n * dt)
-        for n in sample_steps
+        for n in sorted(event_steps)
     )
 
     return SimTrace(

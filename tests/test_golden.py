@@ -1,0 +1,45 @@
+"""The fixture campaign reproduces its recorded outputs byte for byte.
+
+``tests/golden/`` holds the files written by
+
+    sotifkit run --odd odd.json --taxonomy taxonomy.json \\
+        --effects effects.json --occurrence occurrence.json \\
+        --criteria criteria.json --mitigations mitigations.json \\
+        --seed 42 --runs 20 --out OUT
+
+on the shipped fixtures, with ``meta.created_utc`` in ``bundle.json``
+blanked to ``""``.  A change that keeps every result leaves them alone; a
+change that moves a result on purpose re-records them with that command
+and says why.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+from sotifkit.cli import EXIT_GATE_FAILED, main
+from sotifkit.fixtures import fixture_path
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FILES = ("kpis.csv", "risk.csv", "analysis_sheet.csv", "summary.md", "bundle.json")
+
+
+@pytest.fixture(scope="module")
+def campaign_out(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("golden") / "bundle"
+    args = ["run", "--out", str(out), "--seed", "42", "--runs", "20"]
+    for flag in ("odd", "taxonomy", "effects", "occurrence", "criteria", "mitigations"):
+        args += [f"--{flag}", str(fixture_path(f"{flag}.json"))]
+    assert main(args) == EXIT_GATE_FAILED
+    return out
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_fixture_campaign_matches_golden(name, campaign_out):
+    produced = (campaign_out / name).read_bytes()
+    if name == "bundle.json":
+        produced = re.sub(rb'"created_utc": "[^"]*"', b'"created_utc": ""', produced, count=1)
+    assert produced == (GOLDEN / name).read_bytes()

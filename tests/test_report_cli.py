@@ -23,9 +23,11 @@ from sotifkit.scenario import load_mitigations
 
 
 _FIXTURE_ODD = json.loads(fixture_path("odd.json").read_text())
+_FIXTURE_CRITERIA = json.loads(fixture_path("criteria.json").read_text())
 
-# Input documents that are not JSON objects where one is expected, or lack
-# a required key: (flag, document).
+# Input documents that are not JSON objects where one is expected, lack a
+# required key, or hold something other than a finite number where one is
+# expected: (flag, document).
 MALFORMED_INPUTS = {
     "occurrence-item-not-object": ("--occurrence", [1]),
     "occurrence-item-without-leaf-id": ("--occurrence", [{"exposure_rate": 0.1}]),
@@ -35,6 +37,13 @@ MALFORMED_INPUTS = {
     "vehicle-not-object": ("--odd", {**_FIXTURE_ODD, "vehicle": 5}),
     "mitigation-not-object": ("--mitigations", [5]),
     "effect-entry-not-object": ("--effects", {"by_leaf": {"x": 5}}),
+    "effects-section-not-object": ("--effects", {"by_leaf": 5}),
+    "exposure-rate-not-number": ("--occurrence", [{"leaf_id": "x", "exposure_rate": [1]}]),
+    "criteria-value-not-number": (
+        "--criteria",
+        {**_FIXTURE_CRITERIA, "max_collision_rate": "x"},
+    ),
+    "odd-distance-infinite": ("--odd", {**_FIXTURE_ODD, "d_object": float("inf")}),
 }
 
 
@@ -351,6 +360,33 @@ class TestCli:
             assert captured.out == (out / "summary.md").read_text()
         else:
             assert "cannot load bundle" in captured.err
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("scenarios", 5),
+            ("kpi_table", [5]),
+            ("taxonomy_summary", []),
+            ("acceptance", {"criteria": {}, "verdicts": [], "all_passed": True}),
+            ("acceptance", None),
+        ],
+        ids=[
+            "scenarios-int",
+            "kpi-table-item-int",
+            "taxonomy-summary-list",
+            "criteria-empty",
+            "acceptance-null",
+        ],
+    )
+    def test_report_malformed_section(self, section, value, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        main(self._run_args(out, ["--no-gate"]))
+        data = json.loads((out / "bundle.json").read_text())
+        data[section] = value
+        (out / "bundle.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_ERROR
+        assert f"cannot load bundle {out}: " in capsys.readouterr().err
 
     def test_report_reemits_summary(self, tmp_path, capsys):
         out = tmp_path / "bundle"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -21,6 +22,7 @@ from sotifkit.errors import (
     InvalidMitigationError,
     ParameterError,
     UnmappedConditionError,
+    check_number,
 )
 from sotifkit.scenario import mitigation_applicable
 
@@ -51,6 +53,8 @@ class TestEffectModel:
             dict(mu_factor=0.0),
             dict(mu_factor=2.0),
             dict(rho_add=-0.5),
+            dict(rho_add=math.inf),
+            dict(rho_add=math.nan),
         ],
     )
     def test_range_validation(self, kwargs):
@@ -80,6 +84,24 @@ class TestOddDefinition:
             OddDefinition(0.0, 80.0, 1.0, frozenset(), baseline_vehicle)
         with pytest.raises(ParameterError):
             OddDefinition(100.0, 80.0, 1.5, frozenset(), baseline_vehicle)
+        with pytest.raises(ParameterError, match="d_object must be finite"):
+            OddDefinition(math.inf, 80.0, 1.0, frozenset(), baseline_vehicle)
+        with pytest.raises(ParameterError, match="d_perception must be finite"):
+            OddDefinition(100.0, math.inf, 1.0, frozenset(), baseline_vehicle)
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value, expected", [(3, 3.0), (0, 0.0), (-2.5, -2.5), (1e300, 1e300)])
+    def test_numbers_become_floats(self, value, expected):
+        number = check_number(value, "f.json: x")
+        assert number == expected and type(number) is float
+
+    @pytest.mark.parametrize(
+        "value", [True, False, None, "1", [1], {"x": 1}, math.inf, -math.inf, math.nan, 10**400]
+    )
+    def test_other_values_name_file_and_field(self, value):
+        with pytest.raises(ValueError, match="^f.json: x: expected a finite number"):
+            check_number(value, "f.json: x")
 
 
 class TestResolveEffects:

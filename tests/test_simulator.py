@@ -183,6 +183,16 @@ class TestTraceStructure:
         assert state_times == sorted(state_times)
         assert all(s.velocity >= 0 for s in trace.states)
 
+    @pytest.mark.parametrize(
+        "effects", [EffectModel(), EffectModel(ghost_rate=0.3)], ids=["nominal", "ghost"]
+    )
+    def test_states_only_at_event_steps(self, effects, baseline_vehicle):
+        scenario = make_scenario(baseline_odd(baseline_vehicle), effects, scenario_id="s")
+        trace = simulate(scenario, SimConfig())
+        assert [s.time for s in trace.states] == sorted({e.time for e in trace.events})
+        assert trace.events[-1].kind.value == trace.terminal.value
+        assert trace.states[-1].time == trace.events[-1].time
+
     def test_detection_precedes_trigger(self, baseline_vehicle):
         trace = simulate(make_scenario(baseline_odd(baseline_vehicle), scenario_id="s"))
         (detected,) = events_of(trace, EventKind.OBJECT_DETECTED)
