@@ -138,7 +138,13 @@ def load_severity_rules(path: str | Path) -> SeverityRules:
         if name in data:
             kwargs[name] = check_number(data[name], f"{path}: {name}")
     if "false_activation_severity" in data:
-        kwargs["false_activation_severity"] = Severity[data["false_activation_severity"]]
+        name = data["false_activation_severity"]
+        if not (isinstance(name, str) and name in Severity.__members__):
+            raise ValueError(
+                f"{path}: false_activation_severity: expected one of "
+                f"{list(Severity.__members__)}, got {name!r}"
+            )
+        kwargs["false_activation_severity"] = Severity[name]
     return SeverityRules(**kwargs)
 
 

@@ -358,7 +358,33 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
     }
 
 
-_BUNDLE_TABLES = ("scenarios", "kpi_table", "analysis_sheet", "risk_table", "mitigation_table")
+def _field_names(cls: type) -> frozenset[str]:
+    return frozenset(f.name for f in dataclasses.fields(cls))
+
+
+# The keys of every item of each bundle table: exactly the fields of its row
+# type, or None where the reader picks its keys by name.
+_BUNDLE_TABLES = {
+    "scenarios": _field_names(ScenarioSummary),
+    "kpi_table": _field_names(SweepStats),
+    "analysis_sheet": None,
+    "risk_table": None,
+    "mitigation_table": _field_names(MitigationOutcome),
+}
+_VERDICT_KEYS = _field_names(AcceptanceVerdict)
+_VIOLATION_KEYS = _field_names(Violation)
+
+
+def _rows(table: object, context: str, keys: frozenset[str] | None) -> list[Mapping]:
+    """The items of one bundle table: JSON objects, each with exactly
+    ``keys`` when they are given."""
+    if not isinstance(table, list):
+        raise ValueError(f"{context}: expected a JSON list of objects")
+    for i, item in enumerate(table):
+        if not isinstance(item, dict) or (keys is not None and item.keys() != keys):
+            # Raises, naming the missing or unknown keys.
+            check_keys(item, f"{context}[{i}]", required=keys or ())
+    return table
 
 
 def bundle_from_dict(data: Mapping) -> ReportBundle:
@@ -373,17 +399,12 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
     )
     if not isinstance(data["taxonomy_summary"], dict):
         raise ValueError("taxonomy_summary: expected a JSON object")
-    tables = {name: data[name] for name in _BUNDLE_TABLES}
-    tables["acceptance.verdicts"] = acceptance["verdicts"]
-    for name, table in tables.items():
-        if not (isinstance(table, list) and all(isinstance(x, dict) for x in table)):
-            raise ValueError(f"{name}: expected a JSON list of objects")
+    tables = {name: _rows(data[name], name, keys) for name, keys in _BUNDLE_TABLES.items()}
+    raw_verdicts = _rows(acceptance["verdicts"], "acceptance.verdicts", _VERDICT_KEYS)
     criteria = check_keys(
-        acceptance["criteria"],
-        "acceptance.criteria",
-        required=[f.name for f in dataclasses.fields(AcceptanceCriteria)],
+        acceptance["criteria"], "acceptance.criteria", required=_field_names(AcceptanceCriteria)
     )
-    fields = [f.name for f in dataclasses.fields(RunMeta)]
+    fields = _field_names(RunMeta)
     # Bundles written while the sweep still had a thread pool record its
     # worker count in meta.workers.  It never changed a result, so it is
     # accepted and dropped.
@@ -398,26 +419,29 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
             effects=s["effects"],
             seed=s["seed"],
         )
-        for s in data["scenarios"]
+        for s in tables["scenarios"]
     )
     verdicts = tuple(
         AcceptanceVerdict(
             scenario_id=v["scenario_id"],
             passed=v["passed"],
-            violations=tuple(Violation(**x) for x in v["violations"]),
+            violations=tuple(
+                Violation(**x)
+                for x in _rows(
+                    v["violations"], f"acceptance.verdicts[{i}].violations", _VIOLATION_KEYS
+                )
+            ),
         )
-        for v in acceptance["verdicts"]
+        for i, v in enumerate(raw_verdicts)
     )
     return ReportBundle(
         meta=meta,
         taxonomy_summary=data["taxonomy_summary"],
         scenarios=scenarios,
-        kpi_table=tuple(_stats_from_dict(s) for s in data["kpi_table"]),
-        analysis_sheet=tuple(row_from_dict(r) for r in data["analysis_sheet"]),
-        risk_table=tuple(risk_from_dict(r) for r in data["risk_table"]),
-        mitigation_table=tuple(
-            MitigationOutcome(**m) for m in data["mitigation_table"]
-        ),
+        kpi_table=tuple(_stats_from_dict(s) for s in tables["kpi_table"]),
+        analysis_sheet=tuple(row_from_dict(r) for r in tables["analysis_sheet"]),
+        risk_table=tuple(risk_from_dict(r) for r in tables["risk_table"]),
+        mitigation_table=tuple(MitigationOutcome(**m) for m in tables["mitigation_table"]),
         criteria=AcceptanceCriteria(**criteria),
         acceptance=verdicts,
     )

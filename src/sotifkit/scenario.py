@@ -402,18 +402,24 @@ def load_mitigations(path: str | Path) -> list[MitigationSpec]:
         raise ValueError(f"{path}: mitigations file must be a JSON list")
     mitigations = []
     for i, item in enumerate(data):
+        context = f"{path}[{i}]"
         check_keys(
             item,
-            f"{path}[{i}]",
+            context,
             required=("id", "description"),
             allowed=("effect_overrides", "vehicle_overrides"),
         )
+        overrides = {}
+        for name, fields in (
+            ("effect_overrides", EFFECT_FIELDS),
+            ("vehicle_overrides", _VEHICLE_FIELDS),
+        ):
+            if name in item:
+                raw = check_keys(item[name], f"{context}: {name}", allowed=fields)
+                overrides[name] = {
+                    k: check_number(v, f"{context}: {name}.{k}") for k, v in raw.items()
+                }
         mitigations.append(
-            MitigationSpec(
-                id=item["id"],
-                description=item["description"],
-                effect_overrides=item.get("effect_overrides", {}),
-                vehicle_overrides=item.get("vehicle_overrides"),
-            )
+            MitigationSpec(id=item["id"], description=item["description"], **overrides)
         )
     return mitigations

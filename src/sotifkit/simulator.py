@@ -34,13 +34,14 @@ run_index) always produces a bit-identical trace.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -239,8 +240,10 @@ class _Resolved:
 
 
 def _resolve_run(
-    scenario: Scenario, cfg: SimConfig, ghost_steps: np.ndarray
+    scenario: Scenario, cfg: SimConfig, first_ghost_before: Callable[[int], int | None]
 ) -> _Resolved:
+    """Resolve one run; ``first_ghost_before(n)`` gives the first ghost step
+    below step n, or None.  Only the first ghost can latch the brake."""
     odd = scenario.odd
     veh = odd.vehicle
     eff = scenario.effects
@@ -271,15 +274,12 @@ def _resolve_run(
     else:
         n_vis = tick_steps * _ceil_steps((d_obj - range_eff) / (v0 * dt * tick_steps))
     n_nat = max(n_vis, first_step_gap_le(d_trigger))
-
-    n_ghost = int(ghost_steps[0]) if ghost_steps.size else None
-    n_trig: int | None
-    if n_ghost is not None and n_ghost < n_nat:
-        n_trig = n_ghost
-    else:
-        n_trig = n_nat
-
     n_hit_cruise = first_step_gap_le(0.0)  # first collided step while cruising
+
+    # A ghost at or after the cruise collision or the horizon leaves the run
+    # untriggered, as no ghost does, so the stream is read no further.
+    n_ghost = first_ghost_before(min(n_nat, n_hit_cruise, max_steps))
+    n_trig = n_nat if n_ghost is None else n_ghost
 
     if n_trig >= min(n_hit_cruise, max_steps):
         # Never triggered: cruise into the object or run out the clock.
@@ -347,22 +347,81 @@ def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> in
     return lo * tick_steps
 
 
-def _ghost_draws(
-    scenario: Scenario, cfg: SimConfig, run_index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-run ghost randomness: flagged tick steps and their fake gaps.
+# A run draws its ghost stream at most this many values at a time, so its
+# memory does not grow with the horizon.
+_GHOST_CHUNK = 4096
 
-    Both uniform streams are always drawn in full so that runs with the
-    same seed stay coupled across effect changes (a lower ghost_rate
-    selects a subset of the same flagged ticks).
+
+class _GhostStream:
+    """One run's ghost randomness, drawn only as far as the run reads it.
+
+    The stream is defined as if drawn in full from
+    ``default_rng(derive_seed(scenario.seed, run_index))``: first
+    ``u_flag = random(n_ticks)``, then ``u_gap = random(n_ticks)``.  Tick t
+    is flagged when ``u_flag[t] < ghost_rate``; it shows a ghost at step
+    ``t * tick_steps`` with gap ``u_gap[t] * trigger threshold``.  Both
+    arrays span the whole horizon so that runs with the same seed stay
+    coupled across effect changes (a lower ghost_rate selects a subset of
+    the same flagged ticks).  Drawing a prefix, or skipping values with
+    ``advance``, gives the same values as one full draw.  A ghost-free
+    scenario builds no generator.
     """
-    n_ticks = (cfg.max_steps - 1) // cfg.tick_steps + 1 if cfg.max_steps > 0 else 0
-    rng = np.random.default_rng(derive_seed(scenario.seed, run_index))
-    u_flag = rng.random(n_ticks)
-    u_gap = rng.random(n_ticks)
-    ticks = np.flatnonzero(u_flag < scenario.effects.ghost_rate)
-    d_trigger = core.rss_min_distance(scenario.odd.vehicle)
-    return ticks * cfg.tick_steps, u_gap[ticks] * d_trigger
+
+    def __init__(self, scenario: Scenario, cfg: SimConfig, run_index: int):
+        self._scenario = scenario
+        self._tick_steps = cfg.tick_steps
+        self._n_ticks = (cfg.max_steps - 1) // cfg.tick_steps + 1 if cfg.max_steps > 0 else 0
+        self._rate = scenario.effects.ghost_rate
+        self._rng = None
+        if self._rate > 0.0:
+            # What default_rng(seed) builds, without its argument dispatch.
+            self._rng = np.random.Generator(
+                np.random.PCG64(derive_seed(scenario.seed, run_index))
+            )
+        self._drawn = 0  # u_flag values drawn so far
+        self._flagged: list[int] = []  # flagged ticks among them, ascending
+
+    def _draw(self, count: int) -> Iterator[np.ndarray]:
+        """The next ``count`` values of the stream, in bounded chunks."""
+        while count > 0:
+            u = self._rng.random(min(count, _GHOST_CHUNK))
+            count -= u.size
+            yield u
+
+    def _flagged_before(self, step: int) -> list[int]:
+        """The flagged ticks whose step is below ``step``."""
+        if self._rng is None:
+            return []
+        need = min(self._n_ticks, -(-step // self._tick_steps))
+        for u in self._draw(need - self._drawn):
+            offset = self._drawn
+            self._flagged += [offset + t for t in np.flatnonzero(u < self._rate).tolist()]
+            self._drawn += u.size
+        return self._flagged[: bisect.bisect_left(self._flagged, need)]
+
+    def first_before(self, step: int) -> int | None:
+        """The first ghost step below ``step``, or None."""
+        ticks = self._flagged_before(step)
+        return ticks[0] * self._tick_steps if ticks else None
+
+    def events_before(self, step: int) -> list[tuple[int, float]]:
+        """Every ghost below ``step`` as (step, gap).  Reads the gaps, so it
+        is the stream's last read."""
+        ticks = self._flagged_before(step)
+        if not ticks:
+            return []
+        self._rng.bit_generator.advance(self._n_ticks - self._drawn)  # to u_gap[0]
+        d_trigger = trigger_threshold(self._scenario)
+        events = []
+        i = start = 0
+        for u_gap in self._draw(ticks[-1] + 1):
+            end = start + u_gap.size
+            while i < len(ticks) and ticks[i] < end:
+                t = ticks[i]
+                events.append((t * self._tick_steps, float(u_gap[t - start]) * d_trigger))
+                i += 1
+            start = end
+        return events
 
 
 def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 0) -> SimTrace:
@@ -374,8 +433,8 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     """
     if cfg is None:
         cfg = SimConfig()
-    ghost_steps, ghost_gaps = _ghost_draws(scenario, cfg, run_index)
-    res = _resolve_run(scenario, cfg, ghost_steps)
+    ghosts = _GhostStream(scenario, cfg, run_index)
+    res = _resolve_run(scenario, cfg, ghosts.first_before)
 
     for name, value in (("position", res.x(res.terminal_step)), ("velocity", res.v(res.terminal_step))):
         if not math.isfinite(value):
@@ -396,10 +455,8 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     n_vis = _first_visible_tick(res, range_eff, cfg.tick_steps)
     if n_vis is not None:
         add(n_vis, EventKind.OBJECT_DETECTED, res.gap(n_vis))
-    for step, fake_gap in zip(ghost_steps, ghost_gaps):
-        if step >= res.terminal_step:
-            break
-        add(int(step), EventKind.GHOST_DETECTED, float(fake_gap))
+    for step, fake_gap in ghosts.events_before(res.terminal_step):
+        add(step, EventKind.GHOST_DETECTED, fake_gap)
     if res.n_trig is not None:
         add(res.n_trig, EventKind.BRAKE_TRIGGERED, res.gap(res.n_trig))
     if res.n_eff is not None and res.n_eff < res.terminal_step:

@@ -3,7 +3,8 @@
 This is a literal loop over integration steps implementing the documented
 discrete semantics, with no closed-form shortcuts.  It recomputes the
 ghost randomness from the public seed scheme rather than reusing engine
-internals.
+internals.  ``ghost_draws`` draws a run's whole ghost stream at once, the
+definition the engine's lazy draws must reproduce.
 """
 
 from __future__ import annotations
@@ -16,6 +17,33 @@ import numpy as np
 from sotifkit.core import effective_brake_decel, rss_min_distance
 from sotifkit.scenario import Scenario, derive_seed
 from sotifkit.simulator import SimConfig
+
+
+def ghost_draws(
+    scenario: Scenario, cfg: SimConfig, run_index: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """A run's ghost stream drawn in full: flagged tick steps and their gaps."""
+    n_ticks = (cfg.max_steps - 1) // cfg.tick_steps + 1 if cfg.max_steps > 0 else 0
+    rng = np.random.default_rng(derive_seed(scenario.seed, run_index))
+    u_flag = rng.random(n_ticks)
+    u_gap = rng.random(n_ticks)
+    ticks = np.flatnonzero(u_flag < scenario.effects.ghost_rate)
+    return ticks * cfg.tick_steps, u_gap[ticks] * rss_min_distance(scenario.odd.vehicle)
+
+
+class FullDrawGhosts:
+    """Stand-in for the engine's lazy ghost stream, read from ``ghost_draws``."""
+
+    def __init__(self, scenario: Scenario, cfg: SimConfig, run_index: int):
+        self.steps, self.gaps = ghost_draws(scenario, cfg, run_index)
+
+    def first_before(self, step: int) -> int | None:
+        if self.steps.size and self.steps[0] < step:
+            return int(self.steps[0])
+        return None
+
+    def events_before(self, step: int) -> list[tuple[int, float]]:
+        return [(int(s), float(g)) for s, g in zip(self.steps, self.gaps) if s < step]
 
 
 @dataclass

@@ -44,6 +44,38 @@ MALFORMED_INPUTS = {
         {**_FIXTURE_CRITERIA, "max_collision_rate": "x"},
     ),
     "odd-distance-infinite": ("--odd", {**_FIXTURE_ODD, "d_object": float("inf")}),
+    "severity-name-unknown": ("--severity-rules", {"false_activation_severity": "S9"}),
+    "severity-name-not-string": ("--severity-rules", {"false_activation_severity": [1]}),
+    "mitigation-overrides-not-object": (
+        "--mitigations",
+        [{"id": "m", "description": "d", "effect_overrides": 5}],
+    ),
+    "mitigation-override-not-number": (
+        "--mitigations",
+        [{"id": "m", "description": "d", "vehicle_overrides": {"a_min_brake": "x"}}],
+    ),
+}
+
+# Complete bundle rows, each with one key too many.
+_MITIGATION_ROW_EXTRA_KEY = {
+    "mitigation_id": "m",
+    "scenario_id": "s",
+    "mitigated_scenario_id": None,
+    "applied": False,
+    "note": "n",
+    "gap_mean_before": 1.0,
+    "gap_mean_after": None,
+    "collision_rate_before": 0.0,
+    "collision_rate_after": None,
+    "false_activation_rate_before": 0.0,
+    "false_activation_rate_after": None,
+    "passes_after": None,
+    "colour": "red",
+}
+_VERDICT_VIOLATION_EXTRA_KEY = {
+    "scenario_id": "s",
+    "passed": False,
+    "violations": [{"clause": "c", "measured": 1.0, "threshold": 0.0, "colour": "red"}],
 }
 
 
@@ -369,6 +401,11 @@ class TestCli:
             ("taxonomy_summary", []),
             ("acceptance", {"criteria": {}, "verdicts": [], "all_passed": True}),
             ("acceptance", None),
+            ("mitigation_table", [_MITIGATION_ROW_EXTRA_KEY]),
+            (
+                "acceptance",
+                {"criteria": _FIXTURE_CRITERIA, "verdicts": [_VERDICT_VIOLATION_EXTRA_KEY]},
+            ),
         ],
         ids=[
             "scenarios-int",
@@ -376,6 +413,8 @@ class TestCli:
             "taxonomy-summary-list",
             "criteria-empty",
             "acceptance-null",
+            "mitigation-item-extra-key",
+            "violation-item-extra-key",
         ],
     )
     def test_report_malformed_section(self, section, value, tmp_path, capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from sotifkit import (
 )
 from sotifkit.core import NO_CLOSING
 from sotifkit.errors import ContractViolationError, ParameterError, SimulationError
+import sotifkit.simulator as sim_module
 from sotifkit.simulator import (
     EventKind,
     SimTrace,
@@ -28,7 +30,7 @@ from sotifkit.simulator import (
 )
 
 from conftest import make_scenario
-from reference_sim import reference_run
+from reference_sim import FullDrawGhosts, ghost_draws, reference_run
 
 
 def baseline_odd(baseline_vehicle, d_object=100.0, d_perception=80.0, mu=1.0):
@@ -295,6 +297,81 @@ class TestReferenceEquivalence:
                 ), context
 
 
+def _ghost_grid_cases(vehicle):
+    """(odd, cfg) per outcome shape: without ghosts these stop, collide,
+    time out, stand still, and time out after 600 s."""
+    return {
+        "stop": (baseline_odd(vehicle), SimConfig()),
+        "collide": (baseline_odd(vehicle, d_object=20.0), SimConfig()),
+        "timeout": (baseline_odd(vehicle, d_object=2000.0), SimConfig(max_time=2.0)),
+        "standstill": (baseline_odd(dataclasses.replace(vehicle, v_r=0.0)), SimConfig()),
+        "horizon-600s": (
+            baseline_odd(vehicle, d_object=9000.0, d_perception=30.0),
+            SimConfig(dt=0.01, max_time=600.0),
+        ),
+    }
+
+
+class TestGhostStream:
+    """The engine draws the ghost stream lazily; it must read exactly the
+    values of the stream drawn in full."""
+
+    def test_matches_full_draws(self, baseline_vehicle, monkeypatch):
+        terminals = set()
+        for name, (odd, cfg) in _ghost_grid_cases(baseline_vehicle).items():
+            for rate in (0.0, 1e-4, 0.05, 0.5, 1.0):
+                scenario = make_scenario(
+                    odd, EffectModel(ghost_rate=rate), scenario_id=name, seed=1234
+                )
+                for run_index in range(3):
+                    context = f"{name} ghost_rate={rate} run {run_index}"
+                    with monkeypatch.context() as m:
+                        m.setattr(sim_module, "_GhostStream", FullDrawGhosts)
+                        expected = simulate(scenario, cfg, run_index)
+                    trace = simulate(scenario, cfg, run_index)
+                    assert trace == expected, context
+
+                    terminal_step = round(trace.events[-1].time / cfg.dt)
+                    ref = reference_run(scenario, cfg, run_index)
+                    assert (trace.terminal.value, terminal_step) == (
+                        ref.terminal,
+                        ref.terminal_step,
+                    ), context
+                    steps, gaps = ghost_draws(scenario, cfg, run_index)
+                    assert [(e.time, e.gap) for e in events_of(trace, EventKind.GHOST_DETECTED)] == [
+                        (int(step) * cfg.dt, float(gap))
+                        for step, gap in zip(steps, gaps)
+                        if step < terminal_step
+                    ], context
+                    terminals.add(trace.terminal)
+        assert terminals == set(Terminal)
+
+    @pytest.mark.parametrize(
+        "d_object, ghost_rate, terminal",
+        [(100.0, 0.05, Terminal.STOPPED), (1e7, 1e-12, Terminal.TIMEOUT)],
+        ids=["stops", "times-out"],
+    )
+    def test_memory_bounded_on_long_horizon(
+        self, d_object, ghost_rate, terminal, baseline_vehicle
+    ):
+        # 2e6 ticks: drawing both streams in full would take 32 MB.
+        cfg = SimConfig(dt=0.05, perception_tick=0.05, max_time=1e5)
+        scenario = make_scenario(
+            baseline_odd(baseline_vehicle, d_object=d_object),
+            EffectModel(ghost_rate=ghost_rate),
+            scenario_id="long",
+        )
+        simulate(scenario)  # the generator's first use imports modules
+        tracemalloc.start()
+        try:
+            trace = simulate(scenario, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.terminal is terminal
+        assert peak < 1_000_000
+
+
 class TestInvariants:
     def test_oracle_equivalence_random_grid(self):
         # For ghost-free runs with the trigger threshold inside sensor
@@ -414,8 +491,6 @@ class TestSweep:
             monte_carlo_sweep([scenario], runs_per_scenario=0)
 
     def test_error_names_scenario(self, baseline_vehicle, monkeypatch):
-        import sotifkit.simulator as sim_module
-
         def boom(*args, **kwargs):
             raise SimulationError("integration blew up")
 
