@@ -63,6 +63,15 @@ class VehicleParams:
             raise ParameterError(f"a_max_accel must be >= 0, got {self.a_max_accel}")
         if self.a_min_brake <= 0:
             raise ParameterError(f"a_min_brake must be > 0, got {self.a_min_brake}")
+        try:
+            d_min = rss_min_distance(self)
+        except OverflowError:
+            d_min = math.inf
+        if not math.isfinite(d_min):
+            raise ParameterError(
+                f"rss_min_distance must be finite, got {d_min} for v_r={self.v_r}, "
+                f"rho={self.rho}, a_max_accel={self.a_max_accel}, a_min_brake={self.a_min_brake}"
+            )
 
 
 @dataclass(frozen=True)

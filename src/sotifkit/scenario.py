@@ -358,16 +358,25 @@ def load_odd(path: str | Path) -> OddDefinition:
         required=("d_object", "d_perception", "mu", "odd_tags", "vehicle"),
     )
     raw_vehicle = check_keys(data["vehicle"], f"{path}: vehicle", required=_VEHICLE_FIELDS)
-    vehicle = VehicleParams(
-        **{k: check_number(raw_vehicle[k], f"{path}: vehicle.{k}") for k in _VEHICLE_FIELDS}
-    )
-    return OddDefinition(
-        d_object=check_number(data["d_object"], f"{path}: d_object"),
-        d_perception=check_number(data["d_perception"], f"{path}: d_perception"),
-        mu=check_number(data["mu"], f"{path}: mu"),
-        odd_tags=frozenset(data["odd_tags"]),
-        vehicle=vehicle,
-    )
+    tags = data["odd_tags"]
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        raise ValueError(f"{path}: odd_tags: expected a JSON list of strings, got {tags!r}")
+    try:
+        vehicle = VehicleParams(
+            **{k: check_number(raw_vehicle[k], f"{path}: vehicle.{k}") for k in _VEHICLE_FIELDS}
+        )
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: vehicle: {exc}") from exc
+    try:
+        return OddDefinition(
+            d_object=check_number(data["d_object"], f"{path}: d_object"),
+            d_perception=check_number(data["d_perception"], f"{path}: d_perception"),
+            mu=check_number(data["mu"], f"{path}: mu"),
+            odd_tags=frozenset(tags),
+            vehicle=vehicle,
+        )
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
 def load_effect_mapping(path: str | Path) -> EffectMapping:

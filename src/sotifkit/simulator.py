@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -430,9 +431,24 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
 
     ``run_index`` selects the run's random stream within the scenario's
     seed (sweeps use 0, 1, 2, ...); equal inputs give bit-identical traces.
+    A ghost-free scenario reads no randomness, so all its runs share one
+    trace (the trace is immutable).
     """
     if cfg is None:
         cfg = SimConfig()
+    if scenario.effects.ghost_rate == 0.0:
+        return _ghost_free_trace(scenario, cfg)
+    return _simulate(scenario, cfg, run_index)
+
+
+# A sweep calls runs 0..R-1 of one scenario back to back, so the last
+# ghost-free (scenario, cfg) is the only one worth keeping.
+@functools.lru_cache(maxsize=1)
+def _ghost_free_trace(scenario: Scenario, cfg: SimConfig) -> SimTrace:
+    return _simulate(scenario, cfg, 0)
+
+
+def _simulate(scenario: Scenario, cfg: SimConfig, run_index: int) -> SimTrace:
     ghosts = _GhostStream(scenario, cfg, run_index)
     res = _resolve_run(scenario, cfg, ghosts.first_before)
 

@@ -81,6 +81,9 @@ class TestRssMinDistance:
             dict(v_r=1.0, rho=1.0, a_max_accel=2.0, a_min_brake=0.0),
             dict(v_r=math.nan, rho=1.0, a_max_accel=2.0, a_min_brake=5.0),
             dict(v_r=math.inf, rho=1.0, a_max_accel=2.0, a_min_brake=5.0),
+            # finite, but rss_min_distance overflows (raising, or to inf)
+            dict(v_r=1e300, rho=1.0, a_max_accel=2.0, a_min_brake=5.0),
+            dict(v_r=1.0, rho=1.0, a_max_accel=2.0, a_min_brake=1e-310),
         ],
     )
     def test_domain_errors(self, kwargs):

@@ -25,9 +25,15 @@ from sotifkit.scenario import load_mitigations
 _FIXTURE_ODD = json.loads(fixture_path("odd.json").read_text())
 _FIXTURE_CRITERIA = json.loads(fixture_path("criteria.json").read_text())
 
+
+def _odd_with_vehicle(**fields):
+    return {**_FIXTURE_ODD, "vehicle": {**_FIXTURE_ODD["vehicle"], **fields}}
+
+
 # Input documents that are not JSON objects where one is expected, lack a
-# required key, or hold something other than a finite number where one is
-# expected: (flag, document).
+# required key, hold something other than a finite number or a list of
+# strings where one is expected, or a value outside its domain:
+# (flag, document).
 MALFORMED_INPUTS = {
     "occurrence-item-not-object": ("--occurrence", [1]),
     "occurrence-item-without-leaf-id": ("--occurrence", [{"exposure_rate": 0.1}]),
@@ -54,6 +60,9 @@ MALFORMED_INPUTS = {
         "--mitigations",
         [{"id": "m", "description": "d", "vehicle_overrides": {"a_min_brake": "x"}}],
     ),
+    "odd-tags-not-list": ("--odd", {**_FIXTURE_ODD, "odd_tags": "-ad"}),
+    "odd-speed-overflows": ("--odd", _odd_with_vehicle(v_r=1e300)),
+    "vehicle-value-out-of-range": ("--odd", _odd_with_vehicle(rho=-1)),
 }
 
 # Complete bundle rows, each with one key too many.

@@ -219,10 +219,15 @@ class TestDeterminism:
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_run_indices_differ(self, baseline_vehicle):
-        scenario = make_scenario(
-            baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.2), scenario_id="det", seed=77
-        )
-        assert simulate(scenario, run_index=0) != simulate(scenario, run_index=1)
+        for rate in (0.2, 0.5):
+            scenario = make_scenario(
+                baseline_odd(baseline_vehicle),
+                EffectModel(ghost_rate=rate),
+                scenario_id="det",
+                seed=77,
+            )
+            traces = [simulate(scenario, run_index=i) for i in range(4)]
+            assert len(set(traces)) == 4, rate
 
 
 class TestReferenceEquivalence:
@@ -370,6 +375,55 @@ class TestGhostStream:
             tracemalloc.stop()
         assert trace.terminal is terminal
         assert peak < 1_000_000
+
+
+class TestGhostFreeMemo:
+    """A ghost-free scenario reads no randomness: all its runs share the
+    one trace that ``simulate`` keeps for the last (scenario, cfg)."""
+
+    def test_runs_share_one_trace(self, baseline_vehicle):
+        cfg = SimConfig()
+        scenario = make_scenario(
+            baseline_odd(baseline_vehicle), EffectModel(mu_factor=0.5), scenario_id="memo"
+        )
+        traces = [simulate(scenario, cfg, i) for i in (0, 1, 7)]
+        assert traces[1] is traces[0] and traces[2] is traces[0]
+        for i, trace in zip((0, 1, 7), traces):
+            assert trace == sim_module._simulate(scenario, cfg, i)
+            ref = reference_run(scenario, cfg, i)
+            assert (trace.terminal.value, round(trace.events[-1].time / cfg.dt)) == (
+                ref.terminal,
+                ref.terminal_step,
+            )
+
+    def test_trace_follows_scenario_and_config(self, baseline_vehicle):
+        a = make_scenario(baseline_odd(baseline_vehicle), scenario_id="memo-a")
+        b = make_scenario(baseline_odd(baseline_vehicle, d_object=20.0), scenario_id="memo-b")
+        fine, coarse = SimConfig(), SimConfig(dt=0.01)
+        calls = [(a, fine), (b, fine), (a, fine), (a, coarse), (b, coarse), (a, fine)]
+        traces = [simulate(scenario, cfg, i) for i, (scenario, cfg) in enumerate(calls)]
+        for (scenario, cfg), trace in zip(calls, traces):
+            assert trace == sim_module._simulate(scenario, cfg, 0), (scenario.id, cfg)
+        assert len({traces[0], traces[1], traces[3], traces[4]}) == 4
+
+        twin = dataclasses.replace(a)
+        assert twin is not a
+        assert simulate(twin, fine, 3) == traces[0]
+
+    def test_simulation_error_not_cached(self, baseline_vehicle, monkeypatch):
+        resolve = sim_module._resolve_run
+        calls = []
+
+        def diverging(*args):
+            calls.append(args)
+            return dataclasses.replace(resolve(*args), v0=math.inf)
+
+        monkeypatch.setattr(sim_module, "_resolve_run", diverging)
+        scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="memo-diverges")
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="memo-diverges"):
+                simulate(scenario, SimConfig(), 0)
+        assert len(calls) == 2
 
 
 class TestInvariants:
