@@ -11,7 +11,6 @@ to end.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from enum import IntEnum
@@ -41,9 +40,6 @@ __all__ = [
     "classify_affected_subsystems",
     "link_hazards",
     "build_analysis_sheet",
-    "write_analysis_csv",
-    "write_analysis_json",
-    "ANALYSIS_CSV_HEADER",
 ]
 
 
@@ -276,65 +272,3 @@ def build_analysis_sheet(
             )
         )
     return rows
-
-
-ANALYSIS_CSV_HEADER = (
-    "triggering_condition",
-    "category_path",
-    "affected_subsystems",
-    "severity",
-    "controllability",
-    "hazards",
-    "rationale",
-)
-
-
-def _row_cells(row: AnalysisRow) -> list[str]:
-    return [
-        row.leaf_id,
-        " / ".join(row.category_path),
-        ", ".join(sorted(s.value for s in row.affected_subsystems)),
-        row.severity.name,
-        row.controllability.name,
-        ", ".join(row.linked_hazard_ids),
-        row.rationale,
-    ]
-
-
-def write_analysis_csv(rows: Sequence[AnalysisRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ANALYSIS_CSV_HEADER)
-        for row in rows:
-            writer.writerow(_row_cells(row))
-
-
-def row_to_dict(row: AnalysisRow) -> dict:
-    return {
-        "scenario_id": row.scenario_id,
-        "triggering_condition": row.leaf_id,
-        "category_path": list(row.category_path),
-        "affected_subsystems": sorted(s.value for s in row.affected_subsystems),
-        "severity": row.severity.name,
-        "controllability": row.controllability.name,
-        "hazards": list(row.linked_hazard_ids),
-        "rationale": row.rationale,
-    }
-
-
-def row_from_dict(data: Mapping) -> AnalysisRow:
-    return AnalysisRow(
-        scenario_id=data["scenario_id"],
-        leaf_id=data["triggering_condition"],
-        category_path=tuple(data["category_path"]),
-        affected_subsystems=frozenset(Stage(s) for s in data["affected_subsystems"]),
-        severity=Severity[data["severity"]],
-        controllability=Controllability[data["controllability"]],
-        linked_hazard_ids=tuple(data["hazards"]),
-        rationale=data["rationale"],
-    )
-
-
-def write_analysis_json(rows: Sequence[AnalysisRow], path: str | Path) -> None:
-    payload = [row_to_dict(row) for row in rows]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 __all__ = [
+    "VEHICLE_FIELDS",
     "VehicleParams",
+    "check_vehicle_field",
     "KinematicState",
     "BrakeDecomposition",
     "rss_min_distance",
@@ -37,6 +39,28 @@ def _require_finite(name: str, value: float) -> float:
     return float(value)
 
 
+def _store_floats(obj: object, names: tuple[str, ...]) -> None:
+    """Store each named field of a frozen dataclass as a finite float, so
+    that an int-valued input equals, and behaves as, the float one."""
+    for name in names:
+        object.__setattr__(obj, name, _require_finite(name, getattr(obj, name)))
+
+
+VEHICLE_FIELDS = ("v_r", "rho", "a_max_accel", "a_min_brake")
+
+
+def check_vehicle_field(name: str, value: float) -> float:
+    """``value`` as a float, if it lies in the domain of the vehicle field
+    ``name`` on its own; raises :class:`ParameterError` otherwise.  (A
+    whole vehicle also needs a finite :func:`rss_min_distance`.)"""
+    value = _require_finite(name, value)
+    if name == "a_min_brake" and not value > 0:
+        raise ParameterError(f"a_min_brake must be > 0, got {value}")
+    if value < 0:
+        raise ParameterError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Kinematic parameters of the ego vehicle.
@@ -53,16 +77,8 @@ class VehicleParams:
     a_min_brake: float
 
     def __post_init__(self) -> None:
-        for name in ("v_r", "rho", "a_max_accel", "a_min_brake"):
-            _require_finite(name, getattr(self, name))
-        if self.v_r < 0:
-            raise ParameterError(f"v_r must be >= 0, got {self.v_r}")
-        if self.rho < 0:
-            raise ParameterError(f"rho must be >= 0, got {self.rho}")
-        if self.a_max_accel < 0:
-            raise ParameterError(f"a_max_accel must be >= 0, got {self.a_max_accel}")
-        if self.a_min_brake <= 0:
-            raise ParameterError(f"a_min_brake must be > 0, got {self.a_min_brake}")
+        for name in VEHICLE_FIELDS:
+            object.__setattr__(self, name, check_vehicle_field(name, getattr(self, name)))
         try:
             d_min = rss_min_distance(self)
         except OverflowError:

@@ -6,10 +6,15 @@ a :class:`ReportBundle`; ``write_bundle`` persists it as JSON plus CSV
 tables plus a Markdown summary.  Bundles record digests of their input
 files and the base seed, so a bundle is reproducible bit-for-bit (minus
 the timestamp) from the same inputs.
+
+This module owns the bundle's on-disk form: the JSON codec of every table
+and the CSV tables.  The other modules compute and load, and know no
+output format.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -17,32 +22,24 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import __version__
-from .analysis import (
-    AnalysisRow,
-    SeverityRules,
-    build_analysis_sheet,
-    row_from_dict,
-    row_to_dict,
-    write_analysis_csv,
-    write_analysis_json,
-)
+from .analysis import AnalysisRow, Controllability, Severity, SeverityRules, build_analysis_sheet
 from .errors import ContractViolationError, PipelineError, check_keys
 from .risk import (
     AcceptanceCriteria,
     AcceptanceVerdict,
+    OccurrenceClass,
     OccurrenceSpec,
+    RiskLevel,
     RiskResult,
     Violation,
     acceptance_check,
     evaluate_residual_risk,
-    risk_from_dict,
-    risk_to_dict,
-    write_risk_csv,
-    write_risk_json,
 )
 from .scenario import (
     EFFECT_FIELDS,
@@ -56,11 +53,11 @@ from .scenario import (
 )
 from .simulator import (
     SimConfig,
+    Stage,
     SweepStats,
     export_trace_jsonl,
     monte_carlo_sweep,
     simulate,
-    write_kpi_csv,
 )
 from .taxonomy import Taxonomy, enumerate_leaves, filter_by_odd
 
@@ -74,6 +71,12 @@ __all__ = [
     "load_bundle",
     "emit_markdown_summary",
     "file_digest",
+    "write_kpi_csv",
+    "write_analysis_csv",
+    "write_risk_csv",
+    "KPI_CSV_HEADER",
+    "ANALYSIS_CSV_HEADER",
+    "RISK_CSV_HEADER",
 ]
 
 TOOL_NAME = "sotifkit"
@@ -81,14 +84,6 @@ TOOL_NAME = "sotifkit"
 
 def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _json_float(x: float) -> float | None:
-    return None if math.isinf(x) else x
-
-
-def _from_json_float(x: float | None) -> float:
-    return math.inf if x is None else x
 
 
 @dataclass(frozen=True)
@@ -159,17 +154,12 @@ class ReportBundle:
 
     def __post_init__(self) -> None:
         ids = {s.id for s in self.scenarios}
-        for table, entries in (
-            ("kpi_table", [s.scenario_id for s in self.kpi_table]),
-            ("analysis_sheet", [r.scenario_id for r in self.analysis_sheet]),
-            ("risk_table", [r.scenario_id for r in self.risk_table]),
-            ("acceptance", [v.scenario_id for v in self.acceptance]),
-            ("mitigation_table", [m.scenario_id for m in self.mitigation_table]),
-        ):
-            for scenario_id in entries:
-                if scenario_id not in ids:
+        tables = ("kpi_table", "analysis_sheet", "risk_table", "acceptance", "mitigation_table")
+        for table in tables:
+            for item in getattr(self, table):
+                if item.scenario_id not in ids:
                     raise ContractViolationError(
-                        f"{table} references unknown scenario '{scenario_id}'"
+                        f"{table} references unknown scenario '{item.scenario_id}'"
                     )
 
     @property
@@ -329,62 +319,301 @@ def run_campaign(
     )
 
 
+# The bundle's on-disk form.  JSON has no Infinity: an unbounded value
+# (a ttc, hours or km to hazard) is written as null.
+
+
+def _json_float(x: float) -> float | None:
+    return None if math.isinf(x) else x
+
+
+def _from_json_float(x: float | None) -> float:
+    return math.inf if x is None else x
+
+
 def _stats_to_dict(s: SweepStats) -> dict:
-    d = dataclasses.asdict(s)
-    d["ttc_at_trigger_min"] = _json_float(s.ttc_at_trigger_min)
-    return d
+    return {**dataclasses.asdict(s), "ttc_at_trigger_min": _json_float(s.ttc_at_trigger_min)}
 
 
 def _stats_from_dict(d: Mapping) -> SweepStats:
-    data = dict(d)
-    data["ttc_at_trigger_min"] = _from_json_float(data["ttc_at_trigger_min"])
-    return SweepStats(**data)
+    return SweepStats(**{**d, "ttc_at_trigger_min": _from_json_float(d["ttc_at_trigger_min"])})
+
+
+def _summary_from_dict(d: Mapping) -> ScenarioSummary:
+    return ScenarioSummary(**{**d, "category_path": tuple(d["category_path"])})
+
+
+def row_to_dict(row: AnalysisRow) -> dict:
+    return {
+        "scenario_id": row.scenario_id,
+        "triggering_condition": row.leaf_id,
+        "category_path": list(row.category_path),
+        "affected_subsystems": sorted(s.value for s in row.affected_subsystems),
+        "severity": row.severity.name,
+        "controllability": row.controllability.name,
+        "hazards": list(row.linked_hazard_ids),
+        "rationale": row.rationale,
+    }
+
+
+def row_from_dict(data: Mapping) -> AnalysisRow:
+    return AnalysisRow(
+        scenario_id=data["scenario_id"],
+        leaf_id=data["triggering_condition"],
+        category_path=tuple(data["category_path"]),
+        affected_subsystems=frozenset(Stage(s) for s in data["affected_subsystems"]),
+        severity=Severity[data["severity"]],
+        controllability=Controllability[data["controllability"]],
+        linked_hazard_ids=tuple(data["hazards"]),
+        rationale=data["rationale"],
+    )
+
+
+def risk_to_dict(r: RiskResult) -> dict:
+    return {
+        "scenario_id": r.scenario_id,
+        "hazard_id": r.hazard_id,
+        "severity": r.severity.name,
+        "occurrence_class": r.occurrence_class.name,
+        "risk_level": r.risk_level.label,
+        "hazard_rate_per_hour": r.hazard_rate_per_hour,
+        "hours_to_hazard": _json_float(r.hours_to_hazard),
+        "km_to_hazard": _json_float(r.km_to_hazard),
+    }
+
+
+def risk_from_dict(data: Mapping) -> RiskResult:
+    return RiskResult(
+        scenario_id=data["scenario_id"],
+        hazard_id=data["hazard_id"],
+        severity=Severity[data["severity"]],
+        occurrence_class=OccurrenceClass[data["occurrence_class"]],
+        risk_level=RiskLevel[data["risk_level"].upper()],
+        hazard_rate_per_hour=data["hazard_rate_per_hour"],
+        hours_to_hazard=_from_json_float(data["hours_to_hazard"]),
+        km_to_hazard=_from_json_float(data["km_to_hazard"]),
+    )
+
+
+class _Kind(NamedTuple):
+    """What the JSON value of a bundle field must be.  ``accepts`` tests a
+    whole column of values at once, which keeps loading a large bundle
+    cheap; a column it rejects is searched value by value."""
+
+    expected: str
+    accepts: Callable[[list], bool]
+
+
+def _types(expected: str, *types: type) -> _Kind:
+    allowed = frozenset(types)
+    return _Kind(expected, lambda column: set(map(type, column)) <= allowed)
+
+
+def _numbers(nullable: bool) -> _Kind:
+    allowed = frozenset((int, float, type(None)) if nullable else (int, float))
+
+    def accepts(column: list) -> bool:
+        if not set(map(type, column)) <= allowed:
+            return False
+        try:
+            # A finite sum has finite terms (a bool is not a number: its
+            # type is not int).
+            return math.isfinite(sum(filter(None, column)))
+        except OverflowError:
+            return False
+
+    return _Kind("a finite number or null" if nullable else "a finite number", accepts)
+
+
+def _one_of(names: Iterable[str]) -> _Kind:
+    names = list(names)
+    allowed = frozenset(names)
+    return _Kind(
+        f"one of {names}",
+        lambda column: set(map(type, column)) <= {str} and set(column) <= allowed,
+    )
+
+
+def _list_of(kind: _Kind) -> _Kind:
+    return _Kind(
+        f"a list, each item {kind.expected}",
+        lambda column: set(map(type, column)) <= {list}
+        and kind.accepts(list(chain.from_iterable(column))),
+    )
+
+
+_STR = _types("a string", str)
+_STR_OR_NULL = _types("a string or null", str, type(None))
+_INT = _types("an integer", int)
+_BOOL = _types("true or false", bool)
+_BOOL_OR_NULL = _types("true, false or null", bool, type(None))
+_OBJECT = _types("a JSON object", dict)
+_NUMBER = _numbers(nullable=False)
+_NUMBER_OR_NULL = _numbers(nullable=True)
+_STRINGS = _list_of(_STR)
+_SEVERITY = _one_of(Severity.__members__)
+
+
+def _fields(cls: type, kind: _Kind, **kinds: _Kind) -> dict[str, _Kind]:
+    """The JSON keys of a dataclass written field by field: every field of
+    ``cls``, of kind ``kind`` unless ``kinds`` names another."""
+    return {f.name: kinds.get(f.name, kind) for f in dataclasses.fields(cls)}
+
+
+def _check_object(
+    data: object, context: str, fields: Mapping[str, _Kind], allowed: Iterable[str] = ()
+) -> Mapping:
+    """``data`` if it is a JSON object with exactly the keys of ``fields``
+    (plus any of ``allowed``), each holding a value of its kind."""
+    check_keys(data, context, required=fields, allowed=allowed)
+    for key, kind in fields.items():
+        if not kind.accepts([data[key]]):
+            raise ValueError(f"{context}.{key}: expected {kind.expected}, got {data[key]!r}")
+    return data
+
+
+def _items_pass(items: list, fields: Mapping[str, _Kind]) -> bool:
+    """True if ``items`` are JSON objects with exactly the keys of
+    ``fields``, each holding a value of its kind.  A whole column is
+    checked at once."""
+    # Objects of len(fields) keys, each key of fields among them, have
+    # exactly those keys.
+    try:
+        return (
+            set(map(type, items)) <= {dict}
+            and set(map(len, items)) <= {len(fields)}
+            and all(kind.accepts([item[key] for item in items]) for key, kind in fields.items())
+        )
+    except KeyError:
+        return False
+
+
+def _check_items(items: object, context: str, fields: Mapping[str, _Kind]) -> list:
+    """``items`` if it is a JSON list of objects that each pass
+    :func:`_check_object`.  Only a table that fails :func:`_items_pass` is
+    searched item by item, so that the error names the item and the
+    field."""
+    if not isinstance(items, list):
+        raise ValueError(f"{context}: expected a JSON list of objects")
+    if not _items_pass(items, fields):
+        for i, item in enumerate(items):
+            _check_object(item, f"{context}[{i}]", fields)
+    return items
+
+
+class _Table(NamedTuple):
+    """One bundle table on disk: each item's keys with the kind of their
+    values, and the item codec."""
+
+    fields: Mapping[str, _Kind]
+    to_dict: Callable[[Any], dict]
+    from_dict: Callable[[Mapping], Any]
+
+
+# Every table of the bundle, in bundle.json's order, keyed by its section
+# (which is also its ReportBundle attribute).
+_BUNDLE_TABLES = {
+    "scenarios": _Table(
+        _fields(
+            ScenarioSummary,
+            _STR,
+            leaf_id=_STR_OR_NULL,
+            category_path=_STRINGS,
+            intensity=_STR_OR_NULL,
+            effects=_OBJECT,
+            seed=_INT,
+        ),
+        dataclasses.asdict,
+        _summary_from_dict,
+    ),
+    "kpi_table": _Table(
+        _fields(
+            SweepStats,
+            _NUMBER,
+            scenario_id=_STR,
+            runs=_INT,
+            ttc_at_trigger_min=_NUMBER_OR_NULL,
+            odd_fingerprint=_STR,
+        ),
+        _stats_to_dict,
+        _stats_from_dict,
+    ),
+    "analysis_sheet": _Table(
+        {
+            "scenario_id": _STR,
+            "triggering_condition": _STR,
+            "category_path": _STRINGS,
+            "affected_subsystems": _list_of(_one_of(s.value for s in Stage)),
+            "severity": _SEVERITY,
+            "controllability": _one_of(Controllability.__members__),
+            "hazards": _STRINGS,
+            "rationale": _STR,
+        },
+        row_to_dict,
+        row_from_dict,
+    ),
+    "risk_table": _Table(
+        {
+            "scenario_id": _STR,
+            "hazard_id": _STR_OR_NULL,
+            "severity": _SEVERITY,
+            "occurrence_class": _one_of(OccurrenceClass.__members__),
+            "risk_level": _one_of(level.label for level in RiskLevel),
+            "hazard_rate_per_hour": _NUMBER,
+            "hours_to_hazard": _NUMBER_OR_NULL,
+            "km_to_hazard": _NUMBER_OR_NULL,
+        },
+        risk_to_dict,
+        risk_from_dict,
+    ),
+    "mitigation_table": _Table(
+        _fields(
+            MitigationOutcome,
+            _NUMBER_OR_NULL,
+            mitigation_id=_STR,
+            scenario_id=_STR,
+            mitigated_scenario_id=_STR_OR_NULL,
+            applied=_BOOL,
+            note=_STR,
+            gap_mean_before=_NUMBER,
+            collision_rate_before=_NUMBER,
+            false_activation_rate_before=_NUMBER,
+            passes_after=_BOOL_OR_NULL,
+        ),
+        dataclasses.asdict,
+        lambda d: MitigationOutcome(**d),
+    ),
+}
+_META_FIELDS = _fields(
+    RunMeta,
+    _STR,
+    base_seed=_INT,
+    runs_per_scenario=_INT,
+    dt=_NUMBER,
+    max_time=_NUMBER,
+    perception_tick=_NUMBER,
+    input_digests=_OBJECT,
+    odd_well_formed=_BOOL,
+)
+_CRITERIA_FIELDS = _fields(AcceptanceCriteria, _NUMBER)
+_VERDICT_FIELDS = _fields(AcceptanceVerdict, _STR, passed=_BOOL, violations=_list_of(_OBJECT))
+_VIOLATION_FIELDS = _fields(Violation, _NUMBER, clause=_STR)
 
 
 def bundle_to_dict(bundle: ReportBundle) -> dict:
     return {
         "meta": dataclasses.asdict(bundle.meta),
         "taxonomy_summary": dict(bundle.taxonomy_summary),
-        "scenarios": [dataclasses.asdict(s) for s in bundle.scenarios],
-        "kpi_table": [_stats_to_dict(s) for s in bundle.kpi_table],
-        "analysis_sheet": [row_to_dict(r) for r in bundle.analysis_sheet],
-        "risk_table": [risk_to_dict(r) for r in bundle.risk_table],
-        "mitigation_table": [dataclasses.asdict(m) for m in bundle.mitigation_table],
+        **{
+            name: [table.to_dict(item) for item in getattr(bundle, name)]
+            for name, table in _BUNDLE_TABLES.items()
+        },
         "acceptance": {
             "criteria": dataclasses.asdict(bundle.criteria),
             "verdicts": [dataclasses.asdict(v) for v in bundle.acceptance],
             "all_passed": bundle.all_passed,
         },
     }
-
-
-def _field_names(cls: type) -> frozenset[str]:
-    return frozenset(f.name for f in dataclasses.fields(cls))
-
-
-# The keys of every item of each bundle table: exactly the fields of its row
-# type, or None where the reader picks its keys by name.
-_BUNDLE_TABLES = {
-    "scenarios": _field_names(ScenarioSummary),
-    "kpi_table": _field_names(SweepStats),
-    "analysis_sheet": None,
-    "risk_table": None,
-    "mitigation_table": _field_names(MitigationOutcome),
-}
-_VERDICT_KEYS = _field_names(AcceptanceVerdict)
-_VIOLATION_KEYS = _field_names(Violation)
-
-
-def _rows(table: object, context: str, keys: frozenset[str] | None) -> list[Mapping]:
-    """The items of one bundle table: JSON objects, each with exactly
-    ``keys`` when they are given."""
-    if not isinstance(table, list):
-        raise ValueError(f"{context}: expected a JSON list of objects")
-    for i, item in enumerate(table):
-        if not isinstance(item, dict) or (keys is not None and item.keys() != keys):
-            # Raises, naming the missing or unknown keys.
-            check_keys(item, f"{context}[{i}]", required=keys or ())
-    return table
 
 
 def bundle_from_dict(data: Mapping) -> ReportBundle:
@@ -399,51 +628,121 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
     )
     if not isinstance(data["taxonomy_summary"], dict):
         raise ValueError("taxonomy_summary: expected a JSON object")
-    tables = {name: _rows(data[name], name, keys) for name, keys in _BUNDLE_TABLES.items()}
-    raw_verdicts = _rows(acceptance["verdicts"], "acceptance.verdicts", _VERDICT_KEYS)
-    criteria = check_keys(
-        acceptance["criteria"], "acceptance.criteria", required=_field_names(AcceptanceCriteria)
-    )
-    fields = _field_names(RunMeta)
-    # Bundles written while the sweep still had a thread pool record its
-    # worker count in meta.workers.  It never changed a result, so it is
-    # accepted and dropped.
-    raw_meta = check_keys(data["meta"], "meta", required=fields, allowed=("workers",))
-    meta = RunMeta(**{name: raw_meta[name] for name in fields})
-    scenarios = tuple(
-        ScenarioSummary(
-            id=s["id"],
-            leaf_id=s["leaf_id"],
-            category_path=tuple(s["category_path"]),
-            intensity=s["intensity"],
-            effects=s["effects"],
-            seed=s["seed"],
-        )
-        for s in tables["scenarios"]
-    )
+    tables = {
+        name: tuple(map(table.from_dict, _check_items(data[name], name, table.fields)))
+        for name, table in _BUNDLE_TABLES.items()
+    }
+    raw_verdicts = _check_items(acceptance["verdicts"], "acceptance.verdicts", _VERDICT_FIELDS)
+    # The violations of all verdicts are checked at once; only a failure is
+    # searched verdict by verdict.
+    violations = [v["violations"] for v in raw_verdicts]
+    if not _items_pass(list(chain.from_iterable(violations)), _VIOLATION_FIELDS):
+        for i, items in enumerate(violations):
+            _check_items(items, f"acceptance.verdicts[{i}].violations", _VIOLATION_FIELDS)
     verdicts = tuple(
         AcceptanceVerdict(
             scenario_id=v["scenario_id"],
             passed=v["passed"],
-            violations=tuple(
-                Violation(**x)
-                for x in _rows(
-                    v["violations"], f"acceptance.verdicts[{i}].violations", _VIOLATION_KEYS
-                )
-            ),
+            violations=tuple(Violation(**x) for x in v["violations"]),
         )
-        for i, v in enumerate(raw_verdicts)
+        for v in raw_verdicts
     )
+    criteria = _check_object(acceptance["criteria"], "acceptance.criteria", _CRITERIA_FIELDS)
+    # Bundles written while the sweep still had a thread pool record its
+    # worker count in meta.workers.  It never changed a result, so it is
+    # accepted and dropped.
+    meta = _check_object(data["meta"], "meta", _META_FIELDS, allowed=("workers",))
     return ReportBundle(
-        meta=meta,
+        meta=RunMeta(**{name: meta[name] for name in _META_FIELDS}),
         taxonomy_summary=data["taxonomy_summary"],
-        scenarios=scenarios,
-        kpi_table=tuple(_stats_from_dict(s) for s in tables["kpi_table"]),
-        analysis_sheet=tuple(row_from_dict(r) for r in tables["analysis_sheet"]),
-        risk_table=tuple(risk_from_dict(r) for r in tables["risk_table"]),
-        mitigation_table=tuple(MitigationOutcome(**m) for m in tables["mitigation_table"]),
+        **tables,
         criteria=AcceptanceCriteria(**criteria),
         acceptance=verdicts,
+    )
+
+
+KPI_CSV_HEADER = (
+    "scenario_id",
+    "runs",
+    "collision_rate",
+    "false_activation_rate",
+    "gap_mean",
+    "gap_min",
+    "gap_max",
+    "impact_speed_max",
+)
+
+ANALYSIS_CSV_HEADER = (
+    "triggering_condition",
+    "category_path",
+    "affected_subsystems",
+    "severity",
+    "controllability",
+    "hazards",
+    "rationale",
+)
+
+RISK_CSV_HEADER = (
+    "scenario_id",
+    "hazard_id",
+    "severity",
+    "occurrence_class",
+    "risk_level",
+    "hazard_rate_per_hour",
+    "hours_to_hazard",
+    "km_to_hazard",
+)
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_kpi_csv(stats: Sequence[SweepStats], path: str | Path) -> None:
+    """Write sweep aggregates as CSV (one row per scenario)."""
+    # Each column is the SweepStats field of the same name.
+    _write_csv(path, KPI_CSV_HEADER, map(attrgetter(*KPI_CSV_HEADER), stats))
+
+
+def write_analysis_csv(rows: Sequence[AnalysisRow], path: str | Path) -> None:
+    _write_csv(
+        path,
+        ANALYSIS_CSV_HEADER,
+        (
+            [
+                row.leaf_id,
+                " / ".join(row.category_path),
+                ", ".join(sorted(s.value for s in row.affected_subsystems)),
+                row.severity.name,
+                row.controllability.name,
+                ", ".join(row.linked_hazard_ids),
+                row.rationale,
+            ]
+            for row in rows
+        ),
+    )
+
+
+def write_risk_csv(results: Sequence[RiskResult], path: str | Path) -> None:
+    _write_csv(
+        path,
+        RISK_CSV_HEADER,
+        (
+            [
+                r.scenario_id,
+                r.hazard_id or "",
+                r.severity.name,
+                r.occurrence_class.name,
+                r.risk_level.label,
+                r.hazard_rate_per_hour,
+                r.hours_to_hazard,
+                r.km_to_hazard,
+            ]
+            for r in results
+        ),
     )
 
 
@@ -457,9 +756,7 @@ def write_bundle(bundle: ReportBundle, out_dir: str | Path) -> Path:
     )
     write_kpi_csv(bundle.kpi_table, out / "kpis.csv")
     write_analysis_csv(bundle.analysis_sheet, out / "analysis_sheet.csv")
-    write_analysis_json(bundle.analysis_sheet, out / "analysis_sheet.json")
     write_risk_csv(bundle.risk_table, out / "risk.csv")
-    write_risk_json(bundle.risk_table, out / "risk.json")
     (out / "summary.md").write_text(emit_markdown_summary(bundle), encoding="utf-8")
     return bundle_path
 

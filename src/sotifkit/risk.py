@@ -22,13 +22,12 @@ real-world data-availability problem, and this tool's job is propagation.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .analysis import (
     HAZARD_COLLISION,
@@ -63,9 +62,6 @@ __all__ = [
     "evaluate_residual_risk",
     "load_occurrences",
     "load_criteria",
-    "write_risk_csv",
-    "write_risk_json",
-    "RISK_CSV_HEADER",
 ]
 
 
@@ -387,65 +383,3 @@ def load_criteria(path: str | Path) -> AcceptanceCriteria:
         ),
     )
     return AcceptanceCriteria(**{k: check_number(v, f"{path}: {k}") for k, v in data.items()})
-
-
-RISK_CSV_HEADER = (
-    "scenario_id",
-    "hazard_id",
-    "severity",
-    "occurrence_class",
-    "risk_level",
-    "hazard_rate_per_hour",
-    "hours_to_hazard",
-    "km_to_hazard",
-)
-
-
-def write_risk_csv(results: Sequence[RiskResult], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RISK_CSV_HEADER)
-        for r in results:
-            writer.writerow(
-                [
-                    r.scenario_id,
-                    r.hazard_id or "",
-                    r.severity.name,
-                    r.occurrence_class.name,
-                    r.risk_level.label,
-                    r.hazard_rate_per_hour,
-                    r.hours_to_hazard,
-                    r.km_to_hazard,
-                ]
-            )
-
-
-def risk_to_dict(r: RiskResult) -> dict:
-    return {
-        "scenario_id": r.scenario_id,
-        "hazard_id": r.hazard_id,
-        "severity": r.severity.name,
-        "occurrence_class": r.occurrence_class.name,
-        "risk_level": r.risk_level.label,
-        "hazard_rate_per_hour": r.hazard_rate_per_hour,
-        "hours_to_hazard": None if math.isinf(r.hours_to_hazard) else r.hours_to_hazard,
-        "km_to_hazard": None if math.isinf(r.km_to_hazard) else r.km_to_hazard,
-    }
-
-
-def risk_from_dict(data: Mapping) -> RiskResult:
-    return RiskResult(
-        scenario_id=data["scenario_id"],
-        hazard_id=data["hazard_id"],
-        severity=Severity[data["severity"]],
-        occurrence_class=OccurrenceClass[data["occurrence_class"]],
-        risk_level=RiskLevel[data["risk_level"].upper()],
-        hazard_rate_per_hour=data["hazard_rate_per_hour"],
-        hours_to_hazard=math.inf if data["hours_to_hazard"] is None else data["hours_to_hazard"],
-        km_to_hazard=math.inf if data["km_to_hazard"] is None else data["km_to_hazard"],
-    )
-
-
-def write_risk_json(results: Sequence[RiskResult], path: str | Path) -> None:
-    payload = [risk_to_dict(r) for r in results]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import core
-from .core import VehicleParams
+from .core import VEHICLE_FIELDS, VehicleParams
 from .errors import (
     InvalidMitigationError,
     ParameterError,
@@ -56,8 +56,6 @@ _IMPROVES_UP = ("perception_range_factor", "mu_factor")
 _IMPROVES_DOWN = ("ghost_rate", "rho_add")
 EFFECT_FIELDS = _IMPROVES_UP + _IMPROVES_DOWN
 
-_VEHICLE_FIELDS = ("v_r", "rho", "a_max_accel", "a_min_brake")
-
 
 def derive_seed(*parts: object) -> int:
     """Deterministic 64-bit seed from a tuple of labels.
@@ -90,8 +88,7 @@ class OddDefinition:
     vehicle: VehicleParams
 
     def __post_init__(self) -> None:
-        for name in ("d_object", "d_perception", "mu"):
-            core._require_finite(name, getattr(self, name))
+        core._store_floats(self, ("d_object", "d_perception", "mu"))
         if not self.d_object > 0:
             raise ParameterError(f"d_object must be > 0, got {self.d_object}")
         if not self.d_perception > 0:
@@ -142,8 +139,7 @@ class EffectModel:
     rho_add: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in EFFECT_FIELDS:
-            core._require_finite(name, getattr(self, name))
+        core._store_floats(self, EFFECT_FIELDS)
         if not 0.0 < self.perception_range_factor <= 1.0:
             raise ParameterError(
                 f"perception_range_factor must be in (0, 1], got {self.perception_range_factor}"
@@ -167,7 +163,11 @@ class EffectModel:
 
 def _effect_from_partial(partial: Mapping[str, float], context: str) -> EffectModel:
     check_keys(partial, context, allowed=EFFECT_FIELDS)
-    return EffectModel(**{k: check_number(v, f"{context}: {k}") for k, v in partial.items()})
+    values = {k: check_number(v, f"{context}: {k}") for k, v in partial.items()}
+    try:
+        return EffectModel(**values)
+    except ParameterError as exc:
+        raise ParameterError(f"{context}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ class MitigationSpec:
                 f"mitigation '{self.id}': unknown effect fields {sorted(unknown)}"
             )
         if self.vehicle_overrides is not None:
-            unknown = set(self.vehicle_overrides) - set(_VEHICLE_FIELDS)
+            unknown = set(self.vehicle_overrides) - set(VEHICLE_FIELDS)
             if unknown:
                 raise ParameterError(
                     f"mitigation '{self.id}': unknown vehicle fields {sorted(unknown)}"
@@ -357,13 +357,13 @@ def load_odd(path: str | Path) -> OddDefinition:
         str(path),
         required=("d_object", "d_perception", "mu", "odd_tags", "vehicle"),
     )
-    raw_vehicle = check_keys(data["vehicle"], f"{path}: vehicle", required=_VEHICLE_FIELDS)
+    raw_vehicle = check_keys(data["vehicle"], f"{path}: vehicle", required=VEHICLE_FIELDS)
     tags = data["odd_tags"]
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise ValueError(f"{path}: odd_tags: expected a JSON list of strings, got {tags!r}")
     try:
         vehicle = VehicleParams(
-            **{k: check_number(raw_vehicle[k], f"{path}: vehicle.{k}") for k in _VEHICLE_FIELDS}
+            **{k: check_number(raw_vehicle[k], f"{path}: vehicle.{k}") for k in VEHICLE_FIELDS}
         )
     except ParameterError as exc:
         raise ParameterError(f"{path}: vehicle: {exc}") from exc
@@ -421,13 +421,18 @@ def load_mitigations(path: str | Path) -> list[MitigationSpec]:
         overrides = {}
         for name, fields in (
             ("effect_overrides", EFFECT_FIELDS),
-            ("vehicle_overrides", _VEHICLE_FIELDS),
+            ("vehicle_overrides", VEHICLE_FIELDS),
         ):
             if name in item:
                 raw = check_keys(item[name], f"{context}: {name}", allowed=fields)
                 overrides[name] = {
                     k: check_number(v, f"{context}: {name}.{k}") for k, v in raw.items()
                 }
+        try:
+            for k, v in overrides.get("vehicle_overrides", {}).items():
+                core.check_vehicle_field(k, v)
+        except ParameterError as exc:
+            raise ParameterError(f"{context}: vehicle_overrides: {exc}") from exc
         mitigations.append(
             MitigationSpec(id=item["id"], description=item["description"], **overrides)
         )

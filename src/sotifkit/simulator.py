@@ -35,7 +35,6 @@ run_index) always produces a bit-identical trace.
 from __future__ import annotations
 
 import bisect
-import csv
 import functools
 import json
 import math
@@ -64,8 +63,6 @@ __all__ = [
     "monte_carlo_sweep",
     "trigger_threshold",
     "export_trace_jsonl",
-    "write_kpi_csv",
-    "KPI_CSV_HEADER",
 ]
 
 
@@ -125,6 +122,7 @@ class SimConfig:
     perception_tick: float = 0.05
 
     def __post_init__(self) -> None:
+        core._store_floats(self, ("dt", "max_time", "perception_tick"))
         if not 0.0 < self.dt <= self.perception_tick <= self.max_time:
             raise ParameterError(
                 "need 0 < dt <= perception_tick <= max_time, got "
@@ -618,35 +616,3 @@ def export_trace_jsonl(trace: SimTrace, path: str | Path) -> None:
     }
     lines.append(json.dumps(summary))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-KPI_CSV_HEADER = (
-    "scenario_id",
-    "runs",
-    "collision_rate",
-    "false_activation_rate",
-    "gap_mean",
-    "gap_min",
-    "gap_max",
-    "impact_speed_max",
-)
-
-
-def write_kpi_csv(stats: Sequence[SweepStats], path: str | Path) -> None:
-    """Write sweep aggregates as CSV (one row per scenario)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(KPI_CSV_HEADER)
-        for s in stats:
-            writer.writerow(
-                [
-                    s.scenario_id,
-                    s.runs,
-                    s.collision_rate,
-                    s.false_activation_rate,
-                    s.gap_mean,
-                    s.gap_min,
-                    s.gap_max,
-                    s.impact_speed_max,
-                ]
-            )

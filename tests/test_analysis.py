@@ -14,15 +14,14 @@ from sotifkit import (
     link_hazards,
     monte_carlo_sweep,
 )
-from sotifkit.analysis import (
+from sotifkit.analysis import HAZARD_COLLISION, HAZARD_FALSE_ACTIVATION
+from sotifkit.errors import IncompleteAnalysisError, ParameterError
+from sotifkit.report import (
     ANALYSIS_CSV_HEADER,
-    HAZARD_COLLISION,
-    HAZARD_FALSE_ACTIVATION,
     row_from_dict,
     row_to_dict,
     write_analysis_csv,
 )
-from sotifkit.errors import IncompleteAnalysisError, ParameterError
 from sotifkit.scenario import EffectMapping
 from sotifkit.simulator import Stage, SweepStats
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sotifkit import (
     AcceptanceCriteria,
@@ -17,8 +19,9 @@ from sotifkit import (
     emit_markdown_summary,
 )
 from sotifkit.cli import EXIT_ERROR, EXIT_GATE_FAILED, EXIT_OK, main
+from sotifkit.errors import SotifkitError
 from sotifkit.fixtures import fixture_path
-from sotifkit.report import bundle_to_dict
+from sotifkit.report import bundle_from_dict, bundle_to_dict
 from sotifkit.scenario import load_mitigations
 
 
@@ -63,6 +66,14 @@ MALFORMED_INPUTS = {
     "odd-tags-not-list": ("--odd", {**_FIXTURE_ODD, "odd_tags": "-ad"}),
     "odd-speed-overflows": ("--odd", _odd_with_vehicle(v_r=1e300)),
     "vehicle-value-out-of-range": ("--odd", _odd_with_vehicle(rho=-1)),
+    "effect-value-out-of-range": (
+        "--effects",
+        {"by_leaf": {"x": {"ghost_rate": 2}}, "defaults": {}},
+    ),
+    "mitigation-vehicle-override-out-of-range": (
+        "--mitigations",
+        [{"id": "m", "description": "d", "vehicle_overrides": {"rho": -1}}],
+    ),
 }
 
 # Complete bundle rows, each with one key too many.
@@ -85,6 +96,41 @@ _VERDICT_VIOLATION_EXTRA_KEY = {
     "scenario_id": "s",
     "passed": False,
     "violations": [{"clause": "c", "measured": 1.0, "threshold": 0.0, "colour": "red"}],
+}
+# Complete, well-typed bundle rows of scenarios in the fixture campaign.
+_KPI_ROW = {
+    "scenario_id": "nominal",
+    "runs": 5,
+    "collision_rate": 0.0,
+    "false_activation_rate": 0.0,
+    "gap_mean": 10.0,
+    "gap_min": 10.0,
+    "gap_max": 10.0,
+    "impact_speed_mean": 0.0,
+    "impact_speed_min": 0.0,
+    "impact_speed_max": 0.0,
+    "ttc_at_trigger_min": None,
+    "odd_fingerprint": "f" * 16,
+}
+_ANALYSIS_ROW = {
+    "scenario_id": "surface-gravel",
+    "triggering_condition": "surface-gravel",
+    "category_path": ["Road", "Surface"],
+    "affected_subsystems": ["actuation"],
+    "severity": "S3",
+    "controllability": "C3",
+    "hazards": ["H1"],
+    "rationale": "r",
+}
+_RISK_ROW = {
+    "scenario_id": "surface-gravel",
+    "hazard_id": "H1",
+    "severity": "S3",
+    "occurrence_class": "O2",
+    "risk_level": "medium",
+    "hazard_rate_per_hour": 0.01,
+    "hours_to_hazard": 100.0,
+    "km_to_hazard": None,
 }
 
 
@@ -166,16 +212,14 @@ class TestBundlePersistence:
     def test_write_creates_all_artifacts(self, small_bundle, tmp_path):
         out = tmp_path / "bundle"
         write_bundle(small_bundle, out)
-        for name in (
+        # The JSON tables live in bundle.json only.
+        assert sorted(p.name for p in out.iterdir()) == [
+            "analysis_sheet.csv",
             "bundle.json",
             "kpis.csv",
-            "analysis_sheet.csv",
-            "analysis_sheet.json",
             "risk.csv",
-            "risk.json",
             "summary.md",
-        ):
-            assert (out / name).exists(), name
+        ]
 
     def test_round_trip_reconstructs_tables(self, small_bundle, tmp_path):
         out = tmp_path / "bundle"
@@ -189,6 +233,48 @@ class TestBundlePersistence:
         assert loaded.criteria == small_bundle.criteria
         assert loaded.scenarios == small_bundle.scenarios
         assert loaded == small_bundle
+
+
+# Any JSON value, biased towards the names and shapes a bundle holds.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["S1", "S9", "C3", "O2", "low", "LOW", "actuation", "H1", "nominal"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=4,
+)
+_TABLES = ("scenarios", "kpi_table", "analysis_sheet", "risk_table", "mitigation_table")
+
+
+@pytest.fixture(scope="module")
+def small_bundle_json(small_bundle):
+    return json.dumps(bundle_to_dict(small_bundle))
+
+
+class TestBundleValueTypes:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), value=_JSON_VALUES)
+    def test_any_field_value_loads_or_is_named(self, small_bundle_json, data, value):
+        """Replace one field of one table item by any JSON value: the bundle
+        either loads and renders, or is rejected naming that field (or, for
+        a scenario id, an unknown scenario)."""
+        bundle = json.loads(small_bundle_json)
+        table = data.draw(st.sampled_from(_TABLES))
+        i = data.draw(st.integers(0, len(bundle[table]) - 1))
+        field = data.draw(st.sampled_from(sorted(bundle[table][i])))
+        bundle[table][i][field] = value
+        try:
+            loaded = bundle_from_dict(bundle)
+        except SotifkitError:
+            return  # e.g. a scenario id no other table knows
+        except ValueError as exc:
+            assert str(exc).startswith(f"{table}[{i}].{field}: "), exc
+            return
+        emit_markdown_summary(loaded)
 
 
 class TestStatsSerialization:
@@ -402,18 +488,59 @@ class TestCli:
         else:
             assert "cannot load bundle" in captured.err
 
+    # (section, its replacement, where the error says the fault is)
     @pytest.mark.parametrize(
-        "section, value",
+        "section, value, where",
         [
-            ("scenarios", 5),
-            ("kpi_table", [5]),
-            ("taxonomy_summary", []),
-            ("acceptance", {"criteria": {}, "verdicts": [], "all_passed": True}),
-            ("acceptance", None),
-            ("mitigation_table", [_MITIGATION_ROW_EXTRA_KEY]),
+            ("scenarios", 5, "scenarios: "),
+            ("kpi_table", [5], "kpi_table[0]: "),
+            ("taxonomy_summary", [], "taxonomy_summary: "),
+            (
+                "acceptance",
+                {"criteria": {}, "verdicts": [], "all_passed": True},
+                "acceptance.criteria: ",
+            ),
+            ("acceptance", None, "acceptance: "),
+            ("mitigation_table", [_MITIGATION_ROW_EXTRA_KEY], "mitigation_table[0]: "),
             (
                 "acceptance",
                 {"criteria": _FIXTURE_CRITERIA, "verdicts": [_VERDICT_VIOLATION_EXTRA_KEY]},
+                "acceptance.verdicts[0].violations[0]: ",
+            ),
+            (
+                "analysis_sheet",
+                [{**_ANALYSIS_ROW, "category_path": 5}],
+                "analysis_sheet[0].category_path: ",
+            ),
+            ("risk_table", [{**_RISK_ROW, "risk_level": 5}], "risk_table[0].risk_level: "),
+            (
+                "analysis_sheet",
+                [{**_ANALYSIS_ROW, "affected_subsystems": 5}],
+                "analysis_sheet[0].affected_subsystems: ",
+            ),
+            ("kpi_table", [{**_KPI_ROW, "gap_mean": "x"}], "kpi_table[0].gap_mean: "),
+            ("kpi_table", [{**_KPI_ROW, "runs": "3"}], "kpi_table[0].runs: "),
+            (
+                "analysis_sheet",
+                [{**_ANALYSIS_ROW, "severity": "S9"}],
+                "analysis_sheet[0].severity: expected one of ['S0', 'S1', 'S2', 'S3'], got 'S9'",
+            ),
+            ("kpi_table", [{**_KPI_ROW, "gap_mean": None}], "kpi_table[0].gap_mean: "),
+            ("kpi_table", [{**_KPI_ROW, "gap_mean": float("nan")}], "kpi_table[0].gap_mean: "),
+            (
+                "analysis_sheet",
+                [{**_ANALYSIS_ROW, "colour": "red"}],
+                "analysis_sheet[0]: unknown keys ['colour']",
+            ),
+            (
+                "risk_table",
+                [{**_RISK_ROW, "colour": "red"}],
+                "risk_table[0]: unknown keys ['colour']",
+            ),
+            (
+                "acceptance",
+                {"criteria": {**_FIXTURE_CRITERIA, "max_collision_rate": "x"}, "verdicts": []},
+                "acceptance.criteria.max_collision_rate: ",
             ),
         ],
         ids=[
@@ -424,9 +551,20 @@ class TestCli:
             "acceptance-null",
             "mitigation-item-extra-key",
             "violation-item-extra-key",
+            "category-path-int",
+            "risk-level-int",
+            "affected-subsystems-int",
+            "gap-mean-string",
+            "runs-string",
+            "severity-name-unknown",
+            "gap-mean-null",
+            "gap-mean-nan",
+            "analysis-item-extra-key",
+            "risk-item-extra-key",
+            "criteria-value-string",
         ],
     )
-    def test_report_malformed_section(self, section, value, tmp_path, capsys):
+    def test_report_malformed_section(self, section, value, where, tmp_path, capsys):
         out = tmp_path / "bundle"
         main(self._run_args(out, ["--no-gate"]))
         data = json.loads((out / "bundle.json").read_text())
@@ -434,7 +572,17 @@ class TestCli:
         (out / "bundle.json").write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["report", str(out)]) == EXIT_ERROR
-        assert f"cannot load bundle {out}: " in capsys.readouterr().err
+        assert f"cannot load bundle {out}: {where}" in capsys.readouterr().err
+
+    def test_report_well_typed_rows(self, tmp_path, capsys):
+        # The rows that the malformed cases above spoil load as they are.
+        out = tmp_path / "bundle"
+        main(self._run_args(out, ["--no-gate"]))
+        data = json.loads((out / "bundle.json").read_text())
+        data.update(kpi_table=[_KPI_ROW], analysis_sheet=[_ANALYSIS_ROW], risk_table=[_RISK_ROW])
+        (out / "bundle.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_OK
 
     def test_report_reemits_summary(self, tmp_path, capsys):
         out = tmp_path / "bundle"

@@ -29,14 +29,8 @@ from sotifkit.errors import (
     InvalidComparisonError,
     ParameterError,
 )
-from sotifkit.risk import (
-    RISK_CSV_HEADER,
-    OccurrenceBins,
-    hours_to_hazard,
-    risk_from_dict,
-    risk_to_dict,
-    write_risk_csv,
-)
+from sotifkit.report import RISK_CSV_HEADER, risk_from_dict, risk_to_dict, write_risk_csv
+from sotifkit.risk import OccurrenceBins, hours_to_hazard
 from sotifkit.simulator import SweepStats
 
 

@@ -16,6 +16,8 @@ from sotifkit import (
     apply_mitigation,
     derive_seed,
     generate_scenarios,
+    load_effect_mapping,
+    load_mitigations,
     resolve_effects,
 )
 from sotifkit.errors import (
@@ -102,6 +104,39 @@ class TestCheckNumber:
     def test_other_values_name_file_and_field(self, value):
         with pytest.raises(ValueError, match="^f.json: x: expected a finite number"):
             check_number(value, "f.json: x")
+
+
+class TestLoaderDomainErrors:
+    """A value outside its field's domain fails at load, naming the file,
+    the entry and the field."""
+
+    def test_effect_entry(self, tmp_path):
+        path = tmp_path / "effects.json"
+        path.write_text('{"by_leaf": {"x": {"ghost_rate": 2}}, "defaults": {}}')
+        with pytest.raises(
+            ParameterError, match=rf"^{path}: by_leaf\[x\]: ghost_rate must be in \[0, 1\]"
+        ):
+            load_effect_mapping(path)
+
+    def test_vehicle_override(self, tmp_path):
+        path = tmp_path / "mitigations.json"
+        path.write_text('[{"id": "m", "description": "d", "vehicle_overrides": {"rho": -1}}]')
+        with pytest.raises(
+            ParameterError, match=rf"^{path}\[0\]: vehicle_overrides: rho must be >= 0, got -1.0"
+        ):
+            load_mitigations(path)
+
+    def test_vehicle_override_joint_check_waits_for_apply(self, tmp_path, fixture_odd):
+        # Each override is in its own domain; whether the whole vehicle is
+        # sound depends on the vehicle it replaces.
+        path = tmp_path / "mitigations.json"
+        path.write_text(
+            '[{"id": "m", "description": "d", "vehicle_overrides": {"a_min_brake": 1e-310}}]'
+        )
+        (mitigation,) = load_mitigations(path)
+        nominal = generate_scenarios(fixture_odd, [], EffectMapping(), 0)[0]
+        with pytest.raises(ParameterError, match="rss_min_distance must be finite"):
+            apply_mitigation(nominal, mitigation)
 
 
 class TestResolveEffects:

@@ -21,13 +21,8 @@ from sotifkit import (
 from sotifkit.core import NO_CLOSING
 from sotifkit.errors import ContractViolationError, ParameterError, SimulationError
 import sotifkit.simulator as sim_module
-from sotifkit.simulator import (
-    EventKind,
-    SimTrace,
-    Terminal,
-    export_trace_jsonl,
-    write_kpi_csv,
-)
+from sotifkit.report import write_kpi_csv
+from sotifkit.simulator import EventKind, SimTrace, Terminal, export_trace_jsonl
 
 from conftest import make_scenario
 from reference_sim import FullDrawGhosts, ghost_draws, reference_run
@@ -424,6 +419,31 @@ class TestGhostFreeMemo:
             with pytest.raises(SimulationError, match="memo-diverges"):
                 simulate(scenario, SimConfig(), 0)
         assert len(calls) == 2
+
+    def test_int_inputs_equal_float_inputs(self, tmp_path):
+        # Ints are stored as floats, so the memo that keys on == cannot hand
+        # the trace of int inputs to float inputs, or the other way round.
+        def scenario(number):
+            vehicle = VehicleParams(
+                v_r=number(10), rho=number(1), a_max_accel=number(2), a_min_brake=number(5)
+            )
+            odd = OddDefinition(
+                d_object=number(100), d_perception=number(80), mu=number(1),
+                odd_tags=frozenset({"weather"}), vehicle=vehicle,
+            )
+            return make_scenario(odd, EffectModel(mu_factor=number(1)), scenario_id="ints")
+
+        cfg_int = SimConfig(dt=0.001, max_time=60, perception_tick=0.05)
+        as_int = simulate(scenario(int), cfg_int)
+        as_float = simulate(scenario(float), SimConfig())
+        for trace in (as_int, as_float):
+            for state in trace.states:
+                assert {type(state.position), type(state.velocity), type(state.time)} == {float}
+        assert as_float == sim_module._simulate(scenario(float), SimConfig(), 0)
+        export_trace_jsonl(as_int, tmp_path / "int.jsonl")
+        export_trace_jsonl(as_float, tmp_path / "float.jsonl")
+        assert (tmp_path / "int.jsonl").read_text() == (tmp_path / "float.jsonl").read_text()
+        assert '"velocity": 10.0' in (tmp_path / "int.jsonl").read_text()
 
 
 class TestInvariants:
