@@ -17,12 +17,16 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import core
 from .errors import (
+    NUMBER,
     ContractViolationError,
     IncompleteAnalysisError,
     ParameterError,
-    check_keys,
-    check_number,
+    check_object,
+    fields_of,
+    located,
+    one_of,
 )
 from .scenario import EffectModel, Scenario
 from .simulator import Stage, SweepStats
@@ -107,6 +111,7 @@ class SeverityRules:
     false_activation_severity: Severity = Severity.S1
 
     def __post_init__(self) -> None:
+        core._store_floats(self, ("s3_impact_speed", "s2_impact_speed"))
         if not 0.0 < self.s2_impact_speed <= self.s3_impact_speed:
             raise ParameterError(
                 "need 0 < s2_impact_speed <= s3_impact_speed, got "
@@ -124,24 +129,18 @@ class SeverityRules:
 
 
 def load_severity_rules(path: str | Path) -> SeverityRules:
-    data = check_keys(
-        json.loads(Path(path).read_text(encoding="utf-8")),
-        str(path),
-        allowed=("s3_impact_speed", "s2_impact_speed", "false_activation_severity"),
-    )
-    kwargs: dict = {}
-    for name in ("s3_impact_speed", "s2_impact_speed"):
-        if name in data:
-            kwargs[name] = check_number(data[name], f"{path}: {name}")
-    if "false_activation_severity" in data:
-        name = data["false_activation_severity"]
-        if not (isinstance(name, str) and name in Severity.__members__):
-            raise ValueError(
-                f"{path}: false_activation_severity: expected one of "
-                f"{list(Severity.__members__)}, got {name!r}"
-            )
-        kwargs["false_activation_severity"] = Severity[name]
-    return SeverityRules(**kwargs)
+    with located(str(path)):
+        data = check_object(
+            json.loads(Path(path).read_text(encoding="utf-8")),
+            "",
+            {},
+            fields_of(
+                SeverityRules, NUMBER, false_activation_severity=one_of(Severity.__members__)
+            ),
+        )
+        if "false_activation_severity" in data:
+            data["false_activation_severity"] = Severity[data["false_activation_severity"]]
+        return SeverityRules(**data)
 
 
 @dataclass(frozen=True)

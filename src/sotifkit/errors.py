@@ -1,11 +1,19 @@
-"""Exception types shared across the toolkit, and the key and number checks
-of the JSON loaders."""
+"""Exception types shared across the toolkit, and the checks every JSON
+document goes through, the input files and the report bundle alike.
+
+A document's fields are declared as kinds of JSON value (:class:`Kind`);
+:func:`check_object` and :func:`check_items` check them, naming the
+offending field, and :func:`located` names the place of an error raised
+while the checked values are built into dataclasses.
+"""
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import math
-from typing import Iterable, Mapping
+from contextlib import contextmanager
+from itertools import chain
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 
 class SotifkitError(Exception):
@@ -75,41 +83,144 @@ class PipelineError(SotifkitError, RuntimeError):
         super().__init__(f"stage '{stage}' failed: {cause}")
 
 
-def check_keys(
+class Kind(NamedTuple):
+    """What a JSON value must be.  ``accepts`` tests a whole column of
+    values at once, which keeps checking a large table cheap; a column it
+    rejects is searched value by value."""
+
+    expected: str
+    accepts: Callable[[list], bool]
+
+
+def of_types(expected: str, *types: type) -> Kind:
+    allowed = frozenset(types)
+    return Kind(expected, lambda column: set(map(type, column)) <= allowed)
+
+
+def numbers(nullable: bool) -> Kind:
+    allowed = frozenset((int, float, type(None)) if nullable else (int, float))
+
+    def accepts(column: list) -> bool:
+        if not set(map(type, column)) <= allowed:
+            return False
+        try:
+            # A finite float sum has finite terms: an int too large for a
+            # float overflows.  (A bool is not a number: its type is not int.)
+            return math.isfinite(sum(filter(None, column), 0.0))
+        except OverflowError:
+            return False
+
+    return Kind("a finite number or null" if nullable else "a finite number", accepts)
+
+
+def one_of(names: Iterable[str]) -> Kind:
+    names = list(names)
+    allowed = frozenset(names)
+    return Kind(
+        f"one of {names}",
+        lambda column: set(map(type, column)) <= {str} and set(column) <= allowed,
+    )
+
+
+def list_of(kind: Kind) -> Kind:
+    return Kind(
+        f"a list, each item {kind.expected}",
+        lambda column: set(map(type, column)) <= {list}
+        and kind.accepts(list(chain.from_iterable(column))),
+    )
+
+
+STR = of_types("a string", str)
+STR_OR_NULL = of_types("a string or null", str, type(None))
+INT = of_types("an integer", int)
+BOOL = of_types("true or false", bool)
+BOOL_OR_NULL = of_types("true, false or null", bool, type(None))
+OBJECT = of_types("a JSON object", dict)
+LIST = of_types("a JSON list", list)
+NUMBER = numbers(nullable=False)
+NUMBER_OR_NULL = numbers(nullable=True)
+STRINGS = list_of(STR)
+
+
+def fields_of(cls: type, kind: Kind, **kinds: Kind) -> dict[str, Kind]:
+    """The JSON keys of a dataclass written field by field: every field of
+    ``cls``, of kind ``kind`` unless ``kinds`` names another."""
+    return {f.name: kinds.get(f.name, kind) for f in dataclasses.fields(cls)}
+
+
+def check_object(
     data: object,
     context: str,
-    required: Iterable[str] = (),
-    allowed: Iterable[str] = (),
+    fields: Mapping[str, Kind],
+    optional: Mapping[str, Kind] = {},
 ) -> Mapping:
-    """Return ``data`` if it is a JSON object holding every ``required`` key
-    and no key outside ``allowed`` (required keys are always allowed).
-
-    Raises ValueError prefixed with ``context`` (the file, and the index or
-    field within it) otherwise, so every loader reports a malformed
-    document the same way.
-    """
+    """``data`` if it is a JSON object holding every key of ``fields``, any
+    of ``optional`` and no other, each holding a value of its kind.  Errors
+    name ``context`` (the object's place, empty for a whole document) and
+    the key."""
+    prefix = f"{context}: " if context else ""
     if not isinstance(data, dict):
-        raise ValueError(f"{context}: expected a JSON object, got {type(data).__name__}")
-    required = set(required)
-    missing = required - data.keys()
+        raise ValueError(f"{prefix}expected a JSON object, got {type(data).__name__}")
+    missing = fields.keys() - data.keys()
     if missing:
-        raise ValueError(f"{context}: missing keys {sorted(missing)}")
-    unknown = data.keys() - required - set(allowed)
+        raise ValueError(f"{prefix}missing keys {sorted(missing)}")
+    unknown = data.keys() - fields.keys() - optional.keys()
     if unknown:
-        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"{prefix}unknown keys {sorted(unknown)}")
+    for key, kind in chain(fields.items(), optional.items()):
+        if key in data and not kind.accepts([data[key]]):
+            place = f"{context}.{key}" if context else key
+            raise ValueError(f"{place}: expected {kind.expected}, got {data[key]!r}")
     return data
 
 
-def check_number(value: object, context: str) -> float:
-    """Return ``value`` as a float if it is a finite JSON number (an int or
-    a float, not a bool).
+def items_pass(
+    items: list, fields: Mapping[str, Kind], optional: Mapping[str, Kind] = {}
+) -> bool:
+    """True if ``items`` are JSON objects that would each pass
+    :func:`check_object`.  A whole column is checked at once."""
+    if not set(map(type, items)) <= {dict}:
+        return False
+    try:
+        columns = [(kind, [item[key] for item in items]) for key, kind in fields.items()]
+    except KeyError:  # a required key is missing
+        return False
+    columns += [
+        (kind, [item[key] for item in items if key in item]) for key, kind in optional.items()
+    ]
+    # The columns hold every known key of every item: the items hold no
+    # other key if they hold no more keys than the columns.
+    if sum(map(len, items)) != sum(len(column) for _, column in columns):
+        return False
+    return all(kind.accepts(column) for kind, column in columns)
 
-    Raises ValueError prefixed with ``context`` (the file and the field)
-    for anything else: a bool, a string, a list, an object, null, or a
-    non-finite or float-overflowing value.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):
-            if math.isfinite(value):
-                return float(value)
-    raise ValueError(f"{context}: expected a finite number, got {value!r}")
+
+def check_items(
+    items: object,
+    context: str,
+    fields: Mapping[str, Kind],
+    optional: Mapping[str, Kind] = {},
+) -> list:
+    """``items`` if it is a JSON list of objects that each pass
+    :func:`check_object`.  Only a list that fails :func:`items_pass` is
+    searched item by item, so that the error names the item
+    (``context[i]``) and the field."""
+    if not isinstance(items, list):
+        raise ValueError(f"{context}: expected a JSON list of objects")
+    if not items_pass(items, fields, optional):
+        for i, item in enumerate(items):
+            check_object(item, f"{context}[{i}]", fields, optional)
+    return items
+
+
+@contextmanager
+def located(context: str):
+    """Prefix the message of a ValueError raised in the block with
+    ``context``: the file, or the entry or field within it, that the
+    failing values came from.  A :class:`ParameterError` stays one."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ParameterError(f"{context}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from exc

@@ -29,7 +29,28 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import AnalysisRow, Controllability, Severity, SeverityRules, build_analysis_sheet
-from .errors import ContractViolationError, PipelineError, check_keys
+from .errors import (
+    BOOL,
+    BOOL_OR_NULL,
+    INT,
+    LIST,
+    NUMBER,
+    NUMBER_OR_NULL,
+    OBJECT,
+    STR,
+    STR_OR_NULL,
+    STRINGS,
+    ContractViolationError,
+    Kind,
+    PipelineError,
+    check_items,
+    check_object,
+    fields_of,
+    items_pass,
+    list_of,
+    located,
+    one_of,
+)
 from .risk import (
     AcceptanceCriteria,
     AcceptanceVerdict,
@@ -339,6 +360,10 @@ def _stats_from_dict(d: Mapping) -> SweepStats:
     return SweepStats(**{**d, "ttc_at_trigger_min": _from_json_float(d["ttc_at_trigger_min"])})
 
 
+def _summary_to_dict(s: ScenarioSummary) -> dict:
+    return {**dataclasses.asdict(s), "category_path": list(s.category_path)}
+
+
 def _summary_from_dict(d: Mapping) -> ScenarioSummary:
     return ScenarioSummary(**{**d, "category_path": tuple(d["category_path"])})
 
@@ -395,117 +420,14 @@ def risk_from_dict(data: Mapping) -> RiskResult:
     )
 
 
-class _Kind(NamedTuple):
-    """What the JSON value of a bundle field must be.  ``accepts`` tests a
-    whole column of values at once, which keeps loading a large bundle
-    cheap; a column it rejects is searched value by value."""
-
-    expected: str
-    accepts: Callable[[list], bool]
-
-
-def _types(expected: str, *types: type) -> _Kind:
-    allowed = frozenset(types)
-    return _Kind(expected, lambda column: set(map(type, column)) <= allowed)
-
-
-def _numbers(nullable: bool) -> _Kind:
-    allowed = frozenset((int, float, type(None)) if nullable else (int, float))
-
-    def accepts(column: list) -> bool:
-        if not set(map(type, column)) <= allowed:
-            return False
-        try:
-            # A finite sum has finite terms (a bool is not a number: its
-            # type is not int).
-            return math.isfinite(sum(filter(None, column)))
-        except OverflowError:
-            return False
-
-    return _Kind("a finite number or null" if nullable else "a finite number", accepts)
-
-
-def _one_of(names: Iterable[str]) -> _Kind:
-    names = list(names)
-    allowed = frozenset(names)
-    return _Kind(
-        f"one of {names}",
-        lambda column: set(map(type, column)) <= {str} and set(column) <= allowed,
-    )
-
-
-def _list_of(kind: _Kind) -> _Kind:
-    return _Kind(
-        f"a list, each item {kind.expected}",
-        lambda column: set(map(type, column)) <= {list}
-        and kind.accepts(list(chain.from_iterable(column))),
-    )
-
-
-_STR = _types("a string", str)
-_STR_OR_NULL = _types("a string or null", str, type(None))
-_INT = _types("an integer", int)
-_BOOL = _types("true or false", bool)
-_BOOL_OR_NULL = _types("true, false or null", bool, type(None))
-_OBJECT = _types("a JSON object", dict)
-_NUMBER = _numbers(nullable=False)
-_NUMBER_OR_NULL = _numbers(nullable=True)
-_STRINGS = _list_of(_STR)
-_SEVERITY = _one_of(Severity.__members__)
-
-
-def _fields(cls: type, kind: _Kind, **kinds: _Kind) -> dict[str, _Kind]:
-    """The JSON keys of a dataclass written field by field: every field of
-    ``cls``, of kind ``kind`` unless ``kinds`` names another."""
-    return {f.name: kinds.get(f.name, kind) for f in dataclasses.fields(cls)}
-
-
-def _check_object(
-    data: object, context: str, fields: Mapping[str, _Kind], allowed: Iterable[str] = ()
-) -> Mapping:
-    """``data`` if it is a JSON object with exactly the keys of ``fields``
-    (plus any of ``allowed``), each holding a value of its kind."""
-    check_keys(data, context, required=fields, allowed=allowed)
-    for key, kind in fields.items():
-        if not kind.accepts([data[key]]):
-            raise ValueError(f"{context}.{key}: expected {kind.expected}, got {data[key]!r}")
-    return data
-
-
-def _items_pass(items: list, fields: Mapping[str, _Kind]) -> bool:
-    """True if ``items`` are JSON objects with exactly the keys of
-    ``fields``, each holding a value of its kind.  A whole column is
-    checked at once."""
-    # Objects of len(fields) keys, each key of fields among them, have
-    # exactly those keys.
-    try:
-        return (
-            set(map(type, items)) <= {dict}
-            and set(map(len, items)) <= {len(fields)}
-            and all(kind.accepts([item[key] for item in items]) for key, kind in fields.items())
-        )
-    except KeyError:
-        return False
-
-
-def _check_items(items: object, context: str, fields: Mapping[str, _Kind]) -> list:
-    """``items`` if it is a JSON list of objects that each pass
-    :func:`_check_object`.  Only a table that fails :func:`_items_pass` is
-    searched item by item, so that the error names the item and the
-    field."""
-    if not isinstance(items, list):
-        raise ValueError(f"{context}: expected a JSON list of objects")
-    if not _items_pass(items, fields):
-        for i, item in enumerate(items):
-            _check_object(item, f"{context}[{i}]", fields)
-    return items
+_SEVERITY = one_of(Severity.__members__)
 
 
 class _Table(NamedTuple):
     """One bundle table on disk: each item's keys with the kind of their
     values, and the item codec."""
 
-    fields: Mapping[str, _Kind]
+    fields: Mapping[str, Kind]
     to_dict: Callable[[Any], dict]
     from_dict: Callable[[Mapping], Any]
 
@@ -514,90 +436,100 @@ class _Table(NamedTuple):
 # (which is also its ReportBundle attribute).
 _BUNDLE_TABLES = {
     "scenarios": _Table(
-        _fields(
+        fields_of(
             ScenarioSummary,
-            _STR,
-            leaf_id=_STR_OR_NULL,
-            category_path=_STRINGS,
-            intensity=_STR_OR_NULL,
-            effects=_OBJECT,
-            seed=_INT,
+            STR,
+            leaf_id=STR_OR_NULL,
+            category_path=STRINGS,
+            intensity=STR_OR_NULL,
+            effects=OBJECT,
+            seed=INT,
         ),
-        dataclasses.asdict,
+        _summary_to_dict,
         _summary_from_dict,
     ),
     "kpi_table": _Table(
-        _fields(
+        fields_of(
             SweepStats,
-            _NUMBER,
-            scenario_id=_STR,
-            runs=_INT,
-            ttc_at_trigger_min=_NUMBER_OR_NULL,
-            odd_fingerprint=_STR,
+            NUMBER,
+            scenario_id=STR,
+            runs=INT,
+            ttc_at_trigger_min=NUMBER_OR_NULL,
+            odd_fingerprint=STR,
         ),
         _stats_to_dict,
         _stats_from_dict,
     ),
     "analysis_sheet": _Table(
         {
-            "scenario_id": _STR,
-            "triggering_condition": _STR,
-            "category_path": _STRINGS,
-            "affected_subsystems": _list_of(_one_of(s.value for s in Stage)),
+            "scenario_id": STR,
+            "triggering_condition": STR,
+            "category_path": STRINGS,
+            "affected_subsystems": list_of(one_of(s.value for s in Stage)),
             "severity": _SEVERITY,
-            "controllability": _one_of(Controllability.__members__),
-            "hazards": _STRINGS,
-            "rationale": _STR,
+            "controllability": one_of(Controllability.__members__),
+            "hazards": STRINGS,
+            "rationale": STR,
         },
         row_to_dict,
         row_from_dict,
     ),
     "risk_table": _Table(
         {
-            "scenario_id": _STR,
-            "hazard_id": _STR_OR_NULL,
+            "scenario_id": STR,
+            "hazard_id": STR_OR_NULL,
             "severity": _SEVERITY,
-            "occurrence_class": _one_of(OccurrenceClass.__members__),
-            "risk_level": _one_of(level.label for level in RiskLevel),
-            "hazard_rate_per_hour": _NUMBER,
-            "hours_to_hazard": _NUMBER_OR_NULL,
-            "km_to_hazard": _NUMBER_OR_NULL,
+            "occurrence_class": one_of(OccurrenceClass.__members__),
+            "risk_level": one_of(level.label for level in RiskLevel),
+            "hazard_rate_per_hour": NUMBER,
+            "hours_to_hazard": NUMBER_OR_NULL,
+            "km_to_hazard": NUMBER_OR_NULL,
         },
         risk_to_dict,
         risk_from_dict,
     ),
     "mitigation_table": _Table(
-        _fields(
+        fields_of(
             MitigationOutcome,
-            _NUMBER_OR_NULL,
-            mitigation_id=_STR,
-            scenario_id=_STR,
-            mitigated_scenario_id=_STR_OR_NULL,
-            applied=_BOOL,
-            note=_STR,
-            gap_mean_before=_NUMBER,
-            collision_rate_before=_NUMBER,
-            false_activation_rate_before=_NUMBER,
-            passes_after=_BOOL_OR_NULL,
+            NUMBER_OR_NULL,
+            mitigation_id=STR,
+            scenario_id=STR,
+            mitigated_scenario_id=STR_OR_NULL,
+            applied=BOOL,
+            note=STR,
+            gap_mean_before=NUMBER,
+            collision_rate_before=NUMBER,
+            false_activation_rate_before=NUMBER,
+            passes_after=BOOL_OR_NULL,
         ),
         dataclasses.asdict,
         lambda d: MitigationOutcome(**d),
     ),
 }
-_META_FIELDS = _fields(
+_META_FIELDS = fields_of(
     RunMeta,
-    _STR,
-    base_seed=_INT,
-    runs_per_scenario=_INT,
-    dt=_NUMBER,
-    max_time=_NUMBER,
-    perception_tick=_NUMBER,
-    input_digests=_OBJECT,
-    odd_well_formed=_BOOL,
+    STR,
+    base_seed=INT,
+    runs_per_scenario=INT,
+    dt=NUMBER,
+    max_time=NUMBER,
+    perception_tick=NUMBER,
+    input_digests=OBJECT,
+    odd_well_formed=BOOL,
 )
-_CRITERIA_FIELDS = _fields(AcceptanceCriteria, _NUMBER)
-_VERDICT_FIELDS = _fields(AcceptanceVerdict, _STR, passed=_BOOL, violations=_list_of(_OBJECT))
-_VIOLATION_FIELDS = _fields(Violation, _NUMBER, clause=_STR)
+_CRITERIA_FIELDS = fields_of(AcceptanceCriteria, NUMBER)
+_VERDICT_FIELDS = fields_of(AcceptanceVerdict, STR, passed=BOOL, violations=list_of(OBJECT))
+_VIOLATION_FIELDS = fields_of(Violation, NUMBER, clause=STR)
+_BUNDLE_SECTIONS = {
+    "meta": OBJECT,
+    "taxonomy_summary": OBJECT,
+    **dict.fromkeys(_BUNDLE_TABLES, LIST),
+    "acceptance": OBJECT,
+}
+
+
+def _verdict_to_dict(v: AcceptanceVerdict) -> dict:
+    return {**dataclasses.asdict(v), "violations": [dataclasses.asdict(x) for x in v.violations]}
 
 
 def bundle_to_dict(bundle: ReportBundle) -> dict:
@@ -610,35 +542,31 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
         },
         "acceptance": {
             "criteria": dataclasses.asdict(bundle.criteria),
-            "verdicts": [dataclasses.asdict(v) for v in bundle.acceptance],
+            "verdicts": list(map(_verdict_to_dict, bundle.acceptance)),
             "all_passed": bundle.all_passed,
         },
     }
 
 
 def bundle_from_dict(data: Mapping) -> ReportBundle:
-    check_keys(
-        data, "bundle", required=("meta", "taxonomy_summary", "acceptance", *_BUNDLE_TABLES)
-    )
-    acceptance = check_keys(
+    check_object(data, "", _BUNDLE_SECTIONS)
+    acceptance = check_object(
         data["acceptance"],
         "acceptance",
-        required=("criteria", "verdicts"),
-        allowed=("all_passed",),
+        {"criteria": OBJECT, "verdicts": LIST},
+        {"all_passed": BOOL},
     )
-    if not isinstance(data["taxonomy_summary"], dict):
-        raise ValueError("taxonomy_summary: expected a JSON object")
     tables = {
-        name: tuple(map(table.from_dict, _check_items(data[name], name, table.fields)))
+        name: tuple(map(table.from_dict, check_items(data[name], name, table.fields)))
         for name, table in _BUNDLE_TABLES.items()
     }
-    raw_verdicts = _check_items(acceptance["verdicts"], "acceptance.verdicts", _VERDICT_FIELDS)
+    raw_verdicts = check_items(acceptance["verdicts"], "acceptance.verdicts", _VERDICT_FIELDS)
     # The violations of all verdicts are checked at once; only a failure is
     # searched verdict by verdict.
     violations = [v["violations"] for v in raw_verdicts]
-    if not _items_pass(list(chain.from_iterable(violations)), _VIOLATION_FIELDS):
+    if not items_pass(list(chain.from_iterable(violations)), _VIOLATION_FIELDS):
         for i, items in enumerate(violations):
-            _check_items(items, f"acceptance.verdicts[{i}].violations", _VIOLATION_FIELDS)
+            check_items(items, f"acceptance.verdicts[{i}].violations", _VIOLATION_FIELDS)
     verdicts = tuple(
         AcceptanceVerdict(
             scenario_id=v["scenario_id"],
@@ -647,16 +575,18 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
         )
         for v in raw_verdicts
     )
-    criteria = _check_object(acceptance["criteria"], "acceptance.criteria", _CRITERIA_FIELDS)
+    criteria = check_object(acceptance["criteria"], "acceptance.criteria", _CRITERIA_FIELDS)
+    with located("acceptance.criteria"):
+        criteria = AcceptanceCriteria(**criteria)
     # Bundles written while the sweep still had a thread pool record its
     # worker count in meta.workers.  It never changed a result, so it is
     # accepted and dropped.
-    meta = _check_object(data["meta"], "meta", _META_FIELDS, allowed=("workers",))
+    meta = check_object(data["meta"], "meta", _META_FIELDS, {"workers": INT})
     return ReportBundle(
         meta=RunMeta(**{name: meta[name] for name in _META_FIELDS}),
         taxonomy_summary=data["taxonomy_summary"],
         **tables,
-        criteria=AcceptanceCriteria(**criteria),
+        criteria=criteria,
         acceptance=verdicts,
     )
 

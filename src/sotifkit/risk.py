@@ -22,6 +22,7 @@ real-world data-availability problem, and this tool's job is propagation.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Sequence
 
+from . import core
 from .analysis import (
     HAZARD_COLLISION,
     HAZARD_FALSE_ACTIVATION,
@@ -36,12 +38,16 @@ from .analysis import (
     Severity,
 )
 from .errors import (
+    NUMBER,
+    STR,
     IncompleteAnalysisError,
     IncompleteOccurrenceError,
     InvalidComparisonError,
     ParameterError,
-    check_keys,
-    check_number,
+    check_items,
+    check_object,
+    fields_of,
+    located,
 )
 from .simulator import SweepStats
 
@@ -107,10 +113,9 @@ class OccurrenceSpec:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.exposure_rate) or self.exposure_rate < 0:
-            raise ParameterError(
-                f"exposure_rate must be finite and >= 0, got {self.exposure_rate}"
-            )
+        core._store_floats(self, ("exposure_rate",))
+        if self.exposure_rate < 0:
+            raise ParameterError(f"exposure_rate must be >= 0, got {self.exposure_rate}")
 
 
 @dataclass(frozen=True)
@@ -190,15 +195,7 @@ class AcceptanceCriteria:
     min_ttc_at_trigger: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_final_gap_degradation",
-            "max_collision_rate",
-            "max_false_activation_rate",
-            "min_ttc_at_trigger",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value}")
+        core._store_floats(self, tuple(f.name for f in dataclasses.fields(self)))
         for name in ("max_collision_rate", "max_false_activation_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -352,34 +349,22 @@ def evaluate_residual_risk(
 
 def load_occurrences(path: str | Path) -> list[OccurrenceSpec]:
     """Load occurrence specs from a JSON list."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: occurrence file must be a JSON list")
+    with located(str(path)):
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    check_items(data, str(path), {"leaf_id": STR, "exposure_rate": NUMBER}, {"source": STR})
     specs = []
     for i, item in enumerate(data):
-        check_keys(
-            item, f"{path}[{i}]", required=("leaf_id", "exposure_rate"), allowed=("source",)
-        )
-        specs.append(
-            OccurrenceSpec(
-                leaf_id=item["leaf_id"],
-                exposure_rate=check_number(item["exposure_rate"], f"{path}[{i}]: exposure_rate"),
-                source=item.get("source", ""),
-            )
-        )
+        with located(f"{path}[{i}]"):
+            specs.append(OccurrenceSpec(**item))
     return specs
 
 
 def load_criteria(path: str | Path) -> AcceptanceCriteria:
     """Load acceptance criteria from JSON."""
-    data = check_keys(
-        json.loads(Path(path).read_text(encoding="utf-8")),
-        str(path),
-        required=(
-            "max_final_gap_degradation",
-            "max_collision_rate",
-            "max_false_activation_rate",
-            "min_ttc_at_trigger",
-        ),
-    )
-    return AcceptanceCriteria(**{k: check_number(v, f"{path}: {k}") for k, v in data.items()})
+    with located(str(path)):
+        data = check_object(
+            json.loads(Path(path).read_text(encoding="utf-8")),
+            "",
+            fields_of(AcceptanceCriteria, NUMBER),
+        )
+        return AcceptanceCriteria(**data)

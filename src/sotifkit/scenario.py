@@ -20,11 +20,18 @@ from typing import Mapping, Sequence
 from . import core
 from .core import VEHICLE_FIELDS, VehicleParams
 from .errors import (
+    NUMBER,
+    OBJECT,
+    STR,
+    STRINGS,
     InvalidMitigationError,
     ParameterError,
     UnmappedConditionError,
-    check_keys,
-    check_number,
+    check_items,
+    check_object,
+    fields_of,
+    located,
+    of_types,
 )
 from .taxonomy import TriggeringCondition
 
@@ -161,13 +168,14 @@ class EffectModel:
         )
 
 
+_EFFECT_KINDS = fields_of(EffectModel, NUMBER)
+_VEHICLE_KINDS = fields_of(VehicleParams, NUMBER)
+
+
 def _effect_from_partial(partial: Mapping[str, float], context: str) -> EffectModel:
-    check_keys(partial, context, allowed=EFFECT_FIELDS)
-    values = {k: check_number(v, f"{context}: {k}") for k, v in partial.items()}
-    try:
-        return EffectModel(**values)
-    except ParameterError as exc:
-        raise ParameterError(f"{context}: {exc}") from exc
+    check_object(partial, context, {}, _EFFECT_KINDS)
+    with located(context):
+        return EffectModel(**partial)
 
 
 @dataclass(frozen=True)
@@ -322,24 +330,19 @@ def apply_mitigation(scenario: Scenario, m: MitigationSpec) -> Scenario:
     randomness.  Raises :class:`InvalidMitigationError` if any override
     would move a field away from neutral.
     """
-    updates = {}
     for field_name, new in m.effect_overrides.items():
         old = getattr(scenario.effects, field_name)
-        new = float(new)
         if _worsens(field_name, old, new):
             raise InvalidMitigationError(
-                f"mitigation '{m.id}' worsens {field_name}: {old} -> {new}"
+                f"mitigation '{m.id}' worsens {field_name}: {old} -> {float(new)}"
             )
-        # clamp at neutral
-        updates[field_name] = min(1.0, new) if field_name in _IMPROVES_UP else max(0.0, new)
-    effects = dataclasses.replace(scenario.effects, **updates)
+    effects = dataclasses.replace(scenario.effects, **m.effect_overrides)
 
     odd = scenario.odd
     if m.vehicle_overrides:
-        vehicle = dataclasses.replace(
-            odd.vehicle, **{k: float(v) for k, v in m.vehicle_overrides.items()}
+        odd = dataclasses.replace(
+            odd, vehicle=dataclasses.replace(odd.vehicle, **m.vehicle_overrides)
         )
-        odd = dataclasses.replace(odd, vehicle=vehicle)
 
     return Scenario(
         id=f"{scenario.id}+{m.id}",
@@ -352,88 +355,59 @@ def apply_mitigation(scenario: Scenario, m: MitigationSpec) -> Scenario:
 
 def load_odd(path: str | Path) -> OddDefinition:
     """Load an ODD definition from JSON."""
-    data = check_keys(
-        json.loads(Path(path).read_text(encoding="utf-8")),
-        str(path),
-        required=("d_object", "d_perception", "mu", "odd_tags", "vehicle"),
-    )
-    raw_vehicle = check_keys(data["vehicle"], f"{path}: vehicle", required=VEHICLE_FIELDS)
-    tags = data["odd_tags"]
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-        raise ValueError(f"{path}: odd_tags: expected a JSON list of strings, got {tags!r}")
-    try:
-        vehicle = VehicleParams(
-            **{k: check_number(raw_vehicle[k], f"{path}: vehicle.{k}") for k in VEHICLE_FIELDS}
+    with located(str(path)):
+        data = check_object(
+            json.loads(Path(path).read_text(encoding="utf-8")),
+            "",
+            fields_of(OddDefinition, NUMBER, odd_tags=STRINGS, vehicle=OBJECT),
         )
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: vehicle: {exc}") from exc
-    try:
-        return OddDefinition(
-            d_object=check_number(data["d_object"], f"{path}: d_object"),
-            d_perception=check_number(data["d_perception"], f"{path}: d_perception"),
-            mu=check_number(data["mu"], f"{path}: mu"),
-            odd_tags=frozenset(tags),
-            vehicle=vehicle,
-        )
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: {exc}") from exc
+        check_object(data["vehicle"], "vehicle", _VEHICLE_KINDS)
+        with located("vehicle"):
+            data["vehicle"] = VehicleParams(**data["vehicle"])
+        data["odd_tags"] = frozenset(data["odd_tags"])
+        return OddDefinition(**data)
 
 
 def load_effect_mapping(path: str | Path) -> EffectMapping:
     """Load an effect-mapping table from JSON."""
-    data = check_keys(
-        json.loads(Path(path).read_text(encoding="utf-8")),
-        str(path),
-        allowed=("defaults", "by_leaf", "by_category"),
-    )
-    mapping = EffectMapping(
-        by_leaf=data.get("by_leaf", {}),
-        by_category=data.get("by_category", {}),
-        defaults=data.get("defaults"),
-    )
-    # Validate every entry eagerly so bad magnitudes fail at load time.
-    for name, section in (("by_leaf", mapping.by_leaf), ("by_category", mapping.by_category)):
-        if not isinstance(section, dict):
-            raise ValueError(
-                f"{path}: {name}: expected a JSON object, got {type(section).__name__}"
-            )
-        for key, entry in section.items():
-            _effect_from_partial(entry, f"{path}: {name}[{key}]")
-    if mapping.defaults is not None:
-        _effect_from_partial(mapping.defaults, f"{path}: defaults")
+    with located(str(path)):
+        data = check_object(
+            json.loads(Path(path).read_text(encoding="utf-8")),
+            "",
+            {},
+            fields_of(
+                EffectMapping, OBJECT, defaults=of_types("a JSON object or null", dict, type(None))
+            ),
+        )
+        mapping = EffectMapping(**data)
+        # Validate every entry eagerly so bad magnitudes fail at load time.
+        for name in ("by_leaf", "by_category"):
+            for key, entry in getattr(mapping, name).items():
+                _effect_from_partial(entry, f"{name}[{key}]")
+        if mapping.defaults is not None:
+            _effect_from_partial(mapping.defaults, "defaults")
     return mapping
 
 
 def load_mitigations(path: str | Path) -> list[MitigationSpec]:
     """Load a list of mitigation specs from JSON."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: mitigations file must be a JSON list")
+    with located(str(path)):
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    check_items(
+        data,
+        str(path),
+        {"id": STR, "description": STR},
+        {"effect_overrides": OBJECT, "vehicle_overrides": OBJECT},
+    )
     mitigations = []
     for i, item in enumerate(data):
-        context = f"{path}[{i}]"
-        check_keys(
-            item,
-            context,
-            required=("id", "description"),
-            allowed=("effect_overrides", "vehicle_overrides"),
-        )
-        overrides = {}
-        for name, fields in (
-            ("effect_overrides", EFFECT_FIELDS),
-            ("vehicle_overrides", VEHICLE_FIELDS),
-        ):
-            if name in item:
-                raw = check_keys(item[name], f"{context}: {name}", allowed=fields)
-                overrides[name] = {
-                    k: check_number(v, f"{context}: {name}.{k}") for k, v in raw.items()
-                }
-        try:
-            for k, v in overrides.get("vehicle_overrides", {}).items():
-                core.check_vehicle_field(k, v)
-        except ParameterError as exc:
-            raise ParameterError(f"{context}: vehicle_overrides: {exc}") from exc
-        mitigations.append(
-            MitigationSpec(id=item["id"], description=item["description"], **overrides)
-        )
+        with located(f"{path}[{i}]"):
+            _effect_from_partial(item.get("effect_overrides", {}), "effect_overrides")
+            vehicle = check_object(
+                item.get("vehicle_overrides", {}), "vehicle_overrides", {}, _VEHICLE_KINDS
+            )
+            with located("vehicle_overrides"):
+                for k, v in vehicle.items():
+                    core.check_vehicle_field(k, v)
+            mitigations.append(MitigationSpec(**item))
     return mitigations

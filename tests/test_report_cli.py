@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sotifkit import (
@@ -18,6 +21,7 @@ from sotifkit import (
     load_bundle,
     emit_markdown_summary,
 )
+from sotifkit.analysis import load_severity_rules
 from sotifkit.cli import EXIT_ERROR, EXIT_GATE_FAILED, EXIT_OK, main
 from sotifkit.errors import SotifkitError
 from sotifkit.fixtures import fixture_path
@@ -73,6 +77,34 @@ MALFORMED_INPUTS = {
     "mitigation-vehicle-override-out-of-range": (
         "--mitigations",
         [{"id": "m", "description": "d", "vehicle_overrides": {"rho": -1}}],
+    ),
+    "mitigation-effect-override-out-of-range": (
+        "--mitigations",
+        [
+            {
+                "id": "m",
+                "description": "d",
+                "effect_overrides": {"perception_range_factor": 5, "ghost_rate": -3},
+            }
+        ],
+    ),
+    "criteria-value-out-of-range": ("--criteria", {**_FIXTURE_CRITERIA, "max_collision_rate": 2}),
+    "exposure-rate-negative": ("--occurrence", [{"leaf_id": "x", "exposure_rate": -1}]),
+    "severity-speeds-inverted": (
+        "--severity-rules",
+        {"s2_impact_speed": 12, "s3_impact_speed": 6},
+    ),
+    "mitigation-id-empty": ("--mitigations", [{"id": "", "description": "d"}]),
+    "mitigation-id-not-string": ("--mitigations", [{"id": 5, "description": "d"}]),
+    "mitigation-description-not-string": ("--mitigations", [{"id": "m", "description": 5}]),
+    "occurrence-leaf-id-not-string": ("--occurrence", [{"leaf_id": 5, "exposure_rate": 0.1}]),
+    "exposure-rates-cancel-out": (
+        "--occurrence",
+        [{"leaf_id": "x", "exposure_rate": 10**400}, {"leaf_id": "y", "exposure_rate": -(10**400)}],
+    ),
+    "occurrence-source-not-string": (
+        "--occurrence",
+        [{"leaf_id": "x", "exposure_rate": 0.1, "source": 5}],
     ),
 }
 
@@ -234,6 +266,10 @@ class TestBundlePersistence:
         assert loaded.scenarios == small_bundle.scenarios
         assert loaded == small_bundle
 
+    def test_dict_round_trip(self, small_bundle):
+        # bundle_to_dict gives what the file holds: lists, not tuples.
+        assert bundle_from_dict(bundle_to_dict(small_bundle)) == small_bundle
+
 
 # Any JSON value, biased towards the names and shapes a bundle holds.
 _JSON_VALUES = st.recursive(
@@ -275,6 +311,113 @@ class TestBundleValueTypes:
             assert str(exc).startswith(f"{table}[{i}].{field}: "), exc
             return
         emit_markdown_summary(loaded)
+
+
+# Every input document a campaign loads, by its `sotifkit run` flag: the
+# fixture files, and a severity-rules document (no fixture ships one).
+_INPUT_DOCUMENTS = {
+    "--odd": (load_odd, _FIXTURE_ODD),
+    "--effects": (load_effect_mapping, json.loads(fixture_path("effects.json").read_text())),
+    "--occurrence": (load_occurrences, json.loads(fixture_path("occurrence.json").read_text())),
+    "--criteria": (load_criteria, _FIXTURE_CRITERIA),
+    "--mitigations": (load_mitigations, json.loads(fixture_path("mitigations.json").read_text())),
+    "--severity-rules": (
+        load_severity_rules,
+        {"s3_impact_speed": 11.0, "s2_impact_speed": 5.0, "false_activation_severity": "S1"},
+    ),
+}
+
+
+def _places(document, at=()):
+    """The place (keys and list indices) of every value held under an
+    object key of ``document``, nested ones included."""
+    if isinstance(document, dict):
+        for key, value in document.items():
+            yield at + (key,)
+            yield from _places(value, at + (key,))
+    elif isinstance(document, list):
+        for i, value in enumerate(document):
+            yield from _places(value, at + (i,))
+
+
+_INPUT_PLACES = {flag: list(_places(document)) for flag, (_, document) in _INPUT_DOCUMENTS.items()}
+# (flag, place): one field of one input document.
+_INPUT_FIELDS = st.sampled_from(sorted(_INPUT_PLACES)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.sampled_from(_INPUT_PLACES[flag]))
+)
+# Values outside their field's domain: at least one per input document.
+_DOMAIN_ERRORS = [
+    (("--criteria", ("max_collision_rate",)), 2),
+    (("--occurrence", (0, "exposure_rate")), -1),
+    (("--severity-rules", ("s2_impact_speed",)), 20),
+    (("--mitigations", (0, "effect_overrides", "perception_range_factor")), 5),
+    (("--mitigations", (0, "id")), ""),
+    (("--odd", ("vehicle", "rho")), -1),
+    (("--effects", ("by_leaf", "rain-light", "perception_range_factor")), 2),
+]
+
+
+def _domain_errors(test):
+    for field, value in _DOMAIN_ERRORS:
+        test = example(field=field, value=value)(test)
+    return test
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs") / "input.json"
+
+
+def _spoil(field, value, path):
+    """Write the input document of ``field`` with the value at its place
+    replaced by ``value``, and load it; return the error, or None if it
+    loads."""
+    flag, place = field
+    load, document = _INPUT_DOCUMENTS[flag]
+    document = copy.deepcopy(document)
+    container = document
+    for key in place[:-1]:
+        container = container[key]
+    container[place[-1]] = value
+    path.write_text(json.dumps(document))
+    try:
+        load(path)
+    except (ValueError, SotifkitError) as exc:
+        return exc
+    return None
+
+
+class TestLoaderValueTypes:
+    @settings(max_examples=300, deadline=None)
+    @given(field=_INPUT_FIELDS, value=_JSON_VALUES)
+    @_domain_errors
+    def test_any_field_value_loads_or_is_named(self, input_path, field, value):
+        """Replace one field of one input document by any JSON value: the
+        document either loads, or is rejected naming the file (with the
+        item's index in a list file) and the field."""
+        _, place = field
+        error = _spoil(field, value, input_path)
+        if error is not None:
+            item = f"[{place[0]}]" if isinstance(place[0], int) else ": "
+            assert str(error).startswith(f"{input_path}{item}"), error
+            assert str(place[-1]) in str(error), error
+
+    @settings(max_examples=25, deadline=None)
+    @given(field=_INPUT_FIELDS, value=_JSON_VALUES)
+    @_domain_errors
+    def test_rejected_document_fails_run_at_load(self, input_path, tmp_path_factory, field, value):
+        assume(_spoil(field, value, input_path) is not None)
+        flag, _ = field
+        args = TestCli()._run_args(tmp_path_factory.getbasetemp() / "never-written")
+        if flag in args:
+            args[args.index(flag) + 1] = str(input_path)
+        else:
+            args += [flag, str(input_path)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(args) == EXIT_ERROR
+        assert f"error in stage 'load': {input_path}" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestStatsSerialization:
@@ -459,6 +602,17 @@ class TestCli:
         assert "stage 'load'" in err and str(path) in err
         assert "Traceback" not in err
 
+    def test_run_rejects_what_report_would_reject(self, tmp_path, capsys):
+        # A mitigation id that is not a string fails at load, instead of
+        # giving a bundle that `sotifkit report` cannot read.
+        path = tmp_path / "mitigations.json"
+        path.write_text(json.dumps([{"id": 5, "description": "d"}]))
+        out = tmp_path / "bundle"
+        assert main(self._run_args(out, ["--mitigations", str(path)])) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"error in stage 'load': {path}[0].id: expected a string, got 5" in err
+        assert not out.exists()
+
     def test_export_error_names_export(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -542,6 +696,16 @@ class TestCli:
                 {"criteria": {**_FIXTURE_CRITERIA, "max_collision_rate": "x"}, "verdicts": []},
                 "acceptance.criteria.max_collision_rate: ",
             ),
+            (
+                "acceptance",
+                {"criteria": {**_FIXTURE_CRITERIA, "max_collision_rate": 2}, "verdicts": []},
+                "acceptance.criteria: max_collision_rate must be in [0, 1]",
+            ),
+            (
+                "kpi_table",
+                [{**_KPI_ROW, "gap_mean": 10**400}, {**_KPI_ROW, "gap_mean": -(10**400)}],
+                "kpi_table[0].gap_mean: expected a finite number",
+            ),
         ],
         ids=[
             "scenarios-int",
@@ -562,6 +726,8 @@ class TestCli:
             "analysis-item-extra-key",
             "risk-item-extra-key",
             "criteria-value-string",
+            "criteria-value-out-of-range",
+            "gap-means-cancel-out",
         ],
     )
     def test_report_malformed_section(self, section, value, where, tmp_path, capsys):

@@ -22,6 +22,7 @@ from sotifkit.analysis import (
     HAZARD_FALSE_ACTIVATION,
     AnalysisRow,
     Controllability,
+    SeverityRules,
 )
 from sotifkit.errors import (
     IncompleteAnalysisError,
@@ -139,6 +140,21 @@ class TestHazardRate:
             OccurrenceSpec("leaf", -0.1)
         with pytest.raises(ParameterError):
             OccurrenceSpec("leaf", math.inf)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        AcceptanceCriteria(1, 0, 1, 2),
+        OccurrenceSpec("leaf", 1),
+        SeverityRules(s3_impact_speed=11, s2_impact_speed=5),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_int_valued_fields_stored_as_floats(value):
+    # An int-valued input equals, and is written as, the float one.
+    numbers = [x for x in vars(value).values() if type(x) in (int, float)]
+    assert numbers and all(type(x) is float for x in numbers)
 
 
 class TestAcceptanceCheck:

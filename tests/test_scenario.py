@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import re
 
 import pytest
 
@@ -24,8 +26,8 @@ from sotifkit.errors import (
     InvalidMitigationError,
     ParameterError,
     UnmappedConditionError,
-    check_number,
 )
+from sotifkit.risk import load_criteria
 from sotifkit.scenario import mitigation_applicable
 
 from conftest import make_condition
@@ -93,17 +95,36 @@ class TestOddDefinition:
 
 
 class TestCheckNumber:
+    """The number kind shared by every numeric input field, seen through a
+    loader: a finite JSON number, stored as a float."""
+
+    @staticmethod
+    def _criteria_file(tmp_path, value):
+        path = tmp_path / "criteria.json"
+        document = {
+            "max_final_gap_degradation": value,
+            "max_collision_rate": 0.0,
+            "max_false_activation_rate": 0.0,
+            "min_ttc_at_trigger": 0.0,
+        }
+        path.write_text(json.dumps(document))
+        return path
+
     @pytest.mark.parametrize("value, expected", [(3, 3.0), (0, 0.0), (-2.5, -2.5), (1e300, 1e300)])
-    def test_numbers_become_floats(self, value, expected):
-        number = check_number(value, "f.json: x")
+    def test_numbers_become_floats(self, value, expected, tmp_path):
+        number = load_criteria(self._criteria_file(tmp_path, value)).max_final_gap_degradation
         assert number == expected and type(number) is float
 
     @pytest.mark.parametrize(
         "value", [True, False, None, "1", [1], {"x": 1}, math.inf, -math.inf, math.nan, 10**400]
     )
-    def test_other_values_name_file_and_field(self, value):
-        with pytest.raises(ValueError, match="^f.json: x: expected a finite number"):
-            check_number(value, "f.json: x")
+    def test_other_values_name_file_and_field(self, value, tmp_path):
+        path = self._criteria_file(tmp_path, value)
+        with pytest.raises(
+            ValueError,
+            match=rf"^{re.escape(str(path))}: max_final_gap_degradation: expected a finite number",
+        ):
+            load_criteria(path)
 
 
 class TestLoaderDomainErrors:
@@ -123,6 +144,19 @@ class TestLoaderDomainErrors:
         path.write_text('[{"id": "m", "description": "d", "vehicle_overrides": {"rho": -1}}]')
         with pytest.raises(
             ParameterError, match=rf"^{path}\[0\]: vehicle_overrides: rho must be >= 0, got -1.0"
+        ):
+            load_mitigations(path)
+
+    def test_effect_override(self, tmp_path):
+        path = tmp_path / "mitigations.json"
+        path.write_text(
+            '[{"id": "m", "description": "d", '
+            '"effect_overrides": {"perception_range_factor": 5, "ghost_rate": -3}}]'
+        )
+        with pytest.raises(
+            ParameterError,
+            match=rf"^{path}\[0\]: effect_overrides: perception_range_factor must be in \(0, 1\], "
+            "got 5.0",
         ):
             load_mitigations(path)
 
