@@ -213,6 +213,16 @@ def check_items(
     return items
 
 
+def check_unique(items: list, context: str, key: str) -> None:
+    """Raise naming ``context[i].key`` if item i of a checked list repeats
+    the ``key`` value of an earlier item."""
+    first: dict = {}
+    for i, item in enumerate(items):
+        j = first.setdefault(item[key], i)
+        if j != i:
+            raise ValueError(f"{context}[{i}].{key}: {item[key]!r} repeats {context}[{j}]")
+
+
 @contextmanager
 def located(context: str):
     """Prefix the message of a ValueError raised in the block with

@@ -219,7 +219,8 @@ def run_campaign(
 
     Any module error is re-raised as :class:`PipelineError` naming the
     stage it came from.  When ``trace_dir`` is given, the first run
-    (index 0) of every scenario is exported there as JSON lines.
+    (index 0) of every scenario is written to ``trace_dir/traces.jsonl``,
+    one line per scenario in the bundle's scenario order.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -258,9 +259,8 @@ def run_campaign(
         with _stage("export"):
             trace_path = Path(trace_dir)
             trace_path.mkdir(parents=True, exist_ok=True)
-            for scenario in all_scenarios:
-                trace = simulate(scenario, cfg, run_index=0)
-                export_trace_jsonl(trace, trace_path / f"{scenario.id}.jsonl")
+            traces = [simulate(scenario, cfg, run_index=0) for scenario in all_scenarios]
+            export_trace_jsonl(traces, trace_path / "traces.jsonl")
 
     with _stage("analyze"):
         sheet = build_analysis_sheet(scenarios, stats, severity_rules=severity_rules)

@@ -46,6 +46,7 @@ from .errors import (
     ParameterError,
     check_items,
     check_object,
+    check_unique,
     fields_of,
     located,
 )
@@ -352,6 +353,7 @@ def load_occurrences(path: str | Path) -> list[OccurrenceSpec]:
     with located(str(path)):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     check_items(data, str(path), {"leaf_id": STR, "exposure_rate": NUMBER}, {"source": STR})
+    check_unique(data, str(path), "leaf_id")
     specs = []
     for i, item in enumerate(data):
         with located(f"{path}[{i}]"):

@@ -29,6 +29,7 @@ from .errors import (
     UnmappedConditionError,
     check_items,
     check_object,
+    check_unique,
     fields_of,
     located,
     of_types,
@@ -399,6 +400,8 @@ def load_mitigations(path: str | Path) -> list[MitigationSpec]:
         {"id": STR, "description": STR},
         {"effect_overrides": OBJECT, "vehicle_overrides": OBJECT},
     )
+    # Mitigated scenarios are named "<scenario id>+<mitigation id>".
+    check_unique(data, str(path), "id")
     mitigations = []
     for i, item in enumerate(data):
         with located(f"{path}[{i}]"):

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -595,24 +595,21 @@ def monte_carlo_sweep(
     return results
 
 
-def export_trace_jsonl(trace: SimTrace, path: str | Path) -> None:
-    """Write a trace as JSON lines: one event per line plus a summary object."""
-    lines = [
-        json.dumps(
-            {"time": e.time, "stage": e.stage.value, "kind": e.kind.value, "gap": e.gap}
-        )
-        for e in trace.events
-    ]
-    summary = {
-        "summary": {
-            "scenario_id": trace.scenario_id,
-            "terminal": trace.terminal.value,
-            "events": len(trace.events),
-            "states": [
-                {"time": s.time, "position": s.position, "velocity": s.velocity}
-                for s in trace.states
-            ],
-        }
-    }
-    lines.append(json.dumps(summary))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
+    """Write traces as JSON lines, one trace per line: its scenario id, its
+    terminal, its events and its ego states, in the order given."""
+    with open(path, "w", encoding="utf-8") as f:
+        for trace in traces:
+            line = {
+                "scenario_id": trace.scenario_id,
+                "terminal": trace.terminal.value,
+                "events": [
+                    {"time": e.time, "stage": e.stage.value, "kind": e.kind.value, "gap": e.gap}
+                    for e in trace.events
+                ],
+                "states": [
+                    {"time": s.time, "position": s.position, "velocity": s.velocity}
+                    for s in trace.states
+                ],
+            }
+            f.write(json.dumps(line) + "\n")

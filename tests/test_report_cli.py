@@ -26,7 +26,14 @@ from sotifkit.cli import EXIT_ERROR, EXIT_GATE_FAILED, EXIT_OK, main
 from sotifkit.errors import SotifkitError
 from sotifkit.fixtures import fixture_path
 from sotifkit.report import bundle_from_dict, bundle_to_dict
-from sotifkit.scenario import load_mitigations
+from sotifkit.scenario import (
+    apply_mitigation,
+    generate_scenarios,
+    load_mitigations,
+    mitigation_applicable,
+)
+from sotifkit.simulator import SimConfig, simulate
+from sotifkit.taxonomy import enumerate_leaves, filter_by_odd
 
 
 _FIXTURE_ODD = json.loads(fixture_path("odd.json").read_text())
@@ -105,6 +112,14 @@ MALFORMED_INPUTS = {
     "occurrence-source-not-string": (
         "--occurrence",
         [{"leaf_id": "x", "exposure_rate": 0.1, "source": 5}],
+    ),
+    "mitigation-id-repeated": (
+        "--mitigations",
+        [{"id": "m", "description": "d"}, {"id": "m", "description": "e"}],
+    ),
+    "occurrence-leaf-id-repeated": (
+        "--occurrence",
+        [{"leaf_id": "x", "exposure_rate": 0.1}, {"leaf_id": "x", "exposure_rate": 0.9}],
     ),
 }
 
@@ -238,6 +253,51 @@ class TestRunCampaign:
             r.scenario_id == "surface-gravel" and r.hazard_id == "H1"
             for r in small_bundle.risk_table
         )
+
+
+class TestTraceFile:
+    def test_one_line_per_scenario_in_bundle_order(self, campaign_inputs, tmp_path):
+        mitigations = load_mitigations(fixture_path("mitigations.json"))
+        cfg = SimConfig()
+        bundle = run_campaign(
+            **campaign_inputs,
+            mitigations=mitigations,
+            base_seed=42,
+            runs_per_scenario=2,
+            cfg=cfg,
+            trace_dir=tmp_path / "traces",
+        )
+        assert [p.name for p in (tmp_path / "traces").iterdir()] == ["traces.jsonl"]
+        text = (tmp_path / "traces" / "traces.jsonl").read_text()
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert [line["scenario_id"] for line in lines] == [s.id for s in bundle.scenarios]
+
+        # Each line is the run-0 trace of its scenario, rebuilt here.
+        odd = campaign_inputs["odd"]
+        conditions = filter_by_odd(enumerate_leaves(campaign_inputs["taxonomy"]), odd.odd_tags)
+        base = generate_scenarios(odd, conditions, campaign_inputs["mapping"], 42)
+        mitigated = [
+            apply_mitigation(scenario, mitigation)
+            for mitigation in mitigations
+            for scenario in base
+            if not scenario.is_nominal and mitigation_applicable(scenario, mitigation)
+        ]
+        scenarios = {s.id: s for s in base + mitigated}
+        assert len(scenarios) == len(lines)
+        for line in lines:
+            trace = simulate(scenarios[line["scenario_id"]], cfg, run_index=0)
+            assert line == {
+                "scenario_id": trace.scenario_id,
+                "terminal": trace.terminal.value,
+                "events": [
+                    {"time": e.time, "stage": e.stage.value, "kind": e.kind.value, "gap": e.gap}
+                    for e in trace.events
+                ],
+                "states": [
+                    {"time": s.time, "position": s.position, "velocity": s.velocity}
+                    for s in trace.states
+                ],
+            }
 
 
 class TestBundlePersistence:
@@ -478,6 +538,12 @@ class TestMarkdownSummary:
         assert "Nominal-only run" in emit_markdown_summary(bundle)
 
 
+def _trace_ids(out):
+    """The scenario id of every line of a run's trace file, in file order."""
+    lines = (out / "traces" / "traces.jsonl").read_text().splitlines()
+    return [json.loads(line)["scenario_id"] for line in lines]
+
+
 class TestCli:
     def _run_args(self, out, extra=()):
         return [
@@ -525,7 +591,7 @@ class TestCli:
         captured = capsys.readouterr().out
         assert code == EXIT_GATE_FAILED
         assert (out / "bundle.json").exists()
-        assert (out / "traces" / "nominal.jsonl").exists()
+        assert "nominal" in _trace_ids(out)
         assert "hazard H1" in captured and "surface-gravel" in captured
         assert "FAIL" in captured
 
@@ -543,7 +609,7 @@ class TestCli:
         assert code == EXIT_GATE_FAILED
         bundle = load_bundle(out)
         assert bundle.mitigation_table
-        assert (out / "traces" / "surface-icy+winter-tires.jsonl").exists()
+        assert "surface-icy+winter-tires" in _trace_ids(out)
 
     def test_cli_deterministic_across_invocations(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

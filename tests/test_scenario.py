@@ -27,7 +27,7 @@ from sotifkit.errors import (
     ParameterError,
     UnmappedConditionError,
 )
-from sotifkit.risk import load_criteria
+from sotifkit.risk import load_criteria, load_occurrences
 from sotifkit.scenario import mitigation_applicable
 
 from conftest import make_condition
@@ -125,6 +125,31 @@ class TestCheckNumber:
             match=rf"^{re.escape(str(path))}: max_final_gap_degradation: expected a finite number",
         ):
             load_criteria(path)
+
+
+class TestLoaderRepeatedIds:
+    """An id that names one item of a list file may not name a second one:
+    the error names the file, the later item and the id."""
+
+    def test_mitigation_id(self, tmp_path):
+        path = tmp_path / "mitigations.json"
+        path.write_text(
+            '[{"id": "m", "description": "d"}, {"id": "n", "description": "d"}, '
+            '{"id": "m", "description": "e"}]'
+        )
+        with pytest.raises(ValueError, match=rf"^{path}\[2\]\.id: 'm' repeats {path}\[0\]$"):
+            load_mitigations(path)
+
+    def test_occurrence_leaf_id(self, tmp_path):
+        path = tmp_path / "occurrence.json"
+        path.write_text(
+            '[{"leaf_id": "rain-light", "exposure_rate": 0.1}, '
+            '{"leaf_id": "rain-light", "exposure_rate": 0.9}]'
+        )
+        with pytest.raises(
+            ValueError, match=rf"^{path}\[1\]\.leaf_id: 'rain-light' repeats {path}\[0\]$"
+        ):
+            load_occurrences(path)
 
 
 class TestLoaderDomainErrors:

@@ -209,8 +209,8 @@ class TestDeterminism:
         a = simulate(scenario, cfg, run_index=5)
         b = simulate(scenario, cfg, run_index=5)
         assert a == b
-        export_trace_jsonl(a, tmp_path / "a.jsonl")
-        export_trace_jsonl(b, tmp_path / "b.jsonl")
+        export_trace_jsonl([a], tmp_path / "a.jsonl")
+        export_trace_jsonl([b], tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_run_indices_differ(self, baseline_vehicle):
@@ -440,8 +440,8 @@ class TestGhostFreeMemo:
             for state in trace.states:
                 assert {type(state.position), type(state.velocity), type(state.time)} == {float}
         assert as_float == sim_module._simulate(scenario(float), SimConfig(), 0)
-        export_trace_jsonl(as_int, tmp_path / "int.jsonl")
-        export_trace_jsonl(as_float, tmp_path / "float.jsonl")
+        export_trace_jsonl([as_int], tmp_path / "int.jsonl")
+        export_trace_jsonl([as_float], tmp_path / "float.jsonl")
         assert (tmp_path / "int.jsonl").read_text() == (tmp_path / "float.jsonl").read_text()
         assert '"velocity": 10.0' in (tmp_path / "int.jsonl").read_text()
 
@@ -618,17 +618,20 @@ class TestExports:
     def test_trace_jsonl_shape(self, baseline_vehicle, tmp_path):
         scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="nominal")
         trace = simulate(scenario)
-        path = tmp_path / "trace.jsonl"
-        export_trace_jsonl(trace, path)
+        path = tmp_path / "traces.jsonl"
+        export_trace_jsonl([trace], path)
         lines = path.read_text().splitlines()
-        assert len(lines) == len(trace.events) + 1
-        for line in lines[:-1]:
-            event = json.loads(line)
-            assert set(event) == {"time", "stage", "kind", "gap"}
-        summary = json.loads(lines[-1])["summary"]
-        assert summary["scenario_id"] == "nominal"
-        assert summary["terminal"] == "stopped"
-        assert len(summary["states"]) == len(trace.states)
+        assert len(lines) == 1
+        line = json.loads(lines[0])
+        assert list(line) == ["scenario_id", "terminal", "events", "states"]
+        assert line["scenario_id"] == "nominal"
+        assert line["terminal"] == "stopped"
+        assert len(line["events"]) == len(trace.events)
+        for event in line["events"]:
+            assert list(event) == ["time", "stage", "kind", "gap"]
+        assert len(line["states"]) == len(trace.states)
+        for state in line["states"]:
+            assert list(state) == ["time", "position", "velocity"]
 
     def test_kpi_csv_header_and_rows(self, baseline_vehicle, tmp_path):
         scenarios = [
