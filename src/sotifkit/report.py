@@ -220,7 +220,9 @@ def run_campaign(
     Any module error is re-raised as :class:`PipelineError` naming the
     stage it came from.  When ``trace_dir`` is given, the first run
     (index 0) of every scenario is written to ``trace_dir/traces.jsonl``,
-    one line per scenario in the bundle's scenario order.
+    one line per scenario in the bundle's scenario order.  The export
+    stage fails, deleting nothing, when ``trace_dir`` already holds any
+    other ``*.jsonl`` file.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -259,6 +261,14 @@ def run_campaign(
         with _stage("export"):
             trace_path = Path(trace_dir)
             trace_path.mkdir(parents=True, exist_ok=True)
+            # An earlier version's per-scenario files would pass for traces
+            # of this campaign; they are the caller's to remove.
+            stale = sorted(p for p in trace_path.glob("*.jsonl") if p.name != "traces.jsonl")
+            if stale:
+                raise FileExistsError(
+                    f"{stale[0]}: a trace file this campaign does not write; "
+                    "remove it or write the traces to another directory"
+                )
             traces = [simulate(scenario, cfg, run_index=0) for scenario in all_scenarios]
             export_trace_jsonl(traces, trace_path / "traces.jsonl")
 

@@ -28,7 +28,9 @@ number in a trace obeys:
 With piecewise-constant acceleration every phase has a closed form, so the
 engine resolves trigger, brake-onset, collision, and stop steps
 analytically instead of looping over 10^5 steps per run; the test suite
-checks it against a literal per-dt stepper.  Identical (scenario, cfg,
+checks it against a literal per-dt stepper.  A trace is a view of that
+resolution: its events and states are built when first read, and the KPIs
+are read off the resolution without them.  Identical (scenario, cfg,
 run_index) always produces a bit-identical trace.
 """
 
@@ -46,7 +48,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import core
-from .errors import ContractViolationError, ParameterError, SimulationError
+from .errors import ParameterError, SimulationError
 from .scenario import Scenario, derive_seed
 
 __all__ = [
@@ -99,8 +101,6 @@ _STAGE_FOR_KIND = {
     EventKind.TIMEOUT: Stage.ACTUATION,
 }
 
-_TERMINAL_KINDS = {EventKind.STOPPED, EventKind.COLLISION, EventKind.TIMEOUT}
-
 _STAGE_ORDER = {
     Stage.PERCEPTION_SENSE: 0,
     Stage.PERCEPTION_ALGO: 1,
@@ -147,12 +147,8 @@ class SimEvent:
     gap: float
 
 
-@dataclass(frozen=True)
-class SimTrace:
-    scenario_id: str
-    events: tuple[SimEvent, ...]
-    states: tuple[core.KinematicState, ...]
-    terminal: Terminal
+# A trace's events, and the ego state at each event step.
+_View = tuple[tuple[SimEvent, ...], tuple[core.KinematicState, ...]]
 
 
 @dataclass(frozen=True)
@@ -404,8 +400,8 @@ class _GhostStream:
         return ticks[0] * self._tick_steps if ticks else None
 
     def events_before(self, step: int) -> list[tuple[int, float]]:
-        """Every ghost below ``step`` as (step, gap).  Reads the gaps, so it
-        is the stream's last read."""
+        """Every ghost below ``step`` as (step, gap).  Reads the gaps, so
+        later reads must stay below ``step``."""
         ticks = self._flagged_before(step)
         if not ticks:
             return []
@@ -423,14 +419,72 @@ class _GhostStream:
         return events
 
 
+class SimTrace:
+    """One run to its terminal, as a view of the run's closed-form resolution.
+
+    ``events`` (every event, in time order) and ``states`` (the ego state
+    at each event step) are built on first read, and only then are the
+    run's ghost gaps drawn.  :func:`compute_kpis` reads the resolution and
+    builds neither, so a sweep never does.  Equality and hash compare
+    (scenario_id, terminal, events, states).
+    """
+
+    __slots__ = ("_scenario", "_cfg", "_res", "_ghosts", "_view", "_kpis")
+
+    def __init__(self, scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream):
+        self._scenario = scenario
+        self._cfg = cfg
+        self._res = res
+        self._ghosts = ghosts
+        self._view: _View | None = None
+        self._kpis: tuple[Scenario, KpiReport] | None = None  # see compute_kpis
+
+    @property
+    def scenario_id(self) -> str:
+        return self._scenario.id
+
+    @property
+    def terminal(self) -> Terminal:
+        return self._res.terminal
+
+    @property
+    def events(self) -> tuple[SimEvent, ...]:
+        return self._built()[0]
+
+    @property
+    def states(self) -> tuple[core.KinematicState, ...]:
+        return self._built()[1]
+
+    def _built(self) -> _View:
+        if self._view is None:
+            self._view = _trace_view(self._scenario, self._cfg, self._res, self._ghosts)
+        return self._view
+
+    def _key(self) -> tuple:
+        return (self.scenario_id, self.terminal, self.events, self.states)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimTrace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SimTrace(scenario_id={self.scenario_id!r}, terminal={self.terminal!r}, "
+            f"events={self.events!r}, states={self.states!r})"
+        )
+
+
 def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 0) -> SimTrace:
-    """Run one scenario to its terminal: every event, and the ego state at
-    each event step.
+    """Resolve one run to its terminal, as a :class:`SimTrace`.
 
     ``run_index`` selects the run's random stream within the scenario's
     seed (sweeps use 0, 1, 2, ...); equal inputs give bit-identical traces.
     A ghost-free scenario reads no randomness, so all its runs share one
-    trace (the trace is immutable).
+    trace.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -455,7 +509,12 @@ def _simulate(scenario: Scenario, cfg: SimConfig, run_index: int) -> SimTrace:
             raise SimulationError(
                 f"non-finite {name} at terminal of scenario '{scenario.id}'"
             )
+    return SimTrace(scenario, cfg, res, ghosts)
 
+
+def _trace_view(scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream) -> _View:
+    """A resolved run's events in time order, and the ego state at each
+    event step.  Draws the ghost gaps, the stream's last read."""
     dt = cfg.dt
     range_eff = scenario.odd.d_perception * scenario.effects.perception_range_factor
 
@@ -483,67 +542,58 @@ def _simulate(scenario: Scenario, cfg: SimConfig, run_index: int) -> SimTrace:
         core.KinematicState(position=res.x(n), velocity=res.v(n), time=n * dt)
         for n in sorted(event_steps)
     )
-
-    return SimTrace(
-        scenario_id=scenario.id,
-        events=tuple(events),
-        states=states,
-        terminal=res.terminal,
-    )
-
-
-def _state_at(trace: SimTrace, time: float) -> core.KinematicState:
-    for state in trace.states:
-        if state.time == time:
-            return state
-    raise ContractViolationError(f"no state sampled at t={time}")
+    return tuple(events), states
 
 
 def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
-    """Derive the KPI report from a finished trace."""
-    terminal_events = [e for e in trace.events if e.kind in _TERMINAL_KINDS]
-    if len(terminal_events) != 1:
-        raise ContractViolationError(
-            f"trace '{trace.scenario_id}' has {len(terminal_events)} terminal events, expected 1"
-        )
-    terminal_event = terminal_events[0]
-    terminal_state = _state_at(trace, terminal_event.time)
+    """Derive a run's KPI report from its resolution, without building its
+    events or states.
 
-    collision = trace.terminal is Terminal.COLLISION
-    final_gap = max(0.0, terminal_event.gap)
-    impact_speed = terminal_state.velocity if collision else 0.0
+    The report is kept on the trace for the last ``scenario`` object it was
+    derived with, so the one trace that every run of a ghost-free scenario
+    shares derives it once.
+    """
+    memo = trace._kpis
+    if memo is not None and memo[0] is scenario:
+        return memo[1]
 
-    trigger = next((e for e in trace.events if e.kind is EventKind.BRAKE_TRIGGERED), None)
-    effective = next((e for e in trace.events if e.kind is EventKind.BRAKE_EFFECTIVE), None)
-
-    if trigger is None:
+    res = trace._res
+    end = res.terminal_step
+    collision = res.terminal is Terminal.COLLISION
+    n_trig = res.n_trig
+    if n_trig is None:
         ttc_at_trigger = core.NO_CLOSING
         false_activation = False
         d_rho_observed = 0.0
         d_act_observed = 0.0
     else:
-        trigger_state = _state_at(trace, trigger.time)
-        ttc_at_trigger = core.ttc(max(0.0, trigger.gap), trigger_state.velocity, 0.0)
-        ghost_times = {e.time for e in trace.events if e.kind is EventKind.GHOST_DETECTED}
+        trigger_gap = res.gap(n_trig)
+        ttc_at_trigger = core.ttc(max(0.0, trigger_gap), res.v(n_trig), 0.0)
+        # A ghost detection at the trigger step while the true gap there is
+        # beyond the threshold.  A ghost on the natural trigger step is a
+        # flag the resolution did not read; the trigger comes before the
+        # terminal, so this read stays within the flags a trace view reads.
         false_activation = (
-            trigger.time in ghost_times and trigger.gap > trigger_threshold(scenario)
+            trigger_gap > trigger_threshold(scenario)
+            and trace._ghosts.first_before(n_trig + 1) == n_trig
         )
-        response_end = effective if effective is not None else terminal_event
-        d_rho_observed = _state_at(trace, response_end.time).position - trigger_state.position
-        if effective is not None:
-            d_act_observed = terminal_state.position - _state_at(trace, effective.time).position
-        else:
-            d_act_observed = 0.0
+        # The response ends when the brake force starts, or at the
+        # terminal when it never does.
+        n_eff = res.n_eff if res.n_eff is not None and res.n_eff < end else None
+        d_rho_observed = res.x(end if n_eff is None else n_eff) - res.x(n_trig)
+        d_act_observed = 0.0 if n_eff is None else res.x(end) - res.x(n_eff)
 
-    return KpiReport(
+    report = KpiReport(
         ttc_at_trigger=ttc_at_trigger,
-        final_gap=final_gap,
+        final_gap=max(0.0, res.gap(end)),
         collision=collision,
-        impact_speed=impact_speed,
+        impact_speed=res.v(end) if collision else 0.0,
         false_activation=false_activation,
         d_rho_observed=d_rho_observed,
         d_act_observed=d_act_observed,
     )
+    trace._kpis = (scenario, report)
+    return report
 
 
 def _aggregate(scenario: Scenario, kpis: Sequence[KpiReport]) -> SweepStats:

@@ -13,6 +13,7 @@ from sotifkit import (
     load_taxonomy,
 )
 from sotifkit.fixtures import fixture_path
+import sotifkit.simulator as sim_module
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +62,16 @@ def make_scenario(
         effects=effects,
         seed=seed if seed is not None else derive_seed(0, scenario_id),
     )
+
+
+def count_trace_views(monkeypatch) -> list[str]:
+    """The scenario id of every trace view built from here on, in order."""
+    built = []
+    view = sim_module._trace_view
+
+    def counting(scenario, *args):
+        built.append(scenario.id)
+        return view(scenario, *args)
+
+    monkeypatch.setattr(sim_module, "_trace_view", counting)
+    return built

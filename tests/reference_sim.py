@@ -4,7 +4,9 @@ This is a literal loop over integration steps implementing the documented
 discrete semantics, with no closed-form shortcuts.  It recomputes the
 ghost randomness from the public seed scheme rather than reusing engine
 internals.  ``ghost_draws`` draws a run's whole ghost stream at once, the
-definition the engine's lazy draws must reproduce.
+definition the engine's lazy draws must reproduce.  ``trace_kpis`` derives
+a run's KPIs by scanning its trace's events and states, the definition the
+engine's ``compute_kpis`` must reproduce from the resolution alone.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sotifkit.core import effective_brake_decel, rss_min_distance
+from sotifkit.core import NO_CLOSING, KinematicState, effective_brake_decel, rss_min_distance, ttc
+from sotifkit.errors import ContractViolationError
 from sotifkit.scenario import Scenario, derive_seed
-from sotifkit.simulator import SimConfig
+from sotifkit.simulator import EventKind, KpiReport, SimConfig, Terminal
 
 
 def ghost_draws(
@@ -125,3 +128,61 @@ def reference_run(scenario: Scenario, cfg: SimConfig, run_index: int = 0) -> Ref
         v = max(0.0, v + a * dt)
         x = x + v * dt
         n += 1
+
+
+_TERMINAL_KINDS = {EventKind.STOPPED, EventKind.COLLISION, EventKind.TIMEOUT}
+
+
+def _state_at(trace, time: float) -> KinematicState:
+    for state in trace.states:
+        if state.time == time:
+            return state
+    raise ContractViolationError(f"no state sampled at t={time}")
+
+
+def trace_kpis(trace, scenario: Scenario) -> KpiReport:
+    """A run's KPI report, read off its trace: ``trace`` is anything with a
+    ``scenario_id``, ``terminal``, ``events`` and ``states``."""
+    terminal_events = [e for e in trace.events if e.kind in _TERMINAL_KINDS]
+    if len(terminal_events) != 1:
+        raise ContractViolationError(
+            f"trace '{trace.scenario_id}' has {len(terminal_events)} terminal events, expected 1"
+        )
+    terminal_event = terminal_events[0]
+    terminal_state = _state_at(trace, terminal_event.time)
+
+    collision = trace.terminal is Terminal.COLLISION
+    final_gap = max(0.0, terminal_event.gap)
+    impact_speed = terminal_state.velocity if collision else 0.0
+
+    trigger = next((e for e in trace.events if e.kind is EventKind.BRAKE_TRIGGERED), None)
+    effective = next((e for e in trace.events if e.kind is EventKind.BRAKE_EFFECTIVE), None)
+
+    if trigger is None:
+        ttc_at_trigger = NO_CLOSING
+        false_activation = False
+        d_rho_observed = 0.0
+        d_act_observed = 0.0
+    else:
+        trigger_state = _state_at(trace, trigger.time)
+        ttc_at_trigger = ttc(max(0.0, trigger.gap), trigger_state.velocity, 0.0)
+        ghost_times = {e.time for e in trace.events if e.kind is EventKind.GHOST_DETECTED}
+        false_activation = (
+            trigger.time in ghost_times and trigger.gap > rss_min_distance(scenario.odd.vehicle)
+        )
+        response_end = effective if effective is not None else terminal_event
+        d_rho_observed = _state_at(trace, response_end.time).position - trigger_state.position
+        if effective is not None:
+            d_act_observed = terminal_state.position - _state_at(trace, effective.time).position
+        else:
+            d_act_observed = 0.0
+
+    return KpiReport(
+        ttc_at_trigger=ttc_at_trigger,
+        final_gap=final_gap,
+        collision=collision,
+        impact_speed=impact_speed,
+        false_activation=false_activation,
+        d_rho_observed=d_rho_observed,
+        d_act_observed=d_act_observed,
+    )

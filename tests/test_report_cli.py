@@ -35,6 +35,8 @@ from sotifkit.scenario import (
 from sotifkit.simulator import SimConfig, simulate
 from sotifkit.taxonomy import enumerate_leaves, filter_by_odd
 
+from conftest import count_trace_views
+
 
 _FIXTURE_ODD = json.loads(fixture_path("odd.json").read_text())
 _FIXTURE_CRITERIA = json.loads(fixture_path("criteria.json").read_text())
@@ -256,6 +258,19 @@ class TestRunCampaign:
 
 
 class TestTraceFile:
+    def test_one_trace_view_per_scenario(self, campaign_inputs, tmp_path, monkeypatch):
+        # The sweep reads resolutions only; the export stage builds the
+        # events and states of one trace per scenario.
+        built = count_trace_views(monkeypatch)
+        bundle = run_campaign(
+            **campaign_inputs,
+            mitigations=load_mitigations(fixture_path("mitigations.json")),
+            base_seed=42,
+            runs_per_scenario=5,
+            trace_dir=tmp_path / "traces",
+        )
+        assert built == [s.id for s in bundle.scenarios]
+
     def test_one_line_per_scenario_in_bundle_order(self, campaign_inputs, tmp_path):
         mitigations = load_mitigations(fixture_path("mitigations.json"))
         cfg = SimConfig()
@@ -684,6 +699,30 @@ class TestCli:
         blocker.write_text("")
         assert main(self._run_args(blocker / "bundle")) == EXIT_ERROR
         assert "stage 'export'" in capsys.readouterr().err
+
+    def test_stale_trace_file_fails_export(self, tmp_path, capsys):
+        # Files an earlier version wrote per scenario would pass for traces
+        # of this run: the export stage names the first and deletes nothing.
+        out = tmp_path / "bundle"
+        (out / "traces").mkdir(parents=True)
+        stale = [out / "traces" / name for name in ("nominal.jsonl", "fog.jsonl")]
+        for path in stale:
+            path.write_text("{}\n")
+        assert main(self._run_args(out)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"error in stage 'export': {stale[1]}: " in err
+        assert str(stale[0]) not in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in (out / "traces").iterdir()) == ["fog.jsonl", "nominal.jsonl"]
+        assert not (out / "bundle.json").exists()
+
+    def test_rerun_into_same_out_succeeds(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert main(self._run_args(out, ["--no-gate"])) == EXIT_OK
+        first = (out / "traces" / "traces.jsonl").read_bytes()
+        assert main(self._run_args(out, ["--no-gate"])) == EXIT_OK
+        assert [p.name for p in (out / "traces").iterdir()] == ["traces.jsonl"]
+        assert (out / "traces" / "traces.jsonl").read_bytes() == first
 
     def test_write_error_names_write(self, tmp_path, capsys):
         out = tmp_path / "bundle"

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+import types
 
 import pytest
 
@@ -22,10 +23,10 @@ from sotifkit.core import NO_CLOSING
 from sotifkit.errors import ContractViolationError, ParameterError, SimulationError
 import sotifkit.simulator as sim_module
 from sotifkit.report import write_kpi_csv
-from sotifkit.simulator import EventKind, SimTrace, Terminal, export_trace_jsonl
+from sotifkit.simulator import EventKind, KpiReport, SimTrace, Terminal, export_trace_jsonl
 
-from conftest import make_scenario
-from reference_sim import FullDrawGhosts, ghost_draws, reference_run
+from conftest import count_trace_views, make_scenario
+from reference_sim import FullDrawGhosts, ghost_draws, reference_run, trace_kpis
 
 
 def baseline_odd(baseline_vehicle, d_object=100.0, d_perception=80.0, mu=1.0):
@@ -296,6 +297,67 @@ class TestReferenceEquivalence:
                     ref.effective_step * cfg.dt, abs=1e-9
                 ), context
 
+    def test_kpis_match_trace_oracle_on_random_grid(self):
+        # compute_kpis reads the resolution; the oracle scans the events and
+        # states of the same trace.  Odd runs build the trace view first, so
+        # both orders of reading the ghost stream are covered.
+        rng = random.Random(987654321)
+        false_activations = 0
+        for case in range(250):
+            scenario, cfg = self._random_case(rng)
+            for run_index in range(3):
+                trace = simulate(scenario, cfg, run_index)
+                if run_index % 2:
+                    assert trace.events
+                kpis = compute_kpis(trace, scenario)
+                context = f"case {case} run {run_index}: {scenario.odd} {scenario.effects} {cfg}"
+                assert kpis == trace_kpis(trace, scenario), context
+                false_activations += kpis.false_activation
+        assert false_activations > 0
+
+
+class _GhostAt:
+    """Stand-in ghost stream with one ghost, at ``step``."""
+
+    def __init__(self, step: int, gap: float):
+        self.step, self.gap = step, gap
+
+    def first_before(self, step: int) -> int | None:
+        return self.step if self.step < step else None
+
+    def events_before(self, step: int) -> list[tuple[int, float]]:
+        return [(self.step, self.gap)] if self.step < step else []
+
+
+class TestGhostOnNaturalTriggerStep:
+    """A ghost on the natural trigger step is read by no resolution, since
+    the natural trigger comes first; it is a false activation when the true
+    gap there is still beyond the threshold."""
+
+    def test_false_activation_matches_oracle(self, baseline_vehicle, monkeypatch):
+        cfg = SimConfig()
+        d_trigger = rss_min_distance(baseline_vehicle)
+        step = 10 * cfg.tick_steps
+        # The cruise gap crosses the threshold a hair (5e-10 steps) past
+        # `step`, which the resolution's float tolerance rounds down to `step`.
+        d_object = d_trigger + baseline_vehicle.v_r * cfg.dt * (step + 5e-10)
+        scenario = make_scenario(
+            baseline_odd(baseline_vehicle, d_object=d_object, d_perception=200.0),
+            EffectModel(ghost_rate=0.5),
+            scenario_id="ghost-on-trigger",
+        )
+        for ghost_step, expected in ((step, True), (step + cfg.tick_steps, False)):
+            monkeypatch.setattr(
+                sim_module, "_GhostStream", lambda *args: _GhostAt(ghost_step, 1.0)
+            )
+            trace = simulate(scenario, cfg)
+            kpis = compute_kpis(trace, scenario)
+            (trigger,) = events_of(trace, EventKind.BRAKE_TRIGGERED)
+            assert trigger.time == step * cfg.dt
+            assert trigger.gap > d_trigger
+            assert kpis.false_activation is expected
+            assert kpis == trace_kpis(trace, scenario)
+
 
 def _ghost_grid_cases(vehicle):
     """(odd, cfg) per outcome shape: without ghosts these stop, collide,
@@ -365,6 +427,7 @@ class TestGhostStream:
         tracemalloc.start()
         try:
             trace = simulate(scenario, cfg)
+            assert trace.events  # the view draws the ghost gaps
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -444,6 +507,64 @@ class TestGhostFreeMemo:
         export_trace_jsonl([as_float], tmp_path / "float.jsonl")
         assert (tmp_path / "int.jsonl").read_text() == (tmp_path / "float.jsonl").read_text()
         assert '"velocity": 10.0' in (tmp_path / "int.jsonl").read_text()
+
+
+class TestLazyTraceView:
+    """A trace builds its events and states, and draws its ghost gaps, only
+    when they are read; a sweep reads none of them."""
+
+    def test_sweep_builds_no_view(self, baseline_vehicle, monkeypatch):
+        built = count_trace_views(monkeypatch)
+        odd = baseline_odd(baseline_vehicle)
+        scenarios = [
+            make_scenario(odd, EffectModel(ghost_rate=0.05), scenario_id="ghosts", seed=3),
+            make_scenario(odd, EffectModel(mu_factor=0.5), scenario_id="ghost-free"),
+        ]
+        stats = monte_carlo_sweep(scenarios, SimConfig(), runs_per_scenario=20)
+        assert stats[0].false_activation_rate > 0.0 and stats[1].collision_rate == 1.0
+        assert built == []
+        trace = simulate(scenarios[0], SimConfig(), 0)
+        assert built == []
+        assert trace.states and trace.events
+        assert built == ["ghosts"]  # once per trace object
+        assert trace == simulate(scenarios[0], SimConfig(), 0)
+        assert built == ["ghosts", "ghosts"]
+
+    def test_ghost_free_runs_derive_kpis_once(self, baseline_vehicle, monkeypatch):
+        derived = []
+
+        def counting(**fields):
+            derived.append(fields)
+            return KpiReport(**fields)
+
+        monkeypatch.setattr(sim_module, "KpiReport", counting)
+        cfg = SimConfig()
+        odd = baseline_odd(baseline_vehicle)
+        ghost_free = make_scenario(odd, EffectModel(mu_factor=0.5), scenario_id="ghost-free")
+        traces = [simulate(ghost_free, cfg, i) for i in range(50)]
+        assert all(trace is traces[0] for trace in traces)
+        reports = [compute_kpis(trace, ghost_free) for trace in traces]
+        assert all(report is reports[0] for report in reports)
+        assert len(derived) == 1
+
+        ghosts = make_scenario(odd, EffectModel(ghost_rate=0.05), scenario_id="ghosts")
+        monte_carlo_sweep([ghost_free, ghosts], cfg, runs_per_scenario=50)
+        assert len(derived) == 1 + 50  # the shared trace keeps its report
+
+    def test_report_follows_the_scenario(self, baseline_vehicle):
+        # A certain ghost latches the brake at 100 m: beyond this vehicle's
+        # trigger threshold (33 m), inside the slower-reacting one's (151 m).
+        # The kept report is for the scenario object it was derived with.
+        effects = EffectModel(ghost_rate=1.0)
+        scenario = make_scenario(baseline_odd(baseline_vehicle), effects, scenario_id="s")
+        slower = dataclasses.replace(baseline_vehicle, rho=5.0)
+        assert rss_min_distance(slower) > 100.0
+        other = make_scenario(baseline_odd(slower), effects, scenario_id="s")
+        trace = simulate(scenario)
+        for against, expected in ((scenario, True), (other, False), (scenario, True)):
+            kpis = compute_kpis(trace, against)
+            assert kpis.false_activation is expected
+            assert kpis == trace_kpis(trace, against)
 
 
 class TestInvariants:
@@ -595,14 +716,14 @@ class TestKpiContract:
     def test_trace_without_terminal_rejected(self, baseline_vehicle):
         scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="s")
         trace = simulate(scenario)
-        broken = SimTrace(
+        broken = types.SimpleNamespace(
             scenario_id=trace.scenario_id,
             events=tuple(e for e in trace.events if e.kind is not EventKind.STOPPED),
             states=trace.states,
             terminal=trace.terminal,
         )
         with pytest.raises(ContractViolationError, match="terminal"):
-            compute_kpis(broken, scenario)
+            trace_kpis(broken, scenario)
 
     def test_collision_implies_positive_impact(self, baseline_vehicle):
         scenario = make_scenario(
