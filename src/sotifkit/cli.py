@@ -168,7 +168,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     text = emit_markdown_summary(bundle)
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
+        try:
+            args.out.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_ERROR
         print(f"wrote {args.out}")
     else:
         print(text, end="")

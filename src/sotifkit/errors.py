@@ -25,15 +25,7 @@ class ParameterError(SotifkitError, ValueError):
 
 
 class TaxonomyError(SotifkitError, ValueError):
-    """A taxonomy document is syntactically or semantically invalid.
-
-    ``location`` points at the offending node (JSON path for semantic
-    errors, line/column text for syntax errors).
-    """
-
-    def __init__(self, message: str, location: str = ""):
-        self.location = location
-        super().__init__(f"{location}: {message}" if location else message)
+    """A taxonomy document is syntactically or semantically invalid."""
 
 
 class UnmappedConditionError(SotifkitError, KeyError):

@@ -165,8 +165,6 @@ class KpiReport:
     collision: bool
     impact_speed: float
     false_activation: bool
-    d_rho_observed: float
-    d_act_observed: float
 
 
 @dataclass(frozen=True)
@@ -564,8 +562,6 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
     if n_trig is None:
         ttc_at_trigger = core.NO_CLOSING
         false_activation = False
-        d_rho_observed = 0.0
-        d_act_observed = 0.0
     else:
         trigger_gap = res.gap(n_trig)
         ttc_at_trigger = core.ttc(max(0.0, trigger_gap), res.v(n_trig), 0.0)
@@ -577,11 +573,6 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
             trigger_gap > trigger_threshold(scenario)
             and trace._ghosts.first_before(n_trig + 1) == n_trig
         )
-        # The response ends when the brake force starts, or at the
-        # terminal when it never does.
-        n_eff = res.n_eff if res.n_eff is not None and res.n_eff < end else None
-        d_rho_observed = res.x(end if n_eff is None else n_eff) - res.x(n_trig)
-        d_act_observed = 0.0 if n_eff is None else res.x(end) - res.x(n_eff)
 
     report = KpiReport(
         ttc_at_trigger=ttc_at_trigger,
@@ -589,8 +580,6 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
         collision=collision,
         impact_speed=res.v(end) if collision else 0.0,
         false_activation=false_activation,
-        d_rho_observed=d_rho_observed,
-        d_act_observed=d_act_observed,
     )
     trace._kpis = (scenario, report)
     return report

@@ -16,8 +16,9 @@ File format (JSON, UTF-8, no comments)::
               "intensity": "light"|"medium"|"heavy"}      # leaf
            | {"id": str, "name": str, "odd_tags": [str, ...]}  # leaf, no level
 
-A node either has a nonempty ``children`` list or is a leaf; ids are unique
-across the whole document.
+A node either has a nonempty ``children`` list or is a leaf; ids and names
+are nonempty, and ids are unique across the whole document.  Values are
+checked against the kinds of :mod:`sotifkit.errors`, as every input file is.
 """
 
 from __future__ import annotations
@@ -27,7 +28,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import TaxonomyError
+from .errors import (
+    INT,
+    LIST,
+    STR,
+    STRINGS,
+    TaxonomyError,
+    check_items,
+    check_object,
+    one_of,
+)
 
 __all__ = [
     "INTENSITY_LEVELS",
@@ -45,7 +55,8 @@ INTENSITY_LEVELS = ("light", "medium", "heavy")
 
 FORMAT_VERSION = 1
 
-_NODE_KEYS = {"id", "name", "odd_tags", "children", "intensity"}
+_NODE_FIELDS = {"id": STR, "name": STR, "odd_tags": STRINGS}
+_NODE_OPTIONAL = {"children": LIST, "intensity": one_of(INTENSITY_LEVELS)}
 
 
 @dataclass(frozen=True)
@@ -95,89 +106,65 @@ class TriggeringCondition:
             )
 
 
-def _parse_node(obj: object, path: str, seen_ids: dict[str, str]) -> TaxonomyNode:
-    if not isinstance(obj, dict):
-        raise TaxonomyError(f"node must be an object, got {type(obj).__name__}", path)
-    unknown = set(obj) - _NODE_KEYS
-    if unknown:
-        raise TaxonomyError(f"unknown keys {sorted(unknown)}", path)
-    for key in ("id", "name"):
-        value = obj.get(key)
-        if not isinstance(value, str) or not value:
-            raise TaxonomyError(f"'{key}' must be a nonempty string", path)
-    node_id = obj["id"]
-    if node_id in seen_ids:
-        raise TaxonomyError(
-            f"duplicate id '{node_id}' (first seen at {seen_ids[node_id]})", path
-        )
-    seen_ids[node_id] = path
-
-    tags = obj.get("odd_tags")
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-        raise TaxonomyError("'odd_tags' must be a list of strings", path)
-
-    if "children" in obj:
-        if "intensity" in obj:
-            raise TaxonomyError(
-                f"node '{node_id}' has both children and an intensity level", path
+def _parse_nodes(
+    items: list, context: str, seen_ids: dict[str, str]
+) -> tuple[TaxonomyNode, ...]:
+    """The sibling nodes ``items``, held at ``context``, with their subtrees.
+    ``seen_ids`` maps every id built so far to the place of its node."""
+    check_items(items, context, _NODE_FIELDS, _NODE_OPTIONAL)
+    nodes = []
+    for i, item in enumerate(items):
+        place = f"{context}[{i}]"
+        node_id = item["id"]
+        for key in ("id", "name"):
+            if not item[key]:
+                raise ValueError(f"{place}.{key}: must not be empty")
+        first = seen_ids.setdefault(node_id, place)
+        if first != place:
+            raise ValueError(f"{place}.id: {node_id!r} repeats {first}")
+        children = ()
+        if "children" in item:
+            if "intensity" in item:
+                raise ValueError(
+                    f"{place}: node {node_id!r} has both children and an intensity level"
+                )
+            if not item["children"]:
+                raise ValueError(
+                    f"{place}.children: category {node_id!r} must have a nonempty children list"
+                )
+            children = _parse_nodes(item["children"], f"{place}.children", seen_ids)
+        nodes.append(
+            TaxonomyNode(
+                node_id, item["name"], frozenset(item["odd_tags"]), children, item.get("intensity")
             )
-        raw_children = obj["children"]
-        if not isinstance(raw_children, list) or not raw_children:
-            raise TaxonomyError(
-                f"category '{node_id}' must have a nonempty children list", path
-            )
-        children = tuple(
-            _parse_node(child, f"{path}.children[{i}]", seen_ids)
-            for i, child in enumerate(raw_children)
         )
-        return TaxonomyNode(node_id, obj["name"], frozenset(tags), children)
-
-    intensity = obj.get("intensity")
-    if intensity is not None and intensity not in INTENSITY_LEVELS:
-        raise TaxonomyError(
-            f"unknown intensity {intensity!r}, expected one of {INTENSITY_LEVELS}",
-            path,
-        )
-    return TaxonomyNode(node_id, obj["name"], frozenset(tags), (), intensity)
+    return tuple(nodes)
 
 
 def parse_taxonomy(document: str) -> Taxonomy:
     """Parse and validate a taxonomy document from JSON text.
 
-    Raises :class:`TaxonomyError` with a location (line/column for syntax
-    errors, JSON path for semantic ones) on any violation.
+    Raises :class:`TaxonomyError` naming the place of any violation: the
+    line and column of a syntax error, the field otherwise.
     """
     try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise TaxonomyError(
-            f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
-        ) from exc
-
-    if not isinstance(data, dict):
-        raise TaxonomyError("top level must be an object", "$")
-    if data.get("version") != FORMAT_VERSION:
-        raise TaxonomyError(
-            f"unsupported version {data.get('version')!r}, expected {FORMAT_VERSION}",
-            "$.version",
-        )
-    unknown = set(data) - {"version", "roots"}
-    if unknown:
-        raise TaxonomyError(f"unknown top-level keys {sorted(unknown)}", "$")
-    roots = data.get("roots")
-    if not isinstance(roots, list):
-        raise TaxonomyError("'roots' must be a list", "$.roots")
-
-    seen_ids: dict[str, str] = {}
-    parsed = tuple(
-        _parse_node(node, f"$.roots[{i}]", seen_ids) for i, node in enumerate(roots)
-    )
-    return Taxonomy(roots=parsed)
+        data = check_object(json.loads(document), "", {"version": INT, "roots": LIST})
+        if data["version"] != FORMAT_VERSION:
+            raise ValueError(
+                f"version: unsupported version {data['version']}, expected {FORMAT_VERSION}"
+            )
+        return Taxonomy(roots=_parse_nodes(data["roots"], "roots", {}))
+    except ValueError as exc:
+        raise TaxonomyError(str(exc)) from exc
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Read and parse a taxonomy file."""
-    return parse_taxonomy(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a taxonomy file.  Every error but an :class:`OSError`
+    is a :class:`TaxonomyError` whose message starts with the file."""
+    try:
+        return parse_taxonomy(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a TaxonomyError, or text that is not UTF-8
+        raise TaxonomyError(f"{path}: {exc}") from exc
 
 
 def _node_to_dict(node: TaxonomyNode) -> dict:

@@ -156,13 +156,10 @@ def trace_kpis(trace, scenario: Scenario) -> KpiReport:
     impact_speed = terminal_state.velocity if collision else 0.0
 
     trigger = next((e for e in trace.events if e.kind is EventKind.BRAKE_TRIGGERED), None)
-    effective = next((e for e in trace.events if e.kind is EventKind.BRAKE_EFFECTIVE), None)
 
     if trigger is None:
         ttc_at_trigger = NO_CLOSING
         false_activation = False
-        d_rho_observed = 0.0
-        d_act_observed = 0.0
     else:
         trigger_state = _state_at(trace, trigger.time)
         ttc_at_trigger = ttc(max(0.0, trigger.gap), trigger_state.velocity, 0.0)
@@ -170,12 +167,6 @@ def trace_kpis(trace, scenario: Scenario) -> KpiReport:
         false_activation = (
             trigger.time in ghost_times and trigger.gap > rss_min_distance(scenario.odd.vehicle)
         )
-        response_end = effective if effective is not None else terminal_event
-        d_rho_observed = _state_at(trace, response_end.time).position - trigger_state.position
-        if effective is not None:
-            d_act_observed = terminal_state.position - _state_at(trace, effective.time).position
-        else:
-            d_act_observed = 0.0
 
     return KpiReport(
         ttc_at_trigger=ttc_at_trigger,
@@ -183,6 +174,4 @@ def trace_kpis(trace, scenario: Scenario) -> KpiReport:
         collision=collision,
         impact_speed=impact_speed,
         false_activation=false_activation,
-        d_rho_observed=d_rho_observed,
-        d_act_observed=d_act_observed,
     )

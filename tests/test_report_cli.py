@@ -392,6 +392,7 @@ class TestBundleValueTypes:
 # fixture files, and a severity-rules document (no fixture ships one).
 _INPUT_DOCUMENTS = {
     "--odd": (load_odd, _FIXTURE_ODD),
+    "--taxonomy": (load_taxonomy, json.loads(fixture_path("taxonomy.json").read_text())),
     "--effects": (load_effect_mapping, json.loads(fixture_path("effects.json").read_text())),
     "--occurrence": (load_occurrences, json.loads(fixture_path("occurrence.json").read_text())),
     "--criteria": (load_criteria, _FIXTURE_CRITERIA),
@@ -429,6 +430,8 @@ _DOMAIN_ERRORS = [
     (("--mitigations", (0, "id")), ""),
     (("--odd", ("vehicle", "rho")), -1),
     (("--effects", ("by_leaf", "rain-light", "perception_range_factor")), 2),
+    (("--taxonomy", ("roots", 0, "children", 0, "children", 1, "id")), "rain"),
+    (("--taxonomy", ("roots", 0, "children", 0, "children")), []),
 ]
 
 
@@ -599,6 +602,20 @@ class TestCli:
         code = main(["taxonomy", "validate", str(tmp_path / "nope.json")])
         assert code == EXIT_ERROR
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_taxonomy_not_utf8(self, command, tmp_path, capsys):
+        path = tmp_path / "taxonomy.json"
+        path.write_bytes(b'{"version": 1, "roots": ["\xff"]}')
+        if command == "validate":
+            args = ["taxonomy", "validate", str(path)]
+        else:
+            args = self._run_args(tmp_path / "bundle")
+            args[args.index("--taxonomy") + 1] = str(path)
+        assert main(args) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f": {path}: 'utf-8' codec can't decode" in err
+        assert "Traceback" not in err
 
     def test_run_gate_fails_and_names_h1(self, tmp_path, capsys):
         out = tmp_path / "bundle"
@@ -871,6 +888,14 @@ class TestCli:
         code = main(["report", str(out / "bundle.json"), "--out", str(target)])
         assert code == EXIT_OK
         assert target.read_text() == (out / "summary.md").read_text()
+
+    def test_report_to_unwritable_path(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        main(self._run_args(out, ["--no-gate"]))
+        target = tmp_path / "missing-dir" / "summary.md"
+        capsys.readouterr()
+        assert main(["report", str(out), "--out", str(target)]) == EXIT_ERROR
+        assert f"cannot write {target}: " in capsys.readouterr().err
 
     def test_report_missing_bundle(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == EXIT_ERROR

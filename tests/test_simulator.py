@@ -43,6 +43,13 @@ def events_of(trace: SimTrace, kind: EventKind):
     return [e for e in trace.events if e.kind is kind]
 
 
+def position_at(trace: SimTrace, kind: EventKind) -> float:
+    """The ego position sampled at the one event of ``kind``."""
+    (event,) = events_of(trace, kind)
+    (state,) = [s for s in trace.states if s.time == event.time]
+    return state.position
+
+
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
@@ -142,8 +149,9 @@ class TestOracleCases:
         assert events_of(trace, EventKind.BRAKE_TRIGGERED)
         assert not events_of(trace, EventKind.BRAKE_EFFECTIVE)
         assert kpis.impact_speed == pytest.approx(baseline_vehicle.v_r, abs=1e-9)
-        assert kpis.d_act_observed == 0.0
-        assert kpis.d_rho_observed > 0.0
+        # Everything after the trigger is response distance: no actuation.
+        trigger = position_at(trace, EventKind.BRAKE_TRIGGERED)
+        assert position_at(trace, EventKind.COLLISION) - trigger > 0.0
 
     def test_starting_inside_danger_zone_triggers_immediately(self, baseline_vehicle):
         scenario = make_scenario(
@@ -158,12 +166,15 @@ class TestOracleCases:
     def test_response_decomposition_observed(self, baseline_vehicle):
         scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="nominal")
         cfg = SimConfig()
-        kpis = compute_kpis(simulate(scenario, cfg), scenario)
+        trace = simulate(scenario, cfg)
+        trigger = position_at(trace, EventKind.BRAKE_TRIGGERED)
+        effective = position_at(trace, EventKind.BRAKE_EFFECTIVE)
+        stop = position_at(trace, EventKind.STOPPED)
+        d_rho, d_act = effective - trigger, stop - effective
         v = baseline_vehicle.v_r
-        assert kpis.d_rho_observed == pytest.approx(v * 1.0, abs=v * cfg.dt + 1e-9)
-        assert kpis.d_act_observed == pytest.approx(v**2 / 10.0, abs=v * cfg.dt + 1e-9)
-        d_brake = kpis.d_rho_observed + kpis.d_act_observed
-        assert d_brake == pytest.approx(33.179, abs=2 * v * cfg.dt + 1e-6)
+        assert d_rho == pytest.approx(v * 1.0, abs=v * cfg.dt + 1e-9)
+        assert d_act == pytest.approx(v**2 / 10.0, abs=v * cfg.dt + 1e-9)
+        assert d_rho + d_act == pytest.approx(33.179, abs=2 * v * cfg.dt + 1e-6)
 
 
 class TestTraceStructure:

@@ -134,7 +134,9 @@ class TestParse:
                 "roots": [{"id": "a", "name": "A", "odd_tags": [], "intensity": "extreme"}],
             }
         )
-        with pytest.raises(TaxonomyError, match="unknown intensity"):
+        with pytest.raises(
+            TaxonomyError, match=r"roots\[0\]\.intensity: expected one of .*, got 'extreme'"
+        ):
             parse_taxonomy(doc)
 
     def test_unknown_keys_rejected(self):
@@ -145,8 +147,11 @@ class TestParse:
             parse_taxonomy(doc)
 
     def test_unsupported_version(self):
-        with pytest.raises(TaxonomyError, match="version"):
-            parse_taxonomy('{"version": 2, "roots": []}')
+        # Only the integer 1: not true, 1.0 or "1", though each compares
+        # equal to it or reads as it.
+        for version in ("2", "true", "1.0", '"1"'):
+            with pytest.raises(TaxonomyError, match="version"):
+                parse_taxonomy(f'{{"version": {version}, "roots": []}}')
 
 
 class TestRoundTrip:
