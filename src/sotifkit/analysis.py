@@ -11,7 +11,6 @@ to end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -27,6 +26,7 @@ from .errors import (
     fields_of,
     located,
     one_of,
+    parse_json,
 )
 from .scenario import EffectModel, Scenario
 from .simulator import Stage, SweepStats
@@ -131,7 +131,7 @@ class SeverityRules:
 def load_severity_rules(path: str | Path) -> SeverityRules:
     with located(str(path)):
         data = check_object(
-            json.loads(Path(path).read_text(encoding="utf-8")),
+            parse_json(Path(path).read_text(encoding="utf-8")),
             "",
             {},
             fields_of(

@@ -7,8 +7,8 @@ Subcommands:
 * ``report BUNDLE`` — re-emit the Markdown summary from an existing bundle.
 
 Exit status: 0 on success (for ``run``: all acceptance checks pass, or
-``--no-gate``), 1 when acceptance gating fails, 2 on any input or
-pipeline error.
+``--no-gate``), 1 when acceptance gating fails or no condition scenario
+was left to check, 2 on any input or pipeline error.
 """
 
 from __future__ import annotations
@@ -153,10 +153,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for hazard_id in sorted(linked):
         print(f"hazard {hazard_id}: {', '.join(linked[hazard_id])}")
 
-    if bundle.all_passed:
+    if not bundle.acceptance:
+        print("FAIL: no condition scenario was checked against the acceptance criteria")
+    elif bundle.all_passed:
         print("PASS: all acceptance criteria met")
         return EXIT_OK
-    print("FAIL: acceptance criteria violated")
+    else:
+        print("FAIL: acceptance criteria violated")
     return EXIT_OK if args.no_gate else EXIT_GATE_FAILED
 
 

@@ -10,6 +10,7 @@ while the checked values are built into dataclasses.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from contextlib import contextmanager
 from itertools import chain
@@ -132,6 +133,14 @@ LIST = of_types("a JSON list", list)
 NUMBER = numbers(nullable=False)
 NUMBER_OR_NULL = numbers(nullable=True)
 STRINGS = list_of(STR)
+
+
+def parse_json(text: str) -> object:
+    """``json.loads``, rejecting a document nested too deep to parse by a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
 
 
 def fields_of(cls: type, kind: Kind, **kinds: Kind) -> dict[str, Kind]:

@@ -50,6 +50,7 @@ from .errors import (
     list_of,
     located,
     one_of,
+    parse_json,
 )
 from .risk import (
     AcceptanceCriteria,
@@ -145,20 +146,19 @@ class ScenarioSummary:
 
 @dataclass(frozen=True)
 class MitigationOutcome:
-    """Before/after comparison of one mitigation applied to one scenario."""
+    """One mitigation applied to one scenario.  Its KPIs before and after
+    are the ``kpi_table`` rows of ``scenario_id`` and
+    ``mitigated_scenario_id`` (None when the mitigation is not applicable)."""
 
     mitigation_id: str
     scenario_id: str
     mitigated_scenario_id: str | None
-    applied: bool
     note: str
-    gap_mean_before: float
-    gap_mean_after: float | None
-    collision_rate_before: float
-    collision_rate_after: float | None
-    false_activation_rate_before: float
-    false_activation_rate_after: float | None
     passes_after: bool | None
+
+    @property
+    def applied(self) -> bool:
+        return self.mitigated_scenario_id is not None
 
 
 @dataclass(frozen=True)
@@ -175,12 +175,19 @@ class ReportBundle:
 
     def __post_init__(self) -> None:
         ids = {s.id for s in self.scenarios}
-        tables = ("kpi_table", "analysis_sheet", "risk_table", "acceptance", "mitigation_table")
-        for table in tables:
+        for table in ("kpi_table", "analysis_sheet", "risk_table", "acceptance"):
             for item in getattr(self, table):
                 if item.scenario_id not in ids:
                     raise ContractViolationError(
                         f"{table} references unknown scenario '{item.scenario_id}'"
+                    )
+        # A mitigation's KPIs are the kpi_table rows it names (None: not applied).
+        known = {None, *(s.scenario_id for s in self.kpi_table)}
+        for i, m in enumerate(self.mitigation_table):
+            for field in ("scenario_id", "mitigated_scenario_id"):
+                if getattr(m, field) not in known:
+                    raise ContractViolationError(
+                        f"mitigation_table[{i}].{field}: {getattr(m, field)!r} has no kpi_table row"
                     )
 
     @property
@@ -283,32 +290,18 @@ def run_campaign(
             acceptance_check(nominal_stats, stats_by_id[s.id], criteria)
             for s in conditions
         ]
-        mitigation_table = []
-        for mitigation, scenario, mitigated in trials:
-            before = stats_by_id[scenario.id]
-            after = None if mitigated is None else stats_by_id[mitigated.id]
-            mitigation_table.append(
-                MitigationOutcome(
-                    mitigation_id=mitigation.id,
-                    scenario_id=scenario.id,
-                    mitigated_scenario_id=None if mitigated is None else mitigated.id,
-                    applied=after is not None,
-                    note=_NOT_APPLICABLE if after is None else mitigation.description,
-                    gap_mean_before=before.gap_mean,
-                    gap_mean_after=None if after is None else after.gap_mean,
-                    collision_rate_before=before.collision_rate,
-                    collision_rate_after=None if after is None else after.collision_rate,
-                    false_activation_rate_before=before.false_activation_rate,
-                    false_activation_rate_after=(
-                        None if after is None else after.false_activation_rate
-                    ),
-                    passes_after=(
-                        None
-                        if after is None
-                        else acceptance_check(nominal_stats, after, criteria).passed
-                    ),
-                )
+        mitigation_table = [
+            MitigationOutcome(mitigation.id, scenario.id, None, _NOT_APPLICABLE, None)
+            if mitigated is None
+            else MitigationOutcome(
+                mitigation.id,
+                scenario.id,
+                mitigated.id,
+                mitigation.description,
+                acceptance_check(nominal_stats, stats_by_id[mitigated.id], criteria).passed,
             )
+            for mitigation, scenario, mitigated in trials
+        ]
 
     leaves_by_root = {
         root.id: sum(
@@ -500,17 +493,7 @@ _BUNDLE_TABLES = {
     ),
     "mitigation_table": _Table(
         fields_of(
-            MitigationOutcome,
-            NUMBER_OR_NULL,
-            mitigation_id=STR,
-            scenario_id=STR,
-            mitigated_scenario_id=STR_OR_NULL,
-            applied=BOOL,
-            note=STR,
-            gap_mean_before=NUMBER,
-            collision_rate_before=NUMBER,
-            false_activation_rate_before=NUMBER,
-            passes_after=BOOL_OR_NULL,
+            MitigationOutcome, STR, mitigated_scenario_id=STR_OR_NULL, passes_after=BOOL_OR_NULL
         ),
         dataclasses.asdict,
         lambda d: MitigationOutcome(**d),
@@ -706,7 +689,7 @@ def load_bundle(path: str | Path) -> ReportBundle:
     p = Path(path)
     if p.is_dir():
         p = p / "bundle.json"
-    return bundle_from_dict(json.loads(p.read_text(encoding="utf-8")))
+    return bundle_from_dict(parse_json(p.read_text(encoding="utf-8")))
 
 
 def _fmt(x: float | None, digits: int = 3) -> str:
@@ -715,6 +698,10 @@ def _fmt(x: float | None, digits: int = 3) -> str:
     if math.isinf(x):
         return "unbounded"
     return f"{x:.{digits}f}"
+
+
+# The summary's mitigation columns: each KPI before -> after, and its digits.
+_MITIGATION_KPIS = (("gap_mean", 3), ("collision_rate", 2), ("false_activation_rate", 2))
 
 
 def emit_markdown_summary(bundle: ReportBundle) -> str:
@@ -740,17 +727,14 @@ def emit_markdown_summary(bundle: ReportBundle) -> str:
         )
     lines.append("")
 
+    lines.append("## Acceptance")
+    lines.append("")
     if not bundle.acceptance:
-        lines.append("## Acceptance")
-        lines.append("")
         lines.append(
             "Nominal-only run: no triggering conditions were relevant for this ODD; "
             "only the nominal scenario was exercised."
         )
-        lines.append("")
     else:
-        lines.append("## Acceptance")
-        lines.append("")
         failed = [v for v in bundle.acceptance if not v.passed]
         if not failed:
             lines.append("All acceptance criteria met.")
@@ -773,7 +757,7 @@ def emit_markdown_summary(bundle: ReportBundle) -> str:
             lines.append(
                 f"| {v.scenario_id} | {'pass' if v.passed else 'FAIL'} | {clauses} |"
             )
-        lines.append("")
+    lines.append("")
 
     hazard_links: dict[str, list[RiskResult]] = {}
     for r in bundle.risk_table:
@@ -818,6 +802,7 @@ def emit_markdown_summary(bundle: ReportBundle) -> str:
         lines.append("")
 
     if bundle.mitigation_table:
+        kpis = {s.scenario_id: s for s in bundle.kpi_table}
         lines.append("## Mitigations")
         lines.append("")
         lines.append(
@@ -825,16 +810,16 @@ def emit_markdown_summary(bundle: ReportBundle) -> str:
         )
         lines.append("| --- | --- | --- | --- | --- | --- | --- |")
         for m in bundle.mitigation_table:
-            gap = f"{_fmt(m.gap_mean_before)} -> {_fmt(m.gap_mean_after)}"
-            coll = f"{_fmt(m.collision_rate_before, 2)} -> {_fmt(m.collision_rate_after, 2)}"
-            false = (
-                f"{_fmt(m.false_activation_rate_before, 2)} -> "
-                f"{_fmt(m.false_activation_rate_after, 2)}"
+            before = kpis[m.scenario_id]
+            after = kpis.get(m.mitigated_scenario_id)  # None when not applied
+            changes = " | ".join(
+                f"{_fmt(getattr(before, kpi), digits)} -> {_fmt(getattr(after, kpi, None), digits)}"
+                for kpi, digits in _MITIGATION_KPIS
             )
             passes = "-" if m.passes_after is None else ("yes" if m.passes_after else "no")
             lines.append(
                 f"| {m.mitigation_id} | {m.scenario_id} | {'yes' if m.applied else 'no'} "
-                f"| {gap} | {coll} | {false} | {passes} |"
+                f"| {changes} | {passes} |"
             )
         lines.append("")
 

@@ -23,7 +23,6 @@ real-world data-availability problem, and this tool's job is propagation.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -49,6 +48,7 @@ from .errors import (
     check_unique,
     fields_of,
     located,
+    parse_json,
 )
 from .simulator import SweepStats
 
@@ -351,7 +351,7 @@ def evaluate_residual_risk(
 def load_occurrences(path: str | Path) -> list[OccurrenceSpec]:
     """Load occurrence specs from a JSON list."""
     with located(str(path)):
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = parse_json(Path(path).read_text(encoding="utf-8"))
     check_items(data, str(path), {"leaf_id": STR, "exposure_rate": NUMBER}, {"source": STR})
     check_unique(data, str(path), "leaf_id")
     specs = []
@@ -365,7 +365,7 @@ def load_criteria(path: str | Path) -> AcceptanceCriteria:
     """Load acceptance criteria from JSON."""
     with located(str(path)):
         data = check_object(
-            json.loads(Path(path).read_text(encoding="utf-8")),
+            parse_json(Path(path).read_text(encoding="utf-8")),
             "",
             fields_of(AcceptanceCriteria, NUMBER),
         )

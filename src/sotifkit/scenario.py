@@ -33,6 +33,7 @@ from .errors import (
     fields_of,
     located,
     of_types,
+    parse_json,
 )
 from .taxonomy import TriggeringCondition
 
@@ -358,7 +359,7 @@ def load_odd(path: str | Path) -> OddDefinition:
     """Load an ODD definition from JSON."""
     with located(str(path)):
         data = check_object(
-            json.loads(Path(path).read_text(encoding="utf-8")),
+            parse_json(Path(path).read_text(encoding="utf-8")),
             "",
             fields_of(OddDefinition, NUMBER, odd_tags=STRINGS, vehicle=OBJECT),
         )
@@ -373,7 +374,7 @@ def load_effect_mapping(path: str | Path) -> EffectMapping:
     """Load an effect-mapping table from JSON."""
     with located(str(path)):
         data = check_object(
-            json.loads(Path(path).read_text(encoding="utf-8")),
+            parse_json(Path(path).read_text(encoding="utf-8")),
             "",
             {},
             fields_of(
@@ -393,7 +394,7 @@ def load_effect_mapping(path: str | Path) -> EffectMapping:
 def load_mitigations(path: str | Path) -> list[MitigationSpec]:
     """Load a list of mitigation specs from JSON."""
     with located(str(path)):
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = parse_json(Path(path).read_text(encoding="utf-8"))
     check_items(
         data,
         str(path),

@@ -37,6 +37,7 @@ from .errors import (
     check_items,
     check_object,
     one_of,
+    parse_json,
 )
 
 __all__ = [
@@ -148,7 +149,7 @@ def parse_taxonomy(document: str) -> Taxonomy:
     line and column of a syntax error, the field otherwise.
     """
     try:
-        data = check_object(json.loads(document), "", {"version": INT, "roots": LIST})
+        data = check_object(parse_json(document), "", {"version": INT, "roots": LIST})
         if data["version"] != FORMAT_VERSION:
             raise ValueError(
                 f"version: unsupported version {data['version']}, expected {FORMAT_VERSION}"

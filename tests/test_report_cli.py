@@ -125,21 +125,26 @@ MALFORMED_INPUTS = {
     ),
 }
 
-# Complete bundle rows, each with one key too many.
-_MITIGATION_ROW_EXTRA_KEY = {
+_MITIGATION_ROW = {
     "mitigation_id": "m",
     "scenario_id": "s",
     "mitigated_scenario_id": None,
-    "applied": False,
     "note": "n",
+    "passes_after": None,
+}
+# Complete bundle rows, each with one key too many.
+_MITIGATION_ROW_EXTRA_KEY = {**_MITIGATION_ROW, "colour": "red"}
+# A row as earlier versions wrote it: `applied`, and copies of the kpi_table
+# values of `scenario_id` and `mitigated_scenario_id`.
+_MITIGATION_ROW_WITH_KPI_COPIES = {
+    **_MITIGATION_ROW,
+    "applied": False,
     "gap_mean_before": 1.0,
     "gap_mean_after": None,
     "collision_rate_before": 0.0,
     "collision_rate_after": None,
     "false_activation_rate_before": 0.0,
     "false_activation_rate_after": None,
-    "passes_after": None,
-    "colour": "red",
 }
 _VERDICT_VIOLATION_EXTRA_KEY = {
     "scenario_id": "s",
@@ -224,6 +229,7 @@ class TestRunCampaign:
         applied = [m for m in table if m.applied]
         skipped = [m for m in table if not m.applied]
         assert applied and skipped
+        assert all(m.passes_after is None for m in skipped)
         # Winter tires fix the icy scenario at matched seeds.
         icy = next(
             m
@@ -231,10 +237,14 @@ class TestRunCampaign:
             if m.mitigation_id == "winter-tires" and m.scenario_id == "surface-icy"
         )
         assert icy.applied
-        assert icy.collision_rate_before == 1.0
-        assert icy.collision_rate_after == 0.0
-        assert icy.gap_mean_after > icy.gap_mean_before
-        # Mitigated scenarios appear in the scenario list and KPI table.
+        assert icy.mitigated_scenario_id == "surface-icy+winter-tires"
+        # Its KPIs before and after are the kpi_table rows it names.
+        kpis = {s.scenario_id: s for s in small_bundle.kpi_table}
+        before, after = kpis[icy.scenario_id], kpis[icy.mitigated_scenario_id]
+        assert before.collision_rate == 1.0
+        assert after.collision_rate == 0.0
+        assert after.gap_mean > before.gap_mean
+        # Mitigated scenarios appear in the scenario list.
         assert any(s.id == "surface-icy+winter-tires" for s in small_bundle.scenarios)
 
     def test_deterministic_minus_timestamp(self, campaign_inputs):
@@ -700,6 +710,32 @@ class TestCli:
         assert "stage 'load'" in err and str(path) in err
         assert "Traceback" not in err
 
+    # A campaign with no condition scenario has nothing to pass: the gate
+    # fails it, unless --no-gate.
+    @pytest.mark.parametrize(
+        "flag, document",
+        [
+            ("--taxonomy", {"version": 1, "roots": []}),
+            ("--odd", {**_FIXTURE_ODD, "odd_tags": ["no-such-tag"]}),
+        ],
+        ids=["empty-taxonomy", "odd-tags-match-no-leaf"],
+    )
+    @pytest.mark.parametrize(
+        "gate, code", [([], EXIT_GATE_FAILED), (["--no-gate"], EXIT_OK)], ids=["gate", "no-gate"]
+    )
+    def test_run_without_condition_scenarios(self, flag, document, gate, code, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        out = tmp_path / "bundle"
+        args = self._run_args(out, gate)
+        args[args.index(flag) + 1] = str(path)
+        assert main(args) == code
+        stdout = capsys.readouterr().out
+        assert "acceptance: 0/0 condition scenarios" in stdout
+        assert "FAIL: no condition scenario was checked" in stdout
+        assert "PASS" not in stdout
+        assert load_bundle(out).acceptance == ()
+
     def test_run_rejects_what_report_would_reject(self, tmp_path, capsys):
         # A mitigation id that is not a string fails at load, instead of
         # giving a bundle that `sotifkit report` cannot read.
@@ -779,6 +815,11 @@ class TestCli:
             ("acceptance", None, "acceptance: "),
             ("mitigation_table", [_MITIGATION_ROW_EXTRA_KEY], "mitigation_table[0]: "),
             (
+                "mitigation_table",
+                [_MITIGATION_ROW_WITH_KPI_COPIES],
+                "mitigation_table[0]: unknown keys ['applied', 'collision_rate_after', ",
+            ),
+            (
                 "acceptance",
                 {"criteria": _FIXTURE_CRITERIA, "verdicts": [_VERDICT_VIOLATION_EXTRA_KEY]},
                 "acceptance.verdicts[0].violations[0]: ",
@@ -836,6 +877,7 @@ class TestCli:
             "criteria-empty",
             "acceptance-null",
             "mitigation-item-extra-key",
+            "mitigation-item-with-kpi-copies",
             "violation-item-extra-key",
             "category-path-int",
             "risk-level-int",
@@ -861,6 +903,26 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", str(out)]) == EXIT_ERROR
         assert f"cannot load bundle {out}: {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["scenario_id", "mitigated_scenario_id"])
+    def test_report_mitigation_without_kpi_row(self, field, tmp_path, capsys):
+        # A mitigation's KPIs are the kpi_table rows it names: a bundle
+        # without them is rejected, not summarized.
+        out = tmp_path / "bundle"
+        mitigations = ["--no-gate", "--mitigations", str(fixture_path("mitigations.json"))]
+        main(self._run_args(out, mitigations))
+        data = json.loads((out / "bundle.json").read_text())
+        table = data["mitigation_table"]
+        missing = next(m for m in table if m["mitigated_scenario_id"])[field]
+        data["kpi_table"] = [k for k in data["kpi_table"] if k["scenario_id"] != missing]
+        (out / "bundle.json").write_text(json.dumps(data))
+        i = next(i for i, m in enumerate(table) if m[field] == missing)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_ERROR
+        assert (
+            f"cannot load bundle {out}: mitigation_table[{i}].{field}: "
+            f"{missing!r} has no kpi_table row"
+        ) in capsys.readouterr().err
 
     def test_report_well_typed_rows(self, tmp_path, capsys):
         # The rows that the malformed cases above spoil load as they are.
@@ -900,6 +962,30 @@ class TestCli:
     def test_report_missing_bundle(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == EXIT_ERROR
         assert "cannot load" in capsys.readouterr().err
+
+
+# A JSON document nested deeper than the parser reaches.
+_DEEP_JSON = "[" * 2000 + "]" * 2000
+
+
+@pytest.mark.parametrize("command", [*sorted(_INPUT_DOCUMENTS), "taxonomy validate", "report"])
+def test_deep_json_is_rejected_naming_the_file(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_JSON)
+    if command == "taxonomy validate":
+        args = ["taxonomy", "validate", str(path)]
+    elif command == "report":
+        args = ["report", str(path)]
+    else:
+        args = TestCli()._run_args(tmp_path / "bundle")
+        if command in args:
+            args[args.index(command) + 1] = str(path)
+        else:
+            args += [command, str(path)]
+    assert main(args) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"{path}: " in err
+    assert "Traceback" not in err and "RecursionError" not in err
 
 
 class TestInputDigests:
