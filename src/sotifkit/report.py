@@ -14,8 +14,8 @@ output format.
 
 from __future__ import annotations
 
+import copy
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -355,16 +355,48 @@ def _from_json_float(x: float | None) -> float:
     return math.inf if x is None else x
 
 
+def _fields_to_dict(item: object, fields: Iterable[str]) -> dict:
+    """A fresh dict of ``item``'s attributes, keyed and ordered by ``fields``.
+    Every value must be immutable or replaced by the caller with a copy."""
+    return {name: getattr(item, name) for name in fields}
+
+
+_STATS_FIELDS = fields_of(
+    SweepStats,
+    NUMBER,
+    scenario_id=STR,
+    runs=INT,
+    ttc_at_trigger_min=NUMBER_OR_NULL,
+    odd_fingerprint=STR,
+)
+
+
 def _stats_to_dict(s: SweepStats) -> dict:
-    return {**dataclasses.asdict(s), "ttc_at_trigger_min": _json_float(s.ttc_at_trigger_min)}
+    item = _fields_to_dict(s, _STATS_FIELDS)
+    item["ttc_at_trigger_min"] = _json_float(s.ttc_at_trigger_min)
+    return item
 
 
 def _stats_from_dict(d: Mapping) -> SweepStats:
     return SweepStats(**{**d, "ttc_at_trigger_min": _from_json_float(d["ttc_at_trigger_min"])})
 
 
+_SUMMARY_FIELDS = fields_of(
+    ScenarioSummary,
+    STR,
+    leaf_id=STR_OR_NULL,
+    category_path=STRINGS,
+    intensity=STR_OR_NULL,
+    effects=OBJECT,
+    seed=INT,
+)
+
+
 def _summary_to_dict(s: ScenarioSummary) -> dict:
-    return {**dataclasses.asdict(s), "category_path": list(s.category_path)}
+    item = _fields_to_dict(s, _SUMMARY_FIELDS)
+    item["category_path"] = list(s.category_path)
+    item["effects"] = dict(s.effects)
+    return item
 
 
 def _summary_from_dict(d: Mapping) -> ScenarioSummary:
@@ -435,34 +467,15 @@ class _Table(NamedTuple):
     from_dict: Callable[[Mapping], Any]
 
 
+_MITIGATION_FIELDS = fields_of(
+    MitigationOutcome, STR, mitigated_scenario_id=STR_OR_NULL, passes_after=BOOL_OR_NULL
+)
+
 # Every table of the bundle, in bundle.json's order, keyed by its section
 # (which is also its ReportBundle attribute).
 _BUNDLE_TABLES = {
-    "scenarios": _Table(
-        fields_of(
-            ScenarioSummary,
-            STR,
-            leaf_id=STR_OR_NULL,
-            category_path=STRINGS,
-            intensity=STR_OR_NULL,
-            effects=OBJECT,
-            seed=INT,
-        ),
-        _summary_to_dict,
-        _summary_from_dict,
-    ),
-    "kpi_table": _Table(
-        fields_of(
-            SweepStats,
-            NUMBER,
-            scenario_id=STR,
-            runs=INT,
-            ttc_at_trigger_min=NUMBER_OR_NULL,
-            odd_fingerprint=STR,
-        ),
-        _stats_to_dict,
-        _stats_from_dict,
-    ),
+    "scenarios": _Table(_SUMMARY_FIELDS, _summary_to_dict, _summary_from_dict),
+    "kpi_table": _Table(_STATS_FIELDS, _stats_to_dict, _stats_from_dict),
     "analysis_sheet": _Table(
         {
             "scenario_id": STR,
@@ -492,10 +505,8 @@ _BUNDLE_TABLES = {
         risk_from_dict,
     ),
     "mitigation_table": _Table(
-        fields_of(
-            MitigationOutcome, STR, mitigated_scenario_id=STR_OR_NULL, passes_after=BOOL_OR_NULL
-        ),
-        dataclasses.asdict,
+        _MITIGATION_FIELDS,
+        lambda m: _fields_to_dict(m, _MITIGATION_FIELDS),
         lambda d: MitigationOutcome(**d),
     ),
 }
@@ -522,19 +533,25 @@ _BUNDLE_SECTIONS = {
 
 
 def _verdict_to_dict(v: AcceptanceVerdict) -> dict:
-    return {**dataclasses.asdict(v), "violations": [dataclasses.asdict(x) for x in v.violations]}
+    item = _fields_to_dict(v, _VERDICT_FIELDS)
+    item["violations"] = [_fields_to_dict(x, _VIOLATION_FIELDS) for x in v.violations]
+    return item
 
 
 def bundle_to_dict(bundle: ReportBundle) -> dict:
+    """The bundle as bundle.json holds it: fresh dicts and lists only, so a
+    caller may change the result without touching ``bundle``."""
+    meta = _fields_to_dict(bundle.meta, _META_FIELDS)
+    meta["input_digests"] = dict(bundle.meta.input_digests)
     return {
-        "meta": dataclasses.asdict(bundle.meta),
-        "taxonomy_summary": dict(bundle.taxonomy_summary),
+        "meta": meta,
+        "taxonomy_summary": copy.deepcopy(bundle.taxonomy_summary),
         **{
             name: [table.to_dict(item) for item in getattr(bundle, name)]
             for name, table in _BUNDLE_TABLES.items()
         },
         "acceptance": {
-            "criteria": dataclasses.asdict(bundle.criteria),
+            "criteria": _fields_to_dict(bundle.criteria, _CRITERIA_FIELDS),
             "verdicts": list(map(_verdict_to_dict, bundle.acceptance)),
             "all_passed": bundle.all_passed,
         },

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import core
 from .errors import ParameterError, SimulationError
-from .scenario import Scenario, derive_seed
+from .scenario import OddDefinition, Scenario, derive_seed
 
 __all__ = [
     "SimConfig",
@@ -585,7 +585,7 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
     return report
 
 
-def _aggregate(scenario: Scenario, kpis: Sequence[KpiReport]) -> SweepStats:
+def _aggregate(scenario: Scenario, kpis: Sequence[KpiReport], odd_fingerprint: str) -> SweepStats:
     gaps = [k.final_gap for k in kpis]
     speeds = [k.impact_speed for k in kpis]
     n = len(kpis)
@@ -601,7 +601,7 @@ def _aggregate(scenario: Scenario, kpis: Sequence[KpiReport]) -> SweepStats:
         impact_speed_min=min(speeds),
         impact_speed_max=max(speeds),
         ttc_at_trigger_min=min(k.ttc_at_trigger for k in kpis),
-        odd_fingerprint=scenario.odd.fingerprint(),
+        odd_fingerprint=odd_fingerprint,
     )
 
 
@@ -622,6 +622,8 @@ def monte_carlo_sweep(
         cfg = SimConfig()
 
     results: list[SweepStats] = []
+    # Most scenarios of a campaign share one ODD: fingerprint each ODD once.
+    fingerprints: dict[OddDefinition, str] = {}
     for scenario in scenarios:
         try:
             kpis = [
@@ -630,7 +632,10 @@ def monte_carlo_sweep(
             ]
         except SimulationError as exc:
             raise SimulationError(f"scenario '{scenario.id}': {exc}") from exc
-        results.append(_aggregate(scenario, kpis))
+        fingerprint = fingerprints.get(scenario.odd)
+        if fingerprint is None:
+            fingerprint = fingerprints[scenario.odd] = scenario.odd.fingerprint()
+        results.append(_aggregate(scenario, kpis, fingerprint))
     return results
 
 
@@ -641,9 +646,9 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
         for trace in traces:
             line = {
                 "scenario_id": trace.scenario_id,
-                "terminal": trace.terminal.value,
+                "terminal": trace.terminal,
                 "events": [
-                    {"time": e.time, "stage": e.stage.value, "kind": e.kind.value, "gap": e.gap}
+                    {"time": e.time, "stage": e.stage, "kind": e.kind, "gap": e.gap}
                     for e in trace.events
                 ],
                 "states": [

@@ -24,7 +24,14 @@ from sotifkit.cli import EXIT_GATE_FAILED, main
 from sotifkit.fixtures import fixture_path
 
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_FILES = ("kpis.csv", "risk.csv", "analysis_sheet.csv", "summary.md", "bundle.json")
+GOLDEN_FILES = (
+    "kpis.csv",
+    "risk.csv",
+    "analysis_sheet.csv",
+    "summary.md",
+    "bundle.json",
+    "traces/traces.jsonl",
+)
 
 
 @pytest.fixture(scope="module")

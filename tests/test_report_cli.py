@@ -355,6 +355,20 @@ class TestBundlePersistence:
         # bundle_to_dict gives what the file holds: lists, not tuples.
         assert bundle_from_dict(bundle_to_dict(small_bundle)) == small_bundle
 
+    def test_dict_is_fresh(self, small_bundle):
+        # A caller may edit the dict: nothing of it is shared with the bundle.
+        data = bundle_to_dict(small_bundle)
+        expected = copy.deepcopy(data)
+        data["kpi_table"][1]["collision_rate"] += 0.5
+        scenario = data["scenarios"][1]
+        scenario["effects"]["ghost_rate"] = 0.5
+        scenario["category_path"].append("edited")
+        data["meta"]["input_digests"]["edited"] = "0" * 64
+        data["taxonomy_summary"]["leaves_by_root"]["edited"] = 1
+        verdict = next(v for v in data["acceptance"]["verdicts"] if v["violations"])
+        verdict["violations"][0]["measured"] = -1.0
+        assert bundle_to_dict(small_bundle) == expected
+
 
 # Any JSON value, biased towards the names and shapes a bundle holds.
 _JSON_VALUES = st.recursive(

@@ -688,6 +688,20 @@ class TestSweep:
         assert stats.gap_min == stats.gap_max == stats.gap_mean
         assert stats.collision_rate == 0.0 and stats.false_activation_rate == 0.0
 
+    def test_each_row_has_its_own_odd_fingerprint(self, baseline_vehicle):
+        odd_a = baseline_odd(baseline_vehicle)
+        odd_b = baseline_odd(baseline_vehicle, d_object=60.0)
+        # The vehicle is left out of the fingerprint, but not out of the ODD.
+        odd_a_upgraded = dataclasses.replace(
+            odd_a, vehicle=dataclasses.replace(baseline_vehicle, rho=0.1)
+        )
+        odds = (odd_a, odd_b, odd_a, odd_a_upgraded)
+        scenarios = [make_scenario(odd, scenario_id=f"s{i}") for i, odd in enumerate(odds)]
+        stats = monte_carlo_sweep(scenarios, runs_per_scenario=1)
+        assert [s.odd_fingerprint for s in stats] == [odd.fingerprint() for odd in odds]
+        assert odd_a.fingerprint() != odd_b.fingerprint()
+        assert odd_a.fingerprint() == odd_a_upgraded.fingerprint()
+
     def test_empty_scenario_list(self):
         assert monte_carlo_sweep([], runs_per_scenario=5) == []
 
