@@ -22,6 +22,7 @@ from .errors import PipelineError, SotifkitError
 from .report import (
     emit_markdown_summary,
     file_digest,
+    hazard_links,
     load_bundle,
     run_campaign,
     write_bundle,
@@ -146,12 +147,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     passed = sum(1 for v in bundle.acceptance if v.passed)
     print(f"acceptance: {passed}/{len(bundle.acceptance)} condition scenarios within criteria")
 
-    linked: dict[str, list[str]] = {}
-    for r in bundle.risk_table:
-        if r.hazard_id is not None:
-            linked.setdefault(r.hazard_id, []).append(r.scenario_id)
-    for hazard_id in sorted(linked):
-        print(f"hazard {hazard_id}: {', '.join(linked[hazard_id])}")
+    for hazard_id, scenario_ids in hazard_links(bundle.risk_table).items():
+        print(f"hazard {hazard_id}: {', '.join(scenario_ids)}")
 
     if not bundle.acceptance:
         print("FAIL: no condition scenario was checked against the acceptance criteria")

@@ -9,7 +9,10 @@ the timestamp) from the same inputs.
 
 This module owns the bundle's on-disk form: the JSON codec of every table
 and the CSV tables.  The other modules compute and load, and know no
-output format.
+output format.  Each item type's JSON keys, the kinds of their values and
+their encodings are declared once, as a column table (``_BUNDLE_TABLES``
+and the meta and acceptance tables beside it); that table writes, checks
+and reads the item.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -92,6 +95,7 @@ __all__ = [
     "write_bundle",
     "load_bundle",
     "emit_markdown_summary",
+    "hazard_links",
     "file_digest",
     "write_kpi_csv",
     "write_analysis_csv",
@@ -343,174 +347,91 @@ def run_campaign(
     )
 
 
-# The bundle's on-disk form.  JSON has no Infinity: an unbounded value
-# (a ttc, hours or km to hazard) is written as null.
+# The bundle's on-disk form: one _Table per item type.
 
 
-def _json_float(x: float) -> float | None:
-    return None if math.isinf(x) else x
+class _Column(NamedTuple):
+    """One JSON key of an item: its value's kind, the attribute holding it
+    (``None``: the key's own name), and the functions that code the
+    attribute's value to JSON and back (``None``: stored as it is)."""
+
+    kind: Kind
+    encode: Callable[[Any], Any] | None = None
+    decode: Callable[[Any], Any] | None = None
+    attr: str | None = None
 
 
-def _from_json_float(x: float | None) -> float:
-    return math.inf if x is None else x
+class _Table:
+    """An item type on disk: ``fields`` gives each JSON key's kind for the
+    checker, ``to_dict`` and ``from_dict`` code an item.  The columns follow
+    the item's dataclass fields, so that an item is built from its values
+    in column order.  The values are read all at once; only the coded
+    columns cost a Python call per item."""
+
+    def __init__(self, cls: type, columns: Mapping[str, Kind | _Column]):
+        columns = {k: c if isinstance(c, _Column) else _Column(c) for k, c in columns.items()}
+        self.cls = cls
+        self.fields = {key: column.kind for key, column in columns.items()}
+        self._keys = tuple(columns)
+        self._attrs = attrgetter(*(c.attr or key for key, c in columns.items()))
+        self._items = itemgetter(*columns)
+        self._encoders = [(key, c.encode) for key, c in columns.items() if c.encode]
+        self._decoders = [(i, c.decode) for i, c in enumerate(columns.values()) if c.decode]
+
+    @classmethod
+    def of(cls, item_cls: type, kind: Kind, **special: Kind | _Column) -> "_Table":
+        """The table of a dataclass whose keys are its fields: each of kind
+        ``kind``, unless ``special`` names another kind or column."""
+        return cls(item_cls, fields_of(item_cls, kind, **special))
+
+    def to_dict(self, item: object) -> dict:
+        """A fresh dict: every value is immutable or coded into a copy."""
+        data = dict(zip(self._keys, self._attrs(item)))
+        for key, encode in self._encoders:
+            data[key] = encode(data[key])
+        return data
+
+    def from_dict(self, data: Mapping) -> Any:
+        """The item of a checked dict; keys it has no column for are ignored."""
+        values = list(self._items(data))
+        for i, decode in self._decoders:
+            values[i] = decode(values[i])
+        return self.cls(*values)
 
 
-def _fields_to_dict(item: object, fields: Iterable[str]) -> dict:
-    """A fresh dict of ``item``'s attributes, keyed and ordered by ``fields``.
-    Every value must be immutable or replaced by the caller with a copy."""
-    return {name: getattr(item, name) for name in fields}
-
-
-_STATS_FIELDS = fields_of(
-    SweepStats,
-    NUMBER,
-    scenario_id=STR,
-    runs=INT,
-    ttc_at_trigger_min=NUMBER_OR_NULL,
-    odd_fingerprint=STR,
+# JSON has no Infinity: an unbounded value (a ttc, hours or km to hazard)
+# is written as null.
+_UNBOUNDED = _Column(
+    NUMBER_OR_NULL,
+    lambda x: None if math.isinf(x) else x,
+    lambda x: math.inf if x is None else x,
 )
+_STRINGS = _Column(STRINGS, list, tuple)
+# A mapping is written as a copy, so that the written dict is fresh.
+_MAPPING = _Column(OBJECT, dict)
 
 
-def _stats_to_dict(s: SweepStats) -> dict:
-    item = _fields_to_dict(s, _STATS_FIELDS)
-    item["ttc_at_trigger_min"] = _json_float(s.ttc_at_trigger_min)
-    return item
+def _named(cls: type, name: Callable[[Any], str] = attrgetter("name")) -> _Column:
+    """An enum member written as its ``name`` (or another name it has)."""
+    names = {member: name(member) for member in cls}
+    members = {label: member for member, label in names.items()}
+    return _Column(one_of(members), names.__getitem__, members.__getitem__)
 
 
-def _stats_from_dict(d: Mapping) -> SweepStats:
-    return SweepStats(**{**d, "ttc_at_trigger_min": _from_json_float(d["ttc_at_trigger_min"])})
-
-
-_SUMMARY_FIELDS = fields_of(
-    ScenarioSummary,
+_SEVERITY = _named(Severity)
+_VIOLATIONS = _Table.of(Violation, NUMBER, clause=STR)
+_VERDICTS = _Table.of(
+    AcceptanceVerdict,
     STR,
-    leaf_id=STR_OR_NULL,
-    category_path=STRINGS,
-    intensity=STR_OR_NULL,
-    effects=OBJECT,
-    seed=INT,
+    passed=BOOL,
+    violations=_Column(
+        list_of(OBJECT),
+        lambda violations: list(map(_VIOLATIONS.to_dict, violations)),
+        lambda items: tuple(map(_VIOLATIONS.from_dict, items)),
+    ),
 )
-
-
-def _summary_to_dict(s: ScenarioSummary) -> dict:
-    item = _fields_to_dict(s, _SUMMARY_FIELDS)
-    item["category_path"] = list(s.category_path)
-    item["effects"] = dict(s.effects)
-    return item
-
-
-def _summary_from_dict(d: Mapping) -> ScenarioSummary:
-    return ScenarioSummary(**{**d, "category_path": tuple(d["category_path"])})
-
-
-def row_to_dict(row: AnalysisRow) -> dict:
-    return {
-        "scenario_id": row.scenario_id,
-        "triggering_condition": row.leaf_id,
-        "category_path": list(row.category_path),
-        "affected_subsystems": sorted(s.value for s in row.affected_subsystems),
-        "severity": row.severity.name,
-        "controllability": row.controllability.name,
-        "hazards": list(row.linked_hazard_ids),
-        "rationale": row.rationale,
-    }
-
-
-def row_from_dict(data: Mapping) -> AnalysisRow:
-    return AnalysisRow(
-        scenario_id=data["scenario_id"],
-        leaf_id=data["triggering_condition"],
-        category_path=tuple(data["category_path"]),
-        affected_subsystems=frozenset(Stage(s) for s in data["affected_subsystems"]),
-        severity=Severity[data["severity"]],
-        controllability=Controllability[data["controllability"]],
-        linked_hazard_ids=tuple(data["hazards"]),
-        rationale=data["rationale"],
-    )
-
-
-def risk_to_dict(r: RiskResult) -> dict:
-    return {
-        "scenario_id": r.scenario_id,
-        "hazard_id": r.hazard_id,
-        "severity": r.severity.name,
-        "occurrence_class": r.occurrence_class.name,
-        "risk_level": r.risk_level.label,
-        "hazard_rate_per_hour": r.hazard_rate_per_hour,
-        "hours_to_hazard": _json_float(r.hours_to_hazard),
-        "km_to_hazard": _json_float(r.km_to_hazard),
-    }
-
-
-def risk_from_dict(data: Mapping) -> RiskResult:
-    return RiskResult(
-        scenario_id=data["scenario_id"],
-        hazard_id=data["hazard_id"],
-        severity=Severity[data["severity"]],
-        occurrence_class=OccurrenceClass[data["occurrence_class"]],
-        risk_level=RiskLevel[data["risk_level"].upper()],
-        hazard_rate_per_hour=data["hazard_rate_per_hour"],
-        hours_to_hazard=_from_json_float(data["hours_to_hazard"]),
-        km_to_hazard=_from_json_float(data["km_to_hazard"]),
-    )
-
-
-_SEVERITY = one_of(Severity.__members__)
-
-
-class _Table(NamedTuple):
-    """One bundle table on disk: each item's keys with the kind of their
-    values, and the item codec."""
-
-    fields: Mapping[str, Kind]
-    to_dict: Callable[[Any], dict]
-    from_dict: Callable[[Mapping], Any]
-
-
-_MITIGATION_FIELDS = fields_of(
-    MitigationOutcome, STR, mitigated_scenario_id=STR_OR_NULL, passes_after=BOOL_OR_NULL
-)
-
-# Every table of the bundle, in bundle.json's order, keyed by its section
-# (which is also its ReportBundle attribute).
-_BUNDLE_TABLES = {
-    "scenarios": _Table(_SUMMARY_FIELDS, _summary_to_dict, _summary_from_dict),
-    "kpi_table": _Table(_STATS_FIELDS, _stats_to_dict, _stats_from_dict),
-    "analysis_sheet": _Table(
-        {
-            "scenario_id": STR,
-            "triggering_condition": STR,
-            "category_path": STRINGS,
-            "affected_subsystems": list_of(one_of(s.value for s in Stage)),
-            "severity": _SEVERITY,
-            "controllability": one_of(Controllability.__members__),
-            "hazards": STRINGS,
-            "rationale": STR,
-        },
-        row_to_dict,
-        row_from_dict,
-    ),
-    "risk_table": _Table(
-        {
-            "scenario_id": STR,
-            "hazard_id": STR_OR_NULL,
-            "severity": _SEVERITY,
-            "occurrence_class": one_of(OccurrenceClass.__members__),
-            "risk_level": one_of(level.label for level in RiskLevel),
-            "hazard_rate_per_hour": NUMBER,
-            "hours_to_hazard": NUMBER_OR_NULL,
-            "km_to_hazard": NUMBER_OR_NULL,
-        },
-        risk_to_dict,
-        risk_from_dict,
-    ),
-    "mitigation_table": _Table(
-        _MITIGATION_FIELDS,
-        lambda m: _fields_to_dict(m, _MITIGATION_FIELDS),
-        lambda d: MitigationOutcome(**d),
-    ),
-}
-_META_FIELDS = fields_of(
+_CRITERIA = _Table.of(AcceptanceCriteria, NUMBER)
+_META = _Table.of(
     RunMeta,
     STR,
     base_seed=INT,
@@ -518,12 +439,62 @@ _META_FIELDS = fields_of(
     dt=NUMBER,
     max_time=NUMBER,
     perception_tick=NUMBER,
-    input_digests=OBJECT,
+    input_digests=_MAPPING,
     odd_well_formed=BOOL,
 )
-_CRITERIA_FIELDS = fields_of(AcceptanceCriteria, NUMBER)
-_VERDICT_FIELDS = fields_of(AcceptanceVerdict, STR, passed=BOOL, violations=list_of(OBJECT))
-_VIOLATION_FIELDS = fields_of(Violation, NUMBER, clause=STR)
+
+# Every table of the bundle, in bundle.json's order, keyed by its section
+# (which is also its ReportBundle attribute).
+_BUNDLE_TABLES = {
+    "scenarios": _Table.of(
+        ScenarioSummary,
+        STR,
+        leaf_id=STR_OR_NULL,
+        category_path=_STRINGS,
+        intensity=STR_OR_NULL,
+        effects=_MAPPING,
+        seed=INT,
+    ),
+    "kpi_table": _Table.of(
+        SweepStats,
+        NUMBER,
+        scenario_id=STR,
+        runs=INT,
+        ttc_at_trigger_min=_UNBOUNDED,
+        odd_fingerprint=STR,
+    ),
+    "analysis_sheet": _Table(
+        AnalysisRow,
+        {
+            "scenario_id": STR,
+            "triggering_condition": _Column(STR, attr="leaf_id"),
+            "category_path": _STRINGS,
+            "affected_subsystems": _Column(
+                list_of(one_of(s.value for s in Stage)),
+                lambda stages: sorted(s.value for s in stages),
+                lambda values: frozenset(map(Stage, values)),
+            ),
+            "severity": _SEVERITY,
+            "controllability": _named(Controllability),
+            "hazards": _STRINGS._replace(attr="linked_hazard_ids"),
+            "rationale": STR,
+        },
+    ),
+    "risk_table": _Table.of(
+        RiskResult,
+        NUMBER,
+        scenario_id=STR,
+        hazard_id=STR_OR_NULL,
+        severity=_SEVERITY,
+        occurrence_class=_named(OccurrenceClass),
+        risk_level=_named(RiskLevel, attrgetter("label")),
+        hours_to_hazard=_UNBOUNDED,
+        km_to_hazard=_UNBOUNDED,
+    ),
+    "mitigation_table": _Table.of(
+        MitigationOutcome, STR, mitigated_scenario_id=STR_OR_NULL, passes_after=BOOL_OR_NULL
+    ),
+}
 _BUNDLE_SECTIONS = {
     "meta": OBJECT,
     "taxonomy_summary": OBJECT,
@@ -532,27 +503,19 @@ _BUNDLE_SECTIONS = {
 }
 
 
-def _verdict_to_dict(v: AcceptanceVerdict) -> dict:
-    item = _fields_to_dict(v, _VERDICT_FIELDS)
-    item["violations"] = [_fields_to_dict(x, _VIOLATION_FIELDS) for x in v.violations]
-    return item
-
-
 def bundle_to_dict(bundle: ReportBundle) -> dict:
     """The bundle as bundle.json holds it: fresh dicts and lists only, so a
     caller may change the result without touching ``bundle``."""
-    meta = _fields_to_dict(bundle.meta, _META_FIELDS)
-    meta["input_digests"] = dict(bundle.meta.input_digests)
     return {
-        "meta": meta,
+        "meta": _META.to_dict(bundle.meta),
         "taxonomy_summary": copy.deepcopy(bundle.taxonomy_summary),
         **{
-            name: [table.to_dict(item) for item in getattr(bundle, name)]
+            name: list(map(table.to_dict, getattr(bundle, name)))
             for name, table in _BUNDLE_TABLES.items()
         },
         "acceptance": {
-            "criteria": _fields_to_dict(bundle.criteria, _CRITERIA_FIELDS),
-            "verdicts": list(map(_verdict_to_dict, bundle.acceptance)),
+            "criteria": _CRITERIA.to_dict(bundle.criteria),
+            "verdicts": list(map(_VERDICTS.to_dict, bundle.acceptance)),
             "all_passed": bundle.all_passed,
         },
     }
@@ -570,34 +533,26 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
         name: tuple(map(table.from_dict, check_items(data[name], name, table.fields)))
         for name, table in _BUNDLE_TABLES.items()
     }
-    raw_verdicts = check_items(acceptance["verdicts"], "acceptance.verdicts", _VERDICT_FIELDS)
+    verdicts = check_items(acceptance["verdicts"], "acceptance.verdicts", _VERDICTS.fields)
     # The violations of all verdicts are checked at once; only a failure is
     # searched verdict by verdict.
-    violations = [v["violations"] for v in raw_verdicts]
-    if not items_pass(list(chain.from_iterable(violations)), _VIOLATION_FIELDS):
+    violations = [v["violations"] for v in verdicts]
+    if not items_pass(list(chain.from_iterable(violations)), _VIOLATIONS.fields):
         for i, items in enumerate(violations):
-            check_items(items, f"acceptance.verdicts[{i}].violations", _VIOLATION_FIELDS)
-    verdicts = tuple(
-        AcceptanceVerdict(
-            scenario_id=v["scenario_id"],
-            passed=v["passed"],
-            violations=tuple(Violation(**x) for x in v["violations"]),
-        )
-        for v in raw_verdicts
-    )
-    criteria = check_object(acceptance["criteria"], "acceptance.criteria", _CRITERIA_FIELDS)
+            check_items(items, f"acceptance.verdicts[{i}].violations", _VIOLATIONS.fields)
+    criteria = check_object(acceptance["criteria"], "acceptance.criteria", _CRITERIA.fields)
     with located("acceptance.criteria"):
-        criteria = AcceptanceCriteria(**criteria)
+        criteria = _CRITERIA.from_dict(criteria)
     # Bundles written while the sweep still had a thread pool record its
     # worker count in meta.workers.  It never changed a result, so it is
     # accepted and dropped.
-    meta = check_object(data["meta"], "meta", _META_FIELDS, {"workers": INT})
+    meta = check_object(data["meta"], "meta", _META.fields, {"workers": INT})
     return ReportBundle(
-        meta=RunMeta(**{name: meta[name] for name in _META_FIELDS}),
+        meta=_META.from_dict(meta),
         taxonomy_summary=data["taxonomy_summary"],
         **tables,
         criteria=criteria,
-        acceptance=verdicts,
+        acceptance=tuple(map(_VERDICTS.from_dict, verdicts)),
     )
 
 
@@ -709,6 +664,16 @@ def load_bundle(path: str | Path) -> ReportBundle:
     return bundle_from_dict(parse_json(p.read_text(encoding="utf-8")))
 
 
+def hazard_links(risk_table: Iterable[RiskResult]) -> dict[str, list[str]]:
+    """The ids of the scenarios linked to each hazard, in risk-table order,
+    keyed by hazard id in sorted order."""
+    links: dict[str, list[str]] = {}
+    for r in risk_table:
+        if r.hazard_id is not None:
+            links.setdefault(r.hazard_id, []).append(r.scenario_id)
+    return dict(sorted(links.items()))
+
+
 def _fmt(x: float | None, digits: int = 3) -> str:
     if x is None:
         return "-"
@@ -776,19 +741,14 @@ def emit_markdown_summary(bundle: ReportBundle) -> str:
             )
     lines.append("")
 
-    hazard_links: dict[str, list[RiskResult]] = {}
-    for r in bundle.risk_table:
-        if r.hazard_id is not None:
-            hazard_links.setdefault(r.hazard_id, []).append(r)
-    if hazard_links:
+    links = hazard_links(bundle.risk_table)
+    if links:
         lines.append("## Hazards")
         lines.append("")
-        for hazard_id in sorted(hazard_links):
-            entries = hazard_links[hazard_id]
-            names = ", ".join(e.scenario_id for e in entries)
+        for hazard_id, scenario_ids in links.items():
             lines.append(f"### {hazard_id}")
             lines.append("")
-            lines.append(f"Linked scenarios: {names}")
+            lines.append(f"Linked scenarios: {', '.join(scenario_ids)}")
             lines.append("")
 
     if bundle.risk_table:

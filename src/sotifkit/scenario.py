@@ -98,6 +98,10 @@ class OddDefinition:
 
     def __post_init__(self) -> None:
         core._store_floats(self, ("d_object", "d_perception", "mu"))
+        # Stored frozen, so that an ODD given a set or list is hashable.
+        if isinstance(self.odd_tags, str):
+            raise ParameterError(f"odd_tags must be a collection of tags, got {self.odd_tags!r}")
+        object.__setattr__(self, "odd_tags", frozenset(self.odd_tags))
         if not self.d_object > 0:
             raise ParameterError(f"d_object must be > 0, got {self.d_object}")
         if not self.d_perception > 0:
@@ -366,7 +370,6 @@ def load_odd(path: str | Path) -> OddDefinition:
         check_object(data["vehicle"], "vehicle", _VEHICLE_KINDS)
         with located("vehicle"):
             data["vehicle"] = VehicleParams(**data["vehicle"])
-        data["odd_tags"] = frozenset(data["odd_tags"])
         return OddDefinition(**data)
 
 

@@ -101,6 +101,14 @@ class TriggeringCondition:
     odd_tags: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        for name in ("category_path", "odd_tags"):
+            if isinstance(getattr(self, name), str):
+                raise TaxonomyError(
+                    f"condition '{self.leaf_id}': {name} must be a collection of names, "
+                    f"got {getattr(self, name)!r}"
+                )
+        object.__setattr__(self, "category_path", tuple(self.category_path))
+        object.__setattr__(self, "odd_tags", frozenset(self.odd_tags))
         if not self.category_path:
             raise TaxonomyError(
                 f"condition '{self.leaf_id}' has an empty category path"

@@ -16,12 +16,7 @@ from sotifkit import (
 )
 from sotifkit.analysis import HAZARD_COLLISION, HAZARD_FALSE_ACTIVATION
 from sotifkit.errors import IncompleteAnalysisError, ParameterError
-from sotifkit.report import (
-    ANALYSIS_CSV_HEADER,
-    row_from_dict,
-    row_to_dict,
-    write_analysis_csv,
-)
+from sotifkit.report import _BUNDLE_TABLES, ANALYSIS_CSV_HEADER, write_analysis_csv
 from sotifkit.scenario import EffectMapping
 from sotifkit.simulator import Stage, SweepStats
 
@@ -202,5 +197,6 @@ class TestSheetExports:
         )
         scenarios = generate_scenarios(fixture_odd, conditions, fixture_mapping, 42)
         stats = monte_carlo_sweep(scenarios, runs_per_scenario=5)
+        table = _BUNDLE_TABLES["analysis_sheet"]
         for row in build_analysis_sheet(scenarios, stats):
-            assert row_from_dict(row_to_dict(row)) == row
+            assert table.from_dict(table.to_dict(row)) == row

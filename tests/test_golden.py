@@ -15,6 +15,7 @@ and says why.
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import pytest
 
 from sotifkit.cli import EXIT_GATE_FAILED, main
 from sotifkit.fixtures import fixture_path
+from sotifkit.report import bundle_to_dict, emit_markdown_summary, load_bundle
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FILES = (
@@ -50,3 +52,13 @@ def test_fixture_campaign_matches_golden(name, campaign_out):
     if name == "bundle.json":
         produced = re.sub(rb'"created_utc": "[^"]*"', b'"created_utc": ""', produced, count=1)
     assert produced == (GOLDEN / name).read_bytes()
+
+
+def test_golden_bundle_reads_back():
+    """The recorded bundle.json loads, renders the recorded summary.md, and
+    writes back the bytes it was read from: the reader and the writer both
+    keep to the recorded format."""
+    bundle = load_bundle(GOLDEN)
+    assert emit_markdown_summary(bundle).encode("utf-8") == (GOLDEN / "summary.md").read_bytes()
+    written = json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
+    assert written.encode("utf-8") == (GOLDEN / "bundle.json").read_bytes()

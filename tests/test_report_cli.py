@@ -390,24 +390,45 @@ def small_bundle_json(small_bundle):
     return json.dumps(bundle_to_dict(small_bundle))
 
 
+def _bundle_items(bundle: dict) -> dict[str, list[tuple[str, dict]]]:
+    """Every item object of a bundle document with its place, by section."""
+    verdicts = bundle["acceptance"]["verdicts"]
+    return {
+        "meta": [("meta", bundle["meta"])],
+        **{
+            table: [(f"{table}[{i}]", item) for i, item in enumerate(bundle[table])]
+            for table in _TABLES
+        },
+        "acceptance.criteria": [("acceptance.criteria", bundle["acceptance"]["criteria"])],
+        "acceptance.verdicts": [(f"acceptance.verdicts[{i}]", v) for i, v in enumerate(verdicts)],
+        "acceptance.verdicts[].violations": [
+            (f"acceptance.verdicts[{i}].violations[{j}]", x)
+            for i, v in enumerate(verdicts)
+            for j, x in enumerate(v["violations"])
+        ],
+    }
+
+
 class TestBundleValueTypes:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data(), value=_JSON_VALUES)
     def test_any_field_value_loads_or_is_named(self, small_bundle_json, data, value):
-        """Replace one field of one table item by any JSON value: the bundle
-        either loads and renders, or is rejected naming that field (or, for
-        a scenario id, an unknown scenario)."""
+        """Replace one field of one item (a table item, meta, the criteria,
+        a verdict or a violation) by any JSON value: the bundle either
+        loads and renders, or is rejected naming that field (or, for a
+        scenario id, an unknown scenario; for a criterion, its domain)."""
         bundle = json.loads(small_bundle_json)
-        table = data.draw(st.sampled_from(_TABLES))
-        i = data.draw(st.integers(0, len(bundle[table]) - 1))
-        field = data.draw(st.sampled_from(sorted(bundle[table][i])))
-        bundle[table][i][field] = value
+        items = _bundle_items(bundle)
+        place, item = data.draw(st.sampled_from(items[data.draw(st.sampled_from(sorted(items)))]))
+        field = data.draw(st.sampled_from(sorted(item)))
+        item[field] = value
         try:
             loaded = bundle_from_dict(bundle)
         except SotifkitError:
             return  # e.g. a scenario id no other table knows
         except ValueError as exc:
-            assert str(exc).startswith(f"{table}[{i}].{field}: "), exc
+            # A list of items is named down to the failing item.
+            assert str(exc).startswith((f"{place}.{field}: ", f"{place}.{field}[")), exc
             return
         emit_markdown_summary(loaded)
 
@@ -526,7 +547,7 @@ class TestStatsSerialization:
     def test_no_closing_ttc_survives_round_trip(self):
         import math
 
-        from sotifkit.report import _stats_from_dict, _stats_to_dict
+        from sotifkit.report import _BUNDLE_TABLES
         from sotifkit.simulator import SweepStats
 
         stats = SweepStats(
@@ -543,9 +564,10 @@ class TestStatsSerialization:
             ttc_at_trigger_min=math.inf,
             odd_fingerprint="f" * 16,
         )
-        as_dict = _stats_to_dict(stats)
+        table = _BUNDLE_TABLES["kpi_table"]
+        as_dict = table.to_dict(stats)
         assert as_dict["ttc_at_trigger_min"] is None  # JSON has no Infinity
-        assert _stats_from_dict(json.loads(json.dumps(as_dict))) == stats
+        assert table.from_dict(json.loads(json.dumps(as_dict))) == stats
 
 
 class TestMarkdownSummary:

@@ -30,7 +30,7 @@ from sotifkit.errors import (
     InvalidComparisonError,
     ParameterError,
 )
-from sotifkit.report import RISK_CSV_HEADER, risk_from_dict, risk_to_dict, write_risk_csv
+from sotifkit.report import _BUNDLE_TABLES, RISK_CSV_HEADER, write_risk_csv
 from sotifkit.risk import OccurrenceBins, hours_to_hazard
 from sotifkit.simulator import SweepStats
 
@@ -282,7 +282,8 @@ class TestRiskSerialization:
         stats = stats_with("calm")
         occ = [OccurrenceSpec("leaf", 0.5)]
         (result,) = evaluate_residual_risk([row], [stats], occ, ego_speed_m_s=10.0)
-        assert risk_from_dict(risk_to_dict(result)) == result
+        table = _BUNDLE_TABLES["risk_table"]
+        assert table.from_dict(table.to_dict(result)) == result
 
 
 class TestMatchedSeedMitigationProperty:

@@ -29,8 +29,9 @@ from sotifkit.errors import (
 )
 from sotifkit.risk import load_criteria, load_occurrences
 from sotifkit.scenario import mitigation_applicable
+from sotifkit.simulator import compute_kpis, monte_carlo_sweep, simulate
 
-from conftest import make_condition
+from conftest import make_condition, make_scenario
 
 
 @pytest.fixture
@@ -92,6 +93,27 @@ class TestOddDefinition:
             OddDefinition(math.inf, 80.0, 1.0, frozenset(), baseline_vehicle)
         with pytest.raises(ParameterError, match="d_perception must be finite"):
             OddDefinition(100.0, math.inf, 1.0, frozenset(), baseline_vehicle)
+
+    def test_tags_are_stored_frozen(self, baseline_vehicle):
+        frozen = OddDefinition(100.0, 120.0, 1.0, frozenset({"weather"}), baseline_vehicle)
+        odd = OddDefinition(100.0, 120.0, 1.0, {"weather"}, baseline_vehicle)
+        assert odd == frozen and hash(odd) == hash(frozen)
+        assert type(odd.odd_tags) is frozenset
+        # The ghost-free run is cached by scenario, and the sweep keys its
+        # fingerprints by ODD: both hash the ODD.
+        ghosts = EffectModel(ghost_rate=0.05)
+        scenarios = [make_scenario(odd), make_scenario(odd, ghosts, "ghosts")]
+        expected = [make_scenario(frozen), make_scenario(frozen, ghosts, "ghosts")]
+        assert compute_kpis(simulate(scenarios[0]), scenarios[0]) == compute_kpis(
+            simulate(expected[0]), expected[0]
+        )
+        assert monte_carlo_sweep(scenarios, runs_per_scenario=5) == monte_carlo_sweep(
+            expected, runs_per_scenario=5
+        )
+
+    def test_tags_are_not_a_string(self, baseline_vehicle):
+        with pytest.raises(ParameterError, match="odd_tags"):
+            OddDefinition(100.0, 120.0, 1.0, "weather", baseline_vehicle)
 
 
 class TestCheckNumber:

@@ -236,3 +236,17 @@ class TestFilterByOdd:
 def test_condition_requires_category_path():
     with pytest.raises(TaxonomyError):
         TriggeringCondition(leaf_id="x", category_path=())
+
+
+def test_condition_stores_its_collections_frozen():
+    condition = TriggeringCondition("x", ["Weather", "Snow"], odd_tags={"weather"})
+    expected = TriggeringCondition("x", ("Weather", "Snow"), odd_tags=frozenset({"weather"}))
+    assert condition == expected
+    assert type(condition.category_path) is tuple and type(condition.odd_tags) is frozenset
+    hash(condition)
+
+
+@pytest.mark.parametrize("field", ["category_path", "odd_tags"])
+def test_condition_rejects_a_string_for_a_collection(field):
+    with pytest.raises(TaxonomyError, match=field):
+        TriggeringCondition(**{"leaf_id": "x", "category_path": ("Weather",), field: "weather"})
