@@ -43,13 +43,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import core
 from .errors import ParameterError, SimulationError
 from .scenario import OddDefinition, Scenario, derive_seed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SimConfig",
@@ -357,7 +358,8 @@ class _GhostStream:
     coupled across effect changes (a lower ghost_rate selects a subset of
     the same flagged ticks).  Drawing a prefix, or skipping values with
     ``advance``, gives the same values as one full draw.  A ghost-free
-    scenario builds no generator.
+    scenario builds no generator and imports nothing; numpy is loaded when
+    the first run with ``ghost_rate > 0`` builds its generator.
     """
 
     def __init__(self, scenario: Scenario, cfg: SimConfig, run_index: int):
@@ -367,6 +369,8 @@ class _GhostStream:
         self._rate = scenario.effects.ghost_rate
         self._rng = None
         if self._rate > 0.0:
+            import numpy as np
+
             # What default_rng(seed) builds, without its argument dispatch.
             self._rng = np.random.Generator(
                 np.random.PCG64(derive_seed(scenario.seed, run_index))
@@ -388,7 +392,7 @@ class _GhostStream:
         need = min(self._n_ticks, -(-step // self._tick_steps))
         for u in self._draw(need - self._drawn):
             offset = self._drawn
-            self._flagged += [offset + t for t in np.flatnonzero(u < self._rate).tolist()]
+            self._flagged += [offset + t for t in (u < self._rate).nonzero()[0].tolist()]
             self._drawn += u.size
         return self._flagged[: bisect.bisect_left(self._flagged, need)]
 

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from sotifkit import (
@@ -75,3 +80,16 @@ def count_trace_views(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(sim_module, "_trace_view", counting)
     return built
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter with this checkout's ``src/``
+    on the import path, stdout and stderr captured as text.  Nothing that
+    this test session has imported is loaded there."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=False
+    )

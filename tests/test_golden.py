@@ -11,6 +11,9 @@ on the shipped fixtures, with ``meta.created_utc`` in ``bundle.json``
 blanked to ``""``.  A change that keeps every result leaves them alone; a
 change that moves a result on purpose re-records them with that command
 and says why.
+
+The command runs twice: in-process, and in a fresh interpreter, where
+numpy is first imported by the campaign's first ghost draw.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from sotifkit.cli import EXIT_GATE_FAILED, main
 from sotifkit.fixtures import fixture_path
 from sotifkit.report import bundle_to_dict, emit_markdown_summary, load_bundle
 
+from conftest import run_fresh_python
+
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FILES = (
     "kpis.csv",
@@ -36,22 +41,43 @@ GOLDEN_FILES = (
 )
 
 
-@pytest.fixture(scope="module")
-def campaign_out(tmp_path_factory) -> Path:
-    out = tmp_path_factory.mktemp("golden") / "bundle"
+def golden_args(out: Path) -> list[str]:
     args = ["run", "--out", str(out), "--seed", "42", "--runs", "20"]
     for flag in ("odd", "taxonomy", "effects", "occurrence", "criteria", "mitigations"):
         args += [f"--{flag}", str(fixture_path(f"{flag}.json"))]
-    assert main(args) == EXIT_GATE_FAILED
+    return args
+
+
+@pytest.fixture(scope="module")
+def campaign_out(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("golden") / "bundle"
+    assert main(golden_args(out)) == EXIT_GATE_FAILED
     return out
+
+
+@pytest.fixture(scope="module")
+def fresh_campaign_out(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("golden-fresh") / "bundle"
+    done = run_fresh_python("-m", "sotifkit.cli", *golden_args(out))
+    assert done.returncode == EXIT_GATE_FAILED, done.stderr
+    return out
+
+
+def assert_matches_golden(out: Path, name: str) -> None:
+    produced = (out / name).read_bytes()
+    if name == "bundle.json":
+        produced = re.sub(rb'"created_utc": "[^"]*"', b'"created_utc": ""', produced, count=1)
+    assert produced == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", GOLDEN_FILES)
 def test_fixture_campaign_matches_golden(name, campaign_out):
-    produced = (campaign_out / name).read_bytes()
-    if name == "bundle.json":
-        produced = re.sub(rb'"created_utc": "[^"]*"', b'"created_utc": ""', produced, count=1)
-    assert produced == (GOLDEN / name).read_bytes()
+    assert_matches_golden(campaign_out, name)
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_fresh_interpreter_campaign_matches_golden(name, fresh_campaign_out):
+    assert_matches_golden(fresh_campaign_out, name)
 
 
 def test_golden_bundle_reads_back():
