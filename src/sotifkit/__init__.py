@@ -57,12 +57,10 @@ from .simulator import (
 from .analysis import (
     AnalysisRow,
     Controllability,
-    Hazard,
     Severity,
     SeverityRules,
     build_analysis_sheet,
     classify_affected_subsystems,
-    default_registry,
     link_hazards,
 )
 from .risk import (

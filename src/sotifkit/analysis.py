@@ -1,4 +1,4 @@
-"""Hazard registry and the qualitative triggering-conditions analysis sheet.
+"""Hazard rates and the qualitative triggering-conditions analysis sheet.
 
 The function decomposes into perception sense, perception algo, decision,
 and actuation.  Each analyzed scenario is mapped to the subsystems its
@@ -34,10 +34,9 @@ from .simulator import Stage, SweepStats
 __all__ = [
     "Severity",
     "Controllability",
-    "Hazard",
     "HAZARD_COLLISION",
     "HAZARD_FALSE_ACTIVATION",
-    "default_registry",
+    "HAZARD_RATES",
     "SeverityRules",
     "load_severity_rules",
     "AnalysisRow",
@@ -70,32 +69,15 @@ DEFAULT_CONTROLLABILITY = Controllability.C3
 HAZARD_COLLISION = "H1"
 HAZARD_FALSE_ACTIVATION = "H2"
 
-
-@dataclass(frozen=True)
-class Hazard:
-    id: str
-    description: str
-    default_severity: Severity
-
-
-def default_registry() -> dict[str, Hazard]:
-    """The two hazards identified for the emergency-brake function."""
-    hazards = [
-        Hazard(
-            id=HAZARD_COLLISION,
-            description=(
-                "Collision because the vehicle cannot brake to a stop "
-                "before reaching the obstacle"
-            ),
-            default_severity=Severity.S3,
-        ),
-        Hazard(
-            id=HAZARD_FALSE_ACTIVATION,
-            description="Emergency brake activates on a falsely detected object",
-            default_severity=Severity.S1,
-        ),
-    ]
-    return {h.id: h for h in hazards}
+#: The hazards of the emergency-brake function, each with the sweep
+#: statistic that gives P(hazard | condition encountered):
+#: H1, collision because the vehicle cannot brake to a stop before reaching
+#: the obstacle; H2, the emergency brake activates on a falsely detected
+#: object.  A sweep exhibits a hazard when that rate is above zero.
+HAZARD_RATES = {
+    HAZARD_COLLISION: "collision_rate",
+    HAZARD_FALSE_ACTIVATION: "false_activation_rate",
+}
 
 
 @dataclass(frozen=True)
@@ -175,17 +157,12 @@ def classify_affected_subsystems(effects: EffectModel) -> frozenset[Stage]:
     return frozenset(subsystems)
 
 
-def link_hazards(stats: SweepStats, registry: Mapping[str, Hazard]) -> list[str]:
-    """Hazard ids a sweep actually exhibited."""
-    linked = []
-    if stats.collision_rate > 0.0 and HAZARD_COLLISION in registry:
-        linked.append(HAZARD_COLLISION)
-    if stats.false_activation_rate > 0.0 and HAZARD_FALSE_ACTIVATION in registry:
-        linked.append(HAZARD_FALSE_ACTIVATION)
-    return linked
+def link_hazards(stats: SweepStats) -> list[str]:
+    """Hazard ids a sweep actually exhibited, in :data:`HAZARD_RATES` order."""
+    return [h for h, rate in HAZARD_RATES.items() if getattr(stats, rate) > 0.0]
 
 
-def _rationale(effects: EffectModel, stats: SweepStats) -> str:
+def _rationale(effects: EffectModel, stats: SweepStats, hazards: Sequence[str]) -> str:
     parts = []
     if effects.perception_range_factor < 1.0:
         parts.append(
@@ -199,16 +176,16 @@ def _rationale(effects: EffectModel, stats: SweepStats) -> str:
         parts.append(f"friction reduced to {effects.mu_factor:.0%}")
     if not parts:
         parts.append("no physical effect mapped")
-    if stats.collision_rate > 0.0:
+    if HAZARD_COLLISION in hazards:
         parts.append(
             f"collision in {stats.collision_rate:.0%} of runs "
             f"(max impact {stats.impact_speed_max:.2f} m/s)"
         )
-    if stats.false_activation_rate > 0.0:
+    if HAZARD_FALSE_ACTIVATION in hazards:
         parts.append(
             f"false activation in {stats.false_activation_rate:.0%} of runs"
         )
-    if stats.collision_rate == 0.0 and stats.false_activation_rate == 0.0:
+    if not hazards:
         parts.append("no hazardous outcome observed")
     return "; ".join(parts)
 
@@ -216,7 +193,6 @@ def _rationale(effects: EffectModel, stats: SweepStats) -> str:
 def build_analysis_sheet(
     scenarios: Sequence[Scenario],
     sweep_results: Sequence[SweepStats],
-    registry: Mapping[str, Hazard] | None = None,
     severity_rules: SeverityRules | None = None,
     subsystem_overrides: Mapping[str, Iterable[Stage]] | None = None,
     controllability: Controllability = DEFAULT_CONTROLLABILITY,
@@ -227,8 +203,6 @@ def build_analysis_sheet(
     (the explicit path for perception-algo impacts).  Raises
     :class:`IncompleteAnalysisError` when a scenario has no sweep result.
     """
-    if registry is None:
-        registry = default_registry()
     if severity_rules is None:
         severity_rules = SeverityRules()
     overrides = subsystem_overrides or {}
@@ -252,11 +226,11 @@ def build_analysis_sheet(
             raise ContractViolationError(
                 f"scenario '{scenario.id}' has effects but no affected subsystem"
             )
-        hazards = link_hazards(stats, registry)
+        hazards = link_hazards(stats)
         severity = Severity.S0
-        if stats.collision_rate > 0.0:
+        if HAZARD_COLLISION in hazards:
             severity = severity_rules.collision_severity(stats.impact_speed_max)
-        if stats.false_activation_rate > 0.0:
+        if HAZARD_FALSE_ACTIVATION in hazards:
             severity = max(severity, severity_rules.false_activation_severity)
         rows.append(
             AnalysisRow(
@@ -267,7 +241,7 @@ def build_analysis_sheet(
                 severity=severity,
                 controllability=controllability,
                 linked_hazard_ids=tuple(hazards),
-                rationale=_rationale(scenario.effects, stats),
+                rationale=_rationale(scenario.effects, stats, hazards),
             )
         )
     return rows

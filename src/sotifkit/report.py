@@ -48,6 +48,7 @@ from .errors import (
     PipelineError,
     check_items,
     check_object,
+    check_unique,
     fields_of,
     items_pass,
     list_of,
@@ -261,7 +262,9 @@ def run_campaign(
             for mitigation in mitigations
             for scenario in conditions
         ]
-    all_scenarios = scenarios + [m for _, _, m in trials if m is not None]
+        all_scenarios = scenarios + [m for _, _, m in trials if m is not None]
+        # A mitigated id, <scenario id>+<mitigation id>, can spell another's.
+        check_unique([{"id": s.id} for s in all_scenarios], "scenarios", "id")
 
     with _stage("sweep"):
         stats = monte_carlo_sweep(all_scenarios, cfg, runs_per_scenario)
@@ -307,18 +310,10 @@ def run_campaign(
             for mitigation, scenario, mitigated in trials
         ]
 
-    leaves_by_root = {
-        root.id: sum(
-            1
-            for c in all_conditions
-            if c.category_path and c.category_path[0] == root.name
-        )
-        for root in taxonomy.roots
-    }
     taxonomy_summary = {
         "total_leaves": len(all_conditions),
         "relevant_leaves": len(relevant),
-        "leaves_by_root": leaves_by_root,
+        "leaves_by_root": {root.id: Taxonomy((root,)).leaf_count() for root in taxonomy.roots},
     }
 
     meta = RunMeta(
@@ -533,6 +528,10 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
         name: tuple(map(table.from_dict, check_items(data[name], name, table.fields)))
         for name, table in _BUNDLE_TABLES.items()
     }
+    # The other tables name a scenario, and a mitigation its kpi_table rows,
+    # by id: an id must name one item.
+    check_unique(data["scenarios"], "scenarios", "id")
+    check_unique(data["kpi_table"], "kpi_table", "scenario_id")
     verdicts = check_items(acceptance["verdicts"], "acceptance.verdicts", _VERDICTS.fields)
     # The violations of all verdicts are checked at once; only a failure is
     # searched verdict by verdict.

@@ -27,15 +27,10 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import core
-from .analysis import (
-    HAZARD_COLLISION,
-    HAZARD_FALSE_ACTIVATION,
-    AnalysisRow,
-    Severity,
-)
+from .analysis import HAZARD_RATES, AnalysisRow, Severity
 from .errors import (
     NUMBER,
     STR,
@@ -186,14 +181,31 @@ class RiskResult:
     km_to_hazard: float
 
 
+def _clause(measure: Callable[[SweepStats, SweepStats], float | None]):
+    """A criteria field: the threshold of ``measure(nominal, stats)``, a
+    scenario's measured value (None: the clause does not apply)."""
+    return dataclasses.field(metadata={"measure": measure})
+
+
+def _gap_degradation(nominal: SweepStats, stats: SweepStats) -> float | None:
+    if nominal.gap_mean > 0.0:
+        return (nominal.gap_mean - stats.gap_mean) / nominal.gap_mean
+    return None
+
+
 @dataclass(frozen=True)
 class AcceptanceCriteria:
-    """Release thresholds for scenario KPIs relative to the nominal run."""
+    """Release thresholds for scenario KPIs relative to the nominal run.
 
-    max_final_gap_degradation: float
-    max_collision_rate: float
-    max_false_activation_rate: float
-    min_ttc_at_trigger: float
+    Each field is one clause, named by the field: a ``max_`` clause fails
+    when its measured value exceeds the threshold, a ``min_`` clause when
+    the value falls below it.
+    """
+
+    max_final_gap_degradation: float = _clause(_gap_degradation)
+    max_collision_rate: float = _clause(lambda nominal, s: s.collision_rate)
+    max_false_activation_rate: float = _clause(lambda nominal, s: s.false_activation_rate)
+    min_ttc_at_trigger: float = _clause(lambda nominal, s: s.ttc_at_trigger_min)
 
     def __post_init__(self) -> None:
         core._store_floats(self, tuple(f.name for f in dataclasses.fields(self)))
@@ -234,52 +246,18 @@ def acceptance_check(
             f"({scenario_stats.odd_fingerprint} vs {nominal.odd_fingerprint})"
         )
     violations = []
-    if nominal.gap_mean > 0.0:
-        degradation = (nominal.gap_mean - scenario_stats.gap_mean) / nominal.gap_mean
-        if degradation > criteria.max_final_gap_degradation:
-            violations.append(
-                Violation(
-                    "max_final_gap_degradation",
-                    degradation,
-                    criteria.max_final_gap_degradation,
-                )
-            )
-    if scenario_stats.collision_rate > criteria.max_collision_rate:
-        violations.append(
-            Violation(
-                "max_collision_rate",
-                scenario_stats.collision_rate,
-                criteria.max_collision_rate,
-            )
-        )
-    if scenario_stats.false_activation_rate > criteria.max_false_activation_rate:
-        violations.append(
-            Violation(
-                "max_false_activation_rate",
-                scenario_stats.false_activation_rate,
-                criteria.max_false_activation_rate,
-            )
-        )
-    if scenario_stats.ttc_at_trigger_min < criteria.min_ttc_at_trigger:
-        violations.append(
-            Violation(
-                "min_ttc_at_trigger",
-                scenario_stats.ttc_at_trigger_min,
-                criteria.min_ttc_at_trigger,
-            )
-        )
+    for clause in dataclasses.fields(criteria):
+        measured = clause.metadata["measure"](nominal, scenario_stats)
+        if measured is None:
+            continue
+        threshold = getattr(criteria, clause.name)
+        if measured < threshold if clause.name.startswith("min_") else measured > threshold:
+            violations.append(Violation(clause.name, measured, threshold))
     return AcceptanceVerdict(
         scenario_id=scenario_stats.scenario_id,
         passed=not violations,
         violations=tuple(violations),
     )
-
-
-#: Which sweep statistic carries P(hazard | condition encountered).
-_HAZARD_PROBABILITY = {
-    HAZARD_COLLISION: lambda stats: stats.collision_rate,
-    HAZARD_FALSE_ACTIVATION: lambda stats: stats.false_activation_rate,
-}
 
 
 def evaluate_residual_risk(
@@ -325,13 +303,12 @@ def evaluate_residual_risk(
             )
             continue
         for hazard_id in row.linked_hazard_ids:
-            probability_of = _HAZARD_PROBABILITY.get(hazard_id)
-            if probability_of is None:
+            rate_field = HAZARD_RATES.get(hazard_id)
+            if rate_field is None:
                 raise IncompleteAnalysisError(
-                    f"no hazard-probability source for hazard '{hazard_id}' "
-                    f"(condition '{row.leaf_id}')"
+                    f"no hazard rate for hazard '{hazard_id}' (condition '{row.leaf_id}')"
                 )
-            rate = hazard_rate(occ, probability_of(stats))
+            rate = hazard_rate(occ, getattr(stats, rate_field))
             hours = hours_to_hazard(rate)
             results.append(
                 RiskResult(

@@ -38,7 +38,7 @@ from sotifkit import (
     serialize_taxonomy,
     simulate,
 )
-from sotifkit.analysis import HAZARD_COLLISION, default_registry, link_hazards
+from sotifkit.analysis import HAZARD_COLLISION, link_hazards
 from sotifkit.fixtures import fixture_path
 from sotifkit.report import bundle_to_dict
 from sotifkit.risk import RiskLevel
@@ -104,7 +104,7 @@ def test_criterion_3_friction_hazard(fixture_odd):
     assert stats.impact_speed_max == pytest.approx(impact_oracle, abs=0.05)
     assert stats.impact_speed_min == pytest.approx(impact_oracle, abs=0.05)
 
-    linked = link_hazards(stats, default_registry())
+    linked = link_hazards(stats)
     assert HAZARD_COLLISION in linked
     _pass(3, "halved friction collides at the closed-form impact speed, links H1")
 

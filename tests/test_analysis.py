@@ -9,7 +9,6 @@ from sotifkit import (
     SeverityRules,
     build_analysis_sheet,
     classify_affected_subsystems,
-    default_registry,
     generate_scenarios,
     link_hazards,
     monte_carlo_sweep,
@@ -67,21 +66,17 @@ class TestClassify:
 
 class TestLinkHazards:
     def test_collision_links_h1(self):
-        registry = default_registry()
-        assert link_hazards(stats_with(collision_rate=1.0), registry) == [HAZARD_COLLISION]
+        assert link_hazards(stats_with(collision_rate=1.0)) == [HAZARD_COLLISION]
 
     def test_false_activation_links_h2(self):
-        registry = default_registry()
-        assert link_hazards(stats_with(false_rate=0.4), registry) == [
-            HAZARD_FALSE_ACTIVATION
-        ]
+        assert link_hazards(stats_with(false_rate=0.4)) == [HAZARD_FALSE_ACTIVATION]
 
     def test_both_and_neither(self):
-        registry = default_registry()
-        assert link_hazards(
-            stats_with(collision_rate=0.5, false_rate=0.5), registry
-        ) == [HAZARD_COLLISION, HAZARD_FALSE_ACTIVATION]
-        assert link_hazards(stats_with(), registry) == []
+        assert link_hazards(stats_with(collision_rate=0.5, false_rate=0.5)) == [
+            HAZARD_COLLISION,
+            HAZARD_FALSE_ACTIVATION,
+        ]
+        assert link_hazards(stats_with()) == []
 
 
 class TestSeverityRules:
@@ -102,13 +97,6 @@ class TestSeverityRules:
     def test_validation(self):
         with pytest.raises(ParameterError):
             SeverityRules(s3_impact_speed=4.0, s2_impact_speed=5.0)
-
-
-class TestRegistry:
-    def test_ships_exactly_two_hazards(self):
-        registry = default_registry()
-        assert set(registry) == {HAZARD_COLLISION, HAZARD_FALSE_ACTIVATION}
-        assert registry[HAZARD_COLLISION].default_severity is Severity.S3
 
 
 class TestBuildSheet:

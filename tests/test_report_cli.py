@@ -33,7 +33,7 @@ from sotifkit.scenario import (
     mitigation_applicable,
 )
 from sotifkit.simulator import SimConfig, simulate
-from sotifkit.taxonomy import enumerate_leaves, filter_by_odd
+from sotifkit.taxonomy import enumerate_leaves, filter_by_odd, parse_taxonomy
 
 from conftest import count_trace_views
 
@@ -265,6 +265,19 @@ class TestRunCampaign:
             r.scenario_id == "surface-gravel" and r.hazard_id == "H1"
             for r in small_bundle.risk_table
         )
+
+    def test_leaves_by_root_counts_roots_sharing_a_name(self, campaign_inputs):
+        # Two roots named alike each count their own subtree's leaves.
+        leaf = {"name": "leaf", "odd_tags": []}
+        roots = [
+            {"id": "a", "name": "Weather", "odd_tags": ["elsewhere"],
+             "children": [{"id": "a1", **leaf}, {"id": "a2", **leaf}]},
+            {"id": "b", "name": "Weather", "odd_tags": ["elsewhere"],
+             "children": [{"id": "b1", **leaf}]},
+        ]
+        taxonomy = parse_taxonomy(json.dumps({"version": 1, "roots": roots}))
+        bundle = run_campaign(**{**campaign_inputs, "taxonomy": taxonomy}, runs_per_scenario=2)
+        assert bundle.taxonomy_summary["leaves_by_root"] == {"a": 2, "b": 1}
 
 
 class TestTraceFile:
@@ -713,6 +726,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "stage 'generate'" in err
 
+    def test_mitigated_id_repeating_a_leaf_id_fails_mitigate(self, tmp_path, capsys):
+        # Leaf 'surface-gravel' mitigated by 'winter-tires' would take the
+        # id of a leaf of that name.
+        clash = "surface-gravel+winter-tires"
+        taxonomy = json.loads(fixture_path("taxonomy.json").read_text())
+        surface = taxonomy["roots"][1]["children"][0]
+        surface["children"].append({"id": clash, "name": "gravel twin", "odd_tags": []})
+        effects = json.loads(fixture_path("effects.json").read_text())
+        effects["by_leaf"][clash] = {"mu_factor": 0.5}
+        mitigations = ["--mitigations", str(fixture_path("mitigations.json"))]
+        args = self._run_args(tmp_path / "bundle", mitigations)
+        for flag, document in (("--taxonomy", taxonomy), ("--effects", effects)):
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(document))
+            args[args.index(flag) + 1] = str(path)
+        assert main(args) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'mitigate': scenarios[")
+        assert f"{clash!r} repeats scenarios[" in err
+
     def test_stage_error_names_risk(self, tmp_path, capsys):
         incomplete = tmp_path / "occurrence.json"
         occurrences = json.loads(fixture_path("occurrence.json").read_text())
@@ -958,6 +991,26 @@ class TestCli:
         assert (
             f"cannot load bundle {out}: mitigation_table[{i}].{field}: "
             f"{missing!r} has no kpi_table row"
+        ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, field",
+        [("scenarios", "id", "seed"), ("kpi_table", "scenario_id", "gap_mean")],
+    )
+    def test_report_repeated_scenario_id(self, section, key, field, tmp_path, capsys):
+        # A second, conflicting item for one scenario is rejected, not
+        # silently preferred.
+        out = tmp_path / "bundle"
+        main(self._run_args(out, ["--no-gate"]))
+        data = json.loads((out / "bundle.json").read_text())
+        items = data[section]
+        items.append({**items[1], field: 0})
+        (out / "bundle.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_ERROR
+        assert (
+            f"cannot load bundle {out}: {section}[{len(items) - 1}].{key}: "
+            f"{items[1][key]!r} repeats {section}[1]"
         ) in capsys.readouterr().err
 
     def test_report_well_typed_rows(self, tmp_path, capsys):

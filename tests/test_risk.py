@@ -20,6 +20,7 @@ from sotifkit import (
 from sotifkit.analysis import (
     HAZARD_COLLISION,
     HAZARD_FALSE_ACTIVATION,
+    HAZARD_RATES,
     AnalysisRow,
     Controllability,
     SeverityRules,
@@ -218,6 +219,42 @@ class TestAcceptanceCheck:
         better = stats_with("better", gap_mean=8.0)
         assert acceptance_check(nominal, better, self._criteria()).passed
 
+    def test_degradation_needs_a_positive_nominal_gap(self):
+        nominal = stats_with("nominal", gap_mean=0.0)
+        assert acceptance_check(nominal, stats_with("s", gap_mean=0.0), self._criteria()).passed
+
+    @pytest.mark.parametrize(
+        "clause, at, beyond",
+        [
+            ("max_final_gap_degradation", {"gap_mean": 8.0}, {"gap_mean": 7.99}),
+            ("max_collision_rate", {"collision_rate": 0.1}, {"collision_rate": 0.11}),
+            ("max_false_activation_rate", {"false_rate": 0.05}, {"false_rate": 0.06}),
+            ("min_ttc_at_trigger", {"ttc_min": 1.5}, {"ttc_min": 1.49}),
+        ],
+    )
+    def test_clause_passes_at_threshold_fails_beyond(self, clause, at, beyond):
+        # Nominal gap 10: degradation 0.2 at gap 8.0, the threshold itself.
+        nominal = stats_with("nominal", gap_mean=10.0)
+        criteria = self._criteria(max_collision_rate=0.1)
+        at_threshold = stats_with("at", **{"gap_mean": 10.0, **at})
+        assert acceptance_check(nominal, at_threshold, criteria).passed
+        just_beyond = stats_with("beyond", **{"gap_mean": 10.0, **beyond})
+        verdict = acceptance_check(nominal, just_beyond, criteria)
+        (violation,) = verdict.violations
+        assert (violation.clause, violation.threshold) == (clause, getattr(criteria, clause))
+
+    def test_violations_in_criteria_field_order(self):
+        nominal = stats_with("nominal", gap_mean=10.0)
+        worst = stats_with("worst", collision_rate=1.0, false_rate=1.0, gap_mean=0.0, ttc_min=0.5)
+        verdict = acceptance_check(nominal, worst, self._criteria())
+        assert [v.clause for v in verdict.violations] == [
+            "max_final_gap_degradation",
+            "max_collision_rate",
+            "max_false_activation_rate",
+            "min_ttc_at_trigger",
+        ]
+        assert [v.measured for v in verdict.violations] == [1.0, 1.0, 1.0, 0.5]
+
 
 class TestEvaluateResidualRisk:
     def test_documented_example(self):
@@ -257,6 +294,13 @@ class TestEvaluateResidualRisk:
         row = row_with("s", "uncovered-leaf", Severity.S1, [HAZARD_COLLISION])
         with pytest.raises(IncompleteOccurrenceError, match="uncovered-leaf"):
             evaluate_residual_risk([row], [stats_with("s")], [], ego_speed_m_s=10.0)
+
+    def test_hazard_without_rate_names_hazard_and_leaf(self):
+        assert "H9" not in HAZARD_RATES
+        row = row_with("s", "strange-leaf", Severity.S1, ["H9"])
+        occ = [OccurrenceSpec("strange-leaf", 0.1)]
+        with pytest.raises(IncompleteAnalysisError, match="'H9'.*'strange-leaf'"):
+            evaluate_residual_risk([row], [stats_with("s")], occ, ego_speed_m_s=10.0)
 
     def test_missing_sweep_names_leaf(self):
         row = row_with("s", "some-leaf", Severity.S1, [HAZARD_COLLISION])
