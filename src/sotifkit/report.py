@@ -2,10 +2,10 @@
 
 ``run_campaign`` executes the whole pipeline (filter -> generate ->
 mitigate -> sweep -> export -> analyze -> risk -> acceptance) and returns
-a :class:`ReportBundle`; ``write_bundle`` persists it as JSON plus CSV
-tables plus a Markdown summary.  Bundles record digests of their input
-files and the base seed, so a bundle is reproducible bit-for-bit (minus
-the timestamp) from the same inputs.
+a :class:`ReportBundle`; ``write_bundle`` persists it as JSON (one table
+item per line) plus CSV tables plus a Markdown summary.  Bundles record
+digests of their input files and the base seed, so a bundle is
+reproducible bit-for-bit (minus the timestamp) from the same inputs.
 
 This module owns the bundle's on-disk form: the JSON codec of every table
 and the CSV tables.  The other modules compute and load, and know no
@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -94,6 +95,7 @@ __all__ = [
     "ReportBundle",
     "run_campaign",
     "write_bundle",
+    "bundle_text",
     "load_bundle",
     "emit_markdown_summary",
     "hazard_links",
@@ -148,6 +150,13 @@ class ScenarioSummary:
             seed=scenario.seed,
         )
 
+    @property
+    def is_condition(self) -> bool:
+        """A scenario of one triggering condition, unmitigated: its id is its
+        leaf id.  (A mitigated scenario's id is ``<leaf id>+<mitigation id>``;
+        the nominal one has no leaf.)"""
+        return self.id == self.leaf_id
+
 
 @dataclass(frozen=True)
 class MitigationOutcome:
@@ -194,6 +203,17 @@ class ReportBundle:
                     raise ContractViolationError(
                         f"mitigation_table[{i}].{field}: {getattr(m, field)!r} has no kpi_table row"
                     )
+        # One verdict per condition scenario, and none for another scenario.
+        judged = [v.scenario_id for v in self.acceptance]
+        conditions = {s.id for s in self.scenarios if s.is_condition}
+        if len(judged) != len(conditions) or set(judged) != conditions:
+            verdicts = Counter(judged)
+            s = next(s for s in self.scenarios if verdicts[s.id] != s.is_condition)
+            kind = "condition scenario" if s.is_condition else "scenario"
+            expected = "not 1" if s.is_condition else "not a condition scenario"
+            raise ContractViolationError(
+                f"acceptance holds {verdicts[s.id]} verdict(s) for {kind} '{s.id}', {expected}"
+            )
 
     @property
     def all_passed(self) -> bool:
@@ -363,7 +383,7 @@ class _Table:
     in column order.  The values are read all at once; only the coded
     columns cost a Python call per item."""
 
-    def __init__(self, cls: type, columns: Mapping[str, Kind | _Column]):
+    def __init__(self, cls: Callable[..., Any], columns: Mapping[str, Kind | _Column]):
         columns = {k: c if isinstance(c, _Column) else _Column(c) for k, c in columns.items()}
         self.cls = cls
         self.fields = {key: column.kind for key, column in columns.items()}
@@ -458,12 +478,13 @@ _BUNDLE_TABLES = {
         ttc_at_trigger_min=_UNBOUNDED,
         odd_fingerprint=STR,
     ),
+    # A row's leaf id and category path are its scenario's, so they are not
+    # written: the table reads a row's other values, in AnalysisRow field
+    # order, and bundle_from_dict joins them with its scenario.
     "analysis_sheet": _Table(
-        AnalysisRow,
+        lambda *values: values,
         {
             "scenario_id": STR,
-            "triggering_condition": _Column(STR, attr="leaf_id"),
-            "category_path": _STRINGS,
             "affected_subsystems": _Column(
                 list_of(one_of(s.value for s in Stage)),
                 lambda stages: sorted(s.value for s in stages),
@@ -511,18 +532,31 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
         "acceptance": {
             "criteria": _CRITERIA.to_dict(bundle.criteria),
             "verdicts": list(map(_VERDICTS.to_dict, bundle.acceptance)),
-            "all_passed": bundle.all_passed,
         },
     }
+
+
+def _join_sheet(
+    items: Iterable[tuple], scenarios: Iterable[ScenarioSummary]
+) -> tuple[AnalysisRow, ...]:
+    """The analysis rows of the values that the analysis table read, each
+    joined with the leaf id and category path of its condition scenario."""
+    by_id = {s.id: s for s in scenarios}
+    rows = []
+    for i, (scenario_id, *values) in enumerate(items):
+        scenario = by_id.get(scenario_id)
+        if scenario is None or not scenario.is_condition:
+            raise ContractViolationError(
+                f"analysis_sheet[{i}].scenario_id: {scenario_id!r} is not a condition scenario"
+            )
+        rows.append(AnalysisRow(scenario_id, scenario.leaf_id, scenario.category_path, *values))
+    return tuple(rows)
 
 
 def bundle_from_dict(data: Mapping) -> ReportBundle:
     check_object(data, "", _BUNDLE_SECTIONS)
     acceptance = check_object(
-        data["acceptance"],
-        "acceptance",
-        {"criteria": OBJECT, "verdicts": LIST},
-        {"all_passed": BOOL},
+        data["acceptance"], "acceptance", {"criteria": OBJECT, "verdicts": LIST}
     )
     tables = {
         name: tuple(map(table.from_dict, check_items(data[name], name, table.fields)))
@@ -532,7 +566,10 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
     # by id: an id must name one item.
     check_unique(data["scenarios"], "scenarios", "id")
     check_unique(data["kpi_table"], "kpi_table", "scenario_id")
+    check_unique(data["analysis_sheet"], "analysis_sheet", "scenario_id")
     verdicts = check_items(acceptance["verdicts"], "acceptance.verdicts", _VERDICTS.fields)
+    check_unique(verdicts, "acceptance.verdicts", "scenario_id")
+    tables["analysis_sheet"] = _join_sheet(tables["analysis_sheet"], tables["scenarios"])
     # The violations of all verdicts are checked at once; only a failure is
     # searched verdict by verdict.
     violations = [v["violations"] for v in verdicts]
@@ -640,14 +677,32 @@ def write_risk_csv(results: Sequence[RiskResult], path: str | Path) -> None:
     )
 
 
+def bundle_text(data: Mapping) -> str:
+    """bundle.json's text for ``data``, a :func:`bundle_to_dict` result.
+
+    Each top-level section is on a line of its own, and so is each item of
+    a list in it or in one of its objects: each table item and each verdict,
+    so that a changed item is a one-line diff.  Every line is written by
+    json's C encoder, which ``indent`` would turn off."""
+
+    def value(v: Any, top: bool) -> str:
+        if isinstance(v, list) and v:  # a table: one item per line
+            return "[\n    " + ",\n    ".join(map(json.dumps, v)) + "\n  ]"
+        if isinstance(v, dict) and top:  # a section: its lists' items one per line
+            members = (f"{json.dumps(k)}: {value(x, False)}" for k, x in v.items())
+            return "{" + ", ".join(members) + "}"
+        return json.dumps(v)
+
+    sections = (f"  {json.dumps(k)}: {value(v, True)}" for k, v in data.items())
+    return "{\n" + ",\n".join(sections) + "\n}\n"
+
+
 def write_bundle(bundle: ReportBundle, out_dir: str | Path) -> Path:
     """Persist the bundle under ``out_dir``; returns the bundle.json path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle_path = out / "bundle.json"
-    bundle_path.write_text(
-        json.dumps(bundle_to_dict(bundle), indent=2) + "\n", encoding="utf-8"
-    )
+    bundle_path.write_text(bundle_text(bundle_to_dict(bundle)), encoding="utf-8")
     write_kpi_csv(bundle.kpi_table, out / "kpis.csv")
     write_analysis_csv(bundle.analysis_sheet, out / "analysis_sheet.csv")
     write_risk_csv(bundle.risk_table, out / "risk.csv")

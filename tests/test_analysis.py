@@ -15,7 +15,13 @@ from sotifkit import (
 )
 from sotifkit.analysis import HAZARD_COLLISION, HAZARD_FALSE_ACTIVATION
 from sotifkit.errors import IncompleteAnalysisError, ParameterError
-from sotifkit.report import _BUNDLE_TABLES, ANALYSIS_CSV_HEADER, write_analysis_csv
+from sotifkit.report import (
+    _BUNDLE_TABLES,
+    ANALYSIS_CSV_HEADER,
+    ScenarioSummary,
+    _join_sheet,
+    write_analysis_csv,
+)
 from sotifkit.scenario import EffectMapping
 from sotifkit.simulator import Stage, SweepStats
 
@@ -185,6 +191,9 @@ class TestSheetExports:
         )
         scenarios = generate_scenarios(fixture_odd, conditions, fixture_mapping, 42)
         stats = monte_carlo_sweep(scenarios, runs_per_scenario=5)
+        # A written row holds all but the leaf id and category path, which
+        # the reader joins back from the row's scenario.
         table = _BUNDLE_TABLES["analysis_sheet"]
-        for row in build_analysis_sheet(scenarios, stats):
-            assert table.from_dict(table.to_dict(row)) == row
+        sheet = build_analysis_sheet(scenarios, stats)
+        read = [table.from_dict(table.to_dict(row)) for row in sheet]
+        assert _join_sheet(read, map(ScenarioSummary.of, scenarios)) == tuple(sheet)

@@ -18,7 +18,6 @@ numpy is first imported by the campaign's first ghost draw.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import pytest
 
 from sotifkit.cli import EXIT_GATE_FAILED, main
 from sotifkit.fixtures import fixture_path
-from sotifkit.report import bundle_to_dict, emit_markdown_summary, load_bundle
+from sotifkit.report import bundle_text, bundle_to_dict, emit_markdown_summary, load_bundle
 
 from conftest import run_fresh_python
 
@@ -86,5 +85,5 @@ def test_golden_bundle_reads_back():
     keep to the recorded format."""
     bundle = load_bundle(GOLDEN)
     assert emit_markdown_summary(bundle).encode("utf-8") == (GOLDEN / "summary.md").read_bytes()
-    written = json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
+    written = bundle_text(bundle_to_dict(bundle))
     assert written.encode("utf-8") == (GOLDEN / "bundle.json").read_bytes()

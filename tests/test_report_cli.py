@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
+import re
+from itertools import chain
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,7 +26,8 @@ from sotifkit import (
 )
 from sotifkit.analysis import load_severity_rules
 from sotifkit.cli import EXIT_ERROR, EXIT_GATE_FAILED, EXIT_OK, main
-from sotifkit.errors import SotifkitError
+from sotifkit import report
+from sotifkit.errors import ContractViolationError, SotifkitError
 from sotifkit.fixtures import fixture_path
 from sotifkit.report import bundle_from_dict, bundle_to_dict
 from sotifkit.scenario import (
@@ -168,8 +172,6 @@ _KPI_ROW = {
 }
 _ANALYSIS_ROW = {
     "scenario_id": "surface-gravel",
-    "triggering_condition": "surface-gravel",
-    "category_path": ["Road", "Surface"],
     "affected_subsystems": ["actuation"],
     "severity": "S3",
     "controllability": "C3",
@@ -363,6 +365,62 @@ class TestBundlePersistence:
         assert loaded.criteria == small_bundle.criteria
         assert loaded.scenarios == small_bundle.scenarios
         assert loaded == small_bundle
+
+    def test_loaded_sheet_has_leaf_ids_and_category_paths(self, small_bundle, tmp_path):
+        # bundle.json holds neither: the reader takes them from the row's
+        # scenario.
+        loaded = load_bundle(write_bundle(small_bundle, tmp_path / "bundle"))
+        assert [(r.leaf_id, r.category_path) for r in loaded.analysis_sheet] == [
+            (r.leaf_id, r.category_path) for r in small_bundle.analysis_sheet
+        ]
+        assert all(r.leaf_id == r.scenario_id and r.category_path for r in loaded.analysis_sheet)
+
+    def test_bundle_json_holds_one_item_per_line(self, small_bundle, tmp_path):
+        # Each table item and each verdict is one line, indented four
+        # spaces, so that a changed item is a one-line diff.
+        text = write_bundle(small_bundle, tmp_path / "bundle").read_text()
+        data = bundle_to_dict(small_bundle)
+        verdicts = data["acceptance"]["verdicts"]
+        assert all(data[t] for t in _TABLES) and verdicts
+        items = [*chain.from_iterable(data[t] for t in _TABLES), *verdicts]
+        lines = [line for line in text.splitlines() if line.startswith("    ")]
+        assert [json.loads(line.strip().removesuffix(",")) for line in lines] == items
+
+    def test_bundle_json_loads_to_bundle_dict(self, small_bundle, tmp_path):
+        path = write_bundle(small_bundle, tmp_path / "bundle")
+        assert json.loads(path.read_text()) == bundle_to_dict(small_bundle)
+
+    def test_timestamp_keeps_default_separator(self, small_bundle, tmp_path):
+        # The golden test and the benchmark's determinism check blank the
+        # timestamp by this pattern.
+        path = write_bundle(small_bundle, tmp_path / "bundle")
+        assert len(re.findall(rb'"created_utc": "[^"]*"', path.read_bytes())) == 1
+
+    def test_write_calls_bundle_to_dict_by_name(self, small_bundle, tmp_path, monkeypatch):
+        # Replacing report.bundle_to_dict changes what is written (the
+        # benchmark's corrupted-bundle test relies on this).
+        original = report.bundle_to_dict
+
+        def edited(bundle):
+            data = original(bundle)
+            data["kpi_table"][1]["collision_rate"] = 0.75
+            return data
+
+        monkeypatch.setattr(report, "bundle_to_dict", edited)
+        path = write_bundle(small_bundle, tmp_path / "bundle")
+        assert json.loads(path.read_text())["kpi_table"][1]["collision_rate"] == 0.75
+
+    def test_one_verdict_per_condition_scenario(self, small_bundle):
+        verdicts = small_bundle.acceptance
+        nominal_verdict = dataclasses.replace(verdicts[0], scenario_id="nominal")
+        cases = {
+            (*verdicts, verdicts[0]): f"2 verdict(s) for condition scenario '{verdicts[0].scenario_id}'",
+            verdicts[1:]: f"0 verdict(s) for condition scenario '{verdicts[0].scenario_id}'",
+            (*verdicts, nominal_verdict): "1 verdict(s) for scenario 'nominal', not a condition",
+        }
+        for acceptance, message in cases.items():
+            with pytest.raises(ContractViolationError, match=re.escape(message)):
+                dataclasses.replace(small_bundle, acceptance=acceptance)
 
     def test_dict_round_trip(self, small_bundle):
         # bundle_to_dict gives what the file holds: lists, not tuples.
@@ -878,7 +936,7 @@ class TestCli:
             ("taxonomy_summary", [], "taxonomy_summary: "),
             (
                 "acceptance",
-                {"criteria": {}, "verdicts": [], "all_passed": True},
+                {"criteria": {}, "verdicts": []},
                 "acceptance.criteria: ",
             ),
             ("acceptance", None, "acceptance: "),
@@ -893,10 +951,11 @@ class TestCli:
                 {"criteria": _FIXTURE_CRITERIA, "verdicts": [_VERDICT_VIOLATION_EXTRA_KEY]},
                 "acceptance.verdicts[0].violations[0]: ",
             ),
+            # A row's category path is its scenario's, and is not written.
             (
                 "analysis_sheet",
                 [{**_ANALYSIS_ROW, "category_path": 5}],
-                "analysis_sheet[0].category_path: ",
+                "analysis_sheet[0]: unknown keys ['category_path']",
             ),
             ("risk_table", [{**_RISK_ROW, "risk_level": 5}], "risk_table[0].risk_level: "),
             (
@@ -1012,6 +1071,70 @@ class TestCli:
             f"cannot load bundle {out}: {section}[{len(items) - 1}].{key}: "
             f"{items[1][key]!r} repeats {section}[1]"
         ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["acceptance.verdicts", "analysis_sheet"])
+    def test_report_repeated_verdict_or_analysis_row(self, section, tmp_path, capsys):
+        # A condition scenario has one verdict and one analysis row: a copy
+        # of either would be counted twice by the summary.
+        out = tmp_path / "bundle"
+        main(self._run_args(out, ["--no-gate"]))
+        data = json.loads((out / "bundle.json").read_text())
+        items = data["acceptance"]["verdicts"] if section == "acceptance.verdicts" else data[section]
+        items.append(dict(items[1]))
+        (out / "bundle.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_ERROR
+        assert (
+            f"cannot load bundle {out}: {section}[{len(items) - 1}].scenario_id: "
+            f"{items[1]['scenario_id']!r} repeats {section}[1]"
+        ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario_id", ["nominal", "surface-icy+winter-tires", "unknown"])
+    def test_report_analysis_row_of_no_condition_scenario(self, scenario_id, tmp_path, capsys):
+        # A row's leaf id and category path are read from its scenario,
+        # which must be an unmitigated condition scenario.
+        out = tmp_path / "bundle"
+        mitigations = ["--no-gate", "--mitigations", str(fixture_path("mitigations.json"))]
+        main(self._run_args(out, mitigations))
+        data = json.loads((out / "bundle.json").read_text())
+        data["analysis_sheet"][2]["scenario_id"] = scenario_id
+        (out / "bundle.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_ERROR
+        assert (
+            f"cannot load bundle {out}: analysis_sheet[2].scenario_id: "
+            f"{scenario_id!r} is not a condition scenario"
+        ) in capsys.readouterr().err
+
+    # Earlier versions wrote acceptance.all_passed, and each analysis row's
+    # leaf id (as triggering_condition) and category path.  All three are
+    # derived now; a bundle that still holds them is rejected, not read.
+    @pytest.mark.parametrize(
+        "section, where",
+        [
+            ("acceptance", "acceptance: unknown keys ['all_passed']"),
+            (
+                "analysis_sheet",
+                "analysis_sheet[0]: unknown keys ['category_path', 'triggering_condition']",
+            ),
+        ],
+        ids=["all-passed", "analysis-leaf-and-path"],
+    )
+    def test_report_rejects_older_format(self, section, where, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        main(self._run_args(out, ["--no-gate"]))
+        data = json.loads((out / "bundle.json").read_text())
+        if section == "acceptance":
+            data["acceptance"]["all_passed"] = False
+        else:
+            paths = {s["id"]: s["category_path"] for s in data["scenarios"]}
+            for row in data["analysis_sheet"]:
+                row["triggering_condition"] = row["scenario_id"]
+                row["category_path"] = paths[row["scenario_id"]]
+        (out / "bundle.json").write_text(json.dumps(data, indent=2))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_ERROR
+        assert f"cannot load bundle {out}: {where}" in capsys.readouterr().err
 
     def test_report_well_typed_rows(self, tmp_path, capsys):
         # The rows that the malformed cases above spoil load as they are.
