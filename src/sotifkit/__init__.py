@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from .core import (
     NO_CLOSING,
-    BrakeDecomposition,
     KinematicState,
     VehicleParams,
-    closed_form_stopping_distance,
     effective_brake_decel,
     rss_min_distance,
     ttc,

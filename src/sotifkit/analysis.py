@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from . import core
 from .errors import (
@@ -63,7 +63,7 @@ class Controllability(IntEnum):
 
 
 #: The function under test is a level-4 function with no backup operator,
-#: so controllability is fixed at C3 unless a config explicitly overrides.
+#: so controllability is fixed at C3.
 DEFAULT_CONTROLLABILITY = Controllability.C3
 
 HAZARD_COLLISION = "H1"
@@ -143,9 +143,8 @@ def classify_affected_subsystems(effects: EffectModel) -> frozenset[Stage]:
     """Subsystems an effect model can degrade.
 
     Reduced range or ghost detections hit the raw sensing; extra latency
-    hits the decision stage; reduced friction hits the actuation.  The
-    perception algo cannot be inferred from effects alone and is assigned
-    only through explicit overrides in :func:`build_analysis_sheet`.
+    hits the decision stage; reduced friction hits the actuation.  No
+    effect maps to the perception algo.
     """
     subsystems = set()
     if effects.perception_range_factor < 1.0 or effects.ghost_rate > 0.0:
@@ -194,18 +193,13 @@ def build_analysis_sheet(
     scenarios: Sequence[Scenario],
     sweep_results: Sequence[SweepStats],
     severity_rules: SeverityRules | None = None,
-    subsystem_overrides: Mapping[str, Iterable[Stage]] | None = None,
-    controllability: Controllability = DEFAULT_CONTROLLABILITY,
 ) -> list[AnalysisRow]:
-    """One row per non-nominal scenario, in scenario order.
-
-    ``subsystem_overrides`` maps a condition leaf id to extra subsystems
-    (the explicit path for perception-algo impacts).  Raises
-    :class:`IncompleteAnalysisError` when a scenario has no sweep result.
+    """One row per non-nominal scenario, in scenario order; its subsystems
+    follow from its effects alone.  Raises :class:`IncompleteAnalysisError`
+    when a scenario has no sweep result.
     """
     if severity_rules is None:
         severity_rules = SeverityRules()
-    overrides = subsystem_overrides or {}
 
     stats_by_id = {s.scenario_id: s for s in sweep_results}
     rows = []
@@ -219,9 +213,7 @@ def build_analysis_sheet(
             )
         condition = scenario.condition
         assert condition is not None
-        subsystems = classify_affected_subsystems(scenario.effects) | frozenset(
-            Stage(s) for s in overrides.get(condition.leaf_id, ())
-        )
+        subsystems = classify_affected_subsystems(scenario.effects)
         if not scenario.effects.is_neutral and not subsystems:
             raise ContractViolationError(
                 f"scenario '{scenario.id}' has effects but no affected subsystem"
@@ -239,7 +231,7 @@ def build_analysis_sheet(
                 category_path=condition.category_path,
                 affected_subsystems=subsystems,
                 severity=severity,
-                controllability=controllability,
+                controllability=DEFAULT_CONTROLLABILITY,
                 linked_hazard_ids=tuple(hazards),
                 rationale=_rationale(scenario.effects, stats, hazards),
             )

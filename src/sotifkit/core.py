@@ -3,9 +3,9 @@
 The safe-distance model follows the responsibility-sensitive safety (RSS)
 bound for a moving ego approaching a static obstacle: the ego may keep
 accelerating at its worst-case rate for the whole response time and must
-still be able to brake to a stop before the obstacle.  The target speed is
-hard-coded to zero; this toolkit's operational domain contains only static
-objects.
+still be able to brake to a stop before the obstacle.  The operational
+domain contains only static objects, so the target speed is zero
+throughout: neither the safe distance nor the time to collision takes one.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ __all__ = [
     "VehicleParams",
     "check_vehicle_field",
     "KinematicState",
-    "BrakeDecomposition",
     "rss_min_distance",
     "ttc",
-    "closed_form_stopping_distance",
     "effective_brake_decel",
     "NO_CLOSING",
 ]
@@ -105,21 +103,6 @@ class KinematicState:
             )
 
 
-@dataclass(frozen=True)
-class BrakeDecomposition:
-    """Stopping distance split into response travel and actuation travel.
-
-    d_brake == d_rho + d_act holds exactly (d_brake is stored as the sum).
-    """
-
-    d_rho: float
-    d_act: float
-
-    @property
-    def d_brake(self) -> float:
-        return self.d_rho + self.d_act
-
-
 def rss_min_distance(p: VehicleParams) -> float:
     """Minimum gap to a static object that still guarantees a stop.
 
@@ -138,39 +121,18 @@ def rss_min_distance(p: VehicleParams) -> float:
     return max(0.0, d)
 
 
-def ttc(gap: float, v_ego: float, v_target: float = 0.0) -> float:
-    """Time to collision: gap / (v_ego - v_target).
+def ttc(gap: float, v_ego: float) -> float:
+    """Time to collision with the static object: gap / v_ego.
 
     Returns :data:`NO_CLOSING` (infinity) when the ego is not closing on
-    the target (v_ego <= v_target), which is a valid outcome rather than a
+    the object (v_ego <= 0), which is a valid outcome rather than a
     numeric error.
     """
     if gap < 0:
         raise ParameterError(f"gap must be >= 0, got {gap}")
-    closing = v_ego - v_target
-    if closing <= 0:
+    if v_ego <= 0:
         return NO_CLOSING
-    return gap / closing
-
-
-def closed_form_stopping_distance(
-    p: VehicleParams, brake_decel: float | None = None
-) -> BrakeDecomposition:
-    """Distance to a full stop: constant-speed response travel plus braking.
-
-    d_rho = v_r * rho   (the ego holds constant speed while responding)
-    d_act = v_r^2 / (2 * brake_decel)
-
-    ``brake_decel`` defaults to the vehicle's nominal a_min_brake.
-    """
-    if brake_decel is None:
-        brake_decel = p.a_min_brake
-    _require_finite("brake_decel", brake_decel)
-    if brake_decel <= 0:
-        raise ParameterError(f"brake_decel must be > 0, got {brake_decel}")
-    d_rho = p.v_r * p.rho
-    d_act = p.v_r**2 / (2.0 * brake_decel)
-    return BrakeDecomposition(d_rho=d_rho, d_act=d_act)
+    return gap / v_ego
 
 
 def effective_brake_decel(p: VehicleParams, mu: float) -> float:

@@ -123,6 +123,14 @@ def list_of(kind: Kind) -> Kind:
     )
 
 
+def object_of(kind: Kind) -> Kind:
+    return Kind(
+        f"a JSON object, each value {kind.expected}",
+        lambda column: set(map(type, column)) <= {dict}
+        and kind.accepts([value for obj in column for value in obj.values()]),
+    )
+
+
 STR = of_types("a string", str)
 STR_OR_NULL = of_types("a string or null", str, type(None))
 INT = of_types("an integer", int)

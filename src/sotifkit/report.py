@@ -54,6 +54,7 @@ from .errors import (
     items_pass,
     list_of,
     located,
+    object_of,
     one_of,
     parse_json,
 )
@@ -511,6 +512,7 @@ _BUNDLE_TABLES = {
         MitigationOutcome, STR, mitigated_scenario_id=STR_OR_NULL, passes_after=BOOL_OR_NULL
     ),
 }
+_TAXONOMY_SUMMARY = {"total_leaves": INT, "relevant_leaves": INT, "leaves_by_root": object_of(INT)}
 _BUNDLE_SECTIONS = {
     "meta": OBJECT,
     "taxonomy_summary": OBJECT,
@@ -579,13 +581,11 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
     criteria = check_object(acceptance["criteria"], "acceptance.criteria", _CRITERIA.fields)
     with located("acceptance.criteria"):
         criteria = _CRITERIA.from_dict(criteria)
-    # Bundles written while the sweep still had a thread pool record its
-    # worker count in meta.workers.  It never changed a result, so it is
-    # accepted and dropped.
-    meta = check_object(data["meta"], "meta", _META.fields, {"workers": INT})
+    meta = check_object(data["meta"], "meta", _META.fields)
+    summary = check_object(data["taxonomy_summary"], "taxonomy_summary", _TAXONOMY_SUMMARY)
     return ReportBundle(
         meta=_META.from_dict(meta),
-        taxonomy_summary=data["taxonomy_summary"],
+        taxonomy_summary=summary,
         **tables,
         criteria=criteria,
         acceptance=tuple(map(_VERDICTS.from_dict, verdicts)),

@@ -51,7 +51,6 @@ __all__ = [
     "OccurrenceClass",
     "RiskLevel",
     "OccurrenceSpec",
-    "OccurrenceBins",
     "RiskResult",
     "AcceptanceCriteria",
     "Violation",
@@ -114,37 +113,14 @@ class OccurrenceSpec:
             raise ParameterError(f"exposure_rate must be >= 0, got {self.exposure_rate}")
 
 
-@dataclass(frozen=True)
-class OccurrenceBins:
-    """Rate boundaries for binning exposure into O1..O4.
-
-    Defaults are shipped assumptions, not established data: >= o4 per hour
-    is O4, >= o3 is O3, >= o2 is O2, anything rarer is O1.
-    """
-
-    o4: float = 1e-1
-    o3: float = 1e-3
-    o2: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if not 0 < self.o2 < self.o3 < self.o4:
-            raise ParameterError(
-                f"need 0 < o2 < o3 < o4, got {self.o2}, {self.o3}, {self.o4}"
-            )
+_O1, _O2, _O3, _O4 = OccurrenceClass
+#: The least exposure rate (encounters per hour) of O4, O3 and O2; anything
+#: rarer is O1.  Shipped assumptions, not established data.
+OCCURRENCE_BOUNDS = ((1e-1, _O4), (1e-3, _O3), (1e-5, _O2))
 
 
-def occurrence_class(
-    exposure_rate: float, bins: OccurrenceBins | None = None
-) -> OccurrenceClass:
-    if bins is None:
-        bins = OccurrenceBins()
-    if exposure_rate >= bins.o4:
-        return OccurrenceClass.O4
-    if exposure_rate >= bins.o3:
-        return OccurrenceClass.O3
-    if exposure_rate >= bins.o2:
-        return OccurrenceClass.O2
-    return OccurrenceClass.O1
+def occurrence_class(exposure_rate: float) -> OccurrenceClass:
+    return next((o for bound, o in OCCURRENCE_BOUNDS if exposure_rate >= bound), _O1)
 
 
 def hazard_rate(occ: OccurrenceSpec, conditional_hazard_prob: float) -> float:
@@ -265,7 +241,6 @@ def evaluate_residual_risk(
     sweeps: Sequence[SweepStats],
     occurrences: Sequence[OccurrenceSpec],
     ego_speed_m_s: float,
-    bins: OccurrenceBins | None = None,
 ) -> list[RiskResult]:
     """One RiskResult per (sheet row, linked hazard).
 
@@ -287,7 +262,7 @@ def evaluate_residual_risk(
             raise IncompleteOccurrenceError(
                 f"no occurrence (exposure) entry for condition '{row.leaf_id}'"
             )
-        o_class = occurrence_class(occ.exposure_rate, bins)
+        o_class = occurrence_class(occ.exposure_rate)
         if not row.linked_hazard_ids:
             results.append(
                 RiskResult(

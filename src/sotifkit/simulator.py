@@ -568,7 +568,7 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
         false_activation = False
     else:
         trigger_gap = res.gap(n_trig)
-        ttc_at_trigger = core.ttc(max(0.0, trigger_gap), res.v(n_trig), 0.0)
+        ttc_at_trigger = core.ttc(max(0.0, trigger_gap), res.v(n_trig))
         # A ghost detection at the trigger step while the true gap there is
         # beyond the threshold.  A ghost on the natural trigger step is a
         # flag the resolution did not read; the trigger comes before the

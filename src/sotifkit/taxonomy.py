@@ -80,7 +80,6 @@ class Taxonomy:
     """A parsed taxonomy document (forest of root categories)."""
 
     roots: tuple[TaxonomyNode, ...]
-    version: int = FORMAT_VERSION
 
     def leaf_count(self) -> int:
         return sum(1 for _ in _iter_leaves(self.roots))
@@ -196,7 +195,7 @@ def serialize_taxonomy(taxonomy: Taxonomy) -> str:
     which parsing does not distinguish).
     """
     doc = {
-        "version": taxonomy.version,
+        "version": FORMAT_VERSION,
         "roots": [_node_to_dict(r) for r in taxonomy.roots],
     }
     return json.dumps(doc, indent=2) + "\n"

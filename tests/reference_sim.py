@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sotifkit.core import NO_CLOSING, KinematicState, effective_brake_decel, rss_min_distance, ttc
+from sotifkit.core import KinematicState, effective_brake_decel, rss_min_distance
 from sotifkit.errors import ContractViolationError
 from sotifkit.scenario import Scenario, derive_seed
 from sotifkit.simulator import EventKind, KpiReport, SimConfig, Terminal
@@ -158,11 +158,12 @@ def trace_kpis(trace, scenario: Scenario) -> KpiReport:
     trigger = next((e for e in trace.events if e.kind is EventKind.BRAKE_TRIGGERED), None)
 
     if trigger is None:
-        ttc_at_trigger = NO_CLOSING
+        ttc_at_trigger = math.inf
         false_activation = False
     else:
         trigger_state = _state_at(trace, trigger.time)
-        ttc_at_trigger = ttc(max(0.0, trigger.gap), trigger_state.velocity, 0.0)
+        v = trigger_state.velocity
+        ttc_at_trigger = max(0.0, trigger.gap) / v if v > 0.0 else math.inf
         ghost_times = {e.time for e in trace.events if e.kind is EventKind.GHOST_DETECTED}
         false_activation = (
             trigger.time in ghost_times and trigger.gap > rss_min_distance(scenario.odd.vehicle)

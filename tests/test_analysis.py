@@ -156,16 +156,6 @@ class TestBuildSheet:
         with pytest.raises(IncompleteAnalysisError, match="x"):
             build_analysis_sheet(scenarios, [])
 
-    def test_subsystem_override_for_perception_algo(self, fixture_odd):
-        mapping = EffectMapping(defaults={"ghost_rate": 0.01})
-        scenarios = generate_scenarios(fixture_odd, [make_condition("clutter")], mapping, 1)
-        stats = monte_carlo_sweep(scenarios, runs_per_scenario=5)
-        sheet = build_analysis_sheet(
-            scenarios, stats, subsystem_overrides={"clutter": [Stage.PERCEPTION_ALGO]}
-        )
-        assert Stage.PERCEPTION_ALGO in sheet[0].affected_subsystems
-        assert Stage.PERCEPTION_SENSE in sheet[0].affected_subsystems
-
 
 class TestSheetExports:
     def test_csv_columns(self, fixture_odd, fixture_taxonomy, fixture_mapping, tmp_path):

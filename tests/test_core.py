@@ -3,15 +3,13 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sotifkit import (
     NO_CLOSING,
-    BrakeDecomposition,
     KinematicState,
     VehicleParams,
-    closed_form_stopping_distance,
     effective_brake_decel,
     rss_min_distance,
     ttc,
@@ -93,20 +91,19 @@ class TestRssMinDistance:
 
 class TestTtc:
     def test_division_oracle(self):
-        assert ttc(40.135, 13.889, 0.0) == pytest.approx(40.135 / 13.889, abs=1e-12)
-        assert ttc(40.135, 13.889, 0.0) == pytest.approx(2.890, abs=1e-3)
+        assert ttc(40.135, 13.889) == pytest.approx(40.135 / 13.889, abs=1e-12)
+        assert ttc(40.135, 13.889) == pytest.approx(2.890, abs=1e-3)
 
     def test_zero_gap(self):
-        assert ttc(0.0, 5.0, 0.0) == 0.0
+        assert ttc(0.0, 5.0) == 0.0
 
     def test_no_closing_signal(self):
-        assert ttc(10.0, 5.0, 5.0) is NO_CLOSING
-        assert ttc(10.0, 4.0, 5.0) is NO_CLOSING
-        assert math.isinf(ttc(10.0, 5.0, 5.0))
+        assert ttc(10.0, 0.0) is NO_CLOSING
+        assert math.isinf(ttc(10.0, 0.0))
 
     def test_negative_gap_rejected(self):
         with pytest.raises(ParameterError):
-            ttc(-1.0, 5.0, 0.0)
+            ttc(-1.0, 5.0)
 
     @given(
         st.floats(min_value=0.1, max_value=500.0),
@@ -117,54 +114,6 @@ class TestTtc:
         # Linear in gap, inverse in closing speed.
         assert ttc(k * gap, v) == pytest.approx(k * ttc(gap, v), rel=1e-12)
         assert ttc(gap, k * v) == pytest.approx(ttc(gap, v) / k, rel=1e-12)
-
-
-class TestStoppingDistance:
-    def test_documented_vehicle(self, baseline_vehicle):
-        d = closed_form_stopping_distance(baseline_vehicle, 5.0)
-        assert d.d_rho == pytest.approx(13.889, abs=1e-3)
-        assert d.d_act == pytest.approx(baseline_vehicle.v_r**2 / 10.0, abs=1e-9)
-        assert d.d_act == pytest.approx(19.290, abs=1e-3)
-        assert d.d_brake == pytest.approx(33.179, abs=1e-3)
-
-    def test_stationary(self):
-        p = VehicleParams(v_r=0.0, rho=1.0, a_max_accel=2.0, a_min_brake=5.0)
-        d = closed_form_stopping_distance(p, 5.0)
-        assert (d.d_rho, d.d_act, d.d_brake) == (0.0, 0.0, 0.0)
-
-    def test_halved_deceleration(self, baseline_vehicle):
-        d = closed_form_stopping_distance(baseline_vehicle, 2.5)
-        assert d.d_brake == pytest.approx(52.47, abs=5e-3)
-
-    def test_defaults_to_nominal_brake(self, baseline_vehicle):
-        assert closed_form_stopping_distance(baseline_vehicle) == closed_form_stopping_distance(
-            baseline_vehicle, baseline_vehicle.a_min_brake
-        )
-
-    def test_invalid_deceleration(self, baseline_vehicle):
-        with pytest.raises(ParameterError):
-            closed_form_stopping_distance(baseline_vehicle, 0.0)
-        with pytest.raises(ParameterError):
-            closed_form_stopping_distance(baseline_vehicle, -3.0)
-
-    @given(st.floats(min_value=0.0, max_value=400.0), st.floats(min_value=0.0, max_value=400.0))
-    def test_decomposition_identity_exact(self, d_rho, d_act):
-        d = BrakeDecomposition(d_rho=d_rho, d_act=d_act)
-        assert d.d_brake == d.d_rho + d.d_act  # bit-exact by construction
-
-    @settings(max_examples=200)
-    @given(
-        st.floats(min_value=0.1, max_value=60.0),
-        st.floats(min_value=0.01, max_value=5.0),
-        st.floats(min_value=0.01, max_value=8.0),
-        brakes,
-    )
-    def test_strictly_below_safe_distance(self, v, rho, a_acc, a_brk):
-        # The safe distance budgets worst-case acceleration during the
-        # response interval; constant-speed travel is strictly shorter
-        # (needs v > 0, rho > 0, a_acc > 0).
-        p = VehicleParams(v_r=v, rho=rho, a_max_accel=a_acc, a_min_brake=a_brk)
-        assert closed_form_stopping_distance(p, a_brk).d_brake < rss_min_distance(p)
 
 
 class TestEffectiveBrakeDecel:

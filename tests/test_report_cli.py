@@ -170,6 +170,7 @@ _KPI_ROW = {
     "ttc_at_trigger_min": None,
     "odd_fingerprint": "f" * 16,
 }
+_TAXONOMY_SUMMARY = {"total_leaves": 3, "relevant_leaves": 2, "leaves_by_root": {"env": 3}}
 _ANALYSIS_ROW = {
     "scenario_id": "surface-gravel",
     "affected_subsystems": ["actuation"],
@@ -910,9 +911,10 @@ class TestCli:
         assert main(self._run_args(out)) == EXIT_ERROR
         assert "stage 'write'" in capsys.readouterr().err
 
-    # Versions whose sweep had a thread pool wrote meta.workers; any other
-    # extra meta key is an error.
-    @pytest.mark.parametrize("key, code", [("workers", EXIT_OK), ("colour", EXIT_ERROR)])
+    # meta holds the RunMeta fields and no other key: not even the
+    # meta.workers of versions whose sweep had a thread pool, as those
+    # versions also wrote acceptance.all_passed, which is rejected.
+    @pytest.mark.parametrize("key, code", [("workers", EXIT_ERROR), ("colour", EXIT_ERROR)])
     def test_report_extra_meta_key(self, key, code, tmp_path, capsys):
         out = tmp_path / "bundle"
         main(self._run_args(out, ["--no-gate"]))
@@ -921,11 +923,7 @@ class TestCli:
         (out / "bundle.json").write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["report", str(out)]) == code
-        captured = capsys.readouterr()
-        if code == EXIT_OK:
-            assert captured.out == (out / "summary.md").read_text()
-        else:
-            assert "cannot load bundle" in captured.err
+        assert f"cannot load bundle {out}: meta: unknown keys ['{key}']" in capsys.readouterr().err
 
     # (section, its replacement, where the error says the fault is)
     @pytest.mark.parametrize(
@@ -934,6 +932,36 @@ class TestCli:
             ("scenarios", 5, "scenarios: "),
             ("kpi_table", [5], "kpi_table[0]: "),
             ("taxonomy_summary", [], "taxonomy_summary: "),
+            (
+                "taxonomy_summary",
+                {"total_leaves": "many", "junk": [1, 2]},
+                "taxonomy_summary: missing keys ['leaves_by_root', 'relevant_leaves']",
+            ),
+            (
+                "taxonomy_summary",
+                {**_TAXONOMY_SUMMARY, "junk": [1, 2]},
+                "taxonomy_summary: unknown keys ['junk']",
+            ),
+            (
+                "taxonomy_summary",
+                {**_TAXONOMY_SUMMARY, "total_leaves": "many"},
+                "taxonomy_summary.total_leaves: expected an integer",
+            ),
+            (
+                "taxonomy_summary",
+                {**_TAXONOMY_SUMMARY, "relevant_leaves": True},
+                "taxonomy_summary.relevant_leaves: expected an integer",
+            ),
+            (
+                "taxonomy_summary",
+                {**_TAXONOMY_SUMMARY, "leaves_by_root": {"env": 1.5}},
+                "taxonomy_summary.leaves_by_root: expected a JSON object, each value an integer",
+            ),
+            (
+                "taxonomy_summary",
+                {**_TAXONOMY_SUMMARY, "leaves_by_root": [3]},
+                "taxonomy_summary.leaves_by_root: expected a JSON object",
+            ),
             (
                 "acceptance",
                 {"criteria": {}, "verdicts": []},
@@ -1002,6 +1030,12 @@ class TestCli:
             "scenarios-int",
             "kpi-table-item-int",
             "taxonomy-summary-list",
+            "taxonomy-summary-junk",
+            "taxonomy-summary-extra-key",
+            "total-leaves-string",
+            "relevant-leaves-bool",
+            "leaves-by-root-float",
+            "leaves-by-root-list",
             "criteria-empty",
             "acceptance-null",
             "mitigation-item-extra-key",

@@ -32,7 +32,7 @@ from sotifkit.errors import (
     ParameterError,
 )
 from sotifkit.report import _BUNDLE_TABLES, RISK_CSV_HEADER, write_risk_csv
-from sotifkit.risk import OccurrenceBins, hours_to_hazard
+from sotifkit.risk import hours_to_hazard
 from sotifkit.simulator import SweepStats
 
 
@@ -95,17 +95,23 @@ class TestRiskMatrix:
 
 class TestOccurrenceBinning:
     def test_default_boundaries(self):
-        assert occurrence_class(0.5) is OccurrenceClass.O4
-        assert occurrence_class(0.1) is OccurrenceClass.O4
-        assert occurrence_class(0.02) is OccurrenceClass.O3
-        assert occurrence_class(1e-3) is OccurrenceClass.O3
-        assert occurrence_class(1e-4) is OccurrenceClass.O2
-        assert occurrence_class(1e-6) is OccurrenceClass.O1
-        assert occurrence_class(0.0) is OccurrenceClass.O1
-
-    def test_custom_bins_validated(self):
-        with pytest.raises(ParameterError):
-            OccurrenceBins(o4=1e-5, o3=1e-3, o2=1e-1)
+        O1, O2, O3, O4 = OccurrenceClass
+        # Each bound is the least rate of its class; the float just below
+        # it falls in the class below.
+        for rate, expected in [
+            (0.5, O4),
+            (0.1, O4),
+            (math.nextafter(0.1, 0), O3),
+            (0.02, O3),
+            (1e-3, O3),
+            (math.nextafter(1e-3, 0), O2),
+            (1e-4, O2),
+            (1e-5, O2),
+            (math.nextafter(1e-5, 0), O1),
+            (1e-6, O1),
+            (0.0, O1),
+        ]:
+            assert occurrence_class(rate) is expected, rate
 
 
 class TestHazardRate:
