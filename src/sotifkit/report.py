@@ -215,6 +215,25 @@ class ReportBundle:
             raise ContractViolationError(
                 f"acceptance holds {verdicts[s.id]} verdict(s) for {kind} '{s.id}', {expected}"
             )
+        # The taxonomy summary's counts agree with each other and with the
+        # condition scenarios, one per relevant leaf.
+        total = self.taxonomy_summary["total_leaves"]
+        relevant = self.taxonomy_summary["relevant_leaves"]
+        by_root = sum(self.taxonomy_summary["leaves_by_root"].values())
+        if by_root != total:
+            raise ContractViolationError(
+                f"taxonomy_summary.leaves_by_root: the roots hold {by_root} leaves, "
+                f"not total_leaves {total}"
+            )
+        if relevant > total:
+            raise ContractViolationError(
+                f"taxonomy_summary.relevant_leaves: {relevant} exceeds total_leaves {total}"
+            )
+        if relevant != len(conditions):
+            raise ContractViolationError(
+                f"taxonomy_summary.relevant_leaves: {relevant}, but the bundle holds "
+                f"{len(conditions)} condition scenarios"
+            )
 
     @property
     def all_passed(self) -> bool:

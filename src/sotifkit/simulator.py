@@ -28,10 +28,13 @@ number in a trace obeys:
 With piecewise-constant acceleration every phase has a closed form, so the
 engine resolves trigger, brake-onset, collision, and stop steps
 analytically instead of looping over 10^5 steps per run; the test suite
-checks it against a literal per-dt stepper.  A trace is a view of that
-resolution: its events and states are built when first read, and the KPIs
-are read off the resolution without them.  Identical (scenario, cfg,
-run_index) always produces a bit-identical trace.
+checks it against a literal per-dt stepper.  A run differs from the others
+of its scenario only by its first ghost, so a plan per (scenario, cfg)
+holds everything else, and runs that trigger on the same step share one
+resolution and one KPI report.  A trace is a view of its resolution: its
+events and states are built when first read, and the KPIs are read off
+the resolution without them.  Identical (scenario, cfg, run_index) always
+produces a bit-identical trace.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import core
 from .errors import ParameterError, SimulationError
@@ -131,13 +134,16 @@ class SimConfig:
                 f"max_time={self.max_time}"
             )
 
-    @property
+    @functools.cached_property
     def tick_steps(self) -> int:
         return max(1, round(self.perception_tick / self.dt))
 
-    @property
+    @functools.cached_property
     def max_steps(self) -> int:
         return int(self.max_time / self.dt + 1e-9)
+
+
+_DEFAULT_CONFIG = SimConfig()  # one object: the plan cache compares configs by identity
 
 
 @dataclass(frozen=True)
@@ -196,7 +202,7 @@ def _ceil_steps(quotient: float) -> int:
     return max(0, math.ceil(quotient - 1e-9))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Resolved:
     """Closed-form resolution of one run on the dt grid."""
 
@@ -209,6 +215,9 @@ class _Resolved:
     m_stop: int         # braking steps until v == 0 (if engaged)
     terminal_step: int
     terminal: Terminal
+    # compute_kpis's reports for one scenario object: (scenario, whether the
+    # gap at the trigger is beyond its threshold, {false_activation: report}).
+    kpis: tuple[Scenario, bool, dict[bool, KpiReport]] | None = None
 
     def _brake_advance(self, m: int) -> float:
         # Distance gained after m braking steps; advance ceases once the
@@ -233,91 +242,125 @@ class _Resolved:
         return self.d_object - self.x(n)
 
 
-def _resolve_run(
-    scenario: Scenario, cfg: SimConfig, first_ghost_before: Callable[[int], int | None]
-) -> _Resolved:
-    """Resolve one run; ``first_ghost_before(n)`` gives the first ghost step
-    below step n, or None.  Only the first ghost can latch the brake."""
-    odd = scenario.odd
-    veh = odd.vehicle
-    eff = scenario.effects
-    dt = cfg.dt
-    max_steps = cfg.max_steps
-    tick_steps = cfg.tick_steps
+class _Plan:
+    """One (scenario, cfg) resolved up to its ghosts: what no ghost changes,
+    and the resolution of each trigger step that a run has needed.
 
-    v0 = veh.v_r
-    d_obj = odd.d_object
-    range_eff = odd.d_perception * eff.perception_range_factor
-    d_trigger = core.rss_min_distance(veh)
-    b_eff = core.effective_brake_decel(veh, odd.mu * eff.mu_factor)
-    delay_steps = _ceil_steps((veh.rho + eff.rho_add) / dt)
+    A run triggers at its first ghost below ``ghost_limit``, or else at
+    ``n_nat`` (never, if that is past the cruise collision or the horizon).
+    A resolution does not refer to its plan, so a trace keeps neither the
+    plan nor its table alive.
+    """
 
-    if v0 == 0.0:
-        return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, 0, Terminal.STOPPED)
+    def __init__(self, scenario: Scenario, cfg: SimConfig):
+        self.scenario = scenario
+        self.cfg = cfg
+        self._resolutions: dict[int, _Resolved] = {}
+        odd = scenario.odd
+        veh = odd.vehicle
+        eff = scenario.effects
+        self.dt = dt = cfg.dt
+        self.max_steps = max_steps = cfg.max_steps
+        tick_steps = cfg.tick_steps
 
-    def first_step_gap_le(threshold: float) -> int:
-        # Smallest n with d_obj - v0*dt*n <= threshold (cruise trajectory).
-        if d_obj <= threshold:
-            return 0
-        return _ceil_steps((d_obj - threshold) / (v0 * dt))
+        self.v0 = v0 = veh.v_r
+        self.d_obj = d_obj = odd.d_object
+        range_eff = odd.d_perception * eff.perception_range_factor
+        d_trigger = core.rss_min_distance(veh)
+        self.b_eff = core.effective_brake_decel(veh, odd.mu * eff.mu_factor)
+        self.delay_steps = _ceil_steps((veh.rho + eff.rho_add) / dt)
 
-    # Natural trigger: needs visibility (a perception-tick property) and
-    # the gap at or below the trigger threshold (checked every step).
-    if d_obj <= range_eff:
-        n_vis = 0
-    else:
-        n_vis = tick_steps * _ceil_steps((d_obj - range_eff) / (v0 * dt * tick_steps))
-    n_nat = max(n_vis, first_step_gap_le(d_trigger))
-    n_hit_cruise = first_step_gap_le(0.0)  # first collided step while cruising
+        if v0 == 0.0:
+            # Stopped at step 0, before any ghost is read.
+            self.n_nat = self.n_hit_cruise = self.ghost_limit = 0
+            return
 
-    # A ghost at or after the cruise collision or the horizon leaves the run
-    # untriggered, as no ghost does, so the stream is read no further.
-    n_ghost = first_ghost_before(min(n_nat, n_hit_cruise, max_steps))
-    n_trig = n_nat if n_ghost is None else n_ghost
+        def first_step_gap_le(threshold: float) -> int:
+            # Smallest n with d_obj - v0*dt*n <= threshold (cruise trajectory).
+            if d_obj <= threshold:
+                return 0
+            return _ceil_steps((d_obj - threshold) / (v0 * dt))
 
-    if n_trig >= min(n_hit_cruise, max_steps):
-        # Never triggered: cruise into the object or run out the clock.
-        if n_hit_cruise <= max_steps:
-            return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, n_hit_cruise, Terminal.COLLISION)
-        return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, max_steps, Terminal.TIMEOUT)
+        # Natural trigger: needs visibility (a perception-tick property) and
+        # the gap at or below the trigger threshold (checked every step).
+        if d_obj <= range_eff:
+            n_vis = 0
+        else:
+            n_vis = tick_steps * _ceil_steps((d_obj - range_eff) / (v0 * dt * tick_steps))
+        self.n_nat = max(n_vis, first_step_gap_le(d_trigger))
+        self.n_hit_cruise = first_step_gap_le(0.0)  # first collided step while cruising
+        # A ghost at or after the cruise collision or the horizon leaves the
+        # run untriggered, as no ghost does, so the stream is read no further.
+        self.ghost_limit = min(self.n_nat, self.n_hit_cruise, max_steps)
 
-    n_eff = n_trig + delay_steps
-    if n_hit_cruise <= n_eff or n_eff >= max_steps:
-        # Collision or horizon before any brake force is applied.
-        if n_hit_cruise <= max_steps:
-            return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, n_hit_cruise, Terminal.COLLISION)
-        return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, max_steps, Terminal.TIMEOUT)
+    def resolve(self, n_trig: int) -> _Resolved:
+        """The run that triggers at ``n_trig``, resolved when a run first needs
+        it.  A non-finite one is not kept: every call raises SimulationError."""
+        res = self._resolutions.get(n_trig)
+        if res is None:
+            res = self._resolve(n_trig)
+            for name, value in (("position", res.x(res.terminal_step)), ("velocity", res.v(res.terminal_step))):
+                if not math.isfinite(value):
+                    raise SimulationError(
+                        f"non-finite {name} at terminal of scenario '{self.scenario.id}'"
+                    )
+            self._resolutions[n_trig] = res
+        return res
 
-    # Braking engages at n_eff with speed still v0.
-    m_stop = _ceil_steps(v0 / (b_eff * dt))
-    x_eff = v0 * dt * n_eff
-    need = d_obj - x_eff  # > 0 because n_hit_cruise > n_eff
+    def _resolve(self, n_trig: int) -> _Resolved:
+        v0, dt, b_eff, d_obj = self.v0, self.dt, self.b_eff, self.d_obj
+        max_steps, n_hit_cruise = self.max_steps, self.n_hit_cruise
+        if v0 == 0.0:
+            return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, 0, Terminal.STOPPED)
 
-    resolved = _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, 0, Terminal.STOPPED)
+        if n_trig >= min(n_hit_cruise, max_steps):
+            # Never triggered: cruise into the object or run out the clock.
+            if n_hit_cruise <= max_steps:
+                return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, n_hit_cruise, Terminal.COLLISION)
+            return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, max_steps, Terminal.TIMEOUT)
 
-    # Smallest braking step m with advance(m) >= need, if any: collision.
-    m_coll: int | None = None
-    a_q = b_eff * dt * dt / 2.0
-    lin = v0 * dt - a_q
-    disc = lin * lin - 4.0 * a_q * need
-    if disc >= 0.0:
-        root = (lin - math.sqrt(disc)) / (2.0 * a_q)
-        m = max(1, _ceil_steps(root))
-        while m > 1 and resolved._brake_advance(m - 1) >= need:
-            m -= 1
-        while m <= m_stop - 1 and resolved._brake_advance(m) < need:
-            m += 1
-        if m <= m_stop - 1 and resolved._brake_advance(m) >= need:
-            m_coll = m
+        n_eff = n_trig + self.delay_steps
+        if n_hit_cruise <= n_eff or n_eff >= max_steps:
+            # Collision or horizon before any brake force is applied.
+            if n_hit_cruise <= max_steps:
+                return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, n_hit_cruise, Terminal.COLLISION)
+            return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, max_steps, Terminal.TIMEOUT)
 
-    if m_coll is not None:
-        terminal_step, terminal = n_eff + m_coll, Terminal.COLLISION
-    else:
-        terminal_step, terminal = n_eff + m_stop, Terminal.STOPPED
-    if terminal_step > max_steps:
-        terminal_step, terminal = max_steps, Terminal.TIMEOUT
+        # Braking engages at n_eff with speed still v0.
+        m_stop = _ceil_steps(v0 / (b_eff * dt))
+        x_eff = v0 * dt * n_eff
+        need = d_obj - x_eff  # > 0 because n_hit_cruise > n_eff
 
-    return _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, terminal_step, terminal)
+        resolved = _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, 0, Terminal.STOPPED)
+
+        # Smallest braking step m with advance(m) >= need, if any: collision.
+        m_coll: int | None = None
+        a_q = b_eff * dt * dt / 2.0
+        lin = v0 * dt - a_q
+        disc = lin * lin - 4.0 * a_q * need
+        if disc >= 0.0:
+            root = (lin - math.sqrt(disc)) / (2.0 * a_q)
+            m = max(1, _ceil_steps(root))
+            while m > 1 and resolved._brake_advance(m - 1) >= need:
+                m -= 1
+            while m <= m_stop - 1 and resolved._brake_advance(m) < need:
+                m += 1
+            if m <= m_stop - 1 and resolved._brake_advance(m) >= need:
+                m_coll = m
+
+        if m_coll is not None:
+            terminal_step, terminal = n_eff + m_coll, Terminal.COLLISION
+        else:
+            terminal_step, terminal = n_eff + m_stop, Terminal.STOPPED
+        if terminal_step > max_steps:
+            terminal_step, terminal = max_steps, Terminal.TIMEOUT
+
+        return _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, terminal_step, terminal)
+
+
+# A sweep calls runs 0..R-1 of one scenario back to back, so the plan of
+# the last (scenario, cfg) objects is the only one worth keeping.
+_last_plan: _Plan | None = None
 
 
 def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> int | None:
@@ -385,12 +428,14 @@ class _GhostStream:
             count -= u.size
             yield u
 
-    def _flagged_before(self, step: int) -> list[int]:
-        """The flagged ticks whose step is below ``step``."""
+    def _flagged_before(self, step: int, first: bool = False) -> list[int]:
+        """The flagged ticks whose step is below ``step``; with ``first``,
+        drawn only until a chunk holds a flag, which settles the first."""
         if self._rng is None:
             return []
         need = min(self._n_ticks, -(-step // self._tick_steps))
-        for u in self._draw(need - self._drawn):
+        while self._drawn < need and not (first and self._flagged):
+            u = self._rng.random(min(need - self._drawn, _GHOST_CHUNK))
             offset = self._drawn
             self._flagged += [offset + t for t in (u < self._rate).nonzero()[0].tolist()]
             self._drawn += u.size
@@ -398,7 +443,7 @@ class _GhostStream:
 
     def first_before(self, step: int) -> int | None:
         """The first ghost step below ``step``, or None."""
-        ticks = self._flagged_before(step)
+        ticks = self._flagged_before(step, first=True)
         return ticks[0] * self._tick_steps if ticks else None
 
     def events_before(self, step: int) -> list[tuple[int, float]]:
@@ -431,7 +476,7 @@ class SimTrace:
     (scenario_id, terminal, events, states).
     """
 
-    __slots__ = ("_scenario", "_cfg", "_res", "_ghosts", "_view", "_kpis")
+    __slots__ = ("_scenario", "_cfg", "_res", "_ghosts", "_view")
 
     def __init__(self, scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream):
         self._scenario = scenario
@@ -439,7 +484,6 @@ class SimTrace:
         self._res = res
         self._ghosts = ghosts
         self._view: _View | None = None
-        self._kpis: tuple[Scenario, KpiReport] | None = None  # see compute_kpis
 
     @property
     def scenario_id(self) -> str:
@@ -485,33 +529,18 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
 
     ``run_index`` selects the run's random stream within the scenario's
     seed (sweeps use 0, 1, 2, ...); equal inputs give bit-identical traces.
-    A ghost-free scenario reads no randomness, so all its runs share one
-    trace.
+    Runs of one scenario that trigger on the same step share one
+    resolution; a ghost-free scenario's runs all do.
     """
+    global _last_plan
     if cfg is None:
-        cfg = SimConfig()
-    if scenario.effects.ghost_rate == 0.0:
-        return _ghost_free_trace(scenario, cfg)
-    return _simulate(scenario, cfg, run_index)
-
-
-# A sweep calls runs 0..R-1 of one scenario back to back, so the last
-# ghost-free (scenario, cfg) is the only one worth keeping.
-@functools.lru_cache(maxsize=1)
-def _ghost_free_trace(scenario: Scenario, cfg: SimConfig) -> SimTrace:
-    return _simulate(scenario, cfg, 0)
-
-
-def _simulate(scenario: Scenario, cfg: SimConfig, run_index: int) -> SimTrace:
+        cfg = _DEFAULT_CONFIG
+    plan = _last_plan
+    if plan is None or plan.scenario is not scenario or plan.cfg is not cfg:
+        plan = _last_plan = _Plan(scenario, cfg)
     ghosts = _GhostStream(scenario, cfg, run_index)
-    res = _resolve_run(scenario, cfg, ghosts.first_before)
-
-    for name, value in (("position", res.x(res.terminal_step)), ("velocity", res.v(res.terminal_step))):
-        if not math.isfinite(value):
-            raise SimulationError(
-                f"non-finite {name} at terminal of scenario '{scenario.id}'"
-            )
-    return SimTrace(scenario, cfg, res, ghosts)
+    n_ghost = ghosts.first_before(plan.ghost_limit)
+    return SimTrace(scenario, cfg, plan.resolve(plan.n_nat if n_ghost is None else n_ghost), ghosts)
 
 
 def _trace_view(scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream) -> _View:
@@ -551,41 +580,37 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
     """Derive a run's KPI report from its resolution, without building its
     events or states.
 
-    The report is kept on the trace for the last ``scenario`` object it was
-    derived with, so the one trace that every run of a ghost-free scenario
-    shares derives it once.
+    The resolution keeps its report, one per false-activation value, for
+    the last ``scenario`` object it was derived with, so runs that share a
+    resolution derive their KPIs once.
     """
-    memo = trace._kpis
-    if memo is not None and memo[0] is scenario:
-        return memo[1]
-
     res = trace._res
-    end = res.terminal_step
-    collision = res.terminal is Terminal.COLLISION
     n_trig = res.n_trig
-    if n_trig is None:
-        ttc_at_trigger = core.NO_CLOSING
-        false_activation = False
-    else:
-        trigger_gap = res.gap(n_trig)
-        ttc_at_trigger = core.ttc(max(0.0, trigger_gap), res.v(n_trig))
-        # A ghost detection at the trigger step while the true gap there is
-        # beyond the threshold.  A ghost on the natural trigger step is a
-        # flag the resolution did not read; the trigger comes before the
-        # terminal, so this read stays within the flags a trace view reads.
-        false_activation = (
-            trigger_gap > trigger_threshold(scenario)
-            and trace._ghosts.first_before(n_trig + 1) == n_trig
+    kept = res.kpis
+    if kept is None or kept[0] is not scenario:
+        beyond = n_trig is not None and res.gap(n_trig) > trigger_threshold(scenario)
+        kept = res.kpis = (scenario, beyond, {})
+    _, beyond, reports = kept
+    # A ghost detection at the trigger step while the true gap there is
+    # beyond the threshold.  A ghost on the natural trigger step is a
+    # flag the resolution did not read; the trigger comes before the
+    # terminal, so this read stays within the flags a trace view reads.
+    false_activation = beyond and trace._ghosts.first_before(n_trig + 1) == n_trig
+    report = reports.get(false_activation)
+    if report is None:
+        end = res.terminal_step
+        collision = res.terminal is Terminal.COLLISION
+        if n_trig is None:
+            ttc_at_trigger = core.NO_CLOSING
+        else:
+            ttc_at_trigger = core.ttc(max(0.0, res.gap(n_trig)), res.v(n_trig))
+        report = reports[false_activation] = KpiReport(
+            ttc_at_trigger=ttc_at_trigger,
+            final_gap=max(0.0, res.gap(end)),
+            collision=collision,
+            impact_speed=res.v(end) if collision else 0.0,
+            false_activation=false_activation,
         )
-
-    report = KpiReport(
-        ttc_at_trigger=ttc_at_trigger,
-        final_gap=max(0.0, res.gap(end)),
-        collision=collision,
-        impact_speed=res.v(end) if collision else 0.0,
-        false_activation=false_activation,
-    )
-    trace._kpis = (scenario, report)
     return report
 
 

@@ -962,6 +962,28 @@ class TestCli:
                 {**_TAXONOMY_SUMMARY, "leaves_by_root": [3]},
                 "taxonomy_summary.leaves_by_root: expected a JSON object",
             ),
+            # The counts must agree with each other and with the bundle's
+            # 22 condition scenarios (of the fixture's 28 leaves).
+            (
+                "taxonomy_summary",
+                {"total_leaves": 3, "relevant_leaves": 99, "leaves_by_root": {"nowhere": 7}},
+                "taxonomy_summary.leaves_by_root: the roots hold 7 leaves, not total_leaves 3",
+            ),
+            (
+                "taxonomy_summary",
+                {"total_leaves": 28, "relevant_leaves": 22, "leaves_by_root": {"env": 27}},
+                "taxonomy_summary.leaves_by_root: the roots hold 27 leaves, not total_leaves 28",
+            ),
+            (
+                "taxonomy_summary",
+                {"total_leaves": 21, "relevant_leaves": 22, "leaves_by_root": {"env": 21}},
+                "taxonomy_summary.relevant_leaves: 22 exceeds total_leaves 21",
+            ),
+            (
+                "taxonomy_summary",
+                {"total_leaves": 28, "relevant_leaves": 21, "leaves_by_root": {"env": 28}},
+                "taxonomy_summary.relevant_leaves: 21, but the bundle holds 22 condition scenarios",
+            ),
             (
                 "acceptance",
                 {"criteria": {}, "verdicts": []},
@@ -1036,6 +1058,10 @@ class TestCli:
             "relevant-leaves-bool",
             "leaves-by-root-float",
             "leaves-by-root-list",
+            "taxonomy-summary-contradicts-itself",
+            "leaves-by-root-sum",
+            "relevant-leaves-above-total",
+            "relevant-leaves-not-condition-scenarios",
             "criteria-empty",
             "acceptance-null",
             "mitigation-item-extra-key",

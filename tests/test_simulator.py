@@ -39,8 +39,33 @@ def baseline_odd(baseline_vehicle, d_object=100.0, d_perception=80.0, mu=1.0):
     )
 
 
+def fresh_plan_run(scenario, cfg: SimConfig, run_index: int) -> SimTrace:
+    """``simulate`` from a fresh plan, which reuses nothing resolved before."""
+    sim_module._last_plan = None
+    return simulate(scenario, cfg, run_index)
+
+
+def count_kpi_reports(monkeypatch) -> list[dict]:
+    """The fields of every KpiReport that compute_kpis builds from here on."""
+    derived = []
+
+    def counting(**fields):
+        derived.append(fields)
+        return KpiReport(**fields)
+
+    monkeypatch.setattr(sim_module, "KpiReport", counting)
+    return derived
+
+
 def events_of(trace: SimTrace, kind: EventKind):
     return [e for e in trace.events if e.kind is kind]
+
+
+def trigger_key(trace: SimTrace, scenario) -> tuple[float | None, bool]:
+    """A run's trigger time (None: never triggered) and whether it was a
+    false activation, read off its trace."""
+    triggers = events_of(trace, EventKind.BRAKE_TRIGGERED)
+    return (triggers[0].time if triggers else None, trace_kpis(trace, scenario).false_activation)
 
 
 def position_at(trace: SimTrace, kind: EventKind) -> float:
@@ -326,6 +351,20 @@ class TestReferenceEquivalence:
                 false_activations += kpis.false_activation
         assert false_activations > 0
 
+    def test_sweep_matches_fresh_plan_per_run(self):
+        # The sweep shares resolutions and reports between runs; resolving
+        # every run from a fresh plan must give the same statistics.
+        rng = random.Random(987654321)
+        for case in range(250):
+            scenario, cfg = self._random_case(rng)
+            for rate in (0.0, 1e-3, 0.05, 1.0):
+                effects = dataclasses.replace(scenario.effects, ghost_rate=rate)
+                swept = dataclasses.replace(scenario, effects=effects)
+                (stats,) = monte_carlo_sweep([swept], cfg, runs_per_scenario=6)
+                kpis = [compute_kpis(fresh_plan_run(swept, cfg, i), swept) for i in range(6)]
+                expected = sim_module._aggregate(swept, kpis, swept.odd.fingerprint())
+                assert stats == expected, f"case {case} ghost_rate={rate}: {swept} {cfg}"
+
 
 class _GhostAt:
     """Stand-in ghost stream with one ghost, at ``step``."""
@@ -419,6 +458,19 @@ class TestGhostStream:
                     terminals.add(trace.terminal)
         assert terminals == set(Terminal)
 
+    def test_first_flag_draws_one_chunk(self, baseline_vehicle, monkeypatch):
+        # The ghost limit is the horizon, 12,000 ticks; the first chunk of
+        # flags holds the first ghost, so the resolution draws no further.
+        odd, cfg = _ghost_grid_cases(baseline_vehicle)["horizon-600s"]
+        scenario = make_scenario(odd, EffectModel(ghost_rate=0.5), scenario_id="long", seed=1234)
+        assert sim_module._Plan(scenario, cfg).ghost_limit == cfg.max_steps == 12_000 * cfg.tick_steps
+        trace = fresh_plan_run(scenario, cfg, 0)
+        assert trace._ghosts._drawn == sim_module._GHOST_CHUNK == 4096
+        with monkeypatch.context() as m:
+            m.setattr(sim_module, "_GhostStream", FullDrawGhosts)
+            expected = fresh_plan_run(scenario, cfg, 0)
+        assert trace == expected
+
     @pytest.mark.parametrize(
         "d_object, ghost_rate, terminal",
         [(100.0, 0.05, Terminal.STOPPED), (1e7, 1e-12, Terminal.TIMEOUT)],
@@ -447,18 +499,21 @@ class TestGhostStream:
 
 
 class TestGhostFreeMemo:
-    """A ghost-free scenario reads no randomness: all its runs share the
-    one trace that ``simulate`` keeps for the last (scenario, cfg)."""
+    """A ghost-free scenario reads no randomness: all its runs share the one
+    resolution of the plan that ``simulate`` keeps for the last (scenario,
+    cfg)."""
 
-    def test_runs_share_one_trace(self, baseline_vehicle):
+    def test_runs_share_one_resolution(self, baseline_vehicle):
         cfg = SimConfig()
         scenario = make_scenario(
             baseline_odd(baseline_vehicle), EffectModel(mu_factor=0.5), scenario_id="memo"
         )
         traces = [simulate(scenario, cfg, i) for i in (0, 1, 7)]
-        assert traces[1] is traces[0] and traces[2] is traces[0]
+        assert traces[1]._res is traces[0]._res and traces[2]._res is traces[0]._res
+        # Runs of a caller that passes no config share one too.
+        assert simulate(scenario, run_index=1)._res is simulate(scenario, run_index=2)._res
         for i, trace in zip((0, 1, 7), traces):
-            assert trace == sim_module._simulate(scenario, cfg, i)
+            assert trace == fresh_plan_run(scenario, cfg, i)
             ref = reference_run(scenario, cfg, i)
             assert (trace.terminal.value, round(trace.events[-1].time / cfg.dt)) == (
                 ref.terminal,
@@ -472,7 +527,7 @@ class TestGhostFreeMemo:
         calls = [(a, fine), (b, fine), (a, fine), (a, coarse), (b, coarse), (a, fine)]
         traces = [simulate(scenario, cfg, i) for i, (scenario, cfg) in enumerate(calls)]
         for (scenario, cfg), trace in zip(calls, traces):
-            assert trace == sim_module._simulate(scenario, cfg, 0), (scenario.id, cfg)
+            assert trace == fresh_plan_run(scenario, cfg, 0), (scenario.id, cfg)
         assert len({traces[0], traces[1], traces[3], traces[4]}) == 4
 
         twin = dataclasses.replace(a)
@@ -480,23 +535,24 @@ class TestGhostFreeMemo:
         assert simulate(twin, fine, 3) == traces[0]
 
     def test_simulation_error_not_cached(self, baseline_vehicle, monkeypatch):
-        resolve = sim_module._resolve_run
+        resolve = sim_module._Plan._resolve
         calls = []
 
-        def diverging(*args):
-            calls.append(args)
-            return dataclasses.replace(resolve(*args), v0=math.inf)
+        def diverging(plan, n_trig):
+            calls.append(n_trig)
+            return dataclasses.replace(resolve(plan, n_trig), v0=math.inf)
 
-        monkeypatch.setattr(sim_module, "_resolve_run", diverging)
+        monkeypatch.setattr(sim_module._Plan, "_resolve", diverging)
         scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="memo-diverges")
+        cfg = SimConfig()  # one plan for both calls
         for _ in range(2):
             with pytest.raises(SimulationError, match="memo-diverges"):
-                simulate(scenario, SimConfig(), 0)
+                simulate(scenario, cfg, 0)
         assert len(calls) == 2
 
     def test_int_inputs_equal_float_inputs(self, tmp_path):
-        # Ints are stored as floats, so the memo that keys on == cannot hand
-        # the trace of int inputs to float inputs, or the other way round.
+        # Ints are stored as floats, so int and float inputs give equal
+        # traces that export the same bytes.
         def scenario(number):
             vehicle = VehicleParams(
                 v_r=number(10), rho=number(1), a_max_accel=number(2), a_min_brake=number(5)
@@ -513,7 +569,7 @@ class TestGhostFreeMemo:
         for trace in (as_int, as_float):
             for state in trace.states:
                 assert {type(state.position), type(state.velocity), type(state.time)} == {float}
-        assert as_float == sim_module._simulate(scenario(float), SimConfig(), 0)
+        assert as_float == fresh_plan_run(scenario(float), SimConfig(), 0)
         export_trace_jsonl([as_int], tmp_path / "int.jsonl")
         export_trace_jsonl([as_float], tmp_path / "float.jsonl")
         assert (tmp_path / "int.jsonl").read_text() == (tmp_path / "float.jsonl").read_text()
@@ -542,25 +598,41 @@ class TestLazyTraceView:
         assert built == ["ghosts", "ghosts"]
 
     def test_ghost_free_runs_derive_kpis_once(self, baseline_vehicle, monkeypatch):
-        derived = []
-
-        def counting(**fields):
-            derived.append(fields)
-            return KpiReport(**fields)
-
-        monkeypatch.setattr(sim_module, "KpiReport", counting)
+        derived = count_kpi_reports(monkeypatch)
         cfg = SimConfig()
         odd = baseline_odd(baseline_vehicle)
         ghost_free = make_scenario(odd, EffectModel(mu_factor=0.5), scenario_id="ghost-free")
         traces = [simulate(ghost_free, cfg, i) for i in range(50)]
-        assert all(trace is traces[0] for trace in traces)
+        assert all(trace._res is traces[0]._res for trace in traces)
         reports = [compute_kpis(trace, ghost_free) for trace in traces]
         assert all(report is reports[0] for report in reports)
         assert len(derived) == 1
 
+        # The sweep keeps the ghost-free plan, whose resolution keeps its
+        # report; a ghost run derives one per (trigger step, false activation).
         ghosts = make_scenario(odd, EffectModel(ghost_rate=0.05), scenario_id="ghosts")
         monte_carlo_sweep([ghost_free, ghosts], cfg, runs_per_scenario=50)
-        assert len(derived) == 1 + 50  # the shared trace keeps its report
+        keys = {trigger_key(simulate(ghosts, cfg, i), ghosts) for i in range(50)}
+        assert len(derived) == 1 + len(keys)
+
+    def test_runs_with_one_trigger_step_share_resolution_and_report(
+        self, baseline_vehicle, monkeypatch
+    ):
+        derived = count_kpi_reports(monkeypatch)
+        cfg = SimConfig()
+        scenario = make_scenario(
+            baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.02), scenario_id="g", seed=5
+        )
+        monte_carlo_sweep([scenario], cfg, runs_per_scenario=200)
+        swept = len(derived)
+        resolutions, reports = {}, {}
+        for i in range(200):
+            trace = simulate(scenario, cfg, i)
+            report = compute_kpis(trace, scenario)
+            key = trigger_key(trace, scenario)
+            assert trace._res is resolutions.setdefault(key[0], trace._res)
+            assert report is reports.setdefault(key, report)
+        assert swept == len(derived) == len(reports) < 200
 
     def test_report_follows_the_scenario(self, baseline_vehicle):
         # A certain ghost latches the brake at 100 m: beyond this vehicle's
