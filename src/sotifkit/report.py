@@ -272,9 +272,10 @@ def run_campaign(
     Any module error is re-raised as :class:`PipelineError` naming the
     stage it came from.  When ``trace_dir`` is given, the first run
     (index 0) of every scenario is written to ``trace_dir/traces.jsonl``,
-    one line per scenario in the bundle's scenario order.  The export
-    stage fails, deleting nothing, when ``trace_dir`` already holds any
-    other ``*.jsonl`` file.
+    one line per scenario in the bundle's scenario order.  Each trace is
+    simulated as its line is written, so a failure during the export can
+    leave a partial ``traces.jsonl``.  The export stage fails, deleting
+    nothing, when ``trace_dir`` already holds any other ``*.jsonl`` file.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -323,7 +324,7 @@ def run_campaign(
                     f"{stale[0]}: a trace file this campaign does not write; "
                     "remove it or write the traces to another directory"
                 )
-            traces = [simulate(scenario, cfg, run_index=0) for scenario in all_scenarios]
+            traces = (simulate(scenario, cfg, run_index=0) for scenario in all_scenarios)
             export_trace_jsonl(traces, trace_path / "traces.jsonl")
 
     with _stage("analyze"):

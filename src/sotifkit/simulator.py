@@ -31,10 +31,12 @@ analytically instead of looping over 10^5 steps per run; the test suite
 checks it against a literal per-dt stepper.  A run differs from the others
 of its scenario only by its first ghost, so a plan per (scenario, cfg)
 holds everything else, and runs that trigger on the same step share one
-resolution and one KPI report.  A trace is a view of its resolution: its
-events and states are built when first read, and the KPIs are read off
-the resolution without them.  Identical (scenario, cfg, run_index) always
-produces a bit-identical trace.
+resolution and one KPI report.  A sweep draws each (seed, run) flag
+stream once: scenarios that share a seed run back to back and read their
+first ghost from the first draw's record.  A trace is a view of its
+resolution: its events and states are built when first read, and the
+KPIs are read off the resolution without them.  Identical (scenario, cfg,
+run_index) always produces a bit-identical trace.
 """
 
 from __future__ import annotations
@@ -389,6 +391,23 @@ def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> in
 _GHOST_CHUNK = 4096
 
 
+@dataclass(slots=True)
+class _Draws:
+    """The first stream of a (seed, run) to draw: its rate ``bound``, the
+    u_flag values it has ``drawn``, and their record lows below ``bound``,
+    each flagged tick whose value is below every earlier one, as (tick, u).
+    At a rate p <= bound, the first flag is the first record low below p."""
+
+    bound: float
+    drawn: int
+    lows: list[tuple[int, float]]
+
+
+# A sweep runs the scenarios that share a seed back to back, so the records
+# of the last seed, one per run index, are the only ones worth keeping.
+_last_draws: tuple[int, dict[int, _Draws]] | None = None
+
+
 class _GhostStream:
     """One run's ghost randomness, drawn only as far as the run reads it.
 
@@ -400,24 +419,24 @@ class _GhostStream:
     arrays span the whole horizon so that runs with the same seed stay
     coupled across effect changes (a lower ghost_rate selects a subset of
     the same flagged ticks).  Drawing a prefix, or skipping values with
-    ``advance``, gives the same values as one full draw.  A ghost-free
-    scenario builds no generator and imports nothing; numpy is loaded when
-    the first run with ``ghost_rate > 0`` builds its generator.
+    ``advance``, gives the same values as one full draw.
+
+    A stream builds its generator only when it draws, so a ghost-free
+    scenario imports nothing; numpy is loaded at the first draw.  The first
+    stream of a (seed, run) to draw writes its :class:`_Draws` record; a
+    later stream of that (seed, run) with a rate at or below the record's
+    reads its first ghost from the record when the record settles it, and
+    draws itself otherwise.  ``events_before`` always draws.
     """
 
     def __init__(self, scenario: Scenario, cfg: SimConfig, run_index: int):
         self._scenario = scenario
+        self._run_index = run_index
         self._tick_steps = cfg.tick_steps
         self._n_ticks = (cfg.max_steps - 1) // cfg.tick_steps + 1 if cfg.max_steps > 0 else 0
         self._rate = scenario.effects.ghost_rate
-        self._rng = None
-        if self._rate > 0.0:
-            import numpy as np
-
-            # What default_rng(seed) builds, without its argument dispatch.
-            self._rng = np.random.Generator(
-                np.random.PCG64(derive_seed(scenario.seed, run_index))
-            )
+        self._rng = None  # built at the first draw
+        self._record: _Draws | None = None  # the record this stream writes
         self._drawn = 0  # u_flag values drawn so far
         self._flagged: list[int] = []  # flagged ticks among them, ascending
 
@@ -430,15 +449,46 @@ class _GhostStream:
 
     def _flagged_before(self, step: int, first: bool = False) -> list[int]:
         """The flagged ticks whose step is below ``step``; with ``first``,
-        drawn only until a chunk holds a flag, which settles the first."""
-        if self._rng is None:
-            return []
+        only what settles the first: the record of this (seed, run) when it
+        does, or else the chunks drawn until one holds a flag.  The first
+        stream of a (seed, run) to draw writes the record."""
+        global _last_draws
         need = min(self._n_ticks, -(-step // self._tick_steps))
+        if self._rate <= 0.0 or need == 0:
+            return []
+        if first and not self._drawn:
+            if _last_draws is None or _last_draws[0] != self._scenario.seed:
+                _last_draws = (self._scenario.seed, {})
+            new = _Draws(self._rate, 0, [])
+            record = _last_draws[1].setdefault(self._run_index, new)
+            if record is new:
+                self._record = record
+            elif self._rate <= record.bound:
+                for tick, u in record.lows:
+                    if u < self._rate:  # the first flag at this rate
+                        return [tick] if tick < need else []
+                if record.drawn >= need:
+                    return []
+        if self._rng is None:
+            import numpy as np
+
+            # What default_rng(seed) builds, without its argument dispatch.
+            self._rng = np.random.Generator(
+                np.random.PCG64(derive_seed(self._scenario.seed, self._run_index))
+            )
         while self._drawn < need and not (first and self._flagged):
             u = self._rng.random(min(need - self._drawn, _GHOST_CHUNK))
             offset = self._drawn
-            self._flagged += [offset + t for t in (u < self._rate).nonzero()[0].tolist()]
+            hits = (u < self._rate).nonzero()[0]
+            ticks = [offset + t for t in hits.tolist()]
+            self._flagged += ticks
             self._drawn += u.size
+            if self._record is not None:
+                lows = self._record.lows
+                self._record.drawn = self._drawn
+                for t, x in zip(ticks, u[hits].tolist()):
+                    if not lows or x < lows[-1][1]:
+                        lows.append((t, x))
         return self._flagged[: bisect.bisect_left(self._flagged, need)]
 
     def first_before(self, step: int) -> int | None:
@@ -639,21 +689,29 @@ def monte_carlo_sweep(
     cfg: SimConfig | None = None,
     runs_per_scenario: int = 1,
 ) -> list[SweepStats]:
-    """Repeated-run KPI statistics per scenario.
+    """Repeated-run KPI statistics per scenario, in input order.
 
     Run i of a scenario uses the random stream (scenario.seed, i), so the
     result is a pure function of the inputs: execution order cannot change
-    it.  Simulation errors are re-raised with the scenario id attached.
+    it.  The scenarios that share a seed (a condition and its mitigated
+    variants) run back to back, groups in the order in which each seed
+    first appears, so that each (seed, run) flag stream is drawn once.  A
+    simulation error is re-raised with the scenario id attached; of several
+    failing scenarios, the first in that run order is reported.
     """
     if runs_per_scenario < 1:
         raise ParameterError(f"runs_per_scenario must be >= 1, got {runs_per_scenario}")
     if cfg is None:
         cfg = SimConfig()
 
-    results: list[SweepStats] = []
+    groups: dict[int, list[int]] = {}
+    for index, scenario in enumerate(scenarios):
+        groups.setdefault(scenario.seed, []).append(index)
+    results: dict[int, SweepStats] = {}
     # Most scenarios of a campaign share one ODD: fingerprint each ODD once.
     fingerprints: dict[OddDefinition, str] = {}
-    for scenario in scenarios:
+    for index in (index for group in groups.values() for index in group):
+        scenario = scenarios[index]
         try:
             kpis = [
                 compute_kpis(simulate(scenario, cfg, i), scenario)
@@ -664,8 +722,8 @@ def monte_carlo_sweep(
         fingerprint = fingerprints.get(scenario.odd)
         if fingerprint is None:
             fingerprint = fingerprints[scenario.odd] = scenario.odd.fingerprint()
-        results.append(_aggregate(scenario, kpis, fingerprint))
-    return results
+        results[index] = _aggregate(scenario, kpis, fingerprint)
+    return [results[index] for index in range(len(scenarios))]
 
 
 def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:

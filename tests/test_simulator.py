@@ -40,8 +40,10 @@ def baseline_odd(baseline_vehicle, d_object=100.0, d_perception=80.0, mu=1.0):
 
 
 def fresh_plan_run(scenario, cfg: SimConfig, run_index: int) -> SimTrace:
-    """``simulate`` from a fresh plan, which reuses nothing resolved before."""
+    """``simulate`` from a fresh plan and a fresh ghost stream, which reuse
+    nothing resolved or drawn before."""
     sim_module._last_plan = None
+    sim_module._last_draws = None
     return simulate(scenario, cfg, run_index)
 
 
@@ -498,6 +500,129 @@ class TestGhostStream:
         assert peak < 1_000_000
 
 
+def _seed_group(odd, rate: float, seed: int = 1234) -> list:
+    """A condition at ``rate`` and variants that keep its seed, as mitigated
+    variants do: at the same rate, at a third of it, at three times it, and
+    with a later and an earlier natural trigger (a stronger brake lowers
+    the designed trigger threshold, a weaker one raises it)."""
+    condition = make_scenario(odd, EffectModel(ghost_rate=rate), scenario_id="cond", seed=seed)
+
+    def braking(factor: float):
+        brake = odd.vehicle.a_min_brake * factor
+        return dataclasses.replace(odd, vehicle=dataclasses.replace(odd.vehicle, a_min_brake=brake))
+
+    variants = {
+        "same-rate": (odd, rate),
+        "third-rate": (odd, rate / 3),
+        "triple-rate": (odd, min(1.0, 3 * rate)),
+        "later-trigger": (braking(1.5), rate),
+        "earlier-trigger": (braking(1 / 1.5), rate),
+    }
+    return [condition] + [
+        dataclasses.replace(
+            condition, id=f"cond+{name}", odd=variant_odd,
+            effects=EffectModel(ghost_rate=variant_rate),
+        )
+        for name, (variant_odd, variant_rate) in variants.items()
+    ]
+
+
+def count_generators(monkeypatch) -> dict[str, int]:
+    """The ghost generators that each scenario builds from here on, by id.
+    The sweep calls ``simulate`` through the module, so the scenario whose
+    run is being simulated is known when its stream derives a seed."""
+    built: dict[str, int] = {}
+    running = []
+    simulate_, derive_seed = sim_module.simulate, sim_module.derive_seed
+
+    def simulating(scenario, *args):
+        running[:] = [scenario.id]
+        return simulate_(scenario, *args)
+
+    def deriving(*parts):
+        built[running[0]] = built.get(running[0], 0) + 1
+        return derive_seed(*parts)
+
+    monkeypatch.setattr(sim_module, "simulate", simulating)
+    monkeypatch.setattr(sim_module, "derive_seed", deriving)
+    monkeypatch.setattr(sim_module, "_last_draws", None)
+    return built
+
+
+class TestSharedDraws:
+    """A sweep draws each (seed, run) flag stream once: a later scenario with
+    that seed reads its first ghost from the record of the first stream to
+    draw, unless its rate is above the record's or its ghost limit lies
+    beyond the record's draws."""
+
+    RUNS = 8
+
+    def test_group_sweep_matches_fresh_streams(self, baseline_vehicle, monkeypatch):
+        built: dict[str, int] = {}
+        for name, (odd, cfg) in _ghost_grid_cases(baseline_vehicle).items():
+            for rate in (1e-3, 0.05, 0.3):
+                group = _seed_group(odd, rate)
+                with monkeypatch.context() as m:
+                    counts = count_generators(m)
+                    stats = monte_carlo_sweep(group, cfg, self.RUNS)
+                for scenario_id, count in counts.items():
+                    built[scenario_id] = built.get(scenario_id, 0) + count
+                for scenario, swept in zip(group, stats):
+                    kpis = [
+                        compute_kpis(fresh_plan_run(scenario, cfg, i), scenario)
+                        for i in range(self.RUNS)
+                    ]
+                    expected = sim_module._aggregate(scenario, kpis, scenario.odd.fingerprint())
+                    assert swept == expected, f"{name} ghost_rate={rate} {scenario.id}"
+        assert built.get("cond+same-rate", 0) == built.get("cond+earlier-trigger", 0) == 0
+        assert 0 < built["cond+third-rate"] < built["cond"]  # reads and draws
+        assert built["cond+triple-rate"] > 0  # above the record's rate
+        assert built["cond+later-trigger"] > 0  # beyond the record's draws
+
+    def test_recorded_first_ghost_traces_match_full_draws(self, baseline_vehicle, monkeypatch):
+        ghost_events = 0
+        for name, (odd, cfg) in _ghost_grid_cases(baseline_vehicle).items():
+            for rate in (0.05, 0.5):
+                condition, same_rate, lower_rate = _seed_group(odd, rate)[:3]
+                for scenario in (same_rate, lower_rate):
+                    for run_index in range(3):
+                        context = f"{name} {scenario.id} ghost_rate={rate} run {run_index}"
+                        fresh_plan_run(condition, cfg, run_index)
+                        trace = simulate(scenario, cfg, run_index)
+                        assert trace._ghosts._rng is None, context  # read from the record
+                        with monkeypatch.context() as m:
+                            m.setattr(sim_module, "_GhostStream", FullDrawGhosts)
+                            expected = simulate(scenario, cfg, run_index)
+                        assert trace == expected, context
+                        ghost_events += len(events_of(trace, EventKind.GHOST_DETECTED))
+        assert ghost_events > 0
+
+    def test_lower_rate_variant_builds_no_generator(self, baseline_vehicle, monkeypatch):
+        odd, cfg = _ghost_grid_cases(baseline_vehicle)["stop"]
+        condition, _, lower_rate = _seed_group(odd, 0.02)[:3]
+        built = count_generators(monkeypatch)
+        monte_carlo_sweep([condition, lower_rate], cfg, self.RUNS)
+        assert built == {"cond": self.RUNS}
+
+    def test_shuffled_sweep_gives_each_scenario_the_same_stats(self, baseline_vehicle):
+        # One seed per grid case, each with two groups' rates.
+        scenarios = []
+        for seed, (odd, _) in enumerate(_ghost_grid_cases(baseline_vehicle).values()):
+            for rate in (0.01, 0.2):
+                scenarios += [
+                    dataclasses.replace(s, id=f"{s.id}-{seed}-{rate}")
+                    for s in _seed_group(odd, rate, seed=seed)
+                ]
+        cfg = SimConfig()
+        in_order = monte_carlo_sweep(scenarios, cfg, self.RUNS)
+        shuffled = scenarios[:]
+        random.Random(5).shuffle(shuffled)
+        stats = monte_carlo_sweep(shuffled, cfg, self.RUNS)
+        assert [s.scenario_id for s in stats] == [s.id for s in shuffled]
+        by_id = {s.scenario_id: s for s in in_order}
+        assert stats == [by_id[s.scenario_id] for s in stats]
+
+
 class TestGhostFreeMemo:
     """A ghost-free scenario reads no randomness: all its runs share the one
     resolution of the plan that ``simulate`` keeps for the last (scenario,
@@ -790,6 +915,29 @@ class TestSweep:
         scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="doomed")
         with pytest.raises(SimulationError, match="doomed"):
             sim_module.monte_carlo_sweep([scenario], runs_per_scenario=2)
+
+    def test_error_names_first_failing_scenario_in_run_order(self, baseline_vehicle, monkeypatch):
+        # The scenarios that share a seed run back to back, so "c" runs
+        # before "b"; the results stay in input order.
+        simulate_ = sim_module.simulate
+        failing = set()
+
+        def simulating(scenario, *args):
+            if scenario.id in failing:
+                raise SimulationError("integration blew up")
+            return simulate_(scenario, *args)
+
+        monkeypatch.setattr(sim_module, "simulate", simulating)
+        odd = baseline_odd(baseline_vehicle)
+        scenarios = [
+            make_scenario(odd, EffectModel(ghost_rate=0.1), scenario_id=scenario_id, seed=seed)
+            for scenario_id, seed in (("a", 1), ("b", 2), ("c", 1))
+        ]
+        stats = monte_carlo_sweep(scenarios, runs_per_scenario=2)
+        assert [s.scenario_id for s in stats] == ["a", "b", "c"]
+        failing.update(("b", "c"))
+        with pytest.raises(SimulationError, match="scenario 'c'"):
+            monte_carlo_sweep(scenarios, runs_per_scenario=2)
 
     def test_ghost_false_activation_frequency_small(self, baseline_vehicle):
         # Binomial sanity at reduced scale; the full 10k-run check lives in
