@@ -31,12 +31,16 @@ analytically instead of looping over 10^5 steps per run; the test suite
 checks it against a literal per-dt stepper.  A run differs from the others
 of its scenario only by its first ghost, so a plan per (scenario, cfg)
 holds everything else, and runs that trigger on the same step share one
-resolution and one KPI report.  A sweep draws each (seed, run) flag
-stream once: scenarios that share a seed run back to back and read their
-first ghost from the first draw's record.  A trace is a view of its
-resolution: its events and states are built when first read, and the
-KPIs are read off the resolution without them.  Identical (scenario, cfg,
-run_index) always produces a bit-identical trace.
+resolution and one KPI report; the runs of a ghost-free scenario all
+return one trace.  A sweep draws each (seed, run) flag stream once:
+scenarios that share a seed run back to back and read their first ghost
+from the first draw's record.  Every run reads its stream up to its
+cruise collision, which variants at the same speed share, so a variant's
+later natural trigger reads no further than that draw; a lower v_r can.
+A trace is a view of its resolution: its events and states are built
+when first read, and the KPIs are read off the resolution without them.
+Identical (scenario, cfg, run_index) always produces a bit-identical
+trace.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import bisect
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -250,14 +255,16 @@ class _Plan:
 
     A run triggers at its first ghost below ``ghost_limit``, or else at
     ``n_nat`` (never, if that is past the cruise collision or the horizon).
-    A resolution does not refer to its plan, so a trace keeps neither the
-    plan nor its table alive.
+    A ghost-free scenario has a single resolution and a single ``trace``
+    that every run returns.  Neither a resolution nor a trace refers to its
+    plan, so a trace keeps neither the plan nor its table alive.
     """
 
     def __init__(self, scenario: Scenario, cfg: SimConfig):
         self.scenario = scenario
         self.cfg = cfg
         self._resolutions: dict[int, _Resolved] = {}
+        self.trace: SimTrace | None = None  # kept only when ghost_rate == 0
         odd = scenario.odd
         veh = odd.vehicle
         eff = scenario.effects
@@ -274,7 +281,7 @@ class _Plan:
 
         if v0 == 0.0:
             # Stopped at step 0, before any ghost is read.
-            self.n_nat = self.n_hit_cruise = self.ghost_limit = 0
+            self.n_nat = self.n_hit_cruise = self.ghost_limit = self.draw_limit = 0
             return
 
         def first_step_gap_le(threshold: float) -> int:
@@ -292,8 +299,12 @@ class _Plan:
         self.n_nat = max(n_vis, first_step_gap_le(d_trigger))
         self.n_hit_cruise = first_step_gap_le(0.0)  # first collided step while cruising
         # A ghost at or after the cruise collision or the horizon leaves the
-        # run untriggered, as no ghost does, so the stream is read no further.
-        self.ghost_limit = min(self.n_nat, self.n_hit_cruise, max_steps)
+        # run untriggered, as no ghost does, so the stream is read no further
+        # than ``draw_limit``; one at or after the natural trigger is too late.
+        # Same-speed variants of a scenario share ``draw_limit``, so a later
+        # natural trigger reads no further than the first draw of the stream.
+        self.draw_limit = min(self.n_hit_cruise, max_steps)
+        self.ghost_limit = min(self.n_nat, self.draw_limit)
 
     def resolve(self, n_trig: int) -> _Resolved:
         """The run that triggers at ``n_trig``, resolved when a run first needs
@@ -426,7 +437,11 @@ class _GhostStream:
     stream of a (seed, run) to draw writes its :class:`_Draws` record; a
     later stream of that (seed, run) with a rate at or below the record's
     reads its first ghost from the record when the record settles it, and
-    draws itself otherwise.  ``events_before`` always draws.
+    draws itself otherwise.  ``simulate`` reads each stream up to its
+    scenario's cruise collision, which every variant at the same speed
+    shares, so a variant's later natural trigger does not take it beyond
+    the record; a lower speed, whose cruise collision comes later, can.
+    ``events_before`` always draws.
     """
 
     def __init__(self, scenario: Scenario, cfg: SimConfig, run_index: int):
@@ -580,7 +595,7 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     ``run_index`` selects the run's random stream within the scenario's
     seed (sweeps use 0, 1, 2, ...); equal inputs give bit-identical traces.
     Runs of one scenario that trigger on the same step share one
-    resolution; a ghost-free scenario's runs all do.
+    resolution; a ghost-free scenario's runs all return one trace.
     """
     global _last_plan
     if cfg is None:
@@ -588,9 +603,16 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     plan = _last_plan
     if plan is None or plan.scenario is not scenario or plan.cfg is not cfg:
         plan = _last_plan = _Plan(scenario, cfg)
-    ghosts = _GhostStream(scenario, cfg, run_index)
-    n_ghost = ghosts.first_before(plan.ghost_limit)
-    return SimTrace(scenario, cfg, plan.resolve(plan.n_nat if n_ghost is None else n_ghost), ghosts)
+    trace = plan.trace
+    if trace is None:
+        ghosts = _GhostStream(scenario, cfg, run_index)
+        n_trig = ghosts.first_before(plan.draw_limit)
+        if n_trig is None or n_trig >= plan.ghost_limit:
+            n_trig = plan.n_nat
+        trace = SimTrace(scenario, cfg, plan.resolve(n_trig), ghosts)
+        if not scenario.effects.ghost_rate:
+            plan.trace = trace
+    return trace
 
 
 def _trace_view(scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream) -> _View:
@@ -668,15 +690,17 @@ def _aggregate(scenario: Scenario, kpis: Sequence[KpiReport], odd_fingerprint: s
     gaps = [k.final_gap for k in kpis]
     speeds = [k.impact_speed for k in kpis]
     n = len(kpis)
+    # The means add their floats left to right, as sum() did before Python
+    # 3.12 compensated, so the bundle's bytes do not depend on the version.
     return SweepStats(
         scenario_id=scenario.id,
         runs=n,
         collision_rate=sum(k.collision for k in kpis) / n,
         false_activation_rate=sum(k.false_activation for k in kpis) / n,
-        gap_mean=sum(gaps) / n,
+        gap_mean=functools.reduce(operator.add, gaps, 0.0) / n,
         gap_min=min(gaps),
         gap_max=max(gaps),
-        impact_speed_mean=sum(speeds) / n,
+        impact_speed_mean=functools.reduce(operator.add, speeds, 0.0) / n,
         impact_speed_min=min(speeds),
         impact_speed_max=max(speeds),
         ttc_at_trigger_min=min(k.ttc_at_trigger for k in kpis),

@@ -297,6 +297,24 @@ class TestTraceFile:
         )
         assert built == [s.id for s in bundle.scenarios]
 
+    def test_traces_do_not_depend_on_runs(self, campaign_inputs, tmp_path):
+        # The export writes each scenario's run 0.  What the sweep keeps (a
+        # ghost-free scenario's one trace, the last plan, the (seed, run)
+        # draw records) must not reach those lines.
+        mitigations = load_mitigations(fixture_path("mitigations.json"))
+        written = []
+        for runs in (1, 7):
+            run_campaign(
+                **campaign_inputs,
+                mitigations=mitigations,
+                base_seed=42,
+                runs_per_scenario=runs,
+                trace_dir=tmp_path / f"runs-{runs}",
+            )
+            written.append((tmp_path / f"runs-{runs}" / "traces.jsonl").read_bytes())
+        assert b'"ghost_detected"' in written[0]
+        assert written[0] == written[1]
+
     def test_one_line_per_scenario_in_bundle_order(self, campaign_inputs, tmp_path):
         mitigations = load_mitigations(fixture_path("mitigations.json"))
         cfg = SimConfig()

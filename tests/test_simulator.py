@@ -502,21 +502,24 @@ class TestGhostStream:
 
 def _seed_group(odd, rate: float, seed: int = 1234) -> list:
     """A condition at ``rate`` and variants that keep its seed, as mitigated
-    variants do: at the same rate, at a third of it, at three times it, and
+    variants do: at the same rate, at a third of it, at three times it,
     with a later and an earlier natural trigger (a stronger brake lowers
-    the designed trigger threshold, a weaker one raises it)."""
+    the designed trigger threshold, a weaker one raises it), and at half
+    the speed, whose cruise collision comes later."""
     condition = make_scenario(odd, EffectModel(ghost_rate=rate), scenario_id="cond", seed=seed)
 
     def braking(factor: float):
         brake = odd.vehicle.a_min_brake * factor
         return dataclasses.replace(odd, vehicle=dataclasses.replace(odd.vehicle, a_min_brake=brake))
 
+    slower = dataclasses.replace(odd.vehicle, v_r=odd.vehicle.v_r / 2)
     variants = {
         "same-rate": (odd, rate),
         "third-rate": (odd, rate / 3),
         "triple-rate": (odd, min(1.0, 3 * rate)),
         "later-trigger": (braking(1.5), rate),
         "earlier-trigger": (braking(1 / 1.5), rate),
+        "slower": (dataclasses.replace(odd, vehicle=slower), rate),
     }
     return [condition] + [
         dataclasses.replace(
@@ -552,8 +555,10 @@ def count_generators(monkeypatch) -> dict[str, int]:
 class TestSharedDraws:
     """A sweep draws each (seed, run) flag stream once: a later scenario with
     that seed reads its first ghost from the record of the first stream to
-    draw, unless its rate is above the record's or its ghost limit lies
-    beyond the record's draws."""
+    draw, unless its rate is above the record's or the record's draws end
+    before its first ghost can be settled.  Each run reads its stream up to
+    its cruise collision, so a later natural trigger reads the record; a
+    lower speed, whose cruise collision comes later, may draw beyond it."""
 
     RUNS = 8
 
@@ -575,9 +580,10 @@ class TestSharedDraws:
                     expected = sim_module._aggregate(scenario, kpis, scenario.odd.fingerprint())
                     assert swept == expected, f"{name} ghost_rate={rate} {scenario.id}"
         assert built.get("cond+same-rate", 0) == built.get("cond+earlier-trigger", 0) == 0
+        assert built.get("cond+later-trigger", 0) == 0  # within the cruise collision
         assert 0 < built["cond+third-rate"] < built["cond"]  # reads and draws
         assert built["cond+triple-rate"] > 0  # above the record's rate
-        assert built["cond+later-trigger"] > 0  # beyond the record's draws
+        assert built["cond+slower"] > 0  # beyond the record's draws
 
     def test_recorded_first_ghost_traces_match_full_draws(self, baseline_vehicle, monkeypatch):
         ghost_events = 0
@@ -644,6 +650,41 @@ class TestGhostFreeMemo:
                 ref.terminal,
                 ref.terminal_step,
             )
+
+    def test_runs_share_one_trace(self, baseline_vehicle):
+        runs = 3
+        terminals = set()
+        for name, (odd, cfg) in _ghost_grid_cases(baseline_vehicle).items():
+            scenario = make_scenario(odd, EffectModel(), scenario_id=name, seed=1234)
+            other = make_scenario(odd, EffectModel(), scenario_id=f"{name}-other", seed=1234)
+            (stats,) = monte_carlo_sweep([scenario], cfg, runs)
+            kpis = [compute_kpis(fresh_plan_run(scenario, cfg, i), scenario) for i in range(runs)]
+            assert stats == sim_module._aggregate(scenario, kpis, odd.fingerprint()), name
+
+            trace = simulate(scenario, cfg, 0)
+            for i in range(runs):
+                context = f"{name} run {i}"
+                assert simulate(scenario, cfg, i) is trace, context
+                ref = reference_run(scenario, cfg, i)
+                assert (trace.terminal.value, round(trace.events[-1].time / cfg.dt)) == (
+                    ref.terminal,
+                    ref.terminal_step,
+                ), context
+                triggers = events_of(trace, EventKind.BRAKE_TRIGGERED)
+                assert [round(e.time / cfg.dt) for e in triggers] == (
+                    [] if ref.trigger_step is None else [ref.trigger_step]
+                ), context
+                report = compute_kpis(simulate(scenario, cfg, i), scenario)
+                assert report == trace_kpis(trace, scenario), context
+                assert report.final_gap == pytest.approx(max(0.0, ref.final_gap), abs=1e-6), context
+                assert report.collision is (ref.terminal == "collision"), context
+                assert not report.false_activation, context
+            terminals.add(trace.terminal)
+
+            simulate(other, cfg, 0)  # replaces the plan
+            again = simulate(scenario, cfg, 1)
+            assert again is not trace and again == trace, name
+        assert terminals == set(Terminal)
 
     def test_trace_follows_scenario_and_config(self, baseline_vehicle):
         a = make_scenario(baseline_odd(baseline_vehicle), scenario_id="memo-a")
@@ -938,6 +979,17 @@ class TestSweep:
         failing.update(("b", "c"))
         with pytest.raises(SimulationError, match="scenario 'c'"):
             monte_carlo_sweep(scenarios, runs_per_scenario=2)
+
+    def test_means_add_floats_left_to_right(self, baseline_vehicle):
+        # sum() compensates since Python 3.12 (401.89421930760005 here); the
+        # bundle keeps the left-to-right value on every version.
+        scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="n")
+        report = KpiReport(
+            ttc_at_trigger=NO_CLOSING, final_gap=4.0189421930760005, collision=True,
+            impact_speed=4.0189421930760005, false_activation=False,
+        )
+        stats = sim_module._aggregate(scenario, [report] * 100, "odd")
+        assert stats.gap_mean == stats.impact_speed_mean == 4.018942193075991
 
     def test_ghost_false_activation_frequency_small(self, baseline_vehicle):
         # Binomial sanity at reduced scale; the full 10k-run check lives in
