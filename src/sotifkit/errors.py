@@ -4,7 +4,8 @@ document goes through, the input files and the report bundle alike.
 A document's fields are declared as kinds of JSON value (:class:`Kind`);
 :func:`check_object` and :func:`check_items` check them, naming the
 offending field, and :func:`located` names the place of an error raised
-while the checked values are built into dataclasses.
+while the checked values are built into dataclasses.  :func:`json_encoder`
+writes what the bundle and the trace file hold.
 """
 
 from __future__ import annotations
@@ -149,6 +150,28 @@ def parse_json(text: str) -> object:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
+
+
+def json_encoder() -> Callable[[object], str]:
+    """A function giving ``json.dumps(value)``'s text, built once for many values.
+
+    ``json.dumps`` builds a new C encoder at every call; this builds one,
+    with the same settings, through json's private ``c_make_encoder``, and
+    is ``json.dumps`` itself where json has no C encoder.  The encoder
+    keeps no circular-reference markers: a failed encode would leave its
+    containers in them, alive.  A cycle in a value raises RecursionError
+    instead of ValueError; the bundle and the trace lines hold none."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return json.dumps
+    # The arguments of JSONEncoder.iterencode at json.dumps's defaults:
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan.
+    encode = make(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ", ", False, False, True,
+    )
+    return lambda value: "".join(encode(value, 0))
 
 
 def fields_of(cls: type, kind: Kind, **kinds: Kind) -> dict[str, Kind]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import copy
 import csv
 import hashlib
-import json
 import math
 from collections import Counter
 from contextlib import contextmanager
@@ -52,6 +51,7 @@ from .errors import (
     check_unique,
     fields_of,
     items_pass,
+    json_encoder,
     list_of,
     located,
     object_of,
@@ -703,17 +703,20 @@ def bundle_text(data: Mapping) -> str:
     Each top-level section is on a line of its own, and so is each item of
     a list in it or in one of its objects: each table item and each verdict,
     so that a changed item is a one-line diff.  Every line is written by
-    json's C encoder, which ``indent`` would turn off."""
+    one :func:`errors.json_encoder`, json's C encoder built once for the
+    whole bundle (``indent`` would turn it off); where json has no C
+    encoder, that is ``json.dumps``, with the same bytes."""
+    dumps = json_encoder()
 
     def value(v: Any, top: bool) -> str:
         if isinstance(v, list) and v:  # a table: one item per line
-            return "[\n    " + ",\n    ".join(map(json.dumps, v)) + "\n  ]"
+            return "[\n    " + ",\n    ".join(map(dumps, v)) + "\n  ]"
         if isinstance(v, dict) and top:  # a section: its lists' items one per line
-            members = (f"{json.dumps(k)}: {value(x, False)}" for k, x in v.items())
+            members = (f"{dumps(k)}: {value(x, False)}" for k, x in v.items())
             return "{" + ", ".join(members) + "}"
-        return json.dumps(v)
+        return dumps(v)
 
-    sections = (f"  {json.dumps(k)}: {value(v, True)}" for k, v in data.items())
+    sections = (f"  {dumps(k)}: {value(v, True)}" for k, v in data.items())
     return "{\n" + ",\n".join(sections) + "\n}\n"
 
 

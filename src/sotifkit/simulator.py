@@ -37,8 +37,11 @@ scenarios that share a seed run back to back and read their first ghost
 from the first draw's record.  Every run reads its stream up to its
 cruise collision, which variants at the same speed share, so a variant's
 later natural trigger reads no further than that draw; a lower v_r can.
-A trace is a view of its resolution: its events and states are built
-when first read, and the KPIs are read off the resolution without them.
+A trace is a view of its resolution: rows of its events and states,
+built once, when first needed, and kept.  The export writes each line
+from the rows; SimEvent and KinematicState objects are built from them
+only when a library caller reads ``events`` or ``states``.  The KPIs are
+read off the resolution without a view.
 Identical (scenario, cfg, run_index) always produces a bit-identical
 trace.
 """
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -56,7 +59,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import core
-from .errors import ParameterError, SimulationError
+from .errors import ParameterError, SimulationError, json_encoder
 from .scenario import OddDefinition, Scenario, derive_seed
 
 if TYPE_CHECKING:
@@ -161,8 +164,12 @@ class SimEvent:
     gap: float
 
 
-# A trace's events, and the ego state at each event step.
-_View = tuple[tuple[SimEvent, ...], tuple[core.KinematicState, ...]]
+# A trace's rows: its events as (time, stage, kind, gap) in time order, and
+# the ego state at each event step as (time, position, velocity).
+_Rows = tuple[
+    tuple[tuple[float, Stage, EventKind, float], ...],
+    tuple[tuple[float, float, float], ...],
+]
 
 
 @dataclass(frozen=True)
@@ -534,21 +541,27 @@ class _GhostStream:
 class SimTrace:
     """One run to its terminal, as a view of the run's closed-form resolution.
 
-    ``events`` (every event, in time order) and ``states`` (the ego state
-    at each event step) are built on first read, and only then are the
-    run's ghost gaps drawn.  :func:`compute_kpis` reads the resolution and
-    builds neither, so a sweep never does.  Equality and hash compare
-    (scenario_id, terminal, events, states).
+    The view is a pair of row tuples, built once, when first needed, by
+    :func:`_trace_view`; only then are the run's ghost gaps drawn, and a
+    stream's gaps can be drawn only once, so the rows are kept.
+    :func:`export_trace_jsonl` writes the rows as they are.  ``events``
+    (every :class:`SimEvent`, in time order) and ``states`` (the ego's
+    :class:`core.KinematicState` at each event step) are built from the
+    rows on first read, for library callers.  :func:`compute_kpis` reads
+    the resolution and builds no view, so a sweep never does.  Equality
+    and hash compare (scenario_id, terminal, events, states).
     """
 
-    __slots__ = ("_scenario", "_cfg", "_res", "_ghosts", "_view")
+    __slots__ = ("_scenario", "_cfg", "_res", "_ghosts", "_view", "_events", "_states")
 
     def __init__(self, scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream):
         self._scenario = scenario
         self._cfg = cfg
         self._res = res
         self._ghosts = ghosts
-        self._view: _View | None = None
+        self._view: _Rows | None = None
+        self._events: tuple[SimEvent, ...] | None = None
+        self._states: tuple[core.KinematicState, ...] | None = None
 
     @property
     def scenario_id(self) -> str:
@@ -560,19 +573,27 @@ class SimTrace:
 
     @property
     def events(self) -> tuple[SimEvent, ...]:
-        return self._built()[0]
+        if self._events is None:
+            self._events = tuple(itertools.starmap(SimEvent, self._built()[0]))
+        return self._events
 
     @property
     def states(self) -> tuple[core.KinematicState, ...]:
-        return self._built()[1]
+        if self._states is None:
+            self._states = tuple(
+                core.KinematicState(position, velocity, time)
+                for time, position, velocity in self._built()[1]
+            )
+        return self._states
 
-    def _built(self) -> _View:
+    def _built(self) -> _Rows:
         if self._view is None:
             self._view = _trace_view(self._scenario, self._cfg, self._res, self._ghosts)
         return self._view
 
     def _key(self) -> tuple:
-        return (self.scenario_id, self.terminal, self.events, self.states)
+        # The rows hold the fields of the events and the states.
+        return (self.scenario_id, self.terminal, self._built())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimTrace):
@@ -615,37 +636,40 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     return trace
 
 
-def _trace_view(scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream) -> _View:
-    """A resolved run's events in time order, and the ego state at each
-    event step.  Draws the ghost gaps, the stream's last read."""
+def _trace_view(scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream) -> _Rows:
+    """A resolved run's events in time order, as (time, stage, kind, gap)
+    rows, and the ego state at each event step, as (time, position,
+    velocity) rows.  Draws the ghost gaps, the stream's last read."""
     dt = cfg.dt
     range_eff = scenario.odd.d_perception * scenario.effects.perception_range_factor
+    ghost = EventKind.GHOST_DETECTED
+    sense = _STAGE_FOR_KIND[ghost]
+    order = _STAGE_ORDER[sense]
+    # (step, stage order, stage, kind, gap) of each event.
+    found = [
+        (step, order, sense, ghost, fake_gap)
+        for step, fake_gap in ghosts.events_before(res.terminal_step)
+    ]
 
-    events: list[SimEvent] = []
-    event_steps: set[int] = set()
-
-    def add(step: int, kind: EventKind, gap: float) -> None:
-        event_steps.add(step)
-        events.append(SimEvent(step * dt, _STAGE_FOR_KIND[kind], kind, gap))
+    def add(step: int, kind: EventKind) -> None:
+        stage = _STAGE_FOR_KIND[kind]
+        found.append((step, _STAGE_ORDER[stage], stage, kind, res.gap(step)))
 
     n_vis = _first_visible_tick(res, range_eff, cfg.tick_steps)
     if n_vis is not None:
-        add(n_vis, EventKind.OBJECT_DETECTED, res.gap(n_vis))
-    for step, fake_gap in ghosts.events_before(res.terminal_step):
-        add(step, EventKind.GHOST_DETECTED, fake_gap)
+        add(n_vis, EventKind.OBJECT_DETECTED)
     if res.n_trig is not None:
-        add(res.n_trig, EventKind.BRAKE_TRIGGERED, res.gap(res.n_trig))
+        add(res.n_trig, EventKind.BRAKE_TRIGGERED)
     if res.n_eff is not None and res.n_eff < res.terminal_step:
-        add(res.n_eff, EventKind.BRAKE_EFFECTIVE, res.gap(res.n_eff))
-    add(res.terminal_step, EventKind[res.terminal.name], res.gap(res.terminal_step))
+        add(res.n_eff, EventKind.BRAKE_EFFECTIVE)
+    add(res.terminal_step, EventKind[res.terminal.name])
 
-    events.sort(key=lambda e: (e.time, _STAGE_ORDER[e.stage]))
-
+    found.sort(key=operator.itemgetter(0, 1))  # by step, then stage order
+    events = tuple((step * dt, stage, kind, gap) for step, _, stage, kind, gap in found)
     states = tuple(
-        core.KinematicState(position=res.x(n), velocity=res.v(n), time=n * dt)
-        for n in sorted(event_steps)
+        (n * dt, res.x(n), res.v(n)) for n in dict.fromkeys(event[0] for event in found)
     )
-    return tuple(events), states
+    return events, states
 
 
 def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
@@ -752,19 +776,23 @@ def monte_carlo_sweep(
 
 def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     """Write traces as JSON lines, one trace per line: its scenario id, its
-    terminal, its events and its ego states, in the order given."""
+    terminal, its events and its ego states, in the order given.  A line is
+    written from the trace's rows by one :func:`errors.json_encoder`; no
+    :class:`SimEvent` or :class:`core.KinematicState` is built."""
+    dumps = json_encoder()
     with open(path, "w", encoding="utf-8") as f:
         for trace in traces:
+            events, states = trace._built()
             line = {
                 "scenario_id": trace.scenario_id,
                 "terminal": trace.terminal,
                 "events": [
-                    {"time": e.time, "stage": e.stage, "kind": e.kind, "gap": e.gap}
-                    for e in trace.events
+                    {"time": time, "stage": stage, "kind": kind, "gap": gap}
+                    for time, stage, kind, gap in events
                 ],
                 "states": [
-                    {"time": s.time, "position": s.position, "velocity": s.velocity}
-                    for s in trace.states
+                    {"time": time, "position": position, "velocity": velocity}
+                    for time, position, velocity in states
                 ],
             }
-            f.write(json.dumps(line) + "\n")
+            f.write(dumps(line) + "\n")

@@ -18,12 +18,15 @@ numpy is first imported by the campaign's first ghost draw.
 
 from __future__ import annotations
 
+import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from sotifkit.cli import EXIT_GATE_FAILED, main
+from sotifkit.errors import json_encoder
 from sotifkit.fixtures import fixture_path
 from sotifkit.report import bundle_text, bundle_to_dict, emit_markdown_summary, load_bundle
 
@@ -87,3 +90,53 @@ def test_golden_bundle_reads_back():
     assert emit_markdown_summary(bundle).encode("utf-8") == (GOLDEN / "summary.md").read_bytes()
     written = bundle_text(bundle_to_dict(bundle))
     assert written.encode("utf-8") == (GOLDEN / "bundle.json").read_bytes()
+
+
+def json_values(value: object):
+    """``value`` and every value nested in it."""
+    yield value
+    children = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    for child in children:
+        yield from json_values(child)
+
+
+class TestJsonEncoder:
+    """bundle.json and traces.jsonl are written by one reused encoder,
+    ``errors.json_encoder``, which must write ``json.dumps``'s bytes."""
+
+    def test_writes_json_dumps_bytes(self):
+        documents = [json.loads((GOLDEN / "bundle.json").read_text(encoding="utf-8"))]
+        lines = (GOLDEN / "traces" / "traces.jsonl").read_text(encoding="utf-8").splitlines()
+        documents += map(json.loads, lines)
+        dumps = json_encoder()
+        assert dumps is not json.dumps  # this interpreter's json has the C encoder
+        for value in (v for document in documents for v in json_values(document)):
+            assert dumps(value) == json.dumps(value)
+
+    def test_failed_encode_keeps_nothing(self):
+        # A circular-reference marker left by the failed value would keep
+        # it, and the containers around it, alive.
+        dumps = json_encoder()
+        bad = object()
+        inner = {"bad": bad}
+        outer = [1.5, inner]
+        counts = [sys.getrefcount(x) for x in (bad, inner, outer)]
+        try:
+            dumps({"outer": outer})
+        except TypeError:
+            pass
+        else:
+            pytest.fail("an object() was encoded")
+        assert [sys.getrefcount(x) for x in (bad, inner, outer)] == counts
+        value = {"outer": [1.5, {"ok": None}], "s": "\u00e9"}
+        assert dumps(value) == json.dumps(value)
+
+    def test_golden_bytes_without_the_c_encoder(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert json_encoder() is json.dumps
+        written = bundle_text(bundle_to_dict(load_bundle(GOLDEN)))
+        assert written.encode("utf-8") == (GOLDEN / "bundle.json").read_bytes()
+        out = tmp_path / "bundle"
+        assert main(golden_args(out)) == EXIT_GATE_FAILED
+        assert_matches_golden(out, "bundle.json")
+        assert_matches_golden(out, "traces/traces.jsonl")

@@ -286,7 +286,7 @@ class TestRunCampaign:
 class TestTraceFile:
     def test_one_trace_view_per_scenario(self, campaign_inputs, tmp_path, monkeypatch):
         # The sweep reads resolutions only; the export stage builds the
-        # events and states of one trace per scenario.
+        # view (the event and state rows) of one trace per scenario.
         built = count_trace_views(monkeypatch)
         bundle = run_campaign(
             **campaign_inputs,

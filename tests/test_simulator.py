@@ -19,11 +19,18 @@ from sotifkit import (
     rss_min_distance,
     simulate,
 )
-from sotifkit.core import NO_CLOSING
+from sotifkit.core import NO_CLOSING, KinematicState
 from sotifkit.errors import ContractViolationError, ParameterError, SimulationError
 import sotifkit.simulator as sim_module
 from sotifkit.report import write_kpi_csv
-from sotifkit.simulator import EventKind, KpiReport, SimTrace, Terminal, export_trace_jsonl
+from sotifkit.simulator import (
+    EventKind,
+    KpiReport,
+    SimEvent,
+    SimTrace,
+    Terminal,
+    export_trace_jsonl,
+)
 
 from conftest import count_trace_views, make_scenario
 from reference_sim import FullDrawGhosts, ghost_draws, reference_run, trace_kpis
@@ -762,6 +769,41 @@ class TestLazyTraceView:
         assert built == ["ghosts"]  # once per trace object
         assert trace == simulate(scenarios[0], SimConfig(), 0)
         assert built == ["ghosts", "ghosts"]
+
+    def test_export_and_objects_read_one_view(self, baseline_vehicle, tmp_path, monkeypatch):
+        # A stream's ghost gaps can be drawn only once (a second draw reads
+        # other values), so the export and the events and states read the
+        # rows of one view, in either order.  The export builds no objects.
+        cfg = SimConfig()
+        scenario = make_scenario(
+            baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.05), scenario_id="g", seed=3
+        )
+        expected = fresh_plan_run(scenario, cfg, 0)
+        objects = (expected.events, expected.states)
+        assert len(events_of(expected, EventKind.GHOST_DETECTED)) >= 2
+        export_trace_jsonl([fresh_plan_run(scenario, cfg, 0)], tmp_path / "expected.jsonl")
+        line = (tmp_path / "expected.jsonl").read_bytes()
+
+        built = []
+        for cls in (SimEvent, KinematicState):
+
+            def counting(self, *args, original=cls.__init__, **kwargs):
+                built.append(type(self))
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        exported_first = fresh_plan_run(scenario, cfg, 0)
+        export_trace_jsonl([exported_first], tmp_path / "exported-first.jsonl")
+        assert built == []
+        assert (tmp_path / "exported-first.jsonl").read_bytes() == line
+        assert (exported_first.events, exported_first.states) == objects
+        assert set(built) == {SimEvent, KinematicState}
+
+        read_first = fresh_plan_run(scenario, cfg, 0)
+        assert (read_first.events, read_first.states) == objects
+        export_trace_jsonl([read_first], tmp_path / "read-first.jsonl")
+        assert (tmp_path / "read-first.jsonl").read_bytes() == line
 
     def test_ghost_free_runs_derive_kpis_once(self, baseline_vehicle, monkeypatch):
         derived = count_kpi_reports(monkeypatch)
