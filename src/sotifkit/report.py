@@ -22,7 +22,7 @@ import csv
 import hashlib
 import math
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
@@ -83,6 +83,7 @@ from .simulator import (
     SimConfig,
     Stage,
     SweepStats,
+    _handing_over,
     export_trace_jsonl,
     monte_carlo_sweep,
     simulate,
@@ -273,9 +274,10 @@ def run_campaign(
     stage it came from.  When ``trace_dir`` is given, the first run
     (index 0) of every scenario is written to ``trace_dir/traces.jsonl``,
     one line per scenario in the bundle's scenario order.  Each trace is
-    simulated as its line is written, so a failure during the export can
-    leave a partial ``traces.jsonl``.  The export stage fails, deleting
-    nothing, when ``trace_dir`` already holds any other ``*.jsonl`` file.
+    handed over from the sweep, which resolved it, and its line is built
+    as it is written, so a failure during the export can leave a partial
+    ``traces.jsonl``.  The export stage fails, deleting nothing, when
+    ``trace_dir`` already holds any other ``*.jsonl`` file.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -307,25 +309,27 @@ def run_campaign(
         # A mitigated id, <scenario id>+<mitigation id>, can spell another's.
         check_unique([{"id": s.id} for s in all_scenarios], "scenarios", "id")
 
-    with _stage("sweep"):
-        stats = monte_carlo_sweep(all_scenarios, cfg, runs_per_scenario)
-        stats_by_id = {s.scenario_id: s for s in stats}
-        nominal_stats = stats_by_id[nominal.id]
+    # The sweep's run-0 traces are kept until the export takes them.
+    with _handing_over() if trace_dir is not None else nullcontext():
+        with _stage("sweep"):
+            stats = monte_carlo_sweep(all_scenarios, cfg, runs_per_scenario)
+            stats_by_id = {s.scenario_id: s for s in stats}
+            nominal_stats = stats_by_id[nominal.id]
 
-    if trace_dir is not None:
-        with _stage("export"):
-            trace_path = Path(trace_dir)
-            trace_path.mkdir(parents=True, exist_ok=True)
-            # An earlier version's per-scenario files would pass for traces
-            # of this campaign; they are the caller's to remove.
-            stale = sorted(p for p in trace_path.glob("*.jsonl") if p.name != "traces.jsonl")
-            if stale:
-                raise FileExistsError(
-                    f"{stale[0]}: a trace file this campaign does not write; "
-                    "remove it or write the traces to another directory"
-                )
-            traces = (simulate(scenario, cfg, run_index=0) for scenario in all_scenarios)
-            export_trace_jsonl(traces, trace_path / "traces.jsonl")
+        if trace_dir is not None:
+            with _stage("export"):
+                trace_path = Path(trace_dir)
+                trace_path.mkdir(parents=True, exist_ok=True)
+                # An earlier version's per-scenario files would pass for traces
+                # of this campaign; they are the caller's to remove.
+                stale = sorted(p for p in trace_path.glob("*.jsonl") if p.name != "traces.jsonl")
+                if stale:
+                    raise FileExistsError(
+                        f"{stale[0]}: a trace file this campaign does not write; "
+                        "remove it or write the traces to another directory"
+                    )
+                traces = (simulate(scenario, cfg, run_index=0) for scenario in all_scenarios)
+                export_trace_jsonl(traces, trace_path / "traces.jsonl")
 
     with _stage("analyze"):
         sheet = build_analysis_sheet(scenarios, stats, severity_rules=severity_rules)
@@ -857,6 +861,10 @@ def emit_markdown_summary(bundle: ReportBundle) -> str:
 
     if bundle.mitigation_table:
         kpis = {s.scenario_id: s for s in bundle.kpi_table}
+        # A condition scenario's before cells recur in the row of every
+        # mitigation: each is formatted once, with its arrow, beside the
+        # KPI and digits of its after cell.
+        before_cells: dict[str, list[tuple[str, str, int]]] = {}
         lines.append("## Mitigations")
         lines.append("")
         lines.append(
@@ -864,11 +872,16 @@ def emit_markdown_summary(bundle: ReportBundle) -> str:
         )
         lines.append("| --- | --- | --- | --- | --- | --- | --- |")
         for m in bundle.mitigation_table:
-            before = kpis[m.scenario_id]
+            before = before_cells.get(m.scenario_id)
+            if before is None:
+                row = kpis[m.scenario_id]
+                before = before_cells[m.scenario_id] = [
+                    (f"{_fmt(getattr(row, kpi), digits)} -> ", kpi, digits)
+                    for kpi, digits in _MITIGATION_KPIS
+                ]
             after = kpis.get(m.mitigated_scenario_id)  # None when not applied
             changes = " | ".join(
-                f"{_fmt(getattr(before, kpi), digits)} -> {_fmt(getattr(after, kpi, None), digits)}"
-                for kpi, digits in _MITIGATION_KPIS
+                [cell + _fmt(getattr(after, kpi, None), digits) for cell, kpi, digits in before]
             )
             passes = "-" if m.passes_after is None else ("yes" if m.passes_after else "no")
             lines.append(

@@ -41,7 +41,12 @@ A trace is a view of its resolution: rows of its events and states,
 built once, when first needed, and kept.  The export writes each line
 from the rows; SimEvent and KinematicState objects are built from them
 only when a library caller reads ``events`` or ``states``.  The KPIs are
-read off the resolution without a view.
+read off the resolution and the run's first ghost without a view.
+While a campaign exports its traces, :func:`_handing_over` keeps each
+scenario's run-0 trace from the sweep's call until the export's call
+takes it, so the export resolves nothing again; it builds the view from
+the stream the sweep read, and seeds a generator only for a run that read
+its first ghost from another scenario's draw record.
 Identical (scenario, cfg, run_index) always produces a bit-identical
 trace.
 """
@@ -53,6 +58,7 @@ import functools
 import itertools
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -451,6 +457,11 @@ class _GhostStream:
     ``events_before`` always draws.
     """
 
+    __slots__ = (
+        "_scenario", "_run_index", "_tick_steps", "_n_ticks", "_rate",
+        "_rng", "_record", "_drawn", "_flagged",
+    )
+
     def __init__(self, scenario: Scenario, cfg: SimConfig, run_index: int):
         self._scenario = scenario
         self._run_index = run_index
@@ -481,10 +492,10 @@ class _GhostStream:
         if first and not self._drawn:
             if _last_draws is None or _last_draws[0] != self._scenario.seed:
                 _last_draws = (self._scenario.seed, {})
-            new = _Draws(self._rate, 0, [])
-            record = _last_draws[1].setdefault(self._run_index, new)
-            if record is new:
-                self._record = record
+            records = _last_draws[1]
+            record = records.get(self._run_index)
+            if record is None:
+                self._record = records[self._run_index] = _Draws(self._rate, 0, [])
             elif self._rate <= record.bound:
                 for tick, u in record.lows:
                     if u < self._rate:  # the first flag at this rate
@@ -548,17 +559,28 @@ class SimTrace:
     (every :class:`SimEvent`, in time order) and ``states`` (the ego's
     :class:`core.KinematicState` at each event step) are built from the
     rows on first read, for library callers.  :func:`compute_kpis` reads
-    the resolution and builds no view, so a sweep never does.  Equality
-    and hash compare (scenario_id, terminal, events, states).
+    the resolution and the run's first ghost below its draw limit, and
+    builds no view, so a sweep never does.  Equality and hash compare
+    (scenario_id, terminal, events, states).
     """
 
-    __slots__ = ("_scenario", "_cfg", "_res", "_ghosts", "_view", "_events", "_states")
+    __slots__ = (
+        "_scenario", "_cfg", "_res", "_ghosts", "_first_ghost", "_view", "_events", "_states",
+    )
 
-    def __init__(self, scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream):
+    def __init__(
+        self,
+        scenario: Scenario,
+        cfg: SimConfig,
+        res: _Resolved,
+        ghosts: _GhostStream,
+        first_ghost: int | None,
+    ):
         self._scenario = scenario
         self._cfg = cfg
         self._res = res
         self._ghosts = ghosts
+        self._first_ghost = first_ghost
         self._view: _Rows | None = None
         self._events: tuple[SimEvent, ...] | None = None
         self._states: tuple[core.KinematicState, ...] | None = None
@@ -610,6 +632,27 @@ class SimTrace:
         )
 
 
+# While a campaign hands its run-0 traces from the sweep to the export:
+# one kept trace per scenario, by id(scenario).  A kept trace holds its
+# scenario, so the id can name no other object while the trace is kept.
+_run0_traces: dict[int, SimTrace] | None = None
+
+
+@contextmanager
+def _handing_over():
+    """Within the block, ``simulate(scenario, cfg, 0)`` keeps the trace it
+    resolves, unless it keeps one of that scenario already, and the next
+    such call with the same scenario and cfg objects returns that trace
+    and forgets it.  Nothing is kept after the block, also when it
+    raises."""
+    global _run0_traces
+    _run0_traces = {}
+    try:
+        yield
+    finally:
+        _run0_traces = None
+
+
 def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 0) -> SimTrace:
     """Resolve one run to its terminal, as a :class:`SimTrace`.
 
@@ -621,18 +664,30 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     global _last_plan
     if cfg is None:
         cfg = _DEFAULT_CONFIG
+    kept = _run0_traces if run_index == 0 else None
+    if kept is not None:
+        trace = kept.get(id(scenario))
+        if trace is not None and trace._cfg is cfg:
+            del kept[id(scenario)]
+            return trace
     plan = _last_plan
     if plan is None or plan.scenario is not scenario or plan.cfg is not cfg:
+        if plan is not None:
+            # Its reports served its runs; a kept trace need not hold them.
+            for res in plan._resolutions.values():
+                res.kpis = None
         plan = _last_plan = _Plan(scenario, cfg)
     trace = plan.trace
     if trace is None:
         ghosts = _GhostStream(scenario, cfg, run_index)
-        n_trig = ghosts.first_before(plan.draw_limit)
+        first_ghost = n_trig = ghosts.first_before(plan.draw_limit)
         if n_trig is None or n_trig >= plan.ghost_limit:
             n_trig = plan.n_nat
-        trace = SimTrace(scenario, cfg, plan.resolve(n_trig), ghosts)
+        trace = SimTrace(scenario, cfg, plan.resolve(n_trig), ghosts, first_ghost)
         if not scenario.effects.ghost_rate:
             plan.trace = trace
+    if kept is not None:
+        kept.setdefault(id(scenario), trace)
     return trace
 
 
@@ -678,7 +733,8 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
 
     The resolution keeps its report, one per false-activation value, for
     the last ``scenario`` object it was derived with, so runs that share a
-    resolution derive their KPIs once.
+    resolution derive their KPIs once.  ``simulate`` drops the reports of a
+    plan's resolutions when it moves to another plan.
     """
     res = trace._res
     n_trig = res.n_trig
@@ -688,10 +744,10 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
         kept = res.kpis = (scenario, beyond, {})
     _, beyond, reports = kept
     # A ghost detection at the trigger step while the true gap there is
-    # beyond the threshold.  A ghost on the natural trigger step is a
-    # flag the resolution did not read; the trigger comes before the
-    # terminal, so this read stays within the flags a trace view reads.
-    false_activation = beyond and trace._ghosts.first_before(n_trig + 1) == n_trig
+    # beyond the threshold.  A run that triggered is below its draw limit,
+    # so a ghost at or before the trigger is the run's first ghost below
+    # that limit; one on the natural trigger step triggered nothing itself.
+    false_activation = beyond and trace._first_ghost == n_trig
     report = reports.get(false_activation)
     if report is None:
         end = res.terminal_step

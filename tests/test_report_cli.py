@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import re
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -27,7 +28,7 @@ from sotifkit import (
 from sotifkit.analysis import load_severity_rules
 from sotifkit.cli import EXIT_ERROR, EXIT_GATE_FAILED, EXIT_OK, main
 from sotifkit import report
-from sotifkit.errors import ContractViolationError, SotifkitError
+from sotifkit.errors import ContractViolationError, PipelineError, SimulationError, SotifkitError
 from sotifkit.fixtures import fixture_path
 from sotifkit.report import bundle_from_dict, bundle_to_dict
 from sotifkit.scenario import (
@@ -37,6 +38,7 @@ from sotifkit.scenario import (
     mitigation_applicable,
 )
 from sotifkit.simulator import SimConfig, simulate
+import sotifkit.simulator as sim_module
 from sotifkit.taxonomy import enumerate_leaves, filter_by_odd, parse_taxonomy
 
 from conftest import count_trace_views
@@ -357,6 +359,130 @@ class TestTraceFile:
                     for s in trace.states
                 ],
             }
+
+
+class TestRun0HandOver:
+    """With a trace_dir, the sweep hands each scenario's run-0 trace to the
+    export, which resolves nothing again and keeps nothing after the run."""
+
+    def _campaign(self, campaign_inputs, trace_dir, runs=3):
+        return run_campaign(
+            **campaign_inputs,
+            mitigations=load_mitigations(fixture_path("mitigations.json")),
+            base_seed=42,
+            runs_per_scenario=runs,
+            trace_dir=trace_dir,
+        )
+
+    def test_viewed_sweep_writes_the_same_traces(self, campaign_inputs, tmp_path, monkeypatch):
+        # The traced benchmark builds the view of every sweep run; the
+        # export then writes the run-0 views that the sweep built.
+        self._campaign(campaign_inputs, tmp_path / "plain")
+        simulate_ = sim_module.simulate
+        viewed = []
+
+        def viewing(scenario, cfg, run_index):
+            trace = simulate_(scenario, cfg, run_index)
+            viewed.append((len(trace.events), len(trace.states)))
+            return trace
+
+        monkeypatch.setattr(sim_module, "simulate", viewing)
+        bundle = self._campaign(campaign_inputs, tmp_path / "viewed")
+        assert len(viewed) == 3 * len(bundle.scenarios)
+        plain = (tmp_path / "plain" / "traces.jsonl").read_bytes()
+        assert b'"ghost_detected"' in plain
+        assert (tmp_path / "viewed" / "traces.jsonl").read_bytes() == plain
+
+    def test_export_resolves_nothing_and_seeds_only_recorded_runs(
+        self, campaign_inputs, tmp_path, monkeypatch
+    ):
+        # A ghost scenario whose run 0 built no generator in the sweep read
+        # its first ghost from another scenario's (seed, 0) draw record;
+        # its trace view draws the stream itself, so it seeds one.
+        stage = ["sweep", None]  # the stage, and the scenario being run
+        plans = Counter()
+        run0_seeded = {"sweep": [], "export": []}
+        ghost_ids = []
+        simulate_, exported_ = sim_module.simulate, report.simulate
+        derive_seed, init, resolve = sim_module.derive_seed, sim_module._Plan.__init__, sim_module._Plan._resolve
+
+        def sweeping(scenario, cfg, run_index):
+            stage[1] = scenario
+            if run_index == 0 and scenario.effects.ghost_rate > 0:
+                ghost_ids.append(scenario.id)
+            return simulate_(scenario, cfg, run_index)
+
+        def exporting(scenario, cfg, run_index=0):
+            stage[:] = ["export", scenario]
+            return exported_(scenario, cfg, run_index=run_index)
+
+        def deriving(seed, run_index):
+            if run_index == 0:
+                run0_seeded[stage[0]].append(stage[1].id)
+            return derive_seed(seed, run_index)
+
+        def planning(self, *args):
+            plans[stage[0], "init"] += 1
+            init(self, *args)
+
+        def resolving(self, n_trig):
+            plans[stage[0], "resolve"] += 1
+            return resolve(self, n_trig)
+
+        monkeypatch.setattr(sim_module, "simulate", sweeping)
+        monkeypatch.setattr(report, "simulate", exporting)
+        monkeypatch.setattr(sim_module, "derive_seed", deriving)
+        monkeypatch.setattr(sim_module._Plan, "__init__", planning)
+        monkeypatch.setattr(sim_module._Plan, "_resolve", resolving)
+        monkeypatch.setattr(sim_module, "_last_draws", None)
+        bundle = self._campaign(campaign_inputs, tmp_path / "traces")
+
+        assert stage[0] == "export"
+        assert plans["sweep", "init"] == len(bundle.scenarios)
+        assert plans["sweep", "resolve"] > 0
+        assert plans["export", "init"] == plans["export", "resolve"] == 0
+        recorded = [i for i in ghost_ids if i not in run0_seeded["sweep"]]
+        assert recorded and run0_seeded["sweep"]
+        assert sorted(run0_seeded["export"]) == sorted(recorded)
+
+    def test_nothing_is_kept_after_a_campaign(self, campaign_inputs, tmp_path, monkeypatch):
+        held = []
+        sweep_, export_ = report.monte_carlo_sweep, report.export_trace_jsonl
+
+        def sweeping(*args):
+            stats = sweep_(*args)
+            held.append(len(sim_module._run0_traces or ()))
+            return stats
+
+        monkeypatch.setattr(report, "monte_carlo_sweep", sweeping)
+        bundle = self._campaign(campaign_inputs, None)
+        assert held == [0]
+        assert sim_module._run0_traces is None
+        self._campaign(campaign_inputs, tmp_path / "traces")
+        assert held[1] == len(bundle.scenarios)
+        assert sim_module._run0_traces is None
+
+        def failing_sweep(*args):
+            sweeping(*args)
+            raise SimulationError("after the sweep")
+
+        with monkeypatch.context() as m:
+            m.setattr(report, "monte_carlo_sweep", failing_sweep)
+            with pytest.raises(PipelineError, match="sweep"):
+                self._campaign(campaign_inputs, tmp_path / "sweep-fails")
+        assert held[2] == len(bundle.scenarios)
+        assert sim_module._run0_traces is None
+
+        def failing_export(traces, path):
+            next(iter(traces))
+            held.append(len(sim_module._run0_traces))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(report, "export_trace_jsonl", failing_export)
+        with pytest.raises(PipelineError, match="export"):
+            self._campaign(campaign_inputs, tmp_path / "export-fails")
+        assert held[3] == held[4] + 1 == len(bundle.scenarios)
+        assert sim_module._run0_traces is None
 
 
 class TestBundlePersistence:

@@ -259,6 +259,28 @@ class TestDeterminism:
         export_trace_jsonl([b], tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
+    def test_run0_is_kept_only_within_a_hand_over(self, baseline_vehicle):
+        # Outside a campaign's hand-over every run-0 call resolves anew;
+        # within it, a call's trace is kept for the next call with the same
+        # scenario and cfg objects, and for that call alone.
+        scenario = make_scenario(
+            baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.1), scenario_id="det", seed=77
+        )
+        cfg = SimConfig()
+        a, b = simulate(scenario, cfg), simulate(scenario, cfg)
+        assert a is not b
+        assert a == b
+        with sim_module._handing_over():
+            kept = simulate(scenario, cfg)
+            assert simulate(scenario, SimConfig()) is not kept
+            assert simulate(scenario, cfg, run_index=1) is not kept
+            assert simulate(scenario, cfg) is kept
+            again = simulate(scenario, cfg)
+        assert sim_module._run0_traces is None
+        assert again is not kept
+        assert kept == again == a
+        assert simulate(scenario, cfg) is not simulate(scenario, cfg)
+
     def test_run_indices_differ(self, baseline_vehicle):
         for rate in (0.2, 0.5):
             scenario = make_scenario(
