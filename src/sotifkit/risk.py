@@ -184,11 +184,18 @@ class AcceptanceCriteria:
     min_ttc_at_trigger: float = _clause(lambda nominal, s: s.ttc_at_trigger_min)
 
     def __post_init__(self) -> None:
-        core._store_floats(self, tuple(f.name for f in dataclasses.fields(self)))
+        core._store_floats(self, tuple(name for name, _, _ in _CLAUSES))
         for name in ("max_collision_rate", "max_false_activation_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ParameterError(f"{name} must be in [0, 1], got {value}")
+
+
+# Each clause as (name, measure, whether it is a ``min_`` clause), read once.
+_CLAUSES = tuple(
+    (f.name, f.metadata["measure"], f.name.startswith("min_"))
+    for f in dataclasses.fields(AcceptanceCriteria)
+)
 
 
 @dataclass(frozen=True)
@@ -222,13 +229,13 @@ def acceptance_check(
             f"({scenario_stats.odd_fingerprint} vs {nominal.odd_fingerprint})"
         )
     violations = []
-    for clause in dataclasses.fields(criteria):
-        measured = clause.metadata["measure"](nominal, scenario_stats)
+    for name, measure, is_min in _CLAUSES:
+        measured = measure(nominal, scenario_stats)
         if measured is None:
             continue
-        threshold = getattr(criteria, clause.name)
-        if measured < threshold if clause.name.startswith("min_") else measured > threshold:
-            violations.append(Violation(clause.name, measured, threshold))
+        threshold = getattr(criteria, name)
+        if measured < threshold if is_min else measured > threshold:
+            violations.append(Violation(name, measured, threshold))
     return AcceptanceVerdict(
         scenario_id=scenario_stats.scenario_id,
         passed=not violations,

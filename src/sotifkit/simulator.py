@@ -39,14 +39,18 @@ cruise collision, which variants at the same speed share, so a variant's
 later natural trigger reads no further than that draw; a lower v_r can.
 A trace is a view of its resolution: rows of its events and states,
 built once, when first needed, and kept.  The export writes each line
-from the rows; SimEvent and KinematicState objects are built from them
+from the rows, encoding each distinct row once; a ghost-free run has no
+stream, and its events and states depend only on its resolution, so the
+export writes each distinct ghost-free body once and builds no view for
+a repeat.  SimEvent and KinematicState objects are built from the rows
 only when a library caller reads ``events`` or ``states``.  The KPIs are
 read off the resolution and the run's first ghost without a view.
 While a campaign exports its traces, :func:`_handing_over` keeps each
 scenario's run-0 trace from the sweep's call until the export's call
 takes it, so the export resolves nothing again; it builds the view from
 the stream the sweep read, and seeds a generator only for a run that read
-its first ghost from another scenario's draw record.
+its first ghost from another scenario's draw record and shows a ghost
+that the record cannot rule out.
 Identical (scenario, cfg, run_index) always produces a bit-identical
 trace.
 """
@@ -426,6 +430,15 @@ class _Draws:
     drawn: int
     lows: list[tuple[int, float]]
 
+    def flags_below(self, rate: float, need: int) -> list[int] | None:
+        """What the record settles at ``rate`` <= ``bound`` of the flagged
+        ticks below ``need``: ``[first]`` when it holds the first, ``[]``
+        when there is none, and None when its draws stop short of telling."""
+        for tick, u in self.lows:
+            if u < rate:  # the first flag at this rate
+                return [tick] if tick < need else []
+        return [] if self.drawn >= need else None
+
 
 # A sweep runs the scenarios that share a seed back to back, so the records
 # of the last seed, one per run index, are the only ones worth keeping.
@@ -454,12 +467,13 @@ class _GhostStream:
     scenario's cruise collision, which every variant at the same speed
     shares, so a variant's later natural trigger does not take it beyond
     the record; a lower speed, whose cruise collision comes later, can.
-    ``events_before`` always draws.
+    Such a stream keeps the record it read, and ``events_before`` draws
+    only when that record does not show it has no ghost below the step.
     """
 
     __slots__ = (
         "_scenario", "_run_index", "_tick_steps", "_n_ticks", "_rate",
-        "_rng", "_record", "_drawn", "_flagged",
+        "_rng", "_record", "_read", "_drawn", "_flagged",
     )
 
     def __init__(self, scenario: Scenario, cfg: SimConfig, run_index: int):
@@ -470,6 +484,7 @@ class _GhostStream:
         self._rate = scenario.effects.ghost_rate
         self._rng = None  # built at the first draw
         self._record: _Draws | None = None  # the record this stream writes
+        self._read: _Draws | None = None  # the record this stream reads
         self._drawn = 0  # u_flag values drawn so far
         self._flagged: list[int] = []  # flagged ticks among them, ascending
 
@@ -484,24 +499,27 @@ class _GhostStream:
         """The flagged ticks whose step is below ``step``; with ``first``,
         only what settles the first: the record of this (seed, run) when it
         does, or else the chunks drawn until one holds a flag.  The first
-        stream of a (seed, run) to draw writes the record."""
+        stream of a (seed, run) to draw writes the record.  Without
+        ``first``, a stream that has not drawn takes only a record's
+        answer that there is no flag."""
         global _last_draws
         need = min(self._n_ticks, -(-step // self._tick_steps))
         if self._rate <= 0.0 or need == 0:
             return []
-        if first and not self._drawn:
-            if _last_draws is None or _last_draws[0] != self._scenario.seed:
-                _last_draws = (self._scenario.seed, {})
-            records = _last_draws[1]
-            record = records.get(self._run_index)
-            if record is None:
-                self._record = records[self._run_index] = _Draws(self._rate, 0, [])
-            elif self._rate <= record.bound:
-                for tick, u in record.lows:
-                    if u < self._rate:  # the first flag at this rate
-                        return [tick] if tick < need else []
-                if record.drawn >= need:
-                    return []
+        if not self._drawn:
+            if first and self._read is None:
+                if _last_draws is None or _last_draws[0] != self._scenario.seed:
+                    _last_draws = (self._scenario.seed, {})
+                records = _last_draws[1]
+                record = records.get(self._run_index)
+                if record is None:
+                    self._record = records[self._run_index] = _Draws(self._rate, 0, [])
+                elif self._rate <= record.bound:
+                    self._read = record
+            if self._read is not None:
+                settled = self._read.flags_below(self._rate, need)
+                if settled is not None and (first or not settled):
+                    return settled
         if self._rng is None:
             import numpy as np
 
@@ -555,7 +573,8 @@ class SimTrace:
     The view is a pair of row tuples, built once, when first needed, by
     :func:`_trace_view`; only then are the run's ghost gaps drawn, and a
     stream's gaps can be drawn only once, so the rows are kept.
-    :func:`export_trace_jsonl` writes the rows as they are.  ``events``
+    :func:`export_trace_jsonl` writes the rows as they are.  A ghost-free
+    trace has no stream.  ``events``
     (every :class:`SimEvent`, in time order) and ``states`` (the ego's
     :class:`core.KinematicState` at each event step) are built from the
     rows on first read, for library callers.  :func:`compute_kpis` reads
@@ -573,7 +592,7 @@ class SimTrace:
         scenario: Scenario,
         cfg: SimConfig,
         res: _Resolved,
-        ghosts: _GhostStream,
+        ghosts: _GhostStream | None,
         first_ghost: int | None,
     ):
         self._scenario = scenario
@@ -679,22 +698,26 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
         plan = _last_plan = _Plan(scenario, cfg)
     trace = plan.trace
     if trace is None:
-        ghosts = _GhostStream(scenario, cfg, run_index)
-        first_ghost = n_trig = ghosts.first_before(plan.draw_limit)
-        if n_trig is None or n_trig >= plan.ghost_limit:
-            n_trig = plan.n_nat
-        trace = SimTrace(scenario, cfg, plan.resolve(n_trig), ghosts, first_ghost)
-        if not scenario.effects.ghost_rate:
-            plan.trace = trace
+        if scenario.effects.ghost_rate:
+            ghosts = _GhostStream(scenario, cfg, run_index)
+            first_ghost = n_trig = ghosts.first_before(plan.draw_limit)
+            if n_trig is None or n_trig >= plan.ghost_limit:
+                n_trig = plan.n_nat
+            trace = SimTrace(scenario, cfg, plan.resolve(n_trig), ghosts, first_ghost)
+        else:  # no stream: every run is the natural one
+            trace = plan.trace = SimTrace(scenario, cfg, plan.resolve(plan.n_nat), None, None)
     if kept is not None:
         kept.setdefault(id(scenario), trace)
     return trace
 
 
-def _trace_view(scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream) -> _Rows:
+def _trace_view(
+    scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream | None
+) -> _Rows:
     """A resolved run's events in time order, as (time, stage, kind, gap)
     rows, and the ego state at each event step, as (time, position,
-    velocity) rows.  Draws the ghost gaps, the stream's last read."""
+    velocity) rows.  Draws the ghost gaps, the stream's last read; a
+    ghost-free run has no stream."""
     dt = cfg.dt
     range_eff = scenario.odd.d_perception * scenario.effects.perception_range_factor
     ghost = EventKind.GHOST_DETECTED
@@ -703,7 +726,7 @@ def _trace_view(scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _Gho
     # (step, stage order, stage, kind, gap) of each event.
     found = [
         (step, order, sense, ghost, fake_gap)
-        for step, fake_gap in ghosts.events_before(res.terminal_step)
+        for step, fake_gap in (() if ghosts is None else ghosts.events_before(res.terminal_step))
     ]
 
     def add(step: int, kind: EventKind) -> None:
@@ -830,25 +853,64 @@ def monte_carlo_sweep(
     return [results[index] for index in range(len(scenarios))]
 
 
+def _exact(key: tuple) -> tuple:
+    """``key``, told apart from one that differs only by the sign of a zero:
+    0.0 and -0.0 compare and hash equal but print differently."""
+    if 0.0 in key:
+        return key, tuple(repr(x) for x in key if x == 0.0)
+    return key
+
+
 def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     """Write traces as JSON lines, one trace per line: its scenario id, its
-    terminal, its events and its ego states, in the order given.  A line is
-    written from the trace's rows by one :func:`errors.json_encoder`; no
-    :class:`SimEvent` or :class:`core.KinematicState` is built."""
+    terminal, its events and its ego states, in the order given.
+
+    A line is ``json.dumps`` of that object, assembled from texts that one
+    :func:`errors.json_encoder` wrote, each distinct one once per call: the
+    text of every event and state row, and the events-and-states body of
+    every ghost-free trace.  That body depends only on the run's resolution,
+    perception range and frame period, so a trace whose body was written
+    builds no view.  No :class:`SimEvent` or :class:`core.KinematicState` is
+    built."""
     dumps = json_encoder()
+    # Event rows have four fields and state rows three, so one memo holds both.
+    items: dict[tuple, str] = {}
+    bodies: dict[tuple, str] = {}
+    terminals = {terminal: dumps(terminal) for terminal in Terminal}
+
+    def array(rows: tuple[tuple, ...], names: tuple[str, ...]) -> str:
+        texts = []
+        for row in rows:
+            key = _exact(row)
+            item = items.get(key)
+            if item is None:
+                item = items[key] = dumps(dict(zip(names, row)))
+            texts.append(item)
+        return "[" + ", ".join(texts) + "]"
+
+    def body(trace: SimTrace) -> str:
+        events, states = trace._built()
+        return (
+            '"events": ' + array(events, ("time", "stage", "kind", "gap"))
+            + ', "states": ' + array(states, ("time", "position", "velocity")) + "}"
+        )
+
     with open(path, "w", encoding="utf-8") as f:
         for trace in traces:
-            events, states = trace._built()
-            line = {
-                "scenario_id": trace.scenario_id,
-                "terminal": trace.terminal,
-                "events": [
-                    {"time": time, "stage": stage, "kind": kind, "gap": gap}
-                    for time, stage, kind, gap in events
-                ],
-                "states": [
-                    {"time": time, "position": position, "velocity": velocity}
-                    for time, position, velocity in states
-                ],
-            }
-            f.write(dumps(line) + "\n")
+            if trace._ghosts is None:
+                res = trace._res
+                odd, effects = trace._scenario.odd, trace._scenario.effects
+                key = _exact((
+                    res.v0, res.dt, res.b_eff, res.d_object, res.n_trig, res.n_eff,
+                    res.m_stop, res.terminal_step, res.terminal,
+                    odd.d_perception * effects.perception_range_factor, trace._cfg.tick_steps,
+                ))
+                tail = bodies.get(key)
+                if tail is None:
+                    tail = bodies[key] = body(trace)
+            else:
+                tail = body(trace)
+            f.write(
+                '{"scenario_id": ' + dumps(trace.scenario_id)
+                + ', "terminal": ' + terminals[trace.terminal] + ", " + tail + "\n"
+            )

@@ -286,10 +286,23 @@ class TestRunCampaign:
 
 
 class TestTraceFile:
-    def test_one_trace_view_per_scenario(self, campaign_inputs, tmp_path, monkeypatch):
-        # The sweep reads resolutions only; the export stage builds the
-        # view (the event and state rows) of one trace per scenario.
+    def test_one_trace_view_per_ghost_scenario_and_body(
+        self, campaign_inputs, tmp_path, monkeypatch
+    ):
+        # The sweep reads resolutions only.  The export builds the view (the
+        # event and state rows) of every ghost scenario's trace, and of a
+        # ghost-free trace only when it writes a body (the events and the
+        # states) that it has not written at that perception range before.
         built = count_trace_views(monkeypatch)
+        built_before_export = []
+        simulate_ = report.simulate
+
+        def exporting(scenario, cfg, run_index=0):
+            if not built_before_export:
+                built_before_export.append(len(built))
+            return simulate_(scenario, cfg, run_index=run_index)
+
+        monkeypatch.setattr(report, "simulate", exporting)
         bundle = run_campaign(
             **campaign_inputs,
             mitigations=load_mitigations(fixture_path("mitigations.json")),
@@ -297,7 +310,24 @@ class TestTraceFile:
             runs_per_scenario=5,
             trace_dir=tmp_path / "traces",
         )
-        assert built == [s.id for s in bundle.scenarios]
+        assert built_before_export == [0]
+        d_perception = campaign_inputs["odd"].d_perception
+        lines = (tmp_path / "traces" / "traces.jsonl").read_text().splitlines()
+        expected, written = [], set()
+        for scenario, line in zip(bundle.scenarios, lines, strict=True):
+            effects = scenario.effects
+            trace = json.loads(line)
+            body = (
+                json.dumps([trace["events"], trace["states"]]),
+                d_perception * effects["perception_range_factor"],
+            )
+            if effects["ghost_rate"]:
+                expected.append(scenario.id)
+            elif body not in written:
+                expected.append(scenario.id)
+                written.add(body)
+        assert built == expected
+        assert len(built) < len(bundle.scenarios)  # ghost-free bodies repeat
 
     def test_traces_do_not_depend_on_runs(self, campaign_inputs, tmp_path):
         # The export writes each scenario's run 0.  What the sweep keeps (a
@@ -397,8 +427,10 @@ class TestRun0HandOver:
         self, campaign_inputs, tmp_path, monkeypatch
     ):
         # A ghost scenario whose run 0 built no generator in the sweep read
-        # its first ghost from another scenario's (seed, 0) draw record;
-        # its trace view draws the stream itself, so it seeds one.
+        # its first ghost from another scenario's (seed, 0) draw record.
+        # Its trace view seeds a generator to draw the ghost gaps when the
+        # trace shows a ghost; here the record settles every other such
+        # view, which shows no ghost, without one.
         stage = ["sweep", None]  # the stage, and the scenario being run
         plans = Counter()
         run0_seeded = {"sweep": [], "export": []}
@@ -443,7 +475,14 @@ class TestRun0HandOver:
         assert plans["export", "init"] == plans["export", "resolve"] == 0
         recorded = [i for i in ghost_ids if i not in run0_seeded["sweep"]]
         assert recorded and run0_seeded["sweep"]
-        assert sorted(run0_seeded["export"]) == sorted(recorded)
+        lines = (tmp_path / "traces" / "traces.jsonl").read_text().splitlines()
+        shown = {
+            trace["scenario_id"]
+            for trace in map(json.loads, lines)
+            if any(event["kind"] == "ghost_detected" for event in trace["events"])
+        }
+        assert sorted(run0_seeded["export"]) == sorted(i for i in recorded if i in shown)
+        assert len(run0_seeded["export"]) == 9 < len(recorded) == 12
 
     def test_nothing_is_kept_after_a_campaign(self, campaign_inputs, tmp_path, monkeypatch):
         held = []

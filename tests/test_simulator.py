@@ -8,6 +8,8 @@ import tracemalloc
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sotifkit import (
     EffectModel,
@@ -1096,7 +1098,74 @@ class TestKpiContract:
         assert kpis.impact_speed > 0.0
 
 
+# (v_r, d_object, perception_range_factor, ghost_rate, seed) of a scenario.
+_TRACE_SPECS = st.tuples(
+    st.sampled_from([-0.0, 0.0, 8.0, 50.0 / 3.6]),
+    st.sampled_from([15.0, 60.0, 150.0]),
+    st.sampled_from([1.0, 0.6, 0.3]),
+    st.sampled_from([0.0, 0.0, 0.02, 0.5]),
+    st.integers(0, 2),
+)
+# Two ghost-free scenarios alike but for their ids, one that sees the object
+# later but brakes alike, a ghost scenario, and standstills at v_r 0.0 and
+# -0.0, with and without ghosts.
+_FIXED_TRACE_SPECS = [
+    (8.0, 60.0, 1.0, 0.0, 0),
+    (8.0, 60.0, 1.0, 0.0, 0),
+    (8.0, 60.0, 0.6, 0.0, 0),
+    (8.0, 60.0, 1.0, 0.2, 1),
+    (0.0, 60.0, 1.0, 0.0, 0),
+    (-0.0, 60.0, 1.0, 0.0, 0),
+    (0.0, 60.0, 1.0, 0.2, 0),
+    (-0.0, 60.0, 1.0, 0.2, 0),
+]
+
+
+def reference_trace_lines(traces) -> str:
+    """The trace file as ``json.dumps`` of each line, built from the
+    ``events`` and ``states`` objects."""
+    return "".join(
+        json.dumps({
+            "scenario_id": trace.scenario_id,
+            "terminal": trace.terminal.value,
+            "events": [
+                {"time": e.time, "stage": e.stage.value, "kind": e.kind.value, "gap": e.gap}
+                for e in trace.events
+            ],
+            "states": [
+                {"time": s.time, "position": s.position, "velocity": s.velocity}
+                for s in trace.states
+            ],
+        }) + "\n"
+        for trace in traces
+    )
+
+
 class TestExports:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lines_are_json_dumps_of_each_trace(
+        self, baseline_vehicle, tmp_path_factory, data
+    ):
+        # The export writes each distinct body and row once; every line must
+        # still be the text json.dumps gives the trace, also where a memo
+        # key would merge 0.0 with -0.0.
+        specs = data.draw(
+            st.permutations(_FIXED_TRACE_SPECS + data.draw(st.lists(_TRACE_SPECS, max_size=12)))
+        )
+        cfg = SimConfig()
+        traces = []
+        for i, (v_r, d_object, range_factor, ghost_rate, seed) in enumerate(specs):
+            vehicle = dataclasses.replace(baseline_vehicle, v_r=v_r)
+            effects = EffectModel(perception_range_factor=range_factor, ghost_rate=ghost_rate)
+            scenario = make_scenario(
+                baseline_odd(vehicle, d_object=d_object), effects, scenario_id=f"s{i}", seed=seed
+            )
+            traces.append(simulate(scenario, cfg, 0))
+        path = tmp_path_factory.mktemp("traces") / "traces.jsonl"
+        export_trace_jsonl(traces, path)
+        assert path.read_text(encoding="utf-8") == reference_trace_lines(traces)
+
     def test_trace_jsonl_shape(self, baseline_vehicle, tmp_path):
         scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="nominal")
         trace = simulate(scenario)
