@@ -22,7 +22,7 @@ import csv
 import hashlib
 import math
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
@@ -83,7 +83,7 @@ from .simulator import (
     SimConfig,
     Stage,
     SweepStats,
-    _handing_over,
+    _sharing,
     export_trace_jsonl,
     monte_carlo_sweep,
     simulate,
@@ -274,7 +274,7 @@ def run_campaign(
     stage it came from.  When ``trace_dir`` is given, the first run
     (index 0) of every scenario is written to ``trace_dir/traces.jsonl``,
     one line per scenario in the bundle's scenario order.  Each trace is
-    handed over from the sweep, which resolved it, and its line is built
+    handed over from the sweep, in one sharing block, and its line is built
     as it is written, so a failure during the export can leave a partial
     ``traces.jsonl``.  The export stage fails, deleting nothing, when
     ``trace_dir`` already holds any other ``*.jsonl`` file.
@@ -310,7 +310,7 @@ def run_campaign(
         check_unique([{"id": s.id} for s in all_scenarios], "scenarios", "id")
 
     # The sweep's run-0 traces are kept until the export takes them.
-    with _handing_over() if trace_dir is not None else nullcontext():
+    with _sharing():
         with _stage("sweep"):
             stats = monte_carlo_sweep(all_scenarios, cfg, runs_per_scenario)
             stats_by_id = {s.scenario_id: s for s in stats}

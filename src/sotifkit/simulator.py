@@ -45,12 +45,13 @@ export writes each distinct ghost-free body once and builds no view for
 a repeat.  SimEvent and KinematicState objects are built from the rows
 only when a library caller reads ``events`` or ``states``.  The KPIs are
 read off the resolution and the run's first ghost without a view.
-While a campaign exports its traces, :func:`_handing_over` keeps each
-scenario's run-0 trace from the sweep's call until the export's call
-takes it, so the export resolves nothing again; it builds the view from
-the stream the sweep read, and seeds a generator only for a run that read
-its first ghost from another scenario's draw record and shows a ghost
-that the record cannot rule out.
+Runs share only within a :func:`_sharing` block, which a sweep opens and
+``run_campaign`` holds over its sweep and export: the last plan, the last
+seed's draw records, and each run-0 trace until the export's call takes
+it, so the export resolves nothing again; it builds the view from the
+stream the sweep read, and seeds a generator only for a run that read its
+first ghost from another scenario's draw record and shows a ghost that
+the record cannot rule out.  Outside a block, ``simulate`` shares nothing.
 Identical (scenario, cfg, run_index) always produces a bit-identical
 trace.
 """
@@ -63,7 +64,7 @@ import itertools
 import math
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -161,9 +162,6 @@ class SimConfig:
     @functools.cached_property
     def max_steps(self) -> int:
         return int(self.max_time / self.dt + 1e-9)
-
-
-_DEFAULT_CONFIG = SimConfig()  # one object: the plan cache compares configs by identity
 
 
 @dataclass(frozen=True)
@@ -388,11 +386,6 @@ class _Plan:
         return _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, terminal_step, terminal)
 
 
-# A sweep calls runs 0..R-1 of one scenario back to back, so the plan of
-# the last (scenario, cfg) objects is the only one worth keeping.
-_last_plan: _Plan | None = None
-
-
 def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> int | None:
     """First perception tick (strictly before terminal) seeing the object.
 
@@ -438,11 +431,6 @@ class _Draws:
             if u < rate:  # the first flag at this rate
                 return [tick] if tick < need else []
         return [] if self.drawn >= need else None
-
-
-# A sweep runs the scenarios that share a seed back to back, so the records
-# of the last seed, one per run index, are the only ones worth keeping.
-_last_draws: tuple[int, dict[int, _Draws]] | None = None
 
 
 class _GhostStream:
@@ -501,16 +489,16 @@ class _GhostStream:
         does, or else the chunks drawn until one holds a flag.  The first
         stream of a (seed, run) to draw writes the record.  Without
         ``first``, a stream that has not drawn takes only a record's
-        answer that there is no flag."""
-        global _last_draws
+        answer that there is no flag.  Records are read and written only
+        within a :func:`_sharing` block."""
         need = min(self._n_ticks, -(-step // self._tick_steps))
         if self._rate <= 0.0 or need == 0:
             return []
         if not self._drawn:
-            if first and self._read is None:
-                if _last_draws is None or _last_draws[0] != self._scenario.seed:
-                    _last_draws = (self._scenario.seed, {})
-                records = _last_draws[1]
+            if first and self._read is None and _shared is not None:
+                if _shared.seed != self._scenario.seed:
+                    _shared.seed, _shared.records = self._scenario.seed, {}
+                records = _shared.records
                 record = records.get(self._run_index)
                 if record is None:
                     self._record = records[self._run_index] = _Draws(self._rate, 0, [])
@@ -651,25 +639,33 @@ class SimTrace:
         )
 
 
-# While a campaign hands its run-0 traces from the sweep to the export:
-# one kept trace per scenario, by id(scenario).  A kept trace holds its
-# scenario, so the id can name no other object while the trace is kept.
-_run0_traces: dict[int, SimTrace] | None = None
+@dataclass(slots=True)
+class _Shared:
+    """What a sweep's runs share.  A sweep runs each scenario's runs, and
+    the scenarios that share a seed, back to back, so it keeps the ``plan``
+    of the last (scenario, cfg) and the draw ``records`` of the last
+    ``seed``.  ``run0`` keeps each run-0 trace by id(scenario) until a call
+    with the same scenario and cfg takes it; the trace holds the scenario."""
+
+    plan: _Plan | None = None
+    seed: int | None = None
+    records: dict[int, _Draws] = field(default_factory=dict)
+    run0: dict[int, SimTrace] = field(default_factory=dict)
+
+
+_shared: _Shared | None = None
 
 
 @contextmanager
-def _handing_over():
-    """Within the block, ``simulate(scenario, cfg, 0)`` keeps the trace it
-    resolves, unless it keeps one of that scenario already, and the next
-    such call with the same scenario and cfg objects returns that trace
-    and forgets it.  Nothing is kept after the block, also when it
-    raises."""
-    global _run0_traces
-    _run0_traces = {}
+def _sharing():
+    """Within the block, runs share one :class:`_Shared`, a nested block the
+    outer one's; nothing is kept after the outermost, also when it raises."""
+    global _shared
+    outer, _shared = _shared, _shared or _Shared()
     try:
         yield
     finally:
-        _run0_traces = None
+        _shared = outer
 
 
 def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 0) -> SimTrace:
@@ -677,25 +673,25 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
 
     ``run_index`` selects the run's random stream within the scenario's
     seed (sweeps use 0, 1, 2, ...); equal inputs give bit-identical traces.
-    Runs of one scenario that trigger on the same step share one
-    resolution; a ghost-free scenario's runs all return one trace.
+    Within a :func:`_sharing` block, runs of one scenario at equal configs
+    that trigger on the same step share one resolution, and a ghost-free
+    scenario's runs one trace; outside one, each call resolves afresh.
     """
-    global _last_plan
     if cfg is None:
-        cfg = _DEFAULT_CONFIG
-    kept = _run0_traces if run_index == 0 else None
-    if kept is not None:
-        trace = kept.get(id(scenario))
+        cfg = SimConfig()
+    shared = _shared or _Shared()
+    if run_index == 0:
+        trace = shared.run0.get(id(scenario))
         if trace is not None and trace._cfg is cfg:
-            del kept[id(scenario)]
+            del shared.run0[id(scenario)]
             return trace
-    plan = _last_plan
-    if plan is None or plan.scenario is not scenario or plan.cfg is not cfg:
+    plan = shared.plan
+    if plan is None or plan.scenario is not scenario or (plan.cfg is not cfg and plan.cfg != cfg):
         if plan is not None:
             # Its reports served its runs; a kept trace need not hold them.
             for res in plan._resolutions.values():
                 res.kpis = None
-        plan = _last_plan = _Plan(scenario, cfg)
+        plan = shared.plan = _Plan(scenario, cfg)
     trace = plan.trace
     if trace is None:
         if scenario.effects.ghost_rate:
@@ -706,8 +702,8 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
             trace = SimTrace(scenario, cfg, plan.resolve(n_trig), ghosts, first_ghost)
         else:  # no stream: every run is the natural one
             trace = plan.trace = SimTrace(scenario, cfg, plan.resolve(plan.n_nat), None, None)
-    if kept is not None:
-        kept.setdefault(id(scenario), trace)
+    if run_index == 0:
+        shared.run0.setdefault(id(scenario), trace)
     return trace
 
 
@@ -757,7 +753,7 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
     The resolution keeps its report, one per false-activation value, for
     the last ``scenario`` object it was derived with, so runs that share a
     resolution derive their KPIs once.  ``simulate`` drops the reports of a
-    plan's resolutions when it moves to another plan.
+    plan's resolutions when a sweep moves to another plan.
     """
     res = trace._res
     n_trig = res.n_trig
@@ -811,6 +807,7 @@ def _aggregate(scenario: Scenario, kpis: Sequence[KpiReport], odd_fingerprint: s
     )
 
 
+@_sharing()
 def monte_carlo_sweep(
     scenarios: Sequence[Scenario],
     cfg: SimConfig | None = None,
@@ -820,7 +817,8 @@ def monte_carlo_sweep(
 
     Run i of a scenario uses the random stream (scenario.seed, i), so the
     result is a pure function of the inputs: execution order cannot change
-    it.  The scenarios that share a seed (a condition and its mitigated
+    it.  It runs in a :func:`_sharing` block, the caller's if one is open.
+    The scenarios that share a seed (a condition and its mitigated
     variants) run back to back, groups in the order in which each seed
     first appears, so that each (seed, run) flag stream is drawn once.  A
     simulation error is re-raised with the scenario id attached; of several
@@ -831,6 +829,8 @@ def monte_carlo_sweep(
     if cfg is None:
         cfg = SimConfig()
 
+    # Grouped by seed, the block keeps one seed's draw records; keeping every
+    # (seed, run)'s instead raised the bench's ghost-long peak RSS by 0.18 MB.
     groups: dict[int, list[int]] = {}
     for index, scenario in enumerate(scenarios):
         groups.setdefault(scenario.seed, []).append(index)

@@ -21,6 +21,14 @@ from sotifkit.fixtures import fixture_path
 import sotifkit.simulator as sim_module
 
 
+@pytest.fixture(autouse=True)
+def nothing_shared_after_the_test():
+    """What runs share lives only within a ``simulator._sharing`` block, so
+    no test leaves state that a later test could read."""
+    yield
+    assert sim_module._shared is None
+
+
 @pytest.fixture(scope="session")
 def baseline_vehicle() -> VehicleParams:
     """The documented parameter set: 50 km/h, 1 s, 2.0 m/s^2, 5.0 m/s^2."""

@@ -466,7 +466,6 @@ class TestRun0HandOver:
         monkeypatch.setattr(sim_module, "derive_seed", deriving)
         monkeypatch.setattr(sim_module._Plan, "__init__", planning)
         monkeypatch.setattr(sim_module._Plan, "_resolve", resolving)
-        monkeypatch.setattr(sim_module, "_last_draws", None)
         bundle = self._campaign(campaign_inputs, tmp_path / "traces")
 
         assert stage[0] == "export"
@@ -490,16 +489,18 @@ class TestRun0HandOver:
 
         def sweeping(*args):
             stats = sweep_(*args)
-            held.append(len(sim_module._run0_traces or ()))
+            held.append(len(sim_module._shared.run0))
             return stats
 
         monkeypatch.setattr(report, "monte_carlo_sweep", sweeping)
+        # run_campaign opens its sharing block with or without a trace_dir,
+        # so the sweep's run-0 traces are kept until the block ends.
         bundle = self._campaign(campaign_inputs, None)
-        assert held == [0]
-        assert sim_module._run0_traces is None
+        assert held == [len(bundle.scenarios)]
+        assert sim_module._shared is None
         self._campaign(campaign_inputs, tmp_path / "traces")
         assert held[1] == len(bundle.scenarios)
-        assert sim_module._run0_traces is None
+        assert sim_module._shared is None
 
         def failing_sweep(*args):
             sweeping(*args)
@@ -510,18 +511,18 @@ class TestRun0HandOver:
             with pytest.raises(PipelineError, match="sweep"):
                 self._campaign(campaign_inputs, tmp_path / "sweep-fails")
         assert held[2] == len(bundle.scenarios)
-        assert sim_module._run0_traces is None
+        assert sim_module._shared is None
 
         def failing_export(traces, path):
             next(iter(traces))
-            held.append(len(sim_module._run0_traces))
+            held.append(len(sim_module._shared.run0))
             raise OSError("disk full")
 
         monkeypatch.setattr(report, "export_trace_jsonl", failing_export)
         with pytest.raises(PipelineError, match="export"):
             self._campaign(campaign_inputs, tmp_path / "export-fails")
         assert held[3] == held[4] + 1 == len(bundle.scenarios)
-        assert sim_module._run0_traces is None
+        assert sim_module._shared is None
 
 
 class TestBundlePersistence:

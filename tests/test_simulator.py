@@ -48,14 +48,6 @@ def baseline_odd(baseline_vehicle, d_object=100.0, d_perception=80.0, mu=1.0):
     )
 
 
-def fresh_plan_run(scenario, cfg: SimConfig, run_index: int) -> SimTrace:
-    """``simulate`` from a fresh plan and a fresh ghost stream, which reuse
-    nothing resolved or drawn before."""
-    sim_module._last_plan = None
-    sim_module._last_draws = None
-    return simulate(scenario, cfg, run_index)
-
-
 def count_kpi_reports(monkeypatch) -> list[dict]:
     """The fields of every KpiReport that compute_kpis builds from here on."""
     derived = []
@@ -262,8 +254,8 @@ class TestDeterminism:
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_run0_is_kept_only_within_a_hand_over(self, baseline_vehicle):
-        # Outside a campaign's hand-over every run-0 call resolves anew;
-        # within it, a call's trace is kept for the next call with the same
+        # Outside a sharing block every run-0 call resolves anew; within
+        # one, a call's trace is kept for the next call with the same
         # scenario and cfg objects, and for that call alone.
         scenario = make_scenario(
             baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.1), scenario_id="det", seed=77
@@ -272,13 +264,13 @@ class TestDeterminism:
         a, b = simulate(scenario, cfg), simulate(scenario, cfg)
         assert a is not b
         assert a == b
-        with sim_module._handing_over():
+        with sim_module._sharing():
             kept = simulate(scenario, cfg)
             assert simulate(scenario, SimConfig()) is not kept
             assert simulate(scenario, cfg, run_index=1) is not kept
             assert simulate(scenario, cfg) is kept
             again = simulate(scenario, cfg)
-        assert sim_module._run0_traces is None
+        assert sim_module._shared is None
         assert again is not kept
         assert kept == again == a
         assert simulate(scenario, cfg) is not simulate(scenario, cfg)
@@ -386,7 +378,8 @@ class TestReferenceEquivalence:
 
     def test_sweep_matches_fresh_plan_per_run(self):
         # The sweep shares resolutions and reports between runs; resolving
-        # every run from a fresh plan must give the same statistics.
+        # every run from a fresh plan, as simulate does outside a sweep,
+        # must give the same statistics.
         rng = random.Random(987654321)
         for case in range(250):
             scenario, cfg = self._random_case(rng)
@@ -394,7 +387,7 @@ class TestReferenceEquivalence:
                 effects = dataclasses.replace(scenario.effects, ghost_rate=rate)
                 swept = dataclasses.replace(scenario, effects=effects)
                 (stats,) = monte_carlo_sweep([swept], cfg, runs_per_scenario=6)
-                kpis = [compute_kpis(fresh_plan_run(swept, cfg, i), swept) for i in range(6)]
+                kpis = [compute_kpis(simulate(swept, cfg, i), swept) for i in range(6)]
                 expected = sim_module._aggregate(swept, kpis, swept.odd.fingerprint())
                 assert stats == expected, f"case {case} ghost_rate={rate}: {swept} {cfg}"
 
@@ -497,11 +490,11 @@ class TestGhostStream:
         odd, cfg = _ghost_grid_cases(baseline_vehicle)["horizon-600s"]
         scenario = make_scenario(odd, EffectModel(ghost_rate=0.5), scenario_id="long", seed=1234)
         assert sim_module._Plan(scenario, cfg).ghost_limit == cfg.max_steps == 12_000 * cfg.tick_steps
-        trace = fresh_plan_run(scenario, cfg, 0)
+        trace = simulate(scenario, cfg, 0)
         assert trace._ghosts._drawn == sim_module._GHOST_CHUNK == 4096
         with monkeypatch.context() as m:
             m.setattr(sim_module, "_GhostStream", FullDrawGhosts)
-            expected = fresh_plan_run(scenario, cfg, 0)
+            expected = simulate(scenario, cfg, 0)
         assert trace == expected
 
     @pytest.mark.parametrize(
@@ -579,7 +572,6 @@ def count_generators(monkeypatch) -> dict[str, int]:
 
     monkeypatch.setattr(sim_module, "simulate", simulating)
     monkeypatch.setattr(sim_module, "derive_seed", deriving)
-    monkeypatch.setattr(sim_module, "_last_draws", None)
     return built
 
 
@@ -605,7 +597,7 @@ class TestSharedDraws:
                     built[scenario_id] = built.get(scenario_id, 0) + count
                 for scenario, swept in zip(group, stats):
                     kpis = [
-                        compute_kpis(fresh_plan_run(scenario, cfg, i), scenario)
+                        compute_kpis(simulate(scenario, cfg, i), scenario)
                         for i in range(self.RUNS)
                     ]
                     expected = sim_module._aggregate(scenario, kpis, scenario.odd.fingerprint())
@@ -624,8 +616,9 @@ class TestSharedDraws:
                 for scenario in (same_rate, lower_rate):
                     for run_index in range(3):
                         context = f"{name} {scenario.id} ghost_rate={rate} run {run_index}"
-                        fresh_plan_run(condition, cfg, run_index)
-                        trace = simulate(scenario, cfg, run_index)
+                        with sim_module._sharing():
+                            simulate(condition, cfg, run_index)
+                            trace = simulate(scenario, cfg, run_index)
                         assert trace._ghosts._rng is None, context  # read from the record
                         with monkeypatch.context() as m:
                             m.setattr(sim_module, "_GhostStream", FullDrawGhosts)
@@ -659,23 +652,55 @@ class TestSharedDraws:
         by_id = {s.scenario_id: s for s in in_order}
         assert stats == [by_id[s.scenario_id] for s in stats]
 
+    def test_interleaved_calls_outside_a_block_share_nothing(self, baseline_vehicle):
+        # A library caller outside any block interleaves scenarios and runs
+        # in any order: each call resolves and draws on its own, and gives
+        # the trace of the same run within a block, where a nested block
+        # shares the outer block's plan, records and run-0 traces.
+        odd, cfg = _ghost_grid_cases(baseline_vehicle)["stop"]
+        condition, same_rate, lower_rate = _seed_group(odd, 0.05)[:3]
+        ghost_free = dataclasses.replace(condition, id="ghost-free", effects=EffectModel())
+        scenarios = [condition, ghost_free, lower_rate, same_rate]
+        runs = (3, 0, 5, 1, 0)
+        calls = [(scenario, i) for i in runs for scenario in scenarios]
+        outside = [simulate(scenario, cfg, i) for scenario, i in calls]
+        assert len({id(trace) for trace in outside}) == len(calls)
+        assert all(trace._ghosts._read is None for trace in outside if trace._ghosts)
+
+        within = {}
+        with sim_module._sharing():
+            shared = sim_module._shared
+            for scenario in scenarios:
+                with sim_module._sharing():
+                    assert sim_module._shared is shared
+                    for i in sorted(set(runs)):
+                        within[scenario.id, i] = simulate(scenario, cfg, i)
+            assert shared.plan.scenario is same_rate and shared.seed == condition.seed
+            assert set(shared.run0) == {id(scenario) for scenario in scenarios}
+        for scenario in (same_rate, lower_rate):  # read from the condition's records
+            assert all(within[scenario.id, i]._ghosts._read is not None for i in runs)
+        assert len({id(within[ghost_free.id, i]) for i in runs}) == 1
+        for (scenario, i), trace in zip(calls, outside):
+            assert trace == within[scenario.id, i], (scenario.id, i)
+
 
 class TestGhostFreeMemo:
-    """A ghost-free scenario reads no randomness: all its runs share the one
-    resolution of the plan that ``simulate`` keeps for the last (scenario,
-    cfg)."""
+    """A ghost-free scenario reads no randomness: within a sharing block,
+    all its runs share the one resolution of the plan that ``simulate``
+    keeps for the last (scenario, cfg)."""
 
     def test_runs_share_one_resolution(self, baseline_vehicle):
         cfg = SimConfig()
         scenario = make_scenario(
             baseline_odd(baseline_vehicle), EffectModel(mu_factor=0.5), scenario_id="memo"
         )
-        traces = [simulate(scenario, cfg, i) for i in (0, 1, 7)]
-        assert traces[1]._res is traces[0]._res and traces[2]._res is traces[0]._res
-        # Runs of a caller that passes no config share one too.
-        assert simulate(scenario, run_index=1)._res is simulate(scenario, run_index=2)._res
+        with sim_module._sharing():
+            traces = [simulate(scenario, cfg, i) for i in (0, 1, 7)]
+            assert traces[1]._res is traces[0]._res and traces[2]._res is traces[0]._res
+            # Runs of a caller that passes no config share one too.
+            assert simulate(scenario, run_index=1)._res is simulate(scenario, run_index=2)._res
         for i, trace in zip((0, 1, 7), traces):
-            assert trace == fresh_plan_run(scenario, cfg, i)
+            assert trace == simulate(scenario, cfg, i)
             ref = reference_run(scenario, cfg, i)
             assert (trace.terminal.value, round(trace.events[-1].time / cfg.dt)) == (
                 ref.terminal,
@@ -689,32 +714,33 @@ class TestGhostFreeMemo:
             scenario = make_scenario(odd, EffectModel(), scenario_id=name, seed=1234)
             other = make_scenario(odd, EffectModel(), scenario_id=f"{name}-other", seed=1234)
             (stats,) = monte_carlo_sweep([scenario], cfg, runs)
-            kpis = [compute_kpis(fresh_plan_run(scenario, cfg, i), scenario) for i in range(runs)]
+            kpis = [compute_kpis(simulate(scenario, cfg, i), scenario) for i in range(runs)]
             assert stats == sim_module._aggregate(scenario, kpis, odd.fingerprint()), name
 
-            trace = simulate(scenario, cfg, 0)
-            for i in range(runs):
-                context = f"{name} run {i}"
-                assert simulate(scenario, cfg, i) is trace, context
-                ref = reference_run(scenario, cfg, i)
-                assert (trace.terminal.value, round(trace.events[-1].time / cfg.dt)) == (
-                    ref.terminal,
-                    ref.terminal_step,
-                ), context
-                triggers = events_of(trace, EventKind.BRAKE_TRIGGERED)
-                assert [round(e.time / cfg.dt) for e in triggers] == (
-                    [] if ref.trigger_step is None else [ref.trigger_step]
-                ), context
-                report = compute_kpis(simulate(scenario, cfg, i), scenario)
-                assert report == trace_kpis(trace, scenario), context
-                assert report.final_gap == pytest.approx(max(0.0, ref.final_gap), abs=1e-6), context
-                assert report.collision is (ref.terminal == "collision"), context
-                assert not report.false_activation, context
-            terminals.add(trace.terminal)
+            with sim_module._sharing():
+                trace = simulate(scenario, cfg, 0)
+                for i in range(runs):
+                    context = f"{name} run {i}"
+                    assert simulate(scenario, cfg, i) is trace, context
+                    ref = reference_run(scenario, cfg, i)
+                    assert (trace.terminal.value, round(trace.events[-1].time / cfg.dt)) == (
+                        ref.terminal,
+                        ref.terminal_step,
+                    ), context
+                    triggers = events_of(trace, EventKind.BRAKE_TRIGGERED)
+                    assert [round(e.time / cfg.dt) for e in triggers] == (
+                        [] if ref.trigger_step is None else [ref.trigger_step]
+                    ), context
+                    report = compute_kpis(simulate(scenario, cfg, i), scenario)
+                    assert report == trace_kpis(trace, scenario), context
+                    assert report.final_gap == pytest.approx(max(0.0, ref.final_gap), abs=1e-6), context
+                    assert report.collision is (ref.terminal == "collision"), context
+                    assert not report.false_activation, context
+                terminals.add(trace.terminal)
 
-            simulate(other, cfg, 0)  # replaces the plan
-            again = simulate(scenario, cfg, 1)
-            assert again is not trace and again == trace, name
+                simulate(other, cfg, 0)  # replaces the plan
+                again = simulate(scenario, cfg, 1)
+                assert again is not trace and again == trace, name
         assert terminals == set(Terminal)
 
     def test_trace_follows_scenario_and_config(self, baseline_vehicle):
@@ -722,14 +748,15 @@ class TestGhostFreeMemo:
         b = make_scenario(baseline_odd(baseline_vehicle, d_object=20.0), scenario_id="memo-b")
         fine, coarse = SimConfig(), SimConfig(dt=0.01)
         calls = [(a, fine), (b, fine), (a, fine), (a, coarse), (b, coarse), (a, fine)]
-        traces = [simulate(scenario, cfg, i) for i, (scenario, cfg) in enumerate(calls)]
-        for (scenario, cfg), trace in zip(calls, traces):
-            assert trace == fresh_plan_run(scenario, cfg, 0), (scenario.id, cfg)
-        assert len({traces[0], traces[1], traces[3], traces[4]}) == 4
-
         twin = dataclasses.replace(a)
         assert twin is not a
-        assert simulate(twin, fine, 3) == traces[0]
+        with sim_module._sharing():
+            traces = [simulate(scenario, cfg, i) for i, (scenario, cfg) in enumerate(calls)]
+            twin_trace = simulate(twin, fine, 3)
+        for (scenario, cfg), trace in zip(calls, traces):
+            assert trace == simulate(scenario, cfg, 0), (scenario.id, cfg)
+        assert len({traces[0], traces[1], traces[3], traces[4]}) == 4
+        assert twin_trace == traces[0]
 
     def test_simulation_error_not_cached(self, baseline_vehicle, monkeypatch):
         resolve = sim_module._Plan._resolve
@@ -741,10 +768,11 @@ class TestGhostFreeMemo:
 
         monkeypatch.setattr(sim_module._Plan, "_resolve", diverging)
         scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="memo-diverges")
-        cfg = SimConfig()  # one plan for both calls
-        for _ in range(2):
-            with pytest.raises(SimulationError, match="memo-diverges"):
-                simulate(scenario, cfg, 0)
+        cfg = SimConfig()
+        with sim_module._sharing():  # one plan for both calls
+            for _ in range(2):
+                with pytest.raises(SimulationError, match="memo-diverges"):
+                    simulate(scenario, cfg, 0)
         assert len(calls) == 2
 
     def test_int_inputs_equal_float_inputs(self, tmp_path):
@@ -766,7 +794,7 @@ class TestGhostFreeMemo:
         for trace in (as_int, as_float):
             for state in trace.states:
                 assert {type(state.position), type(state.velocity), type(state.time)} == {float}
-        assert as_float == fresh_plan_run(scenario(float), SimConfig(), 0)
+        assert as_float == simulate(scenario(float), SimConfig(), 0)
         export_trace_jsonl([as_int], tmp_path / "int.jsonl")
         export_trace_jsonl([as_float], tmp_path / "float.jsonl")
         assert (tmp_path / "int.jsonl").read_text() == (tmp_path / "float.jsonl").read_text()
@@ -802,10 +830,10 @@ class TestLazyTraceView:
         scenario = make_scenario(
             baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.05), scenario_id="g", seed=3
         )
-        expected = fresh_plan_run(scenario, cfg, 0)
+        expected = simulate(scenario, cfg, 0)
         objects = (expected.events, expected.states)
         assert len(events_of(expected, EventKind.GHOST_DETECTED)) >= 2
-        export_trace_jsonl([fresh_plan_run(scenario, cfg, 0)], tmp_path / "expected.jsonl")
+        export_trace_jsonl([simulate(scenario, cfg, 0)], tmp_path / "expected.jsonl")
         line = (tmp_path / "expected.jsonl").read_bytes()
 
         built = []
@@ -817,14 +845,14 @@ class TestLazyTraceView:
 
             monkeypatch.setattr(cls, "__init__", counting)
 
-        exported_first = fresh_plan_run(scenario, cfg, 0)
+        exported_first = simulate(scenario, cfg, 0)
         export_trace_jsonl([exported_first], tmp_path / "exported-first.jsonl")
         assert built == []
         assert (tmp_path / "exported-first.jsonl").read_bytes() == line
         assert (exported_first.events, exported_first.states) == objects
         assert set(built) == {SimEvent, KinematicState}
 
-        read_first = fresh_plan_run(scenario, cfg, 0)
+        read_first = simulate(scenario, cfg, 0)
         assert (read_first.events, read_first.states) == objects
         export_trace_jsonl([read_first], tmp_path / "read-first.jsonl")
         assert (tmp_path / "read-first.jsonl").read_bytes() == line
@@ -834,16 +862,18 @@ class TestLazyTraceView:
         cfg = SimConfig()
         odd = baseline_odd(baseline_vehicle)
         ghost_free = make_scenario(odd, EffectModel(mu_factor=0.5), scenario_id="ghost-free")
-        traces = [simulate(ghost_free, cfg, i) for i in range(50)]
-        assert all(trace._res is traces[0]._res for trace in traces)
-        reports = [compute_kpis(trace, ghost_free) for trace in traces]
-        assert all(report is reports[0] for report in reports)
-        assert len(derived) == 1
-
-        # The sweep keeps the ghost-free plan, whose resolution keeps its
-        # report; a ghost run derives one per (trigger step, false activation).
         ghosts = make_scenario(odd, EffectModel(ghost_rate=0.05), scenario_id="ghosts")
-        monte_carlo_sweep([ghost_free, ghosts], cfg, runs_per_scenario=50)
+        with sim_module._sharing():
+            traces = [simulate(ghost_free, cfg, i) for i in range(50)]
+            assert all(trace._res is traces[0]._res for trace in traces)
+            reports = [compute_kpis(trace, ghost_free) for trace in traces]
+            assert all(report is reports[0] for report in reports)
+            assert len(derived) == 1
+
+            # The sweep joins the block, which keeps the ghost-free plan,
+            # whose resolution keeps its report; a ghost run derives one per
+            # (trigger step, false activation).
+            monte_carlo_sweep([ghost_free, ghosts], cfg, runs_per_scenario=50)
         keys = {trigger_key(simulate(ghosts, cfg, i), ghosts) for i in range(50)}
         assert len(derived) == 1 + len(keys)
 
@@ -855,15 +885,16 @@ class TestLazyTraceView:
         scenario = make_scenario(
             baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.02), scenario_id="g", seed=5
         )
-        monte_carlo_sweep([scenario], cfg, runs_per_scenario=200)
-        swept = len(derived)
-        resolutions, reports = {}, {}
-        for i in range(200):
-            trace = simulate(scenario, cfg, i)
-            report = compute_kpis(trace, scenario)
-            key = trigger_key(trace, scenario)
-            assert trace._res is resolutions.setdefault(key[0], trace._res)
-            assert report is reports.setdefault(key, report)
+        with sim_module._sharing():  # the sweep joins it
+            monte_carlo_sweep([scenario], cfg, runs_per_scenario=200)
+            swept = len(derived)
+            resolutions, reports = {}, {}
+            for i in range(200):
+                trace = simulate(scenario, cfg, i)
+                report = compute_kpis(trace, scenario)
+                key = trigger_key(trace, scenario)
+                assert trace._res is resolutions.setdefault(key[0], trace._res)
+                assert report is reports.setdefault(key, report)
         assert swept == len(derived) == len(reports) < 200
 
     def test_report_follows_the_scenario(self, baseline_vehicle):
