@@ -266,18 +266,19 @@ def run_campaign(
     cfg: SimConfig | None = None,
     severity_rules: SeverityRules | None = None,
     input_digests: Mapping[str, str] | None = None,
-    trace_dir: str | Path | None = None,
+    *,
+    trace_dir: str | Path,
 ) -> ReportBundle:
     """Execute the full validation pipeline and assemble the bundle.
 
     Any module error is re-raised as :class:`PipelineError` naming the
-    stage it came from.  When ``trace_dir`` is given, the first run
-    (index 0) of every scenario is written to ``trace_dir/traces.jsonl``,
-    one line per scenario in the bundle's scenario order.  Each trace is
-    handed over from the sweep, in one sharing block, and its line is built
-    as it is written, so a failure during the export can leave a partial
-    ``traces.jsonl``.  The export stage fails, deleting nothing, when
-    ``trace_dir`` already holds any other ``*.jsonl`` file.
+    stage it came from.  The first run (index 0) of every scenario is
+    written to ``trace_dir/traces.jsonl``, one line per scenario in the
+    bundle's scenario order.  Each trace is handed over from the sweep, in
+    one sharing block, and its line is built as it is written, so a failure
+    during the export can leave a partial ``traces.jsonl``.  The export
+    stage fails, deleting nothing, when ``trace_dir`` already holds any
+    other ``*.jsonl`` file.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -316,20 +317,19 @@ def run_campaign(
             stats_by_id = {s.scenario_id: s for s in stats}
             nominal_stats = stats_by_id[nominal.id]
 
-        if trace_dir is not None:
-            with _stage("export"):
-                trace_path = Path(trace_dir)
-                trace_path.mkdir(parents=True, exist_ok=True)
-                # An earlier version's per-scenario files would pass for traces
-                # of this campaign; they are the caller's to remove.
-                stale = sorted(p for p in trace_path.glob("*.jsonl") if p.name != "traces.jsonl")
-                if stale:
-                    raise FileExistsError(
-                        f"{stale[0]}: a trace file this campaign does not write; "
-                        "remove it or write the traces to another directory"
-                    )
-                traces = (simulate(scenario, cfg, run_index=0) for scenario in all_scenarios)
-                export_trace_jsonl(traces, trace_path / "traces.jsonl")
+        with _stage("export"):
+            trace_path = Path(trace_dir)
+            trace_path.mkdir(parents=True, exist_ok=True)
+            # An earlier version's per-scenario files would pass for traces
+            # of this campaign; they are the caller's to remove.
+            stale = sorted(p for p in trace_path.glob("*.jsonl") if p.name != "traces.jsonl")
+            if stale:
+                raise FileExistsError(
+                    f"{stale[0]}: a trace file this campaign does not write; "
+                    "remove it or write the traces to another directory"
+                )
+            traces = (simulate(scenario, cfg, run_index=0) for scenario in all_scenarios)
+            export_trace_jsonl(traces, trace_path / "traces.jsonl")
 
     with _stage("analyze"):
         sheet = build_analysis_sheet(scenarios, stats, severity_rules=severity_rules)

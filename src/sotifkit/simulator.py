@@ -28,23 +28,24 @@ number in a trace obeys:
 With piecewise-constant acceleration every phase has a closed form, so the
 engine resolves trigger, brake-onset, collision, and stop steps
 analytically instead of looping over 10^5 steps per run; the test suite
-checks it against a literal per-dt stepper.  A run differs from the others
-of its scenario only by its first ghost, so a plan per (scenario, cfg)
-holds everything else, and runs that trigger on the same step share one
-resolution and one KPI report; the runs of a ghost-free scenario all
-return one trace.  A sweep draws each (seed, run) flag stream once:
-scenarios that share a seed run back to back and read their first ghost
-from the first draw's record.  Every run reads its stream up to its
-cruise collision, which variants at the same speed share, so a variant's
-later natural trigger reads no further than that draw; a lower v_r can.
-A trace is a view of its resolution: rows of its events and states,
-built once, when first needed, and kept.  The export writes each line
+checks it against a literal per-dt stepper.  A closed form only guesses
+a crossing step; the gap or velocity that the trace shows decides it.  A
+run differs from the others of its scenario only by its first ghost, so
+a plan per (scenario, cfg) holds everything else, and runs that trigger
+on the same step share one resolution and one KPI report; the runs of a
+ghost-free scenario all return one trace.  A sweep draws each (seed, run)
+flag stream once: scenarios that share a seed run back to back and read
+their first ghost from the first draw's record.  Every run reads its
+stream up to its cruise collision, which variants at the same speed
+share, so a variant's later natural trigger reads no further than that
+draw; a lower v_r can.  A trace is a view of its resolution: rows of its
+events and states, built once, when first needed, and kept.  The export writes each line
 from the rows, encoding each distinct row once; a ghost-free run has no
 stream, and its events and states depend only on its resolution, so the
 export writes each distinct ghost-free body once and builds no view for
 a repeat.  SimEvent and KinematicState objects are built from the rows
 only when a library caller reads ``events`` or ``states``.  The KPIs are
-read off the resolution and the run's first ghost without a view.
+read off the resolution alone, without a view.
 Runs share only within a :func:`_sharing` block, which a sweep opens and
 ``run_campaign`` holds over its sweep and export: the last plan, the last
 seed's draw records, and each run-0 trace until the export's call takes
@@ -70,7 +71,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import core
-from .errors import ParameterError, SimulationError, json_encoder
+from .errors import ContractViolationError, ParameterError, SimulationError, json_encoder
 from .scenario import OddDefinition, Scenario, derive_seed
 
 if TYPE_CHECKING:
@@ -237,9 +238,7 @@ class _Resolved:
     m_stop: int         # braking steps until v == 0 (if engaged)
     terminal_step: int
     terminal: Terminal
-    # compute_kpis's reports for one scenario object: (scenario, whether the
-    # gap at the trigger is beyond its threshold, {false_activation: report}).
-    kpis: tuple[Scenario, bool, dict[bool, KpiReport]] | None = None
+    kpis: KpiReport | None = None  # compute_kpis's, for every run of this resolution
 
     def _brake_advance(self, m: int) -> float:
         # Distance gained after m braking steps; advance ceases once the
@@ -296,23 +295,36 @@ class _Plan:
 
         if v0 == 0.0:
             # Stopped at step 0, before any ghost is read.
-            self.n_nat = self.n_hit_cruise = self.ghost_limit = self.draw_limit = 0
+            self.n_nat = self.n_hit_cruise = self.ghost_limit = self.draw_limit = self.m_stop = 0
             return
+        v_dt = v0 * dt
+        never = max_steps + 1  # any step past the horizon
 
-        def first_step_gap_le(threshold: float) -> int:
-            # Smallest n with d_obj - v0*dt*n <= threshold (cruise trajectory).
-            if d_obj <= threshold:
-                return 0
-            return _ceil_steps((d_obj - threshold) / (v0 * dt))
+        def first_step_gap_le(threshold: float, stride: int = 1) -> int:
+            # Smallest multiple n of stride with cruise gap_n <= threshold, as
+            # _Resolved.gap computes it: the closed form guesses, the test
+            # decides, one stride at a time, up to a step past the horizon.
+            q = (d_obj - threshold) / (v_dt * stride)
+            k = 0 if q <= 0.0 else math.ceil(q) if q < never else never
+            while k > 0 and d_obj - v_dt * (stride * (k - 1)) <= threshold:
+                k -= 1
+            while k < never and d_obj - v_dt * (stride * k) > threshold:
+                k += 1
+            return stride * k
 
         # Natural trigger: needs visibility (a perception-tick property) and
         # the gap at or below the trigger threshold (checked every step).
-        if d_obj <= range_eff:
-            n_vis = 0
-        else:
-            n_vis = tick_steps * _ceil_steps((d_obj - range_eff) / (v0 * dt * tick_steps))
-        self.n_nat = max(n_vis, first_step_gap_le(d_trigger))
+        self.n_nat = max(first_step_gap_le(range_eff, tick_steps), first_step_gap_le(d_trigger))
         self.n_hit_cruise = first_step_gap_le(0.0)  # first collided step while cruising
+        # Braking steps until v == 0, as _Resolved.v computes it.
+        b_eff = self.b_eff
+        q = v0 / (b_eff * dt)
+        m = math.ceil(q) if q < never else never
+        while m > 0 and v0 - (m - 1) * b_eff * dt <= 0.0:
+            m -= 1
+        while m < never and v0 - m * b_eff * dt > 0.0:
+            m += 1
+        self.m_stop = m
         # A ghost at or after the cruise collision or the horizon leaves the
         # run untriggered, as no ghost does, so the stream is read no further
         # than ``draw_limit``; one at or after the natural trigger is too late.
@@ -355,7 +367,7 @@ class _Plan:
             return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, max_steps, Terminal.TIMEOUT)
 
         # Braking engages at n_eff with speed still v0.
-        m_stop = _ceil_steps(v0 / (b_eff * dt))
+        m_stop = self.m_stop
         x_eff = v0 * dt * n_eff
         need = d_obj - x_eff  # > 0 because n_hit_cruise > n_eff
 
@@ -566,28 +578,19 @@ class SimTrace:
     (every :class:`SimEvent`, in time order) and ``states`` (the ego's
     :class:`core.KinematicState` at each event step) are built from the
     rows on first read, for library callers.  :func:`compute_kpis` reads
-    the resolution and the run's first ghost below its draw limit, and
-    builds no view, so a sweep never does.  Equality and hash compare
-    (scenario_id, terminal, events, states).
+    the resolution only and builds no view, so a sweep never does.
+    Equality and hash compare (scenario_id, terminal, events, states).
     """
 
-    __slots__ = (
-        "_scenario", "_cfg", "_res", "_ghosts", "_first_ghost", "_view", "_events", "_states",
-    )
+    __slots__ = ("_scenario", "_cfg", "_res", "_ghosts", "_view", "_events", "_states")
 
     def __init__(
-        self,
-        scenario: Scenario,
-        cfg: SimConfig,
-        res: _Resolved,
-        ghosts: _GhostStream | None,
-        first_ghost: int | None,
+        self, scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream | None
     ):
         self._scenario = scenario
         self._cfg = cfg
         self._res = res
         self._ghosts = ghosts
-        self._first_ghost = first_ghost
         self._view: _Rows | None = None
         self._events: tuple[SimEvent, ...] | None = None
         self._states: tuple[core.KinematicState, ...] | None = None
@@ -696,12 +699,12 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     if trace is None:
         if scenario.effects.ghost_rate:
             ghosts = _GhostStream(scenario, cfg, run_index)
-            first_ghost = n_trig = ghosts.first_before(plan.draw_limit)
+            n_trig = ghosts.first_before(plan.draw_limit)
             if n_trig is None or n_trig >= plan.ghost_limit:
                 n_trig = plan.n_nat
-            trace = SimTrace(scenario, cfg, plan.resolve(n_trig), ghosts, first_ghost)
+            trace = SimTrace(scenario, cfg, plan.resolve(n_trig), ghosts)
         else:  # no stream: every run is the natural one
-            trace = plan.trace = SimTrace(scenario, cfg, plan.resolve(plan.n_nat), None, None)
+            trace = plan.trace = SimTrace(scenario, cfg, plan.resolve(plan.n_nat), None)
     if run_index == 0:
         shared.run0.setdefault(id(scenario), trace)
     return trace
@@ -750,32 +753,27 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
     """Derive a run's KPI report from its resolution, without building its
     events or states.
 
-    The resolution keeps its report, one per false-activation value, for
-    the last ``scenario`` object it was derived with, so runs that share a
-    resolution derive their KPIs once.  ``simulate`` drops the reports of a
-    plan's resolutions when a sweep moves to another plan.
+    ``scenario`` must be the trace's own or equal to it.  The resolution
+    keeps its one report, so runs that share it derive their KPIs once; a
+    natural trigger comes at a gap within the threshold, so a trigger
+    beyond it is a ghost's, a false activation.  ``simulate`` drops the
+    reports of a plan's resolutions when a sweep moves to another plan.
     """
+    if scenario is not trace._scenario and scenario != trace._scenario:
+        raise ContractViolationError(f"compute_kpis: '{scenario.id}' is not the trace's scenario")
     res = trace._res
-    n_trig = res.n_trig
-    kept = res.kpis
-    if kept is None or kept[0] is not scenario:
-        beyond = n_trig is not None and res.gap(n_trig) > trigger_threshold(scenario)
-        kept = res.kpis = (scenario, beyond, {})
-    _, beyond, reports = kept
-    # A ghost detection at the trigger step while the true gap there is
-    # beyond the threshold.  A run that triggered is below its draw limit,
-    # so a ghost at or before the trigger is the run's first ghost below
-    # that limit; one on the natural trigger step triggered nothing itself.
-    false_activation = beyond and trace._first_ghost == n_trig
-    report = reports.get(false_activation)
+    report = res.kpis
     if report is None:
+        n_trig = res.n_trig
         end = res.terminal_step
         collision = res.terminal is Terminal.COLLISION
         if n_trig is None:
-            ttc_at_trigger = core.NO_CLOSING
+            ttc_at_trigger, false_activation = core.NO_CLOSING, False
         else:
-            ttc_at_trigger = core.ttc(max(0.0, res.gap(n_trig)), res.v(n_trig))
-        report = reports[false_activation] = KpiReport(
+            gap = res.gap(n_trig)
+            ttc_at_trigger = core.ttc(max(0.0, gap), res.v(n_trig))
+            false_activation = gap > trigger_threshold(scenario)
+        report = res.kpis = KpiReport(
             ttc_at_trigger=ttc_at_trigger,
             final_gap=max(0.0, res.gap(end)),
             collision=collision,

@@ -258,7 +258,7 @@ def test_criterion_6_monotonicity_suites(fixture_odd):
     _pass(6, "monotonicity: safe distance, friction grid, risk matrix, mitigations")
 
 
-def test_criterion_7_determinism_and_parallelism():
+def test_criterion_7_determinism_and_parallelism(tmp_path):
     inputs = dict(
         odd=load_odd(fixture_path("odd.json")),
         taxonomy=load_taxonomy(fixture_path("taxonomy.json")),
@@ -268,8 +268,8 @@ def test_criterion_7_determinism_and_parallelism():
         base_seed=42,
         runs_per_scenario=10,
     )
-    a = bundle_to_dict(run_campaign(**inputs))
-    b = bundle_to_dict(run_campaign(**inputs))
+    a = bundle_to_dict(run_campaign(**inputs, trace_dir=tmp_path / "a"))
+    b = bundle_to_dict(run_campaign(**inputs, trace_dir=tmp_path / "b"))
     a["meta"].pop("created_utc")
     b["meta"].pop("created_utc")
     assert a == b

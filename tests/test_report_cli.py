@@ -205,12 +205,13 @@ def campaign_inputs():
 
 
 @pytest.fixture(scope="module")
-def small_bundle(campaign_inputs):
+def small_bundle(campaign_inputs, tmp_path_factory):
     return run_campaign(
         **campaign_inputs,
         mitigations=load_mitigations(fixture_path("mitigations.json")),
         base_seed=42,
         runs_per_scenario=10,
+        trace_dir=tmp_path_factory.mktemp("small-bundle-traces"),
     )
 
 
@@ -252,10 +253,10 @@ class TestRunCampaign:
         # Mitigated scenarios appear in the scenario list.
         assert any(s.id == "surface-icy+winter-tires" for s in small_bundle.scenarios)
 
-    def test_deterministic_minus_timestamp(self, campaign_inputs):
+    def test_deterministic_minus_timestamp(self, campaign_inputs, tmp_path):
         kwargs = dict(**campaign_inputs, base_seed=7, runs_per_scenario=5)
-        a = bundle_to_dict(run_campaign(**kwargs))
-        b = bundle_to_dict(run_campaign(**kwargs))
+        a = bundle_to_dict(run_campaign(**kwargs, trace_dir=tmp_path / "a"))
+        b = bundle_to_dict(run_campaign(**kwargs, trace_dir=tmp_path / "b"))
         a["meta"].pop("created_utc")
         b["meta"].pop("created_utc")
         assert a == b
@@ -271,7 +272,7 @@ class TestRunCampaign:
             for r in small_bundle.risk_table
         )
 
-    def test_leaves_by_root_counts_roots_sharing_a_name(self, campaign_inputs):
+    def test_leaves_by_root_counts_roots_sharing_a_name(self, campaign_inputs, tmp_path):
         # Two roots named alike each count their own subtree's leaves.
         leaf = {"name": "leaf", "odd_tags": []}
         roots = [
@@ -281,7 +282,9 @@ class TestRunCampaign:
              "children": [{"id": "b1", **leaf}]},
         ]
         taxonomy = parse_taxonomy(json.dumps({"version": 1, "roots": roots}))
-        bundle = run_campaign(**{**campaign_inputs, "taxonomy": taxonomy}, runs_per_scenario=2)
+        bundle = run_campaign(
+            **{**campaign_inputs, "taxonomy": taxonomy}, runs_per_scenario=2, trace_dir=tmp_path
+        )
         assert bundle.taxonomy_summary["leaves_by_root"] == {"a": 2, "b": 1}
 
 
@@ -392,8 +395,8 @@ class TestTraceFile:
 
 
 class TestRun0HandOver:
-    """With a trace_dir, the sweep hands each scenario's run-0 trace to the
-    export, which resolves nothing again and keeps nothing after the run."""
+    """The sweep hands each scenario's run-0 trace to the export, which
+    resolves nothing again and keeps nothing after the run."""
 
     def _campaign(self, campaign_inputs, trace_dir, runs=3):
         return run_campaign(
@@ -493,13 +496,8 @@ class TestRun0HandOver:
             return stats
 
         monkeypatch.setattr(report, "monte_carlo_sweep", sweeping)
-        # run_campaign opens its sharing block with or without a trace_dir,
-        # so the sweep's run-0 traces are kept until the block ends.
-        bundle = self._campaign(campaign_inputs, None)
+        bundle = self._campaign(campaign_inputs, tmp_path / "traces")
         assert held == [len(bundle.scenarios)]
-        assert sim_module._shared is None
-        self._campaign(campaign_inputs, tmp_path / "traces")
-        assert held[1] == len(bundle.scenarios)
         assert sim_module._shared is None
 
         def failing_sweep(*args):
@@ -510,7 +508,7 @@ class TestRun0HandOver:
             m.setattr(report, "monte_carlo_sweep", failing_sweep)
             with pytest.raises(PipelineError, match="sweep"):
                 self._campaign(campaign_inputs, tmp_path / "sweep-fails")
-        assert held[2] == len(bundle.scenarios)
+        assert held[1] == len(bundle.scenarios)
         assert sim_module._shared is None
 
         def failing_export(traces, path):
@@ -521,7 +519,7 @@ class TestRun0HandOver:
         monkeypatch.setattr(report, "export_trace_jsonl", failing_export)
         with pytest.raises(PipelineError, match="export"):
             self._campaign(campaign_inputs, tmp_path / "export-fails")
-        assert held[3] == held[4] + 1 == len(bundle.scenarios)
+        assert held[2] == held[3] + 1 == len(bundle.scenarios)
         assert sim_module._shared is None
 
 
@@ -834,7 +832,7 @@ class TestMarkdownSummary:
         assert "violate the acceptance criteria" in text
         assert "Worst hours-to-hazard" in text
 
-    def test_all_pass_headline(self, campaign_inputs):
+    def test_all_pass_headline(self, campaign_inputs, tmp_path):
         relaxed = dict(campaign_inputs)
         relaxed["criteria"] = AcceptanceCriteria(
             max_final_gap_degradation=10.0,
@@ -842,18 +840,18 @@ class TestMarkdownSummary:
             max_false_activation_rate=1.0,
             min_ttc_at_trigger=0.0,
         )
-        bundle = run_campaign(**relaxed, base_seed=1, runs_per_scenario=3)
+        bundle = run_campaign(**relaxed, base_seed=1, runs_per_scenario=3, trace_dir=tmp_path)
         assert bundle.all_passed
         assert "All acceptance criteria met." in emit_markdown_summary(bundle)
 
-    def test_nominal_only_run_notes_it(self, campaign_inputs):
+    def test_nominal_only_run_notes_it(self, campaign_inputs, tmp_path):
         import dataclasses
 
         inputs = dict(campaign_inputs)
         inputs["odd"] = dataclasses.replace(
             inputs["odd"], odd_tags=frozenset({"no-such-tag"})
         )
-        bundle = run_campaign(**inputs, base_seed=1, runs_per_scenario=3)
+        bundle = run_campaign(**inputs, base_seed=1, runs_per_scenario=3, trace_dir=tmp_path)
         assert len(bundle.scenarios) == 1
         assert "Nominal-only run" in emit_markdown_summary(bundle)
 

@@ -407,32 +407,171 @@ class _GhostAt:
 
 class TestGhostOnNaturalTriggerStep:
     """A ghost on the natural trigger step is read by no resolution, since
-    the natural trigger comes first; it is a false activation when the true
-    gap there is still beyond the threshold."""
+    the natural trigger comes first, and the true gap there is at or below
+    the threshold: no false activation.  A ghost one tick earlier latches
+    the brake with the true gap still beyond the threshold: a false
+    activation."""
 
     def test_false_activation_matches_oracle(self, baseline_vehicle, monkeypatch):
         cfg = SimConfig()
         d_trigger = rss_min_distance(baseline_vehicle)
         step = 10 * cfg.tick_steps
-        # The cruise gap crosses the threshold a hair (5e-10 steps) past
-        # `step`, which the resolution's float tolerance rounds down to `step`.
-        d_object = d_trigger + baseline_vehicle.v_r * cfg.dt * (step + 5e-10)
+        # The cruise gap crosses the threshold half a step before `step`.
+        d_object = d_trigger + baseline_vehicle.v_r * cfg.dt * (step - 0.5)
         scenario = make_scenario(
             baseline_odd(baseline_vehicle, d_object=d_object, d_perception=200.0),
             EffectModel(ghost_rate=0.5),
             scenario_id="ghost-on-trigger",
         )
-        for ghost_step, expected in ((step, True), (step + cfg.tick_steps, False)):
+        for ghost_step, expected in ((step, False), (step - cfg.tick_steps, True)):
             monkeypatch.setattr(
                 sim_module, "_GhostStream", lambda *args: _GhostAt(ghost_step, 1.0)
             )
             trace = simulate(scenario, cfg)
             kpis = compute_kpis(trace, scenario)
             (trigger,) = events_of(trace, EventKind.BRAKE_TRIGGERED)
-            assert trigger.time == step * cfg.dt
-            assert trigger.gap > d_trigger
+            (ghost,) = events_of(trace, EventKind.GHOST_DETECTED)
+            assert trigger.time == ghost.time == ghost_step * cfg.dt
+            assert (trigger.gap > d_trigger) is expected
             assert kpis.false_activation is expected
             assert kpis == trace_kpis(trace, scenario)
+
+
+# Where a crossing falls, in steps, relative to a whole step.
+_NEAR_A_STEP = st.sampled_from([-1e-9, -5e-10, -1e-10, 0.0, 1e-10, 5e-10, 1e-9])
+
+
+class TestTraceAgreesWithItself:
+    """The plan decides each crossing (the object seen, the brake latched,
+    the cruise collision, the stop) with the gap or the velocity that the
+    trace shows, so a trace never contradicts its own rows, also when a
+    crossing falls within float noise of a step."""
+
+    @staticmethod
+    def assert_consistent(trace: SimTrace, scenario) -> None:
+        events = trace.events
+        d_trigger = rss_min_distance(scenario.odd.vehicle)
+        ghost_times = {e.time for e in events_of(trace, EventKind.GHOST_DETECTED)}
+        detections = [e.time for e in events_of(trace, EventKind.OBJECT_DETECTED)]
+        for trigger in events_of(trace, EventKind.BRAKE_TRIGGERED):
+            if trigger.time not in ghost_times:
+                assert trigger.gap <= d_trigger, trigger
+                assert detections and detections[0] <= trigger.time, events
+        if trace.terminal is Terminal.COLLISION:
+            assert events[-1].gap <= 0.0, events[-1]
+        if trace.terminal is Terminal.STOPPED:
+            assert trace.states[-1].velocity == 0.0, trace.states[-1]
+        assert compute_kpis(trace, scenario) == trace_kpis(trace, scenario)
+
+    def _scenario(self, vehicle, d_object, d_perception, effects=None):
+        return make_scenario(
+            baseline_odd(vehicle, d_object=d_object, d_perception=d_perception),
+            effects,
+            scenario_id="crossing",
+        )
+
+    def test_brake_latches_after_detection(self):
+        # The object enters the range a hair past the tick at step 5000; the
+        # trigger threshold (51.88 m) is crossed long before.
+        vehicle = VehicleParams(v_r=10.0, rho=1.2, a_max_accel=2.0, a_min_brake=2.0)
+        scenario = self._scenario(vehicle, 100.0, 50.0 - 1e-10)
+        trace = simulate(scenario)
+        (detected,) = events_of(trace, EventKind.OBJECT_DETECTED)
+        (trigger,) = events_of(trace, EventKind.BRAKE_TRIGGERED)
+        assert detected.gap <= scenario.odd.d_perception
+        assert detected.time <= trigger.time
+        self.assert_consistent(trace, scenario)
+
+    def test_natural_trigger_fires_at_the_threshold(self):
+        # The cruise gap crosses the threshold 5e-10 steps past step 500.
+        vehicle = VehicleParams(v_r=20.0, rho=0.5, a_max_accel=2.0, a_min_brake=8.0)
+        d_trigger = rss_min_distance(vehicle)
+        d_object = d_trigger + vehicle.v_r * SimConfig().dt * (500 + 5e-10)
+        scenario = self._scenario(vehicle, d_object, 200.0)
+        trace = simulate(scenario)
+        (trigger,) = events_of(trace, EventKind.BRAKE_TRIGGERED)
+        assert trigger.gap <= d_trigger
+        assert not compute_kpis(trace, scenario).false_activation
+        self.assert_consistent(trace, scenario)
+
+    def test_collision_has_no_gap_left(self):
+        # The cruise gap reaches zero 5e-13 steps past step 10000; the object
+        # is seen too late for the brake to engage.
+        vehicle = VehicleParams(v_r=10.0, rho=0.1, a_max_accel=0.0, a_min_brake=8.0)
+        scenario = self._scenario(vehicle, 100.000000000005, 0.5)
+        trace = simulate(scenario)
+        assert trace.terminal is Terminal.COLLISION
+        (collision,) = events_of(trace, EventKind.COLLISION)
+        assert collision.gap <= 0.0
+        assert compute_kpis(trace, scenario).final_gap == 0.0
+        self.assert_consistent(trace, scenario)
+
+    def test_stopped_run_stands_still(self):
+        # The velocity reaches zero 2e-10 braking steps past step 1250.
+        vehicle = VehicleParams(
+            v_r=10.0, rho=0.1, a_max_accel=0.0, a_min_brake=10.0 / (0.001 * (1250 + 2e-10))
+        )
+        scenario = self._scenario(vehicle, 200.0, 150.0)
+        trace = simulate(scenario)
+        assert trace.terminal is Terminal.STOPPED
+        assert trace.states[-1].velocity == 0.0
+        self.assert_consistent(trace, scenario)
+
+    def test_crossings_far_past_the_horizon(self):
+        # The guesses (1e303 cruise steps to the object, 1e304 braking steps
+        # to a stop) are far beyond where consecutive step numbers round to
+        # one float: the search stops at the horizon, not at the guess.
+        far = self._scenario(
+            VehicleParams(v_r=1.0, rho=1.0, a_max_accel=2.0, a_min_brake=5.0), 1e300, 1e300
+        )
+        weak = self._scenario(
+            VehicleParams(v_r=10.0, rho=0.0, a_max_accel=0.0, a_min_brake=1e-300), 100.0, 1e300
+        )
+        for scenario, terminal in ((far, Terminal.TIMEOUT), (weak, Terminal.COLLISION)):
+            trace = simulate(scenario)
+            assert trace.terminal is terminal
+            self.assert_consistent(trace, scenario)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v_r=st.floats(1.0, 40.0),
+        rho=st.floats(0.0, 2.0),
+        a_max_accel=st.floats(0.0, 4.0),
+        a_min_brake=st.floats(1.0, 10.0),
+        d_object=st.floats(1.0, 300.0),
+        d_perception=st.floats(1.0, 300.0),
+        range_factor=st.floats(0.05, 1.0),
+        ghost_rate=st.sampled_from([0.0, 0.0, 0.01, 0.2]),
+        seed=st.integers(0, 3),
+        crossing=st.sampled_from([None, "visibility", "trigger", "collision", "stop"]),
+        step=st.integers(1, 20_000),
+        near=_NEAR_A_STEP,
+    )
+    def test_every_trace_agrees_with_itself(
+        self, v_r, rho, a_max_accel, a_min_brake, d_object, d_perception, range_factor,
+        ghost_rate, seed, crossing, step, near,
+    ):
+        cfg = SimConfig()
+        v_step = v_r * cfg.dt
+        if crossing == "stop":  # braking steps until v == 0
+            a_min_brake = v_r / (cfg.dt * (step + near))
+        vehicle = VehicleParams(v_r=v_r, rho=rho, a_max_accel=a_max_accel, a_min_brake=a_min_brake)
+        if crossing == "visibility":
+            ticks = step // cfg.tick_steps + 1
+            d_object = d_perception * range_factor + v_step * cfg.tick_steps * (ticks + near)
+        elif crossing == "trigger":
+            d_object = rss_min_distance(vehicle) + v_step * (step + near)
+        elif crossing == "collision":
+            d_object = v_step * (step + near)
+        effects = EffectModel(perception_range_factor=range_factor, ghost_rate=ghost_rate)
+        scenario = make_scenario(
+            baseline_odd(vehicle, d_object=d_object, d_perception=d_perception),
+            effects,
+            scenario_id="crossing",
+            seed=seed,
+        )
+        for run_index in range(3):
+            self.assert_consistent(simulate(scenario, cfg, run_index), scenario)
 
 
 def _ghost_grid_cases(vehicle):
@@ -872,7 +1011,7 @@ class TestLazyTraceView:
 
             # The sweep joins the block, which keeps the ghost-free plan,
             # whose resolution keeps its report; a ghost run derives one per
-            # (trigger step, false activation).
+            # trigger step.
             monte_carlo_sweep([ghost_free, ghosts], cfg, runs_per_scenario=50)
         keys = {trigger_key(simulate(ghosts, cfg, i), ghosts) for i in range(50)}
         assert len(derived) == 1 + len(keys)
@@ -900,17 +1039,22 @@ class TestLazyTraceView:
     def test_report_follows_the_scenario(self, baseline_vehicle):
         # A certain ghost latches the brake at 100 m: beyond this vehicle's
         # trigger threshold (33 m), inside the slower-reacting one's (151 m).
-        # The kept report is for the scenario object it was derived with.
+        # The report is the resolution's, so a trace is judged against its
+        # own scenario or an equal one, never against another vehicle's.
         effects = EffectModel(ghost_rate=1.0)
         scenario = make_scenario(baseline_odd(baseline_vehicle), effects, scenario_id="s")
         slower = dataclasses.replace(baseline_vehicle, rho=5.0)
         assert rss_min_distance(slower) > 100.0
         other = make_scenario(baseline_odd(slower), effects, scenario_id="s")
         trace = simulate(scenario)
-        for against, expected in ((scenario, True), (other, False), (scenario, True)):
-            kpis = compute_kpis(trace, against)
-            assert kpis.false_activation is expected
-            assert kpis == trace_kpis(trace, against)
+        kpis = compute_kpis(trace, scenario)
+        assert kpis.false_activation
+        assert kpis == trace_kpis(trace, scenario)
+        equal = dataclasses.replace(scenario)
+        assert equal is not scenario and equal == scenario
+        assert compute_kpis(trace, equal) is kpis
+        with pytest.raises(ContractViolationError, match="not the trace's scenario"):
+            compute_kpis(trace, other)
 
 
 class TestInvariants:
