@@ -48,11 +48,18 @@ only when a library caller reads ``events`` or ``states``.  The KPIs are
 read off the resolution alone, without a view.
 Runs share only within a :func:`_sharing` block, which a sweep opens and
 ``run_campaign`` holds over its sweep and export: the last plan, the last
-seed's draw records, and each run-0 trace until the export's call takes
-it, so the export resolves nothing again; it builds the view from the
-stream the sweep read, and seeds a generator only for a run that read its
-first ghost from another scenario's draw record and shows a ghost that
-the record cannot rule out.  Outside a block, ``simulate`` shares nothing.
+seed's draw records, the seed states of the sweep's streams, and each
+run-0 trace until the export's call takes it, so the export resolves
+nothing again; it builds the view from the stream the sweep read, and
+seeds a generator only for a run that read its first ghost from another
+scenario's draw record and shows a ghost that the record cannot rule out.
+Outside a block, ``simulate`` shares nothing.
+A run's stream is still ``default_rng(derive_seed(seed, run))``, but its
+generator is not built through ``default_rng``: a sweep computes the seed
+state of every (seed, run) that it can draw from, numpy's ``SeedSequence``
+hash, in one pass (:func:`_seed_states`, which a test pins against
+numpy's ``SeedSequence``), and a stream whose (seed, run) is not in the
+block's batch computes its one state the same way.
 Identical (scenario, cfg, run_index) always produces a bit-identical
 trace.
 """
@@ -64,6 +71,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -304,6 +312,10 @@ class _Plan:
             # Smallest multiple n of stride with cruise gap_n <= threshold, as
             # _Resolved.gap computes it: the closed form guesses, the test
             # decides, one stride at a time, up to a step past the horizon.
+            # An ego too slow for v0*dt to be above 0 never moves in floats,
+            # so it is at the gap it starts at or never reaches it.
+            if v_dt == 0.0:
+                return 0 if d_obj <= threshold else never
             q = (d_obj - threshold) / (v_dt * stride)
             k = 0 if q <= 0.0 else math.ceil(q) if q < never else never
             while k > 0 and d_obj - v_dt * (stride * (k - 1)) <= threshold:
@@ -423,6 +435,100 @@ def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> in
 # memory does not grow with the horizon.
 _GHOST_CHUNK = 4096
 
+# numpy's SeedSequence (O'Neill's seed hash), which NEP 19 keeps fixed: the
+# constant of each hash of its entropy mix (A) and of its generate_state (B),
+# in call order, and the two multipliers of its mix step.
+_M32 = 0xFFFFFFFF
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) & _M32 for k in range(17)]
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _M32 for k in range(9)]
+_MIX_L, _MIX_R = 0xCA01F9DD, -0x4973F715 & _M32
+
+
+def _seed_states(seeds: Sequence[int]) -> list[bytes]:
+    """``SeedSequence(seed).generate_state(4, uint64)`` of every 64-bit seed,
+    as 32 bytes: four native 64-bit words.  Computed in one pass: each
+    32-bit word of the hash is one 64-bit lane of a Python int, one lane per
+    seed, so every step of the hash is a few int operations on all seeds at
+    once.  A product of two words fits its lane, and masking
+    each result to 32 bits drops what a shift moved in from the next lane.
+    A seed has at most two words of entropy and the pool four, so the pool
+    starts from (low word, high word, 0, 0), and no entropy is left to mix
+    in after it."""
+    n = len(seeds)
+    order = sys.byteorder  # so that a lane written out is a native word
+    ones = int.from_bytes((1).to_bytes(8, order) * n, order)  # 1 in every lane
+    mask = _M32 * ones
+    lanes = int.from_bytes(b"".join(seed.to_bytes(8, order) for seed in seeds), order)
+    consts = iter(zip(_HASH_A, _HASH_A[1:]))
+
+    def hashmix(value: int, xor: int, mul: int) -> int:
+        value = (value ^ xor * ones) * mul & mask
+        return (value ^ value >> 16) & mask
+
+    pool = [hashmix(value, *next(consts)) for value in (lanes & mask, lanes >> 32 & mask, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = hashmix(pool[src], *next(consts)) * _MIX_R & mask
+                value = pool[dst] * _MIX_L + mixed & mask
+                pool[dst] = (value ^ value >> 16) & mask
+    out = [hashmix(pool[i % 4], _HASH_B[i], _HASH_B[i + 1]) for i in range(8)]
+    states = bytearray(32 * n)
+    words = memoryview(states).cast("Q")
+    for k in range(4):  # two 32-bit words, low first, make one 64-bit word
+        word = out[2 * k] | out[2 * k + 1] << 32
+        words[k::4] = memoryview(word.to_bytes(8 * n, order)).cast("Q")
+    return [bytes(states[i : i + 32]) for i in range(0, 32 * n, 32)]
+
+
+@dataclass(slots=True)
+class _SeedBatch:
+    """The seed states of a sweep's ghost streams: for each seed in
+    ``first`` and each run below ``runs``, the state of (seed, run) is
+    ``states[first[seed] + run]``.  One small object per state: one buffer
+    for all of them raised a ghost-long campaign's peak RSS by 0.06 MB."""
+
+    runs: int
+    first: dict[int, int]
+    states: list[bytes]
+
+
+@functools.cache
+def _seeded_type() -> type:
+    """A numpy ``ISeedSequence`` whose ``generate_state(4, uint64)``, the
+    state that PCG64 asks for, is a state that :func:`_seed_states`
+    computed; any other request is ``SeedSequence``'s own.  Defined at the
+    first draw, which imports numpy."""
+    import numpy as np
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        def __init__(self, key: tuple[int, int], state: bytes):
+            self.key, self.state = key, state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == 4 and dtype is np.uint64:
+                return np.frombuffer(self.state, np.uint64)
+            return np.random.SeedSequence(derive_seed(*self.key)).generate_state(n_words, dtype)
+
+    return Seeded
+
+
+def _generator(seed: int, run_index: int) -> np.random.Generator:
+    """What ``default_rng(derive_seed(seed, run_index))`` builds, without its
+    argument dispatch and its seed hash: the block's batch holds the seed
+    state of every key a sweep draws from, and any other key is a batch of
+    one."""
+    import numpy as np
+
+    batch = _shared.batch if _shared is not None else None
+    first = batch.first.get(seed) if batch is not None and 0 <= run_index < batch.runs else None
+    if first is None:
+        (state,) = _seed_states([derive_seed(seed, run_index)])
+    else:
+        state = batch.states[first + run_index]
+    return np.random.Generator(np.random.PCG64(_seeded_type()((seed, run_index), state)))
+
 
 @dataclass(slots=True)
 class _Draws:
@@ -469,6 +575,13 @@ class _GhostStream:
     the record; a lower speed, whose cruise collision comes later, can.
     Such a stream keeps the record it read, and ``events_before`` draws
     only when that record does not show it has no ghost below the step.
+
+    The generator is still that of ``default_rng(derive_seed(seed,
+    run_index))``, built by :func:`_generator` from its seed state: a
+    sweep computes the states of all its (seed, run) streams in one pass,
+    the block keeps them, and a stream outside the batch computes its one
+    state with the same :func:`_seed_states`, which a test pins against
+    numpy's ``SeedSequence``.
     """
 
     __slots__ = (
@@ -521,12 +634,7 @@ class _GhostStream:
                 if settled is not None and (first or not settled):
                     return settled
         if self._rng is None:
-            import numpy as np
-
-            # What default_rng(seed) builds, without its argument dispatch.
-            self._rng = np.random.Generator(
-                np.random.PCG64(derive_seed(self._scenario.seed, self._run_index))
-            )
+            self._rng = _generator(self._scenario.seed, self._run_index)
         while self._drawn < need and not (first and self._flagged):
             u = self._rng.random(min(need - self._drawn, _GHOST_CHUNK))
             offset = self._drawn
@@ -648,12 +756,15 @@ class _Shared:
     the scenarios that share a seed, back to back, so it keeps the ``plan``
     of the last (scenario, cfg) and the draw ``records`` of the last
     ``seed``.  ``run0`` keeps each run-0 trace by id(scenario) until a call
-    with the same scenario and cfg takes it; the trace holds the scenario."""
+    with the same scenario and cfg takes it; the trace holds the scenario.
+    ``batch`` holds the seed states of the last sweep's ghost streams, which
+    the export's streams read too."""
 
     plan: _Plan | None = None
     seed: int | None = None
     records: dict[int, _Draws] = field(default_factory=dict)
     run0: dict[int, SimTrace] = field(default_factory=dict)
+    batch: _SeedBatch | None = None
 
 
 _shared: _Shared | None = None
@@ -832,6 +943,17 @@ def monte_carlo_sweep(
     groups: dict[int, list[int]] = {}
     for index, scenario in enumerate(scenarios):
         groups.setdefault(scenario.seed, []).append(index)
+    # One pass computes the seed state of every (seed, run) a ghost stream can
+    # draw from; the block keeps it for the export's streams too.
+    ghost_seeds = dict.fromkeys(s.seed for s in scenarios if s.effects.ghost_rate > 0)
+    if ghost_seeds:
+        _shared.batch = _SeedBatch(
+            runs_per_scenario,
+            {seed: runs_per_scenario * i for i, seed in enumerate(ghost_seeds)},
+            _seed_states([
+                derive_seed(seed, run) for seed in ghost_seeds for run in range(runs_per_scenario)
+            ]),
+        )
     results: dict[int, SweepStats] = {}
     # Most scenarios of a campaign share one ODD: fingerprint each ODD once.
     fingerprints: dict[OddDefinition, str] = {}

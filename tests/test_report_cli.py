@@ -439,7 +439,7 @@ class TestRun0HandOver:
         run0_seeded = {"sweep": [], "export": []}
         ghost_ids = []
         simulate_, exported_ = sim_module.simulate, report.simulate
-        derive_seed, init, resolve = sim_module.derive_seed, sim_module._Plan.__init__, sim_module._Plan._resolve
+        generator, init, resolve = sim_module._generator, sim_module._Plan.__init__, sim_module._Plan._resolve
 
         def sweeping(scenario, cfg, run_index):
             stage[1] = scenario
@@ -451,10 +451,10 @@ class TestRun0HandOver:
             stage[:] = ["export", scenario]
             return exported_(scenario, cfg, run_index=run_index)
 
-        def deriving(seed, run_index):
+        def generating(seed, run_index):
             if run_index == 0:
                 run0_seeded[stage[0]].append(stage[1].id)
-            return derive_seed(seed, run_index)
+            return generator(seed, run_index)
 
         def planning(self, *args):
             plans[stage[0], "init"] += 1
@@ -466,7 +466,7 @@ class TestRun0HandOver:
 
         monkeypatch.setattr(sim_module, "simulate", sweeping)
         monkeypatch.setattr(report, "simulate", exporting)
-        monkeypatch.setattr(sim_module, "derive_seed", deriving)
+        monkeypatch.setattr(sim_module, "_generator", generating)
         monkeypatch.setattr(sim_module._Plan, "__init__", planning)
         monkeypatch.setattr(sim_module._Plan, "_resolve", resolving)
         bundle = self._campaign(campaign_inputs, tmp_path / "traces")

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from sotifkit import (
 )
 from sotifkit.core import NO_CLOSING, KinematicState
 from sotifkit.errors import ContractViolationError, ParameterError, SimulationError
+from sotifkit.scenario import derive_seed
 import sotifkit.simulator as sim_module
 from sotifkit.report import write_kpi_csv
 from sotifkit.simulator import (
@@ -696,21 +698,21 @@ def _seed_group(odd, rate: float, seed: int = 1234) -> list:
 def count_generators(monkeypatch) -> dict[str, int]:
     """The ghost generators that each scenario builds from here on, by id.
     The sweep calls ``simulate`` through the module, so the scenario whose
-    run is being simulated is known when its stream derives a seed."""
+    run is being simulated is known when its stream builds its generator."""
     built: dict[str, int] = {}
     running = []
-    simulate_, derive_seed = sim_module.simulate, sim_module.derive_seed
+    simulate_, generator = sim_module.simulate, sim_module._generator
 
     def simulating(scenario, *args):
         running[:] = [scenario.id]
         return simulate_(scenario, *args)
 
-    def deriving(*parts):
+    def generating(seed, run_index):
         built[running[0]] = built.get(running[0], 0) + 1
-        return derive_seed(*parts)
+        return generator(seed, run_index)
 
     monkeypatch.setattr(sim_module, "simulate", simulating)
-    monkeypatch.setattr(sim_module, "derive_seed", deriving)
+    monkeypatch.setattr(sim_module, "_generator", generating)
     return built
 
 
@@ -821,6 +823,145 @@ class TestSharedDraws:
         assert len({id(within[ghost_free.id, i]) for i in runs}) == 1
         for (scenario, i), trace in zip(calls, outside):
             assert trace == within[scenario.id, i], (scenario.id, i)
+
+
+def numpy_states(seeds) -> list[list[int]]:
+    return [np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist() for seed in seeds]
+
+
+def batch_states(seeds) -> list[list[int]]:
+    return [np.frombuffer(state, np.uint64).tolist() for state in sim_module._seed_states(seeds)]
+
+
+def count_seed_batches(monkeypatch) -> list[int]:
+    """The number of seeds of each ``_seed_states`` pass from here on."""
+    passes = []
+    seed_states = sim_module._seed_states
+
+    def counting(seeds):
+        passes.append(len(seeds))
+        return seed_states(seeds)
+
+    monkeypatch.setattr(sim_module, "_seed_states", counting)
+    return passes
+
+
+class TestSeedStates:
+    """A ghost stream's generator is ``default_rng(derive_seed(seed, run))``
+    seeded from a state that one pass computes for many seeds at once; the
+    pass must give numpy's ``SeedSequence`` state bit for bit."""
+
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    @staticmethod
+    def pcg64_states(seeds) -> list[dict]:
+        states = sim_module._seed_states(seeds)
+        return [np.random.PCG64(sim_module._seeded_type()((0, 0), state)).state for state in states]
+
+    def test_edge_seeds_match_numpy(self):
+        assert batch_states(self.EDGES) == numpy_states(self.EDGES)
+        assert self.pcg64_states(self.EDGES) == [np.random.PCG64(seed).state for seed in self.EDGES]
+
+    def test_derived_seeds_match_numpy(self):
+        seeds = [derive_seed(seed, run) for seed in (0, 7, 2**64 - 1) for run in range(400)]
+        assert batch_states(seeds) == numpy_states(seeds)
+        assert self.pcg64_states(seeds) == [np.random.PCG64(seed).state for seed in seeds]
+
+    def test_batch_of_one(self):
+        for seed in self.EDGES + [derive_seed(42, 3)]:
+            assert batch_states([seed]) == numpy_states([seed]), seed
+            assert self.pcg64_states([seed]) == [np.random.PCG64(seed).state]
+
+    def test_other_requests_are_the_seed_sequences_own(self):
+        key = (1234, 5)
+        (state,) = sim_module._seed_states([derive_seed(*key)])
+        seeded = sim_module._seeded_type()(key, state)
+        expected = np.random.SeedSequence(derive_seed(*key))
+        for n_words, dtype in ((4, np.uint64), (8, np.uint32), (2, np.uint64), (4, np.uint32)):
+            got = seeded.generate_state(n_words, dtype)
+            assert got.tolist() == expected.generate_state(n_words, dtype).tolist(), (n_words, dtype)
+
+    def test_keys_in_and_missing_from_the_batch(self, baseline_vehicle, monkeypatch):
+        scenario = make_scenario(baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.05), seed=99)
+        passes = count_seed_batches(monkeypatch)
+        with sim_module._sharing():
+            monte_carlo_sweep([scenario], SimConfig(), 3)
+            assert passes == [3]
+            batch = sim_module._shared.batch
+            for seed, run in ((99, 0), (99, 2), (99, 3), (99, -1), (100, 0)):
+                built = sim_module._generator(seed, run).bit_generator.state
+                assert built == np.random.default_rng(derive_seed(seed, run)).bit_generator.state
+            assert sim_module._shared.batch is batch
+        assert passes == [3, 1, 1, 1]  # each missing key is a batch of one
+        outside = sim_module._generator(99, 1).bit_generator.state  # no block, no batch
+        assert outside == np.random.default_rng(derive_seed(99, 1)).bit_generator.state
+        assert passes == [3, 1, 1, 1, 1]
+
+    def test_sweep_seeds_each_generator_from_one_batch(self, baseline_vehicle, monkeypatch):
+        odd = baseline_odd(baseline_vehicle)
+        scenarios = [
+            make_scenario(odd, EffectModel(ghost_rate=rate), f"s{i}", seed=seed)
+            for i, (rate, seed) in enumerate(((0.05, 1), (0.01, 1), (0.2, 2), (0.0, 3)))
+        ]
+        passes = count_seed_batches(monkeypatch)
+        built = count_generators(monkeypatch)
+        monte_carlo_sweep(scenarios, SimConfig(), 4)
+        assert passes == [2 * 4]  # seeds 1 and 2, runs 0-3; seed 3 has no ghosts
+        assert built == {"s0": 4, "s2": 4}  # s1 reads s0's records
+
+    def test_ghost_free_sweep_builds_no_batch(self, baseline_vehicle, monkeypatch):
+        odd = baseline_odd(baseline_vehicle)
+        scenarios = [make_scenario(odd, scenario_id=f"s{i}", seed=i) for i in range(3)]
+        passes = count_seed_batches(monkeypatch)
+        with sim_module._sharing():
+            monte_carlo_sweep(scenarios, SimConfig(), 5)
+            assert sim_module._shared.batch is None
+        assert passes == []
+
+
+class TestSpeedBelowFloatResolution:
+    """An ego so slow that ``v_r * dt`` is 0.0 never moves in floats: it is
+    at its starting gap from step 0 on and reaches no smaller gap, so it
+    times out without a ghost, and a ghost's brake stops it."""
+
+    @staticmethod
+    def scenarios(baseline_vehicle, d_object=100.0):
+        vehicle = dataclasses.replace(baseline_vehicle, v_r=5e-324)
+        odd = baseline_odd(vehicle, d_object=d_object)
+        return [
+            make_scenario(odd, scenario_id="still"),
+            make_scenario(odd, EffectModel(ghost_rate=0.05), scenario_id="still-ghosts"),
+        ]
+
+    def test_simulate(self, baseline_vehicle):
+        cfg = SimConfig(max_time=5.0)
+        still, ghosts = self.scenarios(baseline_vehicle)
+        for scenario, terminal in ((still, Terminal.TIMEOUT), (ghosts, Terminal.STOPPED)):
+            trace = simulate(scenario, cfg)
+            assert trace.terminal is terminal, scenario.id
+            TestTraceAgreesWithItself.assert_consistent(trace, scenario)
+            kpis = compute_kpis(trace, scenario)
+            assert kpis.final_gap == 100.0 and not kpis.collision
+            assert kpis.false_activation is (terminal is Terminal.STOPPED)
+            reference = reference_run(scenario, cfg)
+            assert (reference.terminal, reference.terminal_step) == (
+                trace.terminal.value, round(trace.events[-1].time / cfg.dt)
+            )
+
+    def test_starting_within_the_threshold_triggers_at_once(self, baseline_vehicle):
+        (still, _) = self.scenarios(baseline_vehicle, d_object=1.0)
+        trace = simulate(still, SimConfig(max_time=5.0))
+        assert trace.terminal is Terminal.STOPPED
+        assert events_of(trace, EventKind.BRAKE_TRIGGERED)[0].time == 0.0
+        TestTraceAgreesWithItself.assert_consistent(trace, still)
+
+    def test_sweep(self, baseline_vehicle):
+        still, ghosts = monte_carlo_sweep(self.scenarios(baseline_vehicle), SimConfig(), 5)
+        assert (still.collision_rate, still.false_activation_rate) == (0.0, 0.0)
+        assert ghosts.false_activation_rate == 1.0 and ghosts.collision_rate == 0.0
+        for stats in (still, ghosts):
+            assert stats.gap_min == stats.gap_max == 100.0
+            assert stats.impact_speed_max == 0.0
 
 
 class TestGhostFreeMemo:
