@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import AnalysisRow, Controllability, Severity, SeverityRules, build_analysis_sheet
@@ -701,8 +701,9 @@ def write_risk_csv(results: Sequence[RiskResult], path: str | Path) -> None:
     )
 
 
-def bundle_text(data: Mapping) -> str:
-    """bundle.json's text for ``data``, a :func:`bundle_to_dict` result.
+def _bundle_pieces(data: Mapping) -> Iterator[str]:
+    """bundle.json's text for ``data``, a :func:`bundle_to_dict` result, in
+    order, a line or less at a time.
 
     Each top-level section is on a line of its own, and so is each item of
     a list in it or in one of its objects: each table item and each verdict,
@@ -712,24 +713,50 @@ def bundle_text(data: Mapping) -> str:
     encoder, that is ``json.dumps``, with the same bytes."""
     dumps = json_encoder()
 
-    def value(v: Any, top: bool) -> str:
+    def value(v: Any, top: bool) -> Iterator[str]:
         if isinstance(v, list) and v:  # a table: one item per line
-            return "[\n    " + ",\n    ".join(map(dumps, v)) + "\n  ]"
-        if isinstance(v, dict) and top:  # a section: its lists' items one per line
-            members = (f"{dumps(k)}: {value(x, False)}" for k, x in v.items())
-            return "{" + ", ".join(members) + "}"
-        return dumps(v)
+            lead = "[\n    "
+            for item in v:
+                yield lead + dumps(item)
+                lead = ",\n    "
+            yield "\n  ]"
+        elif isinstance(v, dict) and top:  # a section: its lists' items one per line
+            yield "{"
+            lead = ""
+            for k, x in v.items():
+                yield f"{lead}{dumps(k)}: "
+                lead = ", "
+                yield from value(x, False)
+            yield "}"
+        else:
+            yield dumps(v)
 
-    sections = (f"  {dumps(k)}: {value(v, True)}" for k, v in data.items())
-    return "{\n" + ",\n".join(sections) + "\n}\n"
+    yield "{\n"
+    lead = ""
+    for k, v in data.items():
+        yield f"{lead}  {dumps(k)}: "
+        lead = ",\n"
+        yield from value(v, True)
+    yield "\n}\n"
+
+
+def bundle_text(data: Mapping) -> str:
+    """bundle.json's text for ``data``, a :func:`bundle_to_dict` result: the
+    pieces that :func:`write_bundle` writes, joined."""
+    return "".join(_bundle_pieces(data))
 
 
 def write_bundle(bundle: ReportBundle, out_dir: str | Path) -> Path:
-    """Persist the bundle under ``out_dir``; returns the bundle.json path."""
+    """Persist the bundle under ``out_dir``; returns the bundle.json path.
+
+    bundle.json is written as it is encoded, an item line at a time, so its
+    whole text is never held; a failure during the write can leave a
+    partial bundle.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle_path = out / "bundle.json"
-    bundle_path.write_text(bundle_text(bundle_to_dict(bundle)), encoding="utf-8")
+    with open(bundle_path, "w", encoding="utf-8") as f:
+        f.writelines(_bundle_pieces(bundle_to_dict(bundle)))
     write_kpi_csv(bundle.kpi_table, out / "kpis.csv")
     write_analysis_csv(bundle.analysis_sheet, out / "analysis_sheet.csv")
     write_risk_csv(bundle.risk_table, out / "risk.csv")

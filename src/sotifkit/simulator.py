@@ -298,7 +298,10 @@ class _Plan:
         self.d_obj = d_obj = odd.d_object
         range_eff = odd.d_perception * eff.perception_range_factor
         d_trigger = core.rss_min_distance(veh)
-        self.b_eff = core.effective_brake_decel(veh, odd.mu * eff.mu_factor)
+        b_eff = core.effective_brake_decel(veh, odd.mu * eff.mu_factor)
+        # A brake too weak for b_eff*dt to be above 0 never slows the ego in
+        # floats, as a per-dt stepper finds: it brakes as a brake of 0 does.
+        self.b_eff = b_eff = b_eff if b_eff * dt > 0.0 else 0.0
         self.delay_steps = _ceil_steps((veh.rho + eff.rho_add) / dt)
 
         if v0 == 0.0:
@@ -328,9 +331,9 @@ class _Plan:
         # the gap at or below the trigger threshold (checked every step).
         self.n_nat = max(first_step_gap_le(range_eff, tick_steps), first_step_gap_le(d_trigger))
         self.n_hit_cruise = first_step_gap_le(0.0)  # first collided step while cruising
-        # Braking steps until v == 0, as _Resolved.v computes it.
-        b_eff = self.b_eff
-        q = v0 / (b_eff * dt)
+        # Braking steps until v == 0, as _Resolved.v computes it: past the
+        # horizon for a brake of 0.
+        q = v0 / (b_eff * dt) if b_eff > 0.0 else never
         m = math.ceil(q) if q < never else never
         while m > 0 and v0 - (m - 1) * b_eff * dt <= 0.0:
             m -= 1
@@ -389,10 +392,16 @@ class _Plan:
         m_coll: int | None = None
         a_q = b_eff * dt * dt / 2.0
         lin = v0 * dt - a_q
-        disc = lin * lin - 4.0 * a_q * need
-        if disc >= 0.0:
-            root = (lin - math.sqrt(disc)) / (2.0 * a_q)
-            m = max(1, _ceil_steps(root))
+        if a_q == 0.0:
+            # A brake too weak for a float to hold a_q: the advance is
+            # linear, and an ego that v0*dt cannot move reaches no gap.
+            root = need / lin if lin > 0.0 else math.inf
+        else:
+            disc = lin * lin - 4.0 * a_q * need
+            root = (lin - math.sqrt(disc)) / (2.0 * a_q) if disc >= 0.0 else None
+        if root is not None:
+            # Past m_stop the advance no longer grows: a guess there is m_stop.
+            m = max(1, _ceil_steps(root)) if root < m_stop else m_stop
             while m > 1 and resolved._brake_advance(m - 1) >= need:
                 m -= 1
             while m <= m_stop - 1 and resolved._brake_advance(m) < need:

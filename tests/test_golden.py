@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,13 @@ import pytest
 from sotifkit.cli import EXIT_GATE_FAILED, main
 from sotifkit.errors import json_encoder
 from sotifkit.fixtures import fixture_path
-from sotifkit.report import bundle_text, bundle_to_dict, emit_markdown_summary, load_bundle
+from sotifkit.report import (
+    bundle_text,
+    bundle_to_dict,
+    emit_markdown_summary,
+    load_bundle,
+    write_bundle,
+)
 
 from conftest import run_fresh_python
 
@@ -90,6 +97,27 @@ def test_golden_bundle_reads_back():
     assert emit_markdown_summary(bundle).encode("utf-8") == (GOLDEN / "summary.md").read_bytes()
     written = bundle_text(bundle_to_dict(bundle))
     assert written.encode("utf-8") == (GOLDEN / "bundle.json").read_bytes()
+
+
+def test_write_holds_less_than_the_file(tmp_path):
+    """write_bundle writes bundle.json an item line at a time: beyond the
+    dict tree it writes from, it holds less than the file's size at once,
+    not the file's whole text."""
+    bundle = load_bundle(GOLDEN)
+    write_bundle(bundle, tmp_path / "warm-up")  # the first write's imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = bundle_to_dict(bundle)
+        tree = tracemalloc.get_traced_memory()[0] - before
+        del data
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        path = write_bundle(bundle, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - tree < path.stat().st_size
 
 
 def json_values(value: object):

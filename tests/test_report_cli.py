@@ -30,7 +30,7 @@ from sotifkit.cli import EXIT_ERROR, EXIT_GATE_FAILED, EXIT_OK, main
 from sotifkit import report
 from sotifkit.errors import ContractViolationError, PipelineError, SimulationError, SotifkitError
 from sotifkit.fixtures import fixture_path
-from sotifkit.report import bundle_from_dict, bundle_to_dict
+from sotifkit.report import bundle_from_dict, bundle_text, bundle_to_dict
 from sotifkit.scenario import (
     apply_mitigation,
     generate_scenarios,
@@ -572,6 +572,21 @@ class TestBundlePersistence:
     def test_bundle_json_loads_to_bundle_dict(self, small_bundle, tmp_path):
         path = write_bundle(small_bundle, tmp_path / "bundle")
         assert json.loads(path.read_text()) == bundle_to_dict(small_bundle)
+
+    def test_streamed_file_is_the_joined_text(self, small_bundle, campaign_inputs, tmp_path):
+        # write_bundle writes the pieces that bundle_text joins, also for a
+        # bundle whose list sections are empty (a nominal-only run with no
+        # mitigations).
+        odd = dataclasses.replace(campaign_inputs["odd"], odd_tags=frozenset({"no-such-tag"}))
+        empty = run_campaign(
+            **{**campaign_inputs, "odd": odd}, runs_per_scenario=2, trace_dir=tmp_path / "traces"
+        )
+        data = bundle_to_dict(empty)
+        assert not any(data[t] for t in _TABLES[2:]) and not data["acceptance"]["verdicts"]
+        for name, bundle in (("small", small_bundle), ("empty", empty)):
+            path = write_bundle(bundle, tmp_path / name)
+            assert path.read_bytes() == bundle_text(bundle_to_dict(bundle)).encode(), name
+        assert '"risk_table": [],' in path.read_text()
 
     def test_timestamp_keeps_default_separator(self, small_bundle, tmp_path):
         # The golden test and the benchmark's determinism check blank the

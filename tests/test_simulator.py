@@ -964,6 +964,90 @@ class TestSpeedBelowFloatResolution:
             assert stats.impact_speed_max == 0.0
 
 
+class TestBrakeBelowFloatResolution:
+    """A brake so weak that ``b_eff * dt`` is 0.0 never slows the ego in
+    floats, as the per-dt stepper finds; one that only ``b_eff * dt * dt / 2``
+    loses advances the ego linearly.  Either way the ego brakes into the
+    object at full speed, and an ego that neither moves nor slows times out."""
+
+    MU_FACTORS = (5e-324, 1e-318)
+
+    @classmethod
+    def scenarios(cls, odd):
+        return [
+            make_scenario(
+                odd, EffectModel(mu_factor=mu, ghost_rate=rate), scenario_id=f"weak-{mu}-{rate}"
+            )
+            for mu in cls.MU_FACTORS
+            for rate in (0.0, 0.05)
+        ]
+
+    @staticmethod
+    def assert_agrees_with_reference(trace, scenario, cfg):
+        TestTraceAgreesWithItself.assert_consistent(trace, scenario)
+        reference = reference_run(scenario, cfg)
+        assert (reference.terminal, reference.terminal_step) == (
+            trace.terminal.value, round(trace.events[-1].time / cfg.dt)
+        ), scenario.id
+
+    def test_simulate(self, baseline_vehicle):
+        # 99.99 m is no whole number of steps at v_r, so the stepper's summed
+        # position crosses it at the engine's step.
+        cfg = SimConfig()
+        for scenario in self.scenarios(baseline_odd(baseline_vehicle, d_object=99.99)):
+            trace = simulate(scenario, cfg)
+            assert trace.terminal is Terminal.COLLISION, scenario.id
+            assert events_of(trace, EventKind.BRAKE_TRIGGERED), scenario.id
+            kpis = compute_kpis(trace, scenario)
+            assert kpis.impact_speed == baseline_vehicle.v_r and kpis.final_gap == 0.0
+            self.assert_agrees_with_reference(trace, scenario, cfg)
+
+    def test_ego_below_float_resolution_times_out(self, baseline_vehicle):
+        # v_r * dt and b_eff * dt are both 0.0: a ghost's brake latches,
+        # and the ego neither moves nor slows.
+        vehicle = dataclasses.replace(baseline_vehicle, v_r=5e-324)
+        cfg = SimConfig(max_time=5.0)
+        (weak, weak_ghosts, *_) = self.scenarios(baseline_odd(vehicle))
+        for scenario in (weak, weak_ghosts):
+            trace = simulate(scenario, cfg)
+            assert trace.terminal is Terminal.TIMEOUT, scenario.id
+            assert trace.states[-1].velocity == 5e-324
+            self.assert_agrees_with_reference(trace, scenario, cfg)
+        assert events_of(trace, EventKind.BRAKE_TRIGGERED)
+
+    def test_collision_walk_starts_at_the_stop_at_most(self, baseline_vehicle, monkeypatch):
+        # This brake's closed-form collision guess is about 1e15 braking
+        # steps, far past its stop; the walk starts at the stop instead, so
+        # it reads the advance about once per step of the horizon.
+        vehicle = dataclasses.replace(baseline_vehicle, v_r=1e-300, rho=1e-3, a_min_brake=1e-12)
+        scenario = make_scenario(
+            baseline_odd(vehicle, d_object=1e-300), EffectModel(mu_factor=1e-300), scenario_id="far"
+        )
+        cfg = SimConfig(max_time=2.0)
+        calls = 0
+        advance = sim_module._Resolved._brake_advance
+
+        def counting(res, m):
+            nonlocal calls
+            calls += 1
+            if calls > 10 * cfg.max_steps:
+                raise AssertionError("the braking-collision walk went past the stop")
+            return advance(res, m)
+
+        monkeypatch.setattr(sim_module._Resolved, "_brake_advance", counting)
+        trace = simulate(scenario, cfg)
+        monkeypatch.undo()
+        assert trace.terminal is Terminal.COLLISION
+        self.assert_agrees_with_reference(trace, scenario, cfg)
+
+    def test_sweep(self, baseline_vehicle):
+        scenarios = self.scenarios(baseline_odd(baseline_vehicle))
+        for stats in monte_carlo_sweep(scenarios, SimConfig(), 5):
+            assert stats.collision_rate == 1.0, stats.scenario_id
+            assert stats.impact_speed_min == stats.impact_speed_max == baseline_vehicle.v_r
+            assert stats.gap_max == 0.0
+
+
 class TestGhostFreeMemo:
     """A ghost-free scenario reads no randomness: within a sharing block,
     all its runs share the one resolution of the plan that ``simulate``
