@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import core
 from .errors import (
@@ -125,8 +125,7 @@ def load_severity_rules(path: str | Path) -> SeverityRules:
         return SeverityRules(**data)
 
 
-@dataclass(frozen=True)
-class AnalysisRow:
+class AnalysisRow(NamedTuple):
     """One analysis-sheet row for a scenario with a triggering condition."""
 
     scenario_id: str

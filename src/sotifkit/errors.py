@@ -4,7 +4,7 @@ document goes through, the input files and the report bundle alike.
 A document's fields are declared as kinds of JSON value (:class:`Kind`);
 :func:`check_object` and :func:`check_items` check them, naming the
 offending field, and :func:`located` names the place of an error raised
-while the checked values are built into dataclasses.  :func:`json_encoder`
+while the checked values are built into records.  :func:`json_encoder`
 writes what the bundle and the trace file hold.
 """
 
@@ -175,9 +175,11 @@ def json_encoder() -> Callable[[object], str]:
 
 
 def fields_of(cls: type, kind: Kind, **kinds: Kind) -> dict[str, Kind]:
-    """The JSON keys of a dataclass written field by field: every field of
-    ``cls``, of kind ``kind`` unless ``kinds`` names another."""
-    return {f.name: kinds.get(f.name, kind) for f in dataclasses.fields(cls)}
+    """The JSON keys of a record written field by field: every field of
+    ``cls``, a NamedTuple (its ``_fields``) or a dataclass, in declaration
+    order, of kind ``kind`` unless ``kinds`` names another."""
+    names = cls._fields if issubclass(cls, tuple) else [f.name for f in dataclasses.fields(cls)]
+    return {name: kinds.get(name, kind) for name in names}
 
 
 def check_object(

@@ -131,8 +131,7 @@ class RunMeta:
     odd_well_formed: bool
 
 
-@dataclass(frozen=True)
-class ScenarioSummary:
+class ScenarioSummary(NamedTuple):
     id: str
     leaf_id: str | None
     category_path: tuple[str, ...]
@@ -160,8 +159,7 @@ class ScenarioSummary:
         return self.id == self.leaf_id
 
 
-@dataclass(frozen=True)
-class MitigationOutcome:
+class MitigationOutcome(NamedTuple):
     """One mitigation applied to one scenario.  Its KPIs before and after
     are the ``kpi_table`` rows of ``scenario_id`` and
     ``mitigated_scenario_id`` (None when the mitigation is not applicable)."""
@@ -404,8 +402,9 @@ class _Column(NamedTuple):
 class _Table:
     """An item type on disk: ``fields`` gives each JSON key's kind for the
     checker, ``to_dict`` and ``from_dict`` code an item.  The columns follow
-    the item's dataclass fields, so that an item is built from its values
-    in column order.  The values are read all at once; only the coded
+    the item's fields (:func:`errors.fields_of`: a NamedTuple's or a
+    dataclass's), so that an item is built from its values in column
+    order.  The values are read all at once; only the coded
     columns cost a Python call per item."""
 
     def __init__(self, cls: Callable[..., Any], columns: Mapping[str, Kind | _Column]):
@@ -420,7 +419,7 @@ class _Table:
 
     @classmethod
     def of(cls, item_cls: type, kind: Kind, **special: Kind | _Column) -> "_Table":
-        """The table of a dataclass whose keys are its fields: each of kind
+        """The table of a record whose keys are its fields: each of kind
         ``kind``, unless ``special`` names another kind or column."""
         return cls(item_cls, fields_of(item_cls, kind, **special))
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import core
 from .analysis import HAZARD_RATES, AnalysisRow, Severity
@@ -139,8 +139,7 @@ def hours_to_hazard(rate_per_hour: float) -> float:
     return math.inf if rate_per_hour == 0.0 else 1.0 / rate_per_hour
 
 
-@dataclass(frozen=True)
-class RiskResult:
+class RiskResult(NamedTuple):
     """Quantified residual risk of one (scenario, hazard) pair.
 
     hazard_id is None for scenarios whose sweep exhibited no hazard; they
@@ -198,15 +197,13 @@ _CLAUSES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     clause: str
     measured: float
     threshold: float
 
 
-@dataclass(frozen=True)
-class AcceptanceVerdict:
+class AcceptanceVerdict(NamedTuple):
     scenario_id: str
     passed: bool
     violations: tuple[Violation, ...]

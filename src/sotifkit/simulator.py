@@ -54,12 +54,12 @@ nothing again; it builds the view from the stream the sweep read, and
 seeds a generator only for a run that read its first ghost from another
 scenario's draw record and shows a ghost that the record cannot rule out.
 Outside a block, ``simulate`` shares nothing.
-A run's stream is still ``default_rng(derive_seed(seed, run))``, but its
-generator is not built through ``default_rng``: a sweep computes the seed
-state of every (seed, run) that it can draw from, numpy's ``SeedSequence``
-hash, in one pass (:func:`_seed_states`, which a test pins against
-numpy's ``SeedSequence``), and a stream whose (seed, run) is not in the
-block's batch computes its one state the same way.
+A run's stream is still ``default_rng(derive_seed(seed, run))``, but a
+sweep's generators are not built through ``default_rng``: a sweep computes
+the seed state of every (seed, run) that it can draw from, numpy's
+``SeedSequence`` hash, in one pass (:func:`_seed_states`, which a test
+pins against numpy's ``SeedSequence``).  A stream whose (seed, run) is not
+in the block's batch builds its generator with ``default_rng``.
 Identical (scenario, cfg, run_index) always produces a bit-identical
 trace.
 """
@@ -76,7 +76,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .errors import ContractViolationError, ParameterError, SimulationError, json_encoder
@@ -189,8 +189,7 @@ _Rows = tuple[
 ]
 
 
-@dataclass(frozen=True)
-class KpiReport:
+class KpiReport(NamedTuple):
     """Per-run key performance indicators.
 
     ttc_at_trigger is :data:`core.NO_CLOSING` (infinity) when the brake
@@ -205,8 +204,7 @@ class KpiReport:
     false_activation: bool
 
 
-@dataclass(frozen=True)
-class SweepStats:
+class SweepStats(NamedTuple):
     """Aggregated KPIs for one scenario over repeated runs."""
 
     scenario_id: str
@@ -255,6 +253,36 @@ class _Resolved:
         if m <= 0:
             return 0.0
         return m * self.v0 * self.dt - self.b_eff * self.dt * self.dt * m * (m + 1) / 2.0
+
+    def first_reaching(self, need: float, guess: int | None) -> int | None:
+        """The smallest braking step m in [1, m_stop - 1] whose advance is at
+        least ``need``, or None.  The advance does not decrease there, so
+        the search gallops out from ``guess`` (clamped to those bounds) to
+        bracket the step, and bisects the bracket; with no guess it bisects
+        the whole interval.  An exact guess reads the advance twice."""
+        lo, hi = 1, self.m_stop  # the step is in [lo, hi]; m_stop means none
+        if guess is not None and lo < hi:
+            m = min(max(guess, lo), hi - 1)
+            step = 1
+            if self._brake_advance(m) >= need:
+                hi = m
+                while hi - step >= lo and self._brake_advance(hi - step) >= need:
+                    hi -= step
+                    step *= 2
+                lo = max(lo, hi - step + 1)
+            else:
+                lo = m + 1
+                while lo + step - 1 < hi and self._brake_advance(lo + step - 1) < need:
+                    lo += step
+                    step *= 2
+                hi = min(hi, lo + step - 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._brake_advance(mid) >= need:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo if lo < self.m_stop else None
 
     def x(self, n: int) -> float:
         if self.n_eff is None or n <= self.n_eff:
@@ -381,15 +409,14 @@ class _Plan:
                 return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, n_hit_cruise, Terminal.COLLISION)
             return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, max_steps, Terminal.TIMEOUT)
 
-        # Braking engages at n_eff with speed still v0.
+        # Braking engages at n_eff with speed still v0, and stops the ego
+        # m_stop braking steps later unless it reaches the object first.
         m_stop = self.m_stop
-        x_eff = v0 * dt * n_eff
-        need = d_obj - x_eff  # > 0 because n_hit_cruise > n_eff
+        need = d_obj - v0 * dt * n_eff  # > 0 because n_hit_cruise > n_eff
+        res = _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, n_eff + m_stop, Terminal.STOPPED)
 
-        resolved = _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, 0, Terminal.STOPPED)
-
-        # Smallest braking step m with advance(m) >= need, if any: collision.
-        m_coll: int | None = None
+        # The first braking step whose advance reaches the object, if any, is
+        # a collision; the closed form guesses it, and the advance decides.
         a_q = b_eff * dt * dt / 2.0
         lin = v0 * dt - a_q
         if a_q == 0.0:
@@ -398,25 +425,17 @@ class _Plan:
             root = need / lin if lin > 0.0 else math.inf
         else:
             disc = lin * lin - 4.0 * a_q * need
-            root = (lin - math.sqrt(disc)) / (2.0 * a_q) if disc >= 0.0 else None
+            root = None if disc < 0.0 else (lin - math.sqrt(disc)) / (2.0 * a_q)
         if root is not None:
             # Past m_stop the advance no longer grows: a guess there is m_stop.
-            m = max(1, _ceil_steps(root)) if root < m_stop else m_stop
-            while m > 1 and resolved._brake_advance(m - 1) >= need:
-                m -= 1
-            while m <= m_stop - 1 and resolved._brake_advance(m) < need:
-                m += 1
-            if m <= m_stop - 1 and resolved._brake_advance(m) >= need:
-                m_coll = m
-
-        if m_coll is not None:
-            terminal_step, terminal = n_eff + m_coll, Terminal.COLLISION
-        else:
-            terminal_step, terminal = n_eff + m_stop, Terminal.STOPPED
-        if terminal_step > max_steps:
-            terminal_step, terminal = max_steps, Terminal.TIMEOUT
-
-        return _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, terminal_step, terminal)
+            # A discriminant that overflowed gives no guess (-inf or nan).
+            guess = m_stop if root >= m_stop else _ceil_steps(root) if root > -math.inf else None
+            m_coll = res.first_reaching(need, guess)
+            if m_coll is not None:
+                res.terminal_step, res.terminal = n_eff + m_coll, Terminal.COLLISION
+        if res.terminal_step > max_steps:
+            res.terminal_step, res.terminal = max_steps, Terminal.TIMEOUT
+        return res
 
 
 def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> int | None:
@@ -524,18 +543,18 @@ def _seeded_type() -> type:
 
 
 def _generator(seed: int, run_index: int) -> np.random.Generator:
-    """What ``default_rng(derive_seed(seed, run_index))`` builds, without its
-    argument dispatch and its seed hash: the block's batch holds the seed
-    state of every key a sweep draws from, and any other key is a batch of
-    one."""
+    """What ``default_rng(derive_seed(seed, run_index))`` builds.  The
+    block's batch holds the seed state of every key a sweep draws from, and
+    such a key's generator is built from it, without ``default_rng``'s
+    argument dispatch and seed hash; any other key's is ``default_rng``'s,
+    which hashes one seed faster than a pass of one."""
     import numpy as np
 
     batch = _shared.batch if _shared is not None else None
     first = batch.first.get(seed) if batch is not None and 0 <= run_index < batch.runs else None
     if first is None:
-        (state,) = _seed_states([derive_seed(seed, run_index)])
-    else:
-        state = batch.states[first + run_index]
+        return np.random.default_rng(derive_seed(seed, run_index))
+    state = batch.states[first + run_index]
     return np.random.Generator(np.random.PCG64(_seeded_type()((seed, run_index), state)))
 
 
@@ -585,12 +604,12 @@ class _GhostStream:
     Such a stream keeps the record it read, and ``events_before`` draws
     only when that record does not show it has no ghost below the step.
 
-    The generator is still that of ``default_rng(derive_seed(seed,
-    run_index))``, built by :func:`_generator` from its seed state: a
-    sweep computes the states of all its (seed, run) streams in one pass,
-    the block keeps them, and a stream outside the batch computes its one
-    state with the same :func:`_seed_states`, which a test pins against
-    numpy's ``SeedSequence``.
+    The generator is that of ``default_rng(derive_seed(seed,
+    run_index))``, built by :func:`_generator`: a sweep computes the seed
+    states of all its (seed, run) streams in one pass of
+    :func:`_seed_states`, which a test pins against numpy's
+    ``SeedSequence``, and the block keeps them; a stream outside the batch
+    builds its generator with ``default_rng``.
     """
 
     __slots__ = (

@@ -30,14 +30,22 @@ from sotifkit.cli import EXIT_ERROR, EXIT_GATE_FAILED, EXIT_OK, main
 from sotifkit import report
 from sotifkit.errors import ContractViolationError, PipelineError, SimulationError, SotifkitError
 from sotifkit.fixtures import fixture_path
-from sotifkit.report import bundle_from_dict, bundle_text, bundle_to_dict
+from sotifkit.analysis import AnalysisRow
+from sotifkit.report import (
+    MitigationOutcome,
+    ScenarioSummary,
+    bundle_from_dict,
+    bundle_text,
+    bundle_to_dict,
+)
+from sotifkit.risk import AcceptanceVerdict, RiskResult, Violation
 from sotifkit.scenario import (
     apply_mitigation,
     generate_scenarios,
     load_mitigations,
     mitigation_applicable,
 )
-from sotifkit.simulator import SimConfig, simulate
+from sotifkit.simulator import KpiReport, SimConfig, SweepStats, compute_kpis, simulate
 import sotifkit.simulator as sim_module
 from sotifkit.taxonomy import enumerate_leaves, filter_by_odd, parse_taxonomy
 
@@ -610,7 +618,7 @@ class TestBundlePersistence:
 
     def test_one_verdict_per_condition_scenario(self, small_bundle):
         verdicts = small_bundle.acceptance
-        nominal_verdict = dataclasses.replace(verdicts[0], scenario_id="nominal")
+        nominal_verdict = verdicts[0]._replace(scenario_id="nominal")
         cases = {
             (*verdicts, verdicts[0]): f"2 verdict(s) for condition scenario '{verdicts[0].scenario_id}'",
             verdicts[1:]: f"0 verdict(s) for condition scenario '{verdicts[0].scenario_id}'",
@@ -676,6 +684,59 @@ def _bundle_items(bundle: dict) -> dict[str, list[tuple[str, dict]]]:
             for j, x in enumerate(v["violations"])
         ],
     }
+
+
+class TestRecords:
+    """The result records are NamedTuples, so a record equals any tuple of
+    its values, a record of another type included.  The code compares
+    records only within one table, so every item of a table must be of the
+    table's declared type, whether a campaign built it or a load did."""
+
+    DECLARED = {
+        "scenarios": ScenarioSummary,
+        "kpi_table": SweepStats,
+        "analysis_sheet": AnalysisRow,
+        "risk_table": RiskResult,
+        "mitigation_table": MitigationOutcome,
+        "acceptance": AcceptanceVerdict,
+    }
+
+    @staticmethod
+    def records(bundle) -> dict[type, list]:
+        """Every record of ``bundle``, by its declared type."""
+        records = {cls: list(getattr(bundle, name)) for name, cls in TestRecords.DECLARED.items()}
+        records[Violation] = [x for verdict in bundle.acceptance for x in verdict.violations]
+        return records
+
+    def test_items_are_of_their_declared_type(self, small_bundle, tmp_path):
+        loaded = load_bundle(write_bundle(small_bundle, tmp_path / "bundle"))
+        for bundle in (small_bundle, loaded, bundle_from_dict(bundle_to_dict(small_bundle))):
+            for cls, items in self.records(bundle).items():
+                assert items, cls.__name__
+                assert {type(x) for x in items} == {cls}, cls.__name__
+
+    def test_kpi_report_is_declared_type(self, campaign_inputs):
+        scenario = generate_scenarios(campaign_inputs["odd"], [], campaign_inputs["mapping"], 0)[0]
+        assert type(compute_kpis(simulate(scenario), scenario)) is KpiReport
+
+    def test_records_are_tuples_of_their_values(self, small_bundle):
+        for cls, items in self.records(small_bundle).items():
+            x = items[0]
+            assert x == tuple(x) and len(x) == len(cls._fields), cls.__name__
+            assert list(x) == [getattr(x, name) for name in cls._fields]
+            assert x.count(x[0]) >= 1 and x.index(x[0]) == 0
+            assert x._replace() == x and type(x._replace()) is cls
+
+    def test_hash_as_before(self, small_bundle):
+        # A summary holds its effects as a dict, so it has no hash; every
+        # other record hashes as the tuple of its values.
+        for cls, items in self.records(small_bundle).items():
+            for x in items:
+                if cls is ScenarioSummary:
+                    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                        hash(x)
+                else:
+                    assert hash(x) == hash(tuple(x)), cls.__name__
 
 
 class TestBundleValueTypes:

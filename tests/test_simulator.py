@@ -24,9 +24,10 @@ from sotifkit import (
 )
 from sotifkit.core import NO_CLOSING, KinematicState
 from sotifkit.errors import ContractViolationError, ParameterError, SimulationError
-from sotifkit.scenario import derive_seed
+from sotifkit.scenario import derive_seed, generate_scenarios
 import sotifkit.simulator as sim_module
 from sotifkit.report import write_kpi_csv
+from sotifkit.taxonomy import enumerate_leaves, filter_by_odd
 from sotifkit.simulator import (
     EventKind,
     KpiReport,
@@ -892,10 +893,10 @@ class TestSeedStates:
                 built = sim_module._generator(seed, run).bit_generator.state
                 assert built == np.random.default_rng(derive_seed(seed, run)).bit_generator.state
             assert sim_module._shared.batch is batch
-        assert passes == [3, 1, 1, 1]  # each missing key is a batch of one
+        assert passes == [3]  # a missing key's generator is default_rng's
         outside = sim_module._generator(99, 1).bit_generator.state  # no block, no batch
         assert outside == np.random.default_rng(derive_seed(99, 1)).bit_generator.state
-        assert passes == [3, 1, 1, 1, 1]
+        assert passes == [3]
 
     def test_sweep_seeds_each_generator_from_one_batch(self, baseline_vehicle, monkeypatch):
         odd = baseline_odd(baseline_vehicle)
@@ -1017,8 +1018,9 @@ class TestBrakeBelowFloatResolution:
 
     def test_collision_walk_starts_at_the_stop_at_most(self, baseline_vehicle, monkeypatch):
         # This brake's closed-form collision guess is about 1e15 braking
-        # steps, far past its stop; the walk starts at the stop instead, so
-        # it reads the advance about once per step of the horizon.
+        # steps, far past its stop; the search starts at the stop instead
+        # and gallops back to the collision, about 1,000 steps in, reading
+        # the advance a few times per doubling, not once per step.
         vehicle = dataclasses.replace(baseline_vehicle, v_r=1e-300, rho=1e-3, a_min_brake=1e-12)
         scenario = make_scenario(
             baseline_odd(vehicle, d_object=1e-300), EffectModel(mu_factor=1e-300), scenario_id="far"
@@ -1030,8 +1032,8 @@ class TestBrakeBelowFloatResolution:
         def counting(res, m):
             nonlocal calls
             calls += 1
-            if calls > 10 * cfg.max_steps:
-                raise AssertionError("the braking-collision walk went past the stop")
+            if calls > 2 * cfg.max_steps.bit_length() + 2:
+                raise AssertionError("the braking-collision search read the advance step by step")
             return advance(res, m)
 
         monkeypatch.setattr(sim_module._Resolved, "_brake_advance", counting)
@@ -1046,6 +1048,101 @@ class TestBrakeBelowFloatResolution:
             assert stats.collision_rate == 1.0, stats.scenario_id
             assert stats.impact_speed_min == stats.impact_speed_max == baseline_vehicle.v_r
             assert stats.gap_max == 0.0
+
+
+class TestBrakingCollisionSearch:
+    """The braking-collision step is searched within ``[1, m_stop - 1]``,
+    galloping from the closed-form guess and bisecting, and bisecting the
+    whole interval when the guess is not finite."""
+
+    @staticmethod
+    def overflowing(baseline_vehicle):
+        # b_eff*dt*dt/2 is about 5e295, so the discriminant overflows to inf
+        # and the closed-form root is -inf.
+        vehicle = dataclasses.replace(baseline_vehicle, v_r=5e-324, a_max_accel=1e12, a_min_brake=1e300)
+        odd = baseline_odd(vehicle, d_object=1000.0, d_perception=1000.0)
+        return make_scenario(odd, EffectModel(ghost_rate=0.5), scenario_id="overflowing")
+
+    @staticmethod
+    def far(baseline_vehicle):
+        # A guess about 1e15 braking steps past a collision about 1,000 in.
+        vehicle = dataclasses.replace(baseline_vehicle, v_r=1e-300, rho=1e-3, a_min_brake=1e-12)
+        odd = baseline_odd(vehicle, d_object=1e-300)
+        return make_scenario(odd, EffectModel(mu_factor=1e-300), scenario_id="far")
+
+    def test_overflowing_discriminant(self, baseline_vehicle):
+        scenario = self.overflowing(baseline_vehicle)
+        cfg = SimConfig(dt=0.01, max_time=2.0)
+        trace = simulate(scenario, cfg)
+        assert trace.terminal is Terminal.STOPPED
+        TestBrakeBelowFloatResolution.assert_agrees_with_reference(trace, scenario, cfg)
+        (stats,) = monte_carlo_sweep([scenario], cfg, 3)
+        assert stats.collision_rate == 0.0 and stats.gap_min == 1000.0
+
+    def test_far_guess_at_a_long_horizon(self, baseline_vehicle, monkeypatch):
+        # The collision step does not depend on the horizon; a walk from the
+        # guess read the advance once per step of it, 6e7 times here.
+        scenario = self.far(baseline_vehicle)
+        short = simulate(scenario, SimConfig(max_time=2.0))
+        cfg = SimConfig(max_time=6e4)
+        reads = 0
+        advance = sim_module._Resolved._brake_advance
+
+        def counting(res, m):
+            nonlocal reads
+            reads += 1
+            if reads > 2 * cfg.max_steps.bit_length() + 2:
+                raise AssertionError("the braking-collision search read the advance step by step")
+            return advance(res, m)
+
+        monkeypatch.setattr(sim_module._Resolved, "_brake_advance", counting)
+        trace = simulate(scenario, cfg)
+        monkeypatch.undo()
+        assert trace.terminal is Terminal.COLLISION
+        assert [(e.time, e.kind) for e in trace.events] == [(e.time, e.kind) for e in short.events]
+
+    def test_advance_does_not_decrease_where_searched(self, baseline_vehicle):
+        # The search bisects, so it relies on the advance not decreasing over
+        # [1, m_stop - 1] in floats: every step of the short horizon, and
+        # around a geometric grid of the long one.
+        for scenario, cfg in (
+            (self.far(baseline_vehicle), SimConfig(max_time=2.0)),
+            (self.far(baseline_vehicle), SimConfig(max_time=6e4)),
+            (self.overflowing(baseline_vehicle), SimConfig(dt=0.01, max_time=2.0)),
+        ):
+            res = simulate(scenario, cfg)._res
+            last = res.m_stop - 1
+            steps = set(range(1, min(last, 4096) + 1))
+            for k in range(12, last.bit_length()):
+                steps.update(range(max(1, (1 << k) - 4), min(last, (1 << k) + 4) + 1))
+            steps.update(range(max(1, last - 4), last + 1))
+            advances = [res._brake_advance(m) for m in sorted(steps)]
+            assert advances == sorted(advances), scenario.id
+
+    def test_one_resolved_per_resolution(self, fixture_odd, fixture_taxonomy, fixture_mapping, monkeypatch):
+        # The braking path builds its _Resolved once and settles its terminal
+        # in place.
+        conditions = filter_by_odd(enumerate_leaves(fixture_taxonomy), fixture_odd.odd_tags)
+        scenarios = generate_scenarios(fixture_odd, conditions, fixture_mapping, 42)
+        built = resolved = 0
+        init, resolve = sim_module._Resolved.__init__, sim_module._Plan._resolve
+
+        def counting_init(res, *args):
+            nonlocal built
+            built += 1
+            init(res, *args)
+
+        def counting_resolve(plan, n_trig):
+            nonlocal resolved
+            resolved += 1
+            return resolve(plan, n_trig)
+
+        monkeypatch.setattr(sim_module._Resolved, "__init__", counting_init)
+        monkeypatch.setattr(sim_module._Plan, "_resolve", counting_resolve)
+        stats = monte_carlo_sweep(scenarios, SimConfig(), 20)
+        monkeypatch.undo()
+        assert any(s.collision_rate < 1.0 for s in stats)  # some runs brake
+        assert built == resolved > len(scenarios)
 
 
 class TestGhostFreeMemo:
