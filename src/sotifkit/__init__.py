@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .core import (
     NO_CLOSING,
-    KinematicState,
     VehicleParams,
     effective_brake_decel,
     rss_min_distance,
@@ -46,6 +45,7 @@ from .simulator import (
     KpiReport,
     SimConfig,
     SimEvent,
+    SimState,
     SimTrace,
     SweepStats,
     compute_kpis,

@@ -19,7 +19,6 @@ __all__ = [
     "VEHICLE_FIELDS",
     "VehicleParams",
     "check_vehicle_field",
-    "KinematicState",
     "rss_min_distance",
     "ttc",
     "effective_brake_decel",
@@ -85,21 +84,6 @@ class VehicleParams:
             raise ParameterError(
                 f"rss_min_distance must be finite, got {d_min} for v_r={self.v_r}, "
                 f"rho={self.rho}, a_max_accel={self.a_max_accel}, a_min_brake={self.a_min_brake}"
-            )
-
-
-@dataclass(frozen=True)
-class KinematicState:
-    """Ego state sample: position along the road axis, speed, and time."""
-
-    position: float
-    velocity: float
-    time: float
-
-    def __post_init__(self) -> None:
-        if self.velocity < 0:
-            raise ParameterError(
-                f"velocity must be >= 0 (braking only, no reverse), got {self.velocity}"
             )
 
 

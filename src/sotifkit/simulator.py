@@ -39,13 +39,14 @@ their first ghost from the first draw's record.  Every run reads its
 stream up to its cruise collision, which variants at the same speed
 share, so a variant's later natural trigger reads no further than that
 draw; a lower v_r can.  A trace is a view of its resolution: rows of its
-events and states, built once, when first needed, and kept.  The export writes each line
-from the rows, encoding each distinct row once; a ghost-free run has no
-stream, and its events and states depend only on its resolution, so the
-export writes each distinct ghost-free body once and builds no view for
-a repeat.  SimEvent and KinematicState objects are built from the rows
-only when a library caller reads ``events`` or ``states``.  The KPIs are
-read off the resolution alone, without a view.
+events and states, built once, when first needed, and kept.  The rows are
+:class:`SimEvent` and :class:`SimState` named tuples, each with the fields
+of its ``traces.jsonl`` item, and ``events`` and ``states`` return them.
+The export writes each line from the rows, encoding each distinct row
+once; a ghost-free run has no stream, and its events and states depend
+only on its resolution, so the export writes each distinct ghost-free
+body once and builds no view for a repeat.  The KPIs are read off the
+resolution alone, without a view.
 Runs share only within a :func:`_sharing` block, which a sweep opens and
 ``run_campaign`` holds over its sweep and export: the last plan, the last
 seed's draw records, the seed states of the sweep's streams, and each
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import operator
 import sys
@@ -91,6 +91,7 @@ __all__ = [
     "EventKind",
     "Terminal",
     "SimEvent",
+    "SimState",
     "SimTrace",
     "KpiReport",
     "SweepStats",
@@ -148,7 +149,9 @@ class SimConfig:
     """Integration settings.
 
     ``perception_tick`` is quantized to a whole number of ``dt`` steps
-    (the effective frame period is tick_steps * dt).
+    (the effective frame period is tick_steps * dt).  The horizon is at
+    most 2**53 steps: beyond, consecutive step numbers round to one float,
+    and a crossing step can no longer be told by its gap.
     """
 
     dt: float = 0.001
@@ -163,6 +166,11 @@ class SimConfig:
                 f"dt={self.dt}, perception_tick={self.perception_tick}, "
                 f"max_time={self.max_time}"
             )
+        if not self.max_time / self.dt <= 2**53:
+            raise ParameterError(
+                f"max_time / dt must be at most 2**53 steps, got dt={self.dt}, "
+                f"max_time={self.max_time}"
+            )
 
     @functools.cached_property
     def tick_steps(self) -> int:
@@ -173,20 +181,26 @@ class SimConfig:
         return int(self.max_time / self.dt + 1e-9)
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One event of a trace, with the fields of its ``traces.jsonl`` item."""
+
     time: float
     stage: Stage
     kind: EventKind
     gap: float
 
 
-# A trace's rows: its events as (time, stage, kind, gap) in time order, and
-# the ego state at each event step as (time, position, velocity).
-_Rows = tuple[
-    tuple[tuple[float, Stage, EventKind, float], ...],
-    tuple[tuple[float, float, float], ...],
-]
+class SimState(NamedTuple):
+    """The ego's state at an event step, with the fields of its
+    ``traces.jsonl`` item."""
+
+    time: float
+    position: float
+    velocity: float
+
+
+# A trace's rows: its events in time order, and the ego state at each event step.
+_Rows = tuple[tuple[SimEvent, ...], tuple[SimState, ...]]
 
 
 class KpiReport(NamedTuple):
@@ -326,9 +340,11 @@ class _Plan:
         self.d_obj = d_obj = odd.d_object
         range_eff = odd.d_perception * eff.perception_range_factor
         d_trigger = core.rss_min_distance(veh)
-        b_eff = core.effective_brake_decel(veh, odd.mu * eff.mu_factor)
-        # A brake too weak for b_eff*dt to be above 0 never slows the ego in
-        # floats, as a per-dt stepper finds: it brakes as a brake of 0 does.
+        mu = odd.mu * eff.mu_factor
+        b_eff = core.effective_brake_decel(veh, mu) if mu > 0.0 else 0.0
+        # A brake too weak for b_eff*dt to be above 0, or a friction product
+        # that underflows to 0, never slows the ego in floats, as a per-dt
+        # stepper finds: it brakes as a brake of 0 does.
         self.b_eff = b_eff = b_eff if b_eff * dt > 0.0 else 0.0
         self.delay_steps = _ceil_steps((veh.rho + eff.rho_add) / dt)
 
@@ -708,17 +724,16 @@ class SimTrace:
 
     The view is a pair of row tuples, built once, when first needed, by
     :func:`_trace_view`; only then are the run's ghost gaps drawn, and a
-    stream's gaps can be drawn only once, so the rows are kept.
-    :func:`export_trace_jsonl` writes the rows as they are.  A ghost-free
-    trace has no stream.  ``events``
+    stream's gaps can be drawn only once, so the rows are kept.  ``events``
     (every :class:`SimEvent`, in time order) and ``states`` (the ego's
-    :class:`core.KinematicState` at each event step) are built from the
-    rows on first read, for library callers.  :func:`compute_kpis` reads
-    the resolution only and builds no view, so a sweep never does.
-    Equality and hash compare (scenario_id, terminal, events, states).
+    :class:`SimState` at each event step) are those rows, and
+    :func:`export_trace_jsonl` writes them as they are.  A ghost-free
+    trace has no stream.  :func:`compute_kpis` reads the resolution only
+    and builds no view, so a sweep never does.  Equality and hash compare
+    (scenario_id, terminal, events, states).
     """
 
-    __slots__ = ("_scenario", "_cfg", "_res", "_ghosts", "_view", "_events", "_states")
+    __slots__ = ("_scenario", "_cfg", "_res", "_ghosts", "_view")
 
     def __init__(
         self, scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream | None
@@ -728,8 +743,6 @@ class SimTrace:
         self._res = res
         self._ghosts = ghosts
         self._view: _Rows | None = None
-        self._events: tuple[SimEvent, ...] | None = None
-        self._states: tuple[core.KinematicState, ...] | None = None
 
     @property
     def scenario_id(self) -> str:
@@ -741,18 +754,11 @@ class SimTrace:
 
     @property
     def events(self) -> tuple[SimEvent, ...]:
-        if self._events is None:
-            self._events = tuple(itertools.starmap(SimEvent, self._built()[0]))
-        return self._events
+        return self._built()[0]
 
     @property
-    def states(self) -> tuple[core.KinematicState, ...]:
-        if self._states is None:
-            self._states = tuple(
-                core.KinematicState(position, velocity, time)
-                for time, position, velocity in self._built()[1]
-            )
-        return self._states
+    def states(self) -> tuple[SimState, ...]:
+        return self._built()[1]
 
     def _built(self) -> _Rows:
         if self._view is None:
@@ -760,7 +766,6 @@ class SimTrace:
         return self._view
 
     def _key(self) -> tuple:
-        # The rows hold the fields of the events and the states.
         return (self.scenario_id, self.terminal, self._built())
 
     def __eq__(self, other: object) -> bool:
@@ -852,10 +857,9 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
 def _trace_view(
     scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream | None
 ) -> _Rows:
-    """A resolved run's events in time order, as (time, stage, kind, gap)
-    rows, and the ego state at each event step, as (time, position,
-    velocity) rows.  Draws the ghost gaps, the stream's last read; a
-    ghost-free run has no stream."""
+    """A resolved run's events in time order, as :class:`SimEvent` rows, and
+    the ego state at each event step, as :class:`SimState` rows.  Draws the
+    ghost gaps, the stream's last read; a ghost-free run has no stream."""
     dt = cfg.dt
     range_eff = scenario.odd.d_perception * scenario.effects.perception_range_factor
     ghost = EventKind.GHOST_DETECTED
@@ -881,9 +885,9 @@ def _trace_view(
     add(res.terminal_step, EventKind[res.terminal.name])
 
     found.sort(key=operator.itemgetter(0, 1))  # by step, then stage order
-    events = tuple((step * dt, stage, kind, gap) for step, _, stage, kind, gap in found)
+    events = tuple(SimEvent(step * dt, stage, kind, gap) for step, _, stage, kind, gap in found)
     states = tuple(
-        (n * dt, res.x(n), res.v(n)) for n in dict.fromkeys(event[0] for event in found)
+        SimState(n * dt, res.x(n), res.v(n)) for n in dict.fromkeys(event[0] for event in found)
     )
     return events, states
 
@@ -1018,30 +1022,26 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     text of every event and state row, and the events-and-states body of
     every ghost-free trace.  That body depends only on the run's resolution,
     perception range and frame period, so a trace whose body was written
-    builds no view.  No :class:`SimEvent` or :class:`core.KinematicState` is
-    built."""
+    builds no view."""
     dumps = json_encoder()
     # Event rows have four fields and state rows three, so one memo holds both.
     items: dict[tuple, str] = {}
     bodies: dict[tuple, str] = {}
     terminals = {terminal: dumps(terminal) for terminal in Terminal}
 
-    def array(rows: tuple[tuple, ...], names: tuple[str, ...]) -> str:
+    def array(rows: tuple[SimEvent, ...] | tuple[SimState, ...]) -> str:
         texts = []
         for row in rows:
             key = _exact(row)
             item = items.get(key)
             if item is None:
-                item = items[key] = dumps(dict(zip(names, row)))
+                item = items[key] = dumps(row._asdict())
             texts.append(item)
         return "[" + ", ".join(texts) + "]"
 
     def body(trace: SimTrace) -> str:
         events, states = trace._built()
-        return (
-            '"events": ' + array(events, ("time", "stage", "kind", "gap"))
-            + ', "states": ' + array(states, ("time", "position", "velocity")) + "}"
-        )
+        return '"events": ' + array(events) + ', "states": ' + array(states) + "}"
 
     with open(path, "w", encoding="utf-8") as f:
         for trace in traces:

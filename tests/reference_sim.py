@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sotifkit.core import KinematicState, effective_brake_decel, rss_min_distance
+from sotifkit.core import effective_brake_decel, rss_min_distance
 from sotifkit.errors import ContractViolationError
 from sotifkit.scenario import Scenario, derive_seed
-from sotifkit.simulator import EventKind, KpiReport, SimConfig, Terminal
+from sotifkit.simulator import EventKind, KpiReport, SimConfig, SimState, Terminal
 
 
 def ghost_draws(
@@ -70,7 +70,9 @@ def reference_run(scenario: Scenario, cfg: SimConfig, run_index: int = 0) -> Ref
     max_steps = cfg.max_steps
 
     d_trigger = rss_min_distance(veh)
-    b_eff = effective_brake_decel(veh, odd.mu * eff.mu_factor)
+    # A friction product that underflows to 0 brakes as a brake of 0.
+    mu = odd.mu * eff.mu_factor
+    b_eff = effective_brake_decel(veh, mu) if mu > 0.0 else 0.0
     range_eff = odd.d_perception * eff.perception_range_factor
     delay_steps = max(0, math.ceil((veh.rho + eff.rho_add) / dt - 1e-9))
 
@@ -133,7 +135,7 @@ def reference_run(scenario: Scenario, cfg: SimConfig, run_index: int = 0) -> Ref
 _TERMINAL_KINDS = {EventKind.STOPPED, EventKind.COLLISION, EventKind.TIMEOUT}
 
 
-def _state_at(trace, time: float) -> KinematicState:
+def _state_at(trace, time: float) -> SimState:
     for state in trace.states:
         if state.time == time:
             return state

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sotifkit import (
     NO_CLOSING,
-    KinematicState,
     VehicleParams,
     effective_brake_decel,
     rss_min_distance,
@@ -129,8 +128,3 @@ class TestEffectiveBrakeDecel:
     def test_domain(self, baseline_vehicle, mu):
         with pytest.raises(ParameterError):
             effective_brake_decel(baseline_vehicle, mu)
-
-
-def test_kinematic_state_rejects_reverse():
-    with pytest.raises(ParameterError):
-        KinematicState(position=0.0, velocity=-0.1, time=0.0)

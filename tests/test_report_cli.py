@@ -1096,6 +1096,34 @@ class TestCli:
         assert "stage 'load'" in err and str(path) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("dt", ["1e-22", "5e-324"])
+    def test_horizon_beyond_float_steps_fails_load(self, dt, tmp_path, capsys):
+        # 60 s of 1e-22 s steps is more than 2**53 steps; 60 / 5e-324 is inf.
+        assert main(self._run_args(tmp_path / "bundle", ["--dt", dt])) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'load': ") and f"dt={float(dt)}" in err
+        assert "Traceback" not in err
+
+    def test_friction_product_below_float_resolution_runs(self, tmp_path, capsys):
+        # An ODD mu and a mu_factor of 1e-200 each load; their product
+        # underflows to 0.0, which brakes as a brake of 0: every condition
+        # scenario collides at full speed, and the gate fails the run.
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps({**_FIXTURE_ODD, "mu": 1e-200}))
+        effects = tmp_path / "effects.json"
+        effects.write_text(json.dumps({"by_leaf": {}, "defaults": {"mu_factor": 1e-200}}))
+        out = tmp_path / "bundle"
+        args = self._run_args(out)
+        args[args.index("--odd") + 1] = str(odd)
+        args[args.index("--effects") + 1] = str(effects)
+        assert main(args) == EXIT_GATE_FAILED
+        assert capsys.readouterr().err == ""
+        conditions = [row for row in load_bundle(out).kpi_table if row.scenario_id != "nominal"]
+        assert conditions
+        for row in conditions:
+            assert row.collision_rate == 1.0, row
+            assert row.impact_speed_min == row.impact_speed_max == _FIXTURE_ODD["vehicle"]["v_r"]
+
     # A campaign with no condition scenario has nothing to pass: the gate
     # fails it, unless --no-gate.
     @pytest.mark.parametrize(

@@ -6,10 +6,11 @@ import math
 import random
 import tracemalloc
 import types
+from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sotifkit import (
@@ -22,7 +23,7 @@ from sotifkit import (
     rss_min_distance,
     simulate,
 )
-from sotifkit.core import NO_CLOSING, KinematicState
+from sotifkit.core import NO_CLOSING
 from sotifkit.errors import ContractViolationError, ParameterError, SimulationError
 from sotifkit.scenario import derive_seed, generate_scenarios
 import sotifkit.simulator as sim_module
@@ -32,6 +33,7 @@ from sotifkit.simulator import (
     EventKind,
     KpiReport,
     SimEvent,
+    SimState,
     SimTrace,
     Terminal,
     export_trace_jsonl,
@@ -1049,6 +1051,64 @@ class TestBrakeBelowFloatResolution:
             assert stats.impact_speed_min == stats.impact_speed_max == baseline_vehicle.v_r
             assert stats.gap_max == 0.0
 
+    def test_friction_product_below_float_resolution(self, baseline_vehicle):
+        # An ODD mu and an effect mu_factor of 1e-200 each lie in (0, 1];
+        # their product underflows to 0.0, a brake of 0, and the ego brakes
+        # into the object at full speed.
+        cfg = SimConfig()
+        odd = baseline_odd(baseline_vehicle, d_object=99.99, mu=1e-200)
+        for rate in (0.0, 0.05):
+            effects = EffectModel(mu_factor=1e-200, ghost_rate=rate)
+            scenario = make_scenario(odd, effects, scenario_id=f"product-{rate}")
+            trace = simulate(scenario, cfg)
+            assert trace.terminal is Terminal.COLLISION, scenario.id
+            kpis = compute_kpis(trace, scenario)
+            assert kpis.impact_speed == baseline_vehicle.v_r and kpis.final_gap == 0.0
+            self.assert_agrees_with_reference(trace, scenario, cfg)
+
+
+def _log_uniform(low: float, high: float):
+    """Floats in [low, high], both > 0, uniform in their logarithm; the
+    bounds and the subnormals near 5e-324 included."""
+    return st.floats(math.log10(low), math.log10(high)).map(
+        lambda exponent: min(max(10.0**exponent, low), high)
+    )
+
+
+class TestAcceptedInputsEndInAResult:
+    """Every ``dt`` and every friction that the loaders accept ends in finite
+    KPIs or a ParameterError that names the field: a horizon of more than
+    2**53 steps is rejected where the config is built, and a friction
+    product that underflows to 0 brakes as a brake of 0."""
+
+    # Most of [5e-324, 0.05] lies below the 2**53-step limit of the 60 s
+    # horizon, so half the draws come from above it.
+    @settings(max_examples=300, deadline=timedelta(seconds=2))
+    @given(
+        dt=st.one_of(_log_uniform(5e-324, 0.05), _log_uniform(60.0 / 2**53, 0.05)),
+        mu=_log_uniform(5e-324, 1.0),
+        mu_factor=_log_uniform(5e-324, 1.0),
+        ghost_rate=st.sampled_from([0.0, 0.05]),
+    )
+    @example(dt=1e-22, mu=1.0, mu_factor=1.0, ghost_rate=0.0)
+    @example(dt=5e-324, mu=1.0, mu_factor=1.0, ghost_rate=0.0)
+    @example(dt=60.0 / 2**53, mu=1.0, mu_factor=1.0, ghost_rate=0.05)
+    @example(dt=0.001, mu=1e-200, mu_factor=1e-200, ghost_rate=0.05)
+    def test_finite_kpis_or_named_error(self, fixture_odd, dt, mu, mu_factor, ghost_rate):
+        try:
+            cfg = SimConfig(dt=dt)
+        except ParameterError as exc:
+            assert not 60.0 / dt <= 2**53 and f"dt={dt}" in str(exc)
+            return
+        odd = dataclasses.replace(fixture_odd, mu=mu)
+        effects = EffectModel(mu_factor=mu_factor, ghost_rate=ghost_rate)
+        scenario = make_scenario(odd, effects, scenario_id="fixture", seed=5)
+        trace = simulate(scenario, cfg)
+        kpis = compute_kpis(trace, scenario)
+        assert math.isfinite(kpis.final_gap) and math.isfinite(kpis.impact_speed), kpis
+        assert kpis.ttc_at_trigger == NO_CLOSING or math.isfinite(kpis.ttc_at_trigger), kpis
+        TestTraceAgreesWithItself.assert_consistent(trace, scenario)
+
 
 class TestBrakingCollisionSearch:
     """The braking-collision step is searched within ``[1, m_stop - 1]``,
@@ -1285,38 +1345,37 @@ class TestLazyTraceView:
 
     def test_export_and_objects_read_one_view(self, baseline_vehicle, tmp_path, monkeypatch):
         # A stream's ghost gaps can be drawn only once (a second draw reads
-        # other values), so the export and the events and states read the
-        # rows of one view, in either order.  The export builds no objects.
+        # other values), so the export and a reader of the events and states
+        # read one view, in either order: the rows are the events and states.
         cfg = SimConfig()
         scenario = make_scenario(
             baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.05), scenario_id="g", seed=3
         )
-        expected = simulate(scenario, cfg, 0)
-        objects = (expected.events, expected.states)
-        assert len(events_of(expected, EventKind.GHOST_DETECTED)) >= 2
         export_trace_jsonl([simulate(scenario, cfg, 0)], tmp_path / "expected.jsonl")
         line = (tmp_path / "expected.jsonl").read_bytes()
+        item = json.loads(line)
+        assert [e["kind"] for e in item["events"]].count("ghost_detected") >= 2
 
-        built = []
-        for cls in (SimEvent, KinematicState):
-
-            def counting(self, *args, original=cls.__init__, **kwargs):
-                built.append(type(self))
-                original(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting)
-
+        built = count_trace_views(monkeypatch)
         exported_first = simulate(scenario, cfg, 0)
         export_trace_jsonl([exported_first], tmp_path / "exported-first.jsonl")
-        assert built == []
-        assert (tmp_path / "exported-first.jsonl").read_bytes() == line
-        assert (exported_first.events, exported_first.states) == objects
-        assert set(built) == {SimEvent, KinematicState}
-
+        assert built == ["g"]
         read_first = simulate(scenario, cfg, 0)
-        assert (read_first.events, read_first.states) == objects
+        rows = (read_first.events, read_first.states)
         export_trace_jsonl([read_first], tmp_path / "read-first.jsonl")
+        assert built == ["g", "g"]  # one view per trace, whichever reads first
+        assert (tmp_path / "exported-first.jsonl").read_bytes() == line
         assert (tmp_path / "read-first.jsonl").read_bytes() == line
+
+        for trace in (exported_first, read_first):
+            assert (trace.events, trace.states) == rows
+            assert trace.events is trace.events and trace.states is trace.states
+            assert {type(e) for e in trace.events} == {SimEvent}
+            assert {type(s) for s in trace.states} == {SimState}
+            # Stage and EventKind are str enums, so each equals its JSON value.
+            assert [e._asdict() for e in trace.events] == item["events"]
+            assert [s._asdict() for s in trace.states] == item["states"]
+        assert built == ["g", "g"]
 
     def test_ghost_free_runs_derive_kpis_once(self, baseline_vehicle, monkeypatch):
         derived = count_kpi_reports(monkeypatch)
