@@ -33,7 +33,7 @@ NO_CLOSING = math.inf
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return float(value) or 0.0  # -0.0, false as 0.0 is, is read as 0.0
 
 
 def _store_floats(obj: object, names: tuple[str, ...]) -> None:

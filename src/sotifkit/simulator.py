@@ -22,18 +22,20 @@ number in a trace obeys:
   move it; it only delays the brake force.
 * Brake force starts ceil((rho + rho_add)/dt) steps after the trigger and
   applies a constant deceleration effective_brake_decel(vehicle,
-  mu * mu_factor).
+  mu * mu_factor); a delay at or past the horizon never applies it.
 * Integration: v_{n+1} = max(0, v_n + a*dt);  x_{n+1} = x_n + v_{n+1}*dt.
 
 With piecewise-constant acceleration every phase has a closed form, so the
 engine resolves trigger, brake-onset, collision, and stop steps
 analytically instead of looping over 10^5 steps per run; the test suite
 checks it against a literal per-dt stepper.  A closed form only guesses
-a crossing step; the gap or velocity that the trace shows decides it.  A
-run differs from the others of its scenario only by its first ghost, so
-a plan per (scenario, cfg) holds everything else, and runs that trigger
-on the same step share one resolution and one KPI report; the runs of a
-ghost-free scenario all return one trace.  A sweep draws each (seed, run)
+a crossing step; the gap or velocity that the trace shows decides it, in
+one bounded search (:func:`_first`): it gallops from the guess, clamped
+to the interval (a guess of nan or -inf, or none, from its start), and
+bisects the bracket.  A run differs from the others of its scenario only
+by its first ghost, so a plan per (scenario, cfg) holds everything else,
+and runs that trigger on the same step share one resolution and one KPI
+report; the runs of a ghost-free scenario all return one trace.  A sweep draws each (seed, run)
 flag stream once: scenarios that share a seed run back to back and read
 their first ghost from the first draw's record.  Every run reads its
 stream up to its cruise collision, which variants at the same speed
@@ -76,7 +78,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .errors import ContractViolationError, ParameterError, SimulationError, json_encoder
@@ -245,6 +247,44 @@ def _ceil_steps(quotient: float) -> int:
     return max(0, math.ceil(quotient - 1e-9))
 
 
+def _first(holds: Callable[[int], bool], lo: int, hi: int, guess: float | None = None) -> int:
+    """The smallest n in [lo, hi) at which ``holds(n)``, or hi when there is
+    none; ``holds`` must not turn false once true.  The search gallops (1, 2,
+    4, ... steps) from the closed-form ``guess``, rounded up and clamped to
+    [lo, hi - 1], to bracket n, and bisects the bracket: an exact guess
+    reads the test twice, and any guess costs O(log(hi - lo)) reads.  A
+    guess of None or nan gallops from lo."""
+    if lo >= hi:
+        return hi
+    if guess is None or not guess > lo:  # nan and -inf too
+        m = lo
+    elif guess >= hi - 1:  # +inf too
+        m = hi - 1
+    else:
+        m = math.ceil(guess)
+    if holds(m):
+        hi, step = m, 1
+        while hi - step >= lo and holds(hi - step):
+            hi -= step
+            step *= 2
+        if hi - step >= lo:
+            lo = hi - step + 1
+    else:
+        lo, step = m + 1, 1
+        while lo + step <= hi and not holds(lo + step - 1):
+            lo += step
+            step *= 2
+        if lo + step <= hi:
+            hi = lo + step - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 @dataclass(slots=True)
 class _Resolved:
     """Closed-form resolution of one run on the dt grid."""
@@ -268,36 +308,6 @@ class _Resolved:
             return 0.0
         return m * self.v0 * self.dt - self.b_eff * self.dt * self.dt * m * (m + 1) / 2.0
 
-    def first_reaching(self, need: float, guess: int | None) -> int | None:
-        """The smallest braking step m in [1, m_stop - 1] whose advance is at
-        least ``need``, or None.  The advance does not decrease there, so
-        the search gallops out from ``guess`` (clamped to those bounds) to
-        bracket the step, and bisects the bracket; with no guess it bisects
-        the whole interval.  An exact guess reads the advance twice."""
-        lo, hi = 1, self.m_stop  # the step is in [lo, hi]; m_stop means none
-        if guess is not None and lo < hi:
-            m = min(max(guess, lo), hi - 1)
-            step = 1
-            if self._brake_advance(m) >= need:
-                hi = m
-                while hi - step >= lo and self._brake_advance(hi - step) >= need:
-                    hi -= step
-                    step *= 2
-                lo = max(lo, hi - step + 1)
-            else:
-                lo = m + 1
-                while lo + step - 1 < hi and self._brake_advance(lo + step - 1) < need:
-                    lo += step
-                    step *= 2
-                hi = min(hi, lo + step - 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._brake_advance(mid) >= need:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo if lo < self.m_stop else None
-
     def x(self, n: int) -> float:
         if self.n_eff is None or n <= self.n_eff:
             return self.v0 * self.dt * n
@@ -319,6 +329,13 @@ class _Plan:
 
     A run triggers at its first ghost below ``ghost_limit``, or else at
     ``n_nat`` (never, if that is past the cruise collision or the horizon).
+    Its crossings (the object seen, the trigger threshold and the object
+    reached while cruising, and the stop, found when a brake first
+    engages) and each resolution's braking collision are the
+    :func:`_first` step at which the gap or velocity that the trace shows
+    passes its test, searched from the closed-form guess; a guess that is
+    not finite (-inf or nan, when the collision's discriminant overflows)
+    gallops from the interval's start.
     A ghost-free scenario has a single resolution and a single ``trace``
     that every run returns.  Neither a resolution nor a trace refers to its
     plan, so a trace keeps neither the plan nor its table alive.
@@ -329,6 +346,7 @@ class _Plan:
         self.cfg = cfg
         self._resolutions: dict[int, _Resolved] = {}
         self.trace: SimTrace | None = None  # kept only when ghost_rate == 0
+        self.m_stop: int | None = None  # found when a brake first engages
         odd = scenario.odd
         veh = odd.vehicle
         eff = scenario.effects
@@ -346,44 +364,31 @@ class _Plan:
         # that underflows to 0, never slows the ego in floats, as a per-dt
         # stepper finds: it brakes as a brake of 0 does.
         self.b_eff = b_eff = b_eff if b_eff * dt > 0.0 else 0.0
-        self.delay_steps = _ceil_steps((veh.rho + eff.rho_add) / dt)
+        never = max_steps + 1  # any step past the horizon
+        # A delay at or past the horizon never applies the brake, also one
+        # whose quotient overflows.
+        self.delay_steps = _ceil_steps(min((veh.rho + eff.rho_add) / dt, never))
 
         if v0 == 0.0:
             # Stopped at step 0, before any ghost is read.
-            self.n_nat = self.n_hit_cruise = self.ghost_limit = self.draw_limit = self.m_stop = 0
+            self.n_nat = self.n_hit_cruise = self.ghost_limit = self.draw_limit = 0
             return
         v_dt = v0 * dt
-        never = max_steps + 1  # any step past the horizon
 
         def first_step_gap_le(threshold: float, stride: int = 1) -> int:
             # Smallest multiple n of stride with cruise gap_n <= threshold, as
-            # _Resolved.gap computes it: the closed form guesses, the test
-            # decides, one stride at a time, up to a step past the horizon.
-            # An ego too slow for v0*dt to be above 0 never moves in floats,
-            # so it is at the gap it starts at or never reaches it.
-            if v_dt == 0.0:
-                return 0 if d_obj <= threshold else never
-            q = (d_obj - threshold) / (v_dt * stride)
-            k = 0 if q <= 0.0 else math.ceil(q) if q < never else never
-            while k > 0 and d_obj - v_dt * (stride * (k - 1)) <= threshold:
-                k -= 1
-            while k < never and d_obj - v_dt * (stride * k) > threshold:
-                k += 1
-            return stride * k
+            # _Resolved.gap computes it, up to a step past the horizon.  An
+            # ego too slow for v0*dt to be above 0 has no guess: it never
+            # moves in floats.
+            guess = (d_obj - threshold) / (v_dt * stride) if v_dt else None
+            return stride * _first(
+                lambda k: d_obj - v_dt * (stride * k) <= threshold, 0, never, guess
+            )
 
         # Natural trigger: needs visibility (a perception-tick property) and
         # the gap at or below the trigger threshold (checked every step).
         self.n_nat = max(first_step_gap_le(range_eff, tick_steps), first_step_gap_le(d_trigger))
         self.n_hit_cruise = first_step_gap_le(0.0)  # first collided step while cruising
-        # Braking steps until v == 0, as _Resolved.v computes it: past the
-        # horizon for a brake of 0.
-        q = v0 / (b_eff * dt) if b_eff > 0.0 else never
-        m = math.ceil(q) if q < never else never
-        while m > 0 and v0 - (m - 1) * b_eff * dt <= 0.0:
-            m -= 1
-        while m < never and v0 - m * b_eff * dt > 0.0:
-            m += 1
-        self.m_stop = m
         # A ghost at or after the cruise collision or the horizon leaves the
         # run untriggered, as no ghost does, so the stream is read no further
         # than ``draw_limit``; one at or after the natural trigger is too late.
@@ -426,8 +431,15 @@ class _Plan:
             return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, max_steps, Terminal.TIMEOUT)
 
         # Braking engages at n_eff with speed still v0, and stops the ego
-        # m_stop braking steps later unless it reaches the object first.
+        # m_stop braking steps later unless it reaches the object first:
+        # braking steps until v == 0, as _Resolved.v computes it, past the
+        # horizon for a brake of 0.
         m_stop = self.m_stop
+        if m_stop is None:
+            guess = v0 / (b_eff * dt) if b_eff else math.inf
+            m_stop = self.m_stop = _first(
+                lambda m: v0 - m * b_eff * dt <= 0.0, 0, max_steps + 1, guess
+            )
         need = d_obj - v0 * dt * n_eff  # > 0 because n_hit_cruise > n_eff
         res = _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, n_eff + m_stop, Terminal.STOPPED)
 
@@ -443,11 +455,11 @@ class _Plan:
             disc = lin * lin - 4.0 * a_q * need
             root = None if disc < 0.0 else (lin - math.sqrt(disc)) / (2.0 * a_q)
         if root is not None:
-            # Past m_stop the advance no longer grows: a guess there is m_stop.
-            # A discriminant that overflowed gives no guess (-inf or nan).
-            guess = m_stop if root >= m_stop else _ceil_steps(root) if root > -math.inf else None
-            m_coll = res.first_reaching(need, guess)
-            if m_coll is not None:
+            # Searched among the braking steps before the stop, where the
+            # advance grows; a discriminant that overflowed gives a root of
+            # -inf or nan, which gallops from the first step.
+            m_coll = _first(lambda m: res._brake_advance(m) >= need, 1, m_stop, root)
+            if m_coll < m_stop:
                 res.terminal_step, res.terminal = n_eff + m_coll, Terminal.COLLISION
         if res.terminal_step > max_steps:
             res.terminal_step, res.terminal = max_steps, Terminal.TIMEOUT
@@ -458,21 +470,13 @@ def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> in
     """First perception tick (strictly before terminal) seeing the object.
 
     The gap is nonincreasing along the whole trajectory, so this is a
-    binary search over tick indices.
+    search over tick indices, from the tick at which cruising would see it.
     """
     last_tick = (res.terminal_step - 1) // tick_steps
-    if res.terminal_step == 0 or last_tick < 0:
-        return None
-    if res.gap(last_tick * tick_steps) > range_eff:
-        return None
-    lo, hi = 0, last_tick  # invariant: gap(hi) <= range_eff
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if res.gap(mid * tick_steps) <= range_eff:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo * tick_steps
+    v_tick = res.v0 * res.dt * tick_steps
+    guess = (res.d_object - range_eff) / v_tick if v_tick else None
+    k = _first(lambda k: res.gap(k * tick_steps) <= range_eff, 0, last_tick + 1, guess)
+    return k * tick_steps if k <= last_tick else None
 
 
 # A run draws its ghost stream at most this many values at a time, so its
@@ -1005,14 +1009,6 @@ def monte_carlo_sweep(
     return [results[index] for index in range(len(scenarios))]
 
 
-def _exact(key: tuple) -> tuple:
-    """``key``, told apart from one that differs only by the sign of a zero:
-    0.0 and -0.0 compare and hash equal but print differently."""
-    if 0.0 in key:
-        return key, tuple(repr(x) for x in key if x == 0.0)
-    return key
-
-
 def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     """Write traces as JSON lines, one trace per line: its scenario id, its
     terminal, its events and its ego states, in the order given.
@@ -1025,6 +1021,8 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     builds no view."""
     dumps = json_encoder()
     # Event rows have four fields and state rows three, so one memo holds both.
+    # No input float is -0.0 (core._require_finite reads it as 0.0), and no
+    # zero the engine computes from them is: equal keys print the same.
     items: dict[tuple, str] = {}
     bodies: dict[tuple, str] = {}
     terminals = {terminal: dumps(terminal) for terminal in Terminal}
@@ -1032,10 +1030,9 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     def array(rows: tuple[SimEvent, ...] | tuple[SimState, ...]) -> str:
         texts = []
         for row in rows:
-            key = _exact(row)
-            item = items.get(key)
+            item = items.get(row)
             if item is None:
-                item = items[key] = dumps(row._asdict())
+                item = items[row] = dumps(row._asdict())
             texts.append(item)
         return "[" + ", ".join(texts) + "]"
 
@@ -1048,11 +1045,11 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
             if trace._ghosts is None:
                 res = trace._res
                 odd, effects = trace._scenario.odd, trace._scenario.effects
-                key = _exact((
+                key = (
                     res.v0, res.dt, res.b_eff, res.d_object, res.n_trig, res.n_eff,
                     res.m_stop, res.terminal_step, res.terminal,
                     odd.d_perception * effects.perception_range_factor, trace._cfg.tick_steps,
-                ))
+                )
                 tail = bodies.get(key)
                 if tail is None:
                     tail = bodies[key] = body(trace)

@@ -74,7 +74,9 @@ def reference_run(scenario: Scenario, cfg: SimConfig, run_index: int = 0) -> Ref
     mu = odd.mu * eff.mu_factor
     b_eff = effective_brake_decel(veh, mu) if mu > 0.0 else 0.0
     range_eff = odd.d_perception * eff.perception_range_factor
-    delay_steps = max(0, math.ceil((veh.rho + eff.rho_add) / dt - 1e-9))
+    # A delay at or past the horizon never applies the brake, also one whose
+    # quotient overflows.
+    delay_steps = max(0, math.ceil(min((veh.rho + eff.rho_add) / dt, max_steps + 1) - 1e-9))
 
     n_ticks = (max_steps - 1) // tick_steps + 1 if max_steps > 0 else 0
     rng = np.random.default_rng(derive_seed(scenario.seed, run_index))

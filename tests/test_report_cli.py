@@ -5,9 +5,12 @@ import copy
 import dataclasses
 import io
 import json
+import math
 import re
+import tempfile
 from collections import Counter
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -816,6 +819,68 @@ def _domain_errors(test):
     return test
 
 
+def _negative_zeros(document, at=()):
+    """The place of every -0.0 in a parsed JSON document."""
+    if isinstance(document, dict):
+        for key, value in document.items():
+            yield from _negative_zeros(value, at + (key,))
+    elif isinstance(document, list):
+        for i, value in enumerate(document):
+            yield from _negative_zeros(value, at + (i,))
+    elif isinstance(document, float) and document == 0.0 and math.copysign(1.0, document) < 0:
+        yield at
+
+
+def _with_zeros(document, zeros):
+    """``document`` with the value of every object key named in ``zeros``
+    replaced by the zero drawn for it (None keeps the value)."""
+    if isinstance(document, dict):
+        return {
+            key: zeros[key] if zeros.get(key) is not None else _with_zeros(value, zeros)
+            for key, value in document.items()
+        }
+    if isinstance(document, list):
+        return [_with_zeros(value, zeros) for value in document]
+    return document
+
+
+# The input fields whose domain holds 0: the vehicle's, the effects' and the
+# mitigations' (in every entry that sets one), the exposures and the criteria.
+_ZERO_FIELDS = (
+    "v_r", "rho", "a_max_accel", "ghost_rate", "rho_add", "exposure_rate", *_FIXTURE_CRITERIA,
+)
+
+
+class TestSignOfZero:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        zeros=st.fixed_dictionaries(
+            {name: st.sampled_from([None, 0.0, -0.0]) for name in _ZERO_FIELDS}
+        )
+    )
+    @example(zeros={name: -0.0 for name in _ZERO_FIELDS})
+    @example(zeros={**{name: None for name in _ZERO_FIELDS}, "v_r": -0.0})
+    def test_no_output_number_is_negative_zero(self, zeros):
+        # -0.0 is read as 0.0 where a float enters, so no trace row and no
+        # bundle number holds it, though -0.0 == 0.0 prints differently.
+        flags = ("--odd", "--taxonomy", "--effects", "--occurrence", "--criteria", "--mitigations")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            args = ["run", "--out", str(root / "out"), "--runs", "2", "--seed", "3"]
+            for flag in flags:
+                path = root / f"{flag[2:]}.json"
+                path.write_text(json.dumps(_with_zeros(_INPUT_DOCUMENTS[flag][1], zeros)))
+                args += [flag, str(path)]
+            quiet = io.StringIO()
+            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+                assert main(args) in (EXIT_OK, EXIT_GATE_FAILED)
+            bundle = json.loads((root / "out" / "bundle.json").read_text())
+            assert list(_negative_zeros(bundle)) == []
+            lines = (root / "out" / "traces" / "traces.jsonl").read_text().splitlines()
+            for line in lines:
+                assert list(_negative_zeros(json.loads(line))) == [], line
+
+
 @pytest.fixture(scope="module")
 def input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("inputs") / "input.json"
@@ -1118,6 +1183,25 @@ class TestCli:
         args[args.index("--effects") + 1] = str(effects)
         assert main(args) == EXIT_GATE_FAILED
         assert capsys.readouterr().err == ""
+        conditions = [row for row in load_bundle(out).kpi_table if row.scenario_id != "nominal"]
+        assert conditions
+        for row in conditions:
+            assert row.collision_rate == 1.0, row
+            assert row.impact_speed_min == row.impact_speed_max == _FIXTURE_ODD["vehicle"]["v_r"]
+
+    def test_response_delay_past_float_range_runs(self, tmp_path, capsys):
+        # A rho_add of 1e308 loads; over a dt of 1e-3 its delay in steps is
+        # inf.  A delay at or past the horizon never applies the brake: every
+        # condition scenario collides at full speed, and the gate fails the run.
+        effects = tmp_path / "effects.json"
+        effects.write_text(
+            json.dumps({"by_leaf": {}, "by_category": {}, "defaults": {"rho_add": 1e308}})
+        )
+        out = tmp_path / "bundle"
+        args = self._run_args(out)
+        args[args.index("--effects") + 1] = str(effects)
+        assert main(args) == EXIT_GATE_FAILED
+        assert capsys.readouterr().err == ""  # no traceback, no stage error
         conditions = [row for row in load_bundle(out).kpi_table if row.scenario_id != "nominal"]
         assert conditions
         for row in conditions:

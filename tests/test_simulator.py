@@ -1067,6 +1067,28 @@ class TestBrakeBelowFloatResolution:
             self.assert_agrees_with_reference(trace, scenario, cfg)
 
 
+class TestDelayPastTheHorizon:
+    """A response delay at or past the horizon never applies the brake, also
+    one whose quotient ``(rho + rho_add) / dt`` overflows to inf: the ego
+    cruises into the object or to the horizon, as the per-dt stepper finds."""
+
+    def test_simulate(self, baseline_vehicle):
+        cfg = SimConfig(dt=0.001, max_time=10.0)
+        odd = baseline_odd(baseline_vehicle, d_object=99.99)
+        for rate in (0.0, 0.05):
+            effects = EffectModel(rho_add=1e308, ghost_rate=rate)
+            scenario = make_scenario(odd, effects, scenario_id=f"late-{rate}")
+            trace = simulate(scenario, cfg)
+            assert trace.terminal is Terminal.COLLISION, scenario.id
+            assert not events_of(trace, EventKind.BRAKE_EFFECTIVE), scenario.id
+            kpis = compute_kpis(trace, scenario)
+            assert kpis.impact_speed == baseline_vehicle.v_r and kpis.final_gap == 0.0
+            TestBrakeBelowFloatResolution.assert_agrees_with_reference(trace, scenario, cfg)
+            reference = reference_run(scenario, cfg)
+            assert reference.effective_step is None
+            assert kpis.false_activation is reference.ghost_triggered
+
+
 def _log_uniform(low: float, high: float):
     """Floats in [low, high], both > 0, uniform in their logarithm; the
     bounds and the subnormals near 5e-324 included."""
@@ -1076,10 +1098,11 @@ def _log_uniform(low: float, high: float):
 
 
 class TestAcceptedInputsEndInAResult:
-    """Every ``dt`` and every friction that the loaders accept ends in finite
-    KPIs or a ParameterError that names the field: a horizon of more than
-    2**53 steps is rejected where the config is built, and a friction
-    product that underflows to 0 brakes as a brake of 0."""
+    """Every ``dt``, friction and added response latency that the loaders
+    accept ends in finite KPIs or a ParameterError that names the field: a
+    horizon of more than 2**53 steps is rejected where the config is built,
+    a friction product that underflows to 0 brakes as a brake of 0, and a
+    delay at or past the horizon never applies the brake."""
 
     # Most of [5e-324, 0.05] lies below the 2**53-step limit of the 60 s
     # horizon, so half the draws come from above it.
@@ -1088,20 +1111,22 @@ class TestAcceptedInputsEndInAResult:
         dt=st.one_of(_log_uniform(5e-324, 0.05), _log_uniform(60.0 / 2**53, 0.05)),
         mu=_log_uniform(5e-324, 1.0),
         mu_factor=_log_uniform(5e-324, 1.0),
+        rho_add=st.one_of(st.just(0.0), _log_uniform(5e-324, 1e308)),
         ghost_rate=st.sampled_from([0.0, 0.05]),
     )
-    @example(dt=1e-22, mu=1.0, mu_factor=1.0, ghost_rate=0.0)
-    @example(dt=5e-324, mu=1.0, mu_factor=1.0, ghost_rate=0.0)
-    @example(dt=60.0 / 2**53, mu=1.0, mu_factor=1.0, ghost_rate=0.05)
-    @example(dt=0.001, mu=1e-200, mu_factor=1e-200, ghost_rate=0.05)
-    def test_finite_kpis_or_named_error(self, fixture_odd, dt, mu, mu_factor, ghost_rate):
+    @example(dt=1e-22, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.0)
+    @example(dt=5e-324, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.0)
+    @example(dt=60.0 / 2**53, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.05)
+    @example(dt=0.001, mu=1e-200, mu_factor=1e-200, rho_add=0.0, ghost_rate=0.05)
+    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=1e308, ghost_rate=0.05)
+    def test_finite_kpis_or_named_error(self, fixture_odd, dt, mu, mu_factor, rho_add, ghost_rate):
         try:
             cfg = SimConfig(dt=dt)
         except ParameterError as exc:
             assert not 60.0 / dt <= 2**53 and f"dt={dt}" in str(exc)
             return
         odd = dataclasses.replace(fixture_odd, mu=mu)
-        effects = EffectModel(mu_factor=mu_factor, ghost_rate=ghost_rate)
+        effects = EffectModel(mu_factor=mu_factor, rho_add=rho_add, ghost_rate=ghost_rate)
         scenario = make_scenario(odd, effects, scenario_id="fixture", seed=5)
         trace = simulate(scenario, cfg)
         kpis = compute_kpis(trace, scenario)
@@ -1112,8 +1137,9 @@ class TestAcceptedInputsEndInAResult:
 
 class TestBrakingCollisionSearch:
     """The braking-collision step is searched within ``[1, m_stop - 1]``,
-    galloping from the closed-form guess and bisecting, and bisecting the
-    whole interval when the guess is not finite."""
+    galloping from the closed-form guess and bisecting; a guess that is not
+    finite (-inf or nan, when the discriminant overflows) gallops from the
+    interval's start."""
 
     @staticmethod
     def overflowing(baseline_vehicle):
@@ -1203,6 +1229,51 @@ class TestBrakingCollisionSearch:
         monkeypatch.undo()
         assert any(s.collision_rate < 1.0 for s in stats)  # some runs brake
         assert built == resolved > len(scenarios)
+
+
+class TestFirst:
+    """``_first``, the one crossing search: the smallest n in [lo, hi) at
+    which a monotone test holds, within 2 * (hi - lo).bit_length() + 2
+    reads whatever the guess, and in two reads from an exact one."""
+
+    @staticmethod
+    def search(lo, hi, found, guess):
+        reads = []
+
+        def holds(n):
+            assert lo <= n < hi, (n, lo, hi)
+            reads.append(n)
+            return n >= found
+
+        return sim_module._first(holds, lo, hi, guess), reads
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        lo=st.integers(-(2**62), 2**62),
+        width=st.integers(0, 2**60),
+        at=st.floats(0.0, 1.0),
+        guess=st.one_of(st.none(), st.floats()),  # nan, +-inf and far floats too
+        share=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    @example(lo=0, width=2**60, at=1.0, guess=None, share=None)
+    @example(lo=0, width=2**60, at=0.0, guess=math.inf, share=None)
+    @example(lo=0, width=2**60, at=0.5, guess=math.nan, share=None)
+    @example(lo=0, width=2**60, at=1.0, guess=-math.inf, share=None)
+    @example(lo=5, width=0, at=0.0, guess=3.0, share=None)
+    def test_finds_the_first_step_in_bounded_reads(self, lo, width, at, guess, share):
+        hi = lo + width
+        found = lo + min(round(at * width), width)  # hi: the test holds nowhere
+        if share is not None:  # a guess within the interval
+            guess = lo + share * width
+        result, reads = self.search(lo, hi, found, guess)
+        assert result == found
+        assert len(reads) <= 2 * width.bit_length() + 2, (len(reads), width)
+
+    @given(lo=st.integers(-(2**40), 2**40), width=st.integers(1, 2**60), data=st.data())
+    def test_exact_guess_reads_twice(self, lo, width, data):
+        found = data.draw(st.integers(lo, lo + width - 1))
+        result, reads = self.search(lo, lo + width, found, found)
+        assert result == found and len(reads) <= 2
 
 
 class TestGhostFreeMemo:
