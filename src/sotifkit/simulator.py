@@ -35,28 +35,28 @@ to the interval (a guess of nan or -inf, or none, from its start), and
 bisects the bracket.  A run differs from the others of its scenario only
 by its first ghost, so a plan per (scenario, cfg) holds everything else,
 and runs that trigger on the same step share one resolution and one KPI
-report; the runs of a ghost-free scenario all return one trace.  A sweep draws each (seed, run)
-flag stream once: scenarios that share a seed run back to back and read
-their first ghost from the first draw's record.  Every run reads its
-stream up to its cruise collision, which variants at the same speed
-share, so a variant's later natural trigger reads no further than that
-draw; a lower v_r can.  A trace is a view of its resolution: rows of its
-events and states, built once, when first needed, and kept.  The rows are
-:class:`SimEvent` and :class:`SimState` named tuples, each with the fields
-of its ``traces.jsonl`` item, and ``events`` and ``states`` return them.
-The export writes each line from the rows, encoding each distinct row
-once; a ghost-free run has no stream, and its events and states depend
-only on its resolution, so the export writes each distinct ghost-free
-body once and builds no view for a repeat.  The KPIs are read off the
-resolution alone, without a view.
+report; the runs of a ghost-free scenario all return one trace.  A
+(seed, run) has one flag stream (:class:`_FlagStream`), which every
+scenario of that seed reads: the scenarios that share a seed run back to
+back, and a stream draws further only when what it drew cannot settle a
+run's first ghost, and redraws from the first frame only for a rate above
+every earlier one.  A trace is a view of its resolution: rows of its
+events and states, built once, when first needed, and kept, so that the
+export and the objects read one view.  The rows are :class:`SimEvent`
+and :class:`SimState` named tuples, each with the fields of its
+``traces.jsonl`` item, and ``events`` and ``states`` return them.  A
+view draws its ghosts from a fresh generator (:func:`_ghost_events`), and
+builds none when its stream shows no flag before the terminal.  The
+export writes each line from the rows, encoding each distinct row once;
+a ghost-free run has no stream, and its events and states depend only on
+its resolution, so the export writes each distinct ghost-free body once
+and builds no view for a repeat.  The KPIs are read off the resolution
+alone, without a view.
 Runs share only within a :func:`_sharing` block, which a sweep opens and
 ``run_campaign`` holds over its sweep and export: the last plan, the last
-seed's draw records, the seed states of the sweep's streams, and each
+seed's flag streams, the seed states of the sweep's streams, and each
 run-0 trace until the export's call takes it, so the export resolves
-nothing again; it builds the view from the stream the sweep read, and
-seeds a generator only for a run that read its first ghost from another
-scenario's draw record and shows a ghost that the record cannot rule out.
-Outside a block, ``simulate`` shares nothing.
+nothing again.  Outside a block, ``simulate`` shares nothing.
 A run's stream is still ``default_rng(derive_seed(seed, run))``, but a
 sweep's generators are not built through ``default_rng``: a sweep computes
 the seed state of every (seed, run) that it can draw from, numpy's
@@ -69,7 +69,6 @@ trace.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -78,7 +77,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import core
 from .errors import ContractViolationError, ParameterError, SimulationError, json_encoder
@@ -327,8 +326,9 @@ class _Plan:
     """One (scenario, cfg) resolved up to its ghosts: what no ghost changes,
     and the resolution of each trigger step that a run has needed.
 
-    A run triggers at its first ghost below ``ghost_limit``, or else at
-    ``n_nat`` (never, if that is past the cruise collision or the horizon).
+    A run triggers at its first ghost below ``n_nat`` and ``draw_limit``,
+    or else at ``n_nat`` (never, if that is past the cruise collision or
+    the horizon).
     Its crossings (the object seen, the trigger threshold and the object
     reached while cruising, and the stop, found when a brake first
     engages) and each resolution's braking collision are the
@@ -371,7 +371,7 @@ class _Plan:
 
         if v0 == 0.0:
             # Stopped at step 0, before any ghost is read.
-            self.n_nat = self.n_hit_cruise = self.ghost_limit = self.draw_limit = 0
+            self.n_nat = self.n_hit_cruise = self.draw_limit = 0
             return
         v_dt = v0 * dt
 
@@ -391,11 +391,9 @@ class _Plan:
         self.n_hit_cruise = first_step_gap_le(0.0)  # first collided step while cruising
         # A ghost at or after the cruise collision or the horizon leaves the
         # run untriggered, as no ghost does, so the stream is read no further
-        # than ``draw_limit``; one at or after the natural trigger is too late.
-        # Same-speed variants of a scenario share ``draw_limit``, so a later
-        # natural trigger reads no further than the first draw of the stream.
+        # than ``draw_limit``.  Same-speed variants of a scenario share it, so
+        # a later natural trigger reads no further than the first draw.
         self.draw_limit = min(self.n_hit_cruise, max_steps)
-        self.ghost_limit = min(self.n_nat, self.draw_limit)
 
     def resolve(self, n_trig: int) -> _Resolved:
         """The run that triggers at ``n_trig``, resolved when a run first needs
@@ -479,8 +477,8 @@ def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> in
     return k * tick_steps if k <= last_tick else None
 
 
-# A run draws its ghost stream at most this many values at a time, so its
-# memory does not grow with the horizon.
+# A stream, or a trace view, draws at most this many values at a time, so
+# its memory does not grow with the horizon.
 _GHOST_CHUNK = 4096
 
 # numpy's SeedSequence (O'Neill's seed hash), which NEP 19 keeps fixed: the
@@ -578,174 +576,127 @@ def _generator(seed: int, run_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seeded_type()((seed, run_index), state)))
 
 
-@dataclass(slots=True)
-class _Draws:
-    """The first stream of a (seed, run) to draw: its rate ``bound``, the
-    u_flag values it has ``drawn``, and their record lows below ``bound``,
-    each flagged tick whose value is below every earlier one, as (tick, u).
-    At a rate p <= bound, the first flag is the first record low below p."""
+class _FlagStream:
+    """The ghost flags of one (seed, run), which every scenario of that seed
+    reads: ``u_flag``, the first values of ``_generator(seed, run)``, of
+    which tick t is flagged at rate p when ``u_flag[t] < p``.  The values
+    do not depend on the config, which sets only how many ticks a run reads.
 
-    bound: float
-    drawn: int
-    lows: list[tuple[int, float]]
-
-    def flags_below(self, rate: float, need: int) -> list[int] | None:
-        """What the record settles at ``rate`` <= ``bound`` of the flagged
-        ticks below ``need``: ``[first]`` when it holds the first, ``[]``
-        when there is none, and None when its draws stop short of telling."""
-        for tick, u in self.lows:
-            if u < rate:  # the first flag at this rate
-                return [tick] if tick < need else []
-        return [] if self.drawn >= need else None
-
-
-class _GhostStream:
-    """One run's ghost randomness, drawn only as far as the run reads it.
-
-    The stream is defined as if drawn in full from
-    ``default_rng(derive_seed(scenario.seed, run_index))``: first
-    ``u_flag = random(n_ticks)``, then ``u_gap = random(n_ticks)``.  Tick t
-    is flagged when ``u_flag[t] < ghost_rate``; it shows a ghost at step
-    ``t * tick_steps`` with gap ``u_gap[t] * trigger threshold``.  Both
-    arrays span the whole horizon so that runs with the same seed stay
-    coupled across effect changes (a lower ghost_rate selects a subset of
-    the same flagged ticks).  Drawing a prefix, or skipping values with
-    ``advance``, gives the same values as one full draw.
-
-    A stream builds its generator only when it draws, so a ghost-free
-    scenario imports nothing; numpy is loaded at the first draw.  The first
-    stream of a (seed, run) to draw writes its :class:`_Draws` record; a
-    later stream of that (seed, run) with a rate at or below the record's
-    reads its first ghost from the record when the record settles it, and
-    draws itself otherwise.  ``simulate`` reads each stream up to its
-    scenario's cruise collision, which every variant at the same speed
-    shares, so a variant's later natural trigger does not take it beyond
-    the record; a lower speed, whose cruise collision comes later, can.
-    Such a stream keeps the record it read, and ``events_before`` draws
-    only when that record does not show it has no ghost below the step.
-
-    The generator is that of ``default_rng(derive_seed(seed,
-    run_index))``, built by :func:`_generator`: a sweep computes the seed
-    states of all its (seed, run) streams in one pass of
-    :func:`_seed_states`, which a test pins against numpy's
-    ``SeedSequence``, and the block keeps them; a stream outside the batch
-    builds its generator with ``default_rng``.
+    The stream keeps its generator, the count of values ``drawn``, and
+    their record ``lows`` below ``bound``: each tick whose value is below
+    ``bound`` and below every earlier value, as (tick, u).  At a rate p <=
+    bound the first flag is the first record low below p, so a lower rate,
+    as a mitigation sets, reads what a higher one drew.  A rate above the
+    bound restarts the stream from tick 0 with that rate as its bound.
+    The generator is built at the first draw, so a stream that draws
+    nothing imports nothing; numpy is loaded then.
     """
 
-    __slots__ = (
-        "_scenario", "_run_index", "_tick_steps", "_n_ticks", "_rate",
-        "_rng", "_record", "_read", "_drawn", "_flagged",
-    )
+    __slots__ = ("seed", "run", "bound", "drawn", "lows", "_rng")
 
-    def __init__(self, scenario: Scenario, cfg: SimConfig, run_index: int):
-        self._scenario = scenario
-        self._run_index = run_index
-        self._tick_steps = cfg.tick_steps
-        self._n_ticks = (cfg.max_steps - 1) // cfg.tick_steps + 1 if cfg.max_steps > 0 else 0
-        self._rate = scenario.effects.ghost_rate
-        self._rng = None  # built at the first draw
-        self._record: _Draws | None = None  # the record this stream writes
-        self._read: _Draws | None = None  # the record this stream reads
-        self._drawn = 0  # u_flag values drawn so far
-        self._flagged: list[int] = []  # flagged ticks among them, ascending
+    def __init__(self, seed: int, run: int):
+        self.seed, self.run = seed, run
+        self.bound = 0.0
+        self.drawn = 0
+        self.lows: list[tuple[int, float]] = []
+        self._rng = None
 
-    def _draw(self, count: int) -> Iterator[np.ndarray]:
-        """The next ``count`` values of the stream, in bounded chunks."""
-        while count > 0:
-            u = self._rng.random(min(count, _GHOST_CHUNK))
-            count -= u.size
-            yield u
+    def first(self, rate: float, need: int) -> int | None:
+        """The first tick below ``need`` flagged at ``rate``, or None.  Walks
+        the lows, and draws further chunks only when they cannot settle it."""
+        if rate > self.bound:
+            self.bound, self.drawn, self.lows, self._rng = rate, 0, [], None
+        lows = self.lows
+        for tick, u in lows:
+            if u < rate:
+                return tick if tick < need else None
+        while self.drawn < need:
+            if self._rng is None:
+                self._rng = _generator(self.seed, self.run)
+            u = self._rng.random(min(need - self.drawn, _GHOST_CHUNK))
+            offset = self.drawn
+            self.drawn += u.size
+            hits = (u < self.bound).nonzero()[0]
+            found = None
+            for t, x in zip(hits.tolist(), u[hits].tolist()):
+                if not lows or x < lows[-1][1]:
+                    lows.append((offset + t, x))
+                    if found is None and x < rate:
+                        found = offset + t
+            if found is not None:
+                return found
+        return None
 
-    def _flagged_before(self, step: int, first: bool = False) -> list[int]:
-        """The flagged ticks whose step is below ``step``; with ``first``,
-        only what settles the first: the record of this (seed, run) when it
-        does, or else the chunks drawn until one holds a flag.  The first
-        stream of a (seed, run) to draw writes the record.  Without
-        ``first``, a stream that has not drawn takes only a record's
-        answer that there is no flag.  Records are read and written only
-        within a :func:`_sharing` block."""
-        need = min(self._n_ticks, -(-step // self._tick_steps))
-        if self._rate <= 0.0 or need == 0:
-            return []
-        if not self._drawn:
-            if first and self._read is None and _shared is not None:
-                if _shared.seed != self._scenario.seed:
-                    _shared.seed, _shared.records = self._scenario.seed, {}
-                records = _shared.records
-                record = records.get(self._run_index)
-                if record is None:
-                    self._record = records[self._run_index] = _Draws(self._rate, 0, [])
-                elif self._rate <= record.bound:
-                    self._read = record
-            if self._read is not None:
-                settled = self._read.flags_below(self._rate, need)
-                if settled is not None and (first or not settled):
-                    return settled
-        if self._rng is None:
-            self._rng = _generator(self._scenario.seed, self._run_index)
-        while self._drawn < need and not (first and self._flagged):
-            u = self._rng.random(min(need - self._drawn, _GHOST_CHUNK))
-            offset = self._drawn
-            hits = (u < self._rate).nonzero()[0]
-            ticks = [offset + t for t in hits.tolist()]
-            self._flagged += ticks
-            self._drawn += u.size
-            if self._record is not None:
-                lows = self._record.lows
-                self._record.drawn = self._drawn
-                for t, x in zip(ticks, u[hits].tolist()):
-                    if not lows or x < lows[-1][1]:
-                        lows.append((t, x))
-        return self._flagged[: bisect.bisect_left(self._flagged, need)]
 
-    def first_before(self, step: int) -> int | None:
-        """The first ghost step below ``step``, or None."""
-        ticks = self._flagged_before(step, first=True)
-        return ticks[0] * self._tick_steps if ticks else None
+def _ghost_events(
+    scenario: Scenario, cfg: SimConfig, stream: _FlagStream, terminal_step: int
+) -> list[tuple[int, float]]:
+    """Every ghost of a run before ``terminal_step``, as (step, gap).
 
-    def events_before(self, step: int) -> list[tuple[int, float]]:
-        """Every ghost below ``step`` as (step, gap).  Reads the gaps, so
-        later reads must stay below ``step``."""
-        ticks = self._flagged_before(step)
-        if not ticks:
-            return []
-        self._rng.bit_generator.advance(self._n_ticks - self._drawn)  # to u_gap[0]
-        d_trigger = trigger_threshold(self._scenario)
-        events = []
-        i = start = 0
-        for u_gap in self._draw(ticks[-1] + 1):
-            end = start + u_gap.size
-            while i < len(ticks) and ticks[i] < end:
-                t = ticks[i]
-                events.append((t * self._tick_steps, float(u_gap[t - start]) * d_trigger))
-                i += 1
-            start = end
-        return events
+    The run's stream is defined as if drawn in full from
+    ``default_rng(derive_seed(scenario.seed, run_index))``: first ``u_flag
+    = random(n_ticks)``, then ``u_gap = random(n_ticks)``.  A flagged tick
+    t shows a ghost at step ``t * tick_steps`` with gap ``u_gap[t] *
+    trigger threshold``.  Both arrays span the whole horizon, so runs with
+    the same seed stay coupled across effect changes (a lower ghost_rate
+    flags a subset of the same ticks).  A run with no flag before its
+    terminal builds no generator; any other draws from a fresh one, which
+    skips with ``advance`` to its first flag and to that flag's gap, in
+    bounded chunks: drawing a prefix, or skipping values, gives the same
+    values as one full draw."""
+    rate, tick_steps = scenario.effects.ghost_rate, cfg.tick_steps
+    need = -(-terminal_step // tick_steps)
+    first = stream.first(rate, need)
+    if first is None:
+        return []
+    rng = _generator(stream.seed, stream.run)
+    rng.bit_generator.advance(first)  # to u_flag[first]
+    chunks = [  # the flagged ticks of each chunk, from its start
+        (rng.random(min(need - start, _GHOST_CHUNK)) < rate).nonzero()[0]
+        for start in range(first, need, _GHOST_CHUNK)
+    ]
+    while not chunks[-1].size:  # the first chunk holds ``first``
+        chunks.pop()
+    n_ticks = -(-cfg.max_steps // tick_steps)
+    rng.bit_generator.advance(n_ticks - need + first)  # to u_gap[first]
+    d_trigger = trigger_threshold(scenario)
+    events: list[tuple[int, float]] = []
+    for i, hits in enumerate(chunks):
+        start = first + i * _GHOST_CHUNK
+        u_gap = rng.random(_GHOST_CHUNK if i + 1 < len(chunks) else int(hits[-1]) + 1)
+        # In Python: numpy's integer and multiply loops, which nothing else
+        # runs, would add their code pages to the peak RSS (about 0.1 MB).
+        events += [
+            ((start + t) * tick_steps, u * d_trigger)
+            for t, u in zip(hits.tolist(), u_gap[hits].tolist())
+        ]
+    return events
 
 
 class SimTrace:
     """One run to its terminal, as a view of the run's closed-form resolution.
 
     The view is a pair of row tuples, built once, when first needed, by
-    :func:`_trace_view`; only then are the run's ghost gaps drawn, and a
-    stream's gaps can be drawn only once, so the rows are kept.  ``events``
-    (every :class:`SimEvent`, in time order) and ``states`` (the ego's
-    :class:`SimState` at each event step) are those rows, and
-    :func:`export_trace_jsonl` writes them as they are.  A ghost-free
-    trace has no stream.  :func:`compute_kpis` reads the resolution only
-    and builds no view, so a sweep never does.  Equality and hash compare
-    (scenario_id, terminal, events, states).
+    :func:`_trace_view`; only then are the run's ghost gaps drawn.  The
+    rows are kept, so that the export and the objects read one view.
+    ``events`` (every :class:`SimEvent`, in time order) and ``states`` (the
+    ego's :class:`SimState` at each event step) are those rows, and
+    :func:`export_trace_jsonl` writes them as they are.  A ghost trace
+    holds the flag stream of its (seed, run), which every scenario of that
+    seed reads; a ghost-free trace has no stream.  :func:`compute_kpis`
+    reads the resolution only and builds no view, so a sweep never does.
+    Equality and hash compare (scenario_id, terminal, events, states).
     """
 
-    __slots__ = ("_scenario", "_cfg", "_res", "_ghosts", "_view")
+    __slots__ = ("_scenario", "_cfg", "_res", "_stream", "_view")
 
     def __init__(
-        self, scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream | None
+        self, scenario: Scenario, cfg: SimConfig, res: _Resolved, stream: _FlagStream | None
     ):
         self._scenario = scenario
         self._cfg = cfg
         self._res = res
-        self._ghosts = ghosts
+        self._stream = stream
         self._view: _Rows | None = None
 
     @property
@@ -766,7 +717,7 @@ class SimTrace:
 
     def _built(self) -> _Rows:
         if self._view is None:
-            self._view = _trace_view(self._scenario, self._cfg, self._res, self._ghosts)
+            self._view = _trace_view(self._scenario, self._cfg, self._res, self._stream)
         return self._view
 
     def _key(self) -> tuple:
@@ -791,15 +742,16 @@ class SimTrace:
 class _Shared:
     """What a sweep's runs share.  A sweep runs each scenario's runs, and
     the scenarios that share a seed, back to back, so it keeps the ``plan``
-    of the last (scenario, cfg) and the draw ``records`` of the last
-    ``seed``.  ``run0`` keeps each run-0 trace by id(scenario) until a call
-    with the same scenario and cfg takes it; the trace holds the scenario.
-    ``batch`` holds the seed states of the last sweep's ghost streams, which
+    of the last (scenario, cfg) and the flag ``streams`` of the last
+    ``seed``, one per run index, which every scenario of that seed reads.
+    ``run0`` keeps each run-0 trace by id(scenario) until a call with the
+    same scenario and cfg takes it; the trace holds the scenario and its
+    stream.  ``batch`` holds the seed states of the last sweep's ghost streams, which
     the export's streams read too."""
 
     plan: _Plan | None = None
     seed: int | None = None
-    records: dict[int, _Draws] = field(default_factory=dict)
+    streams: dict[int, _FlagStream] = field(default_factory=dict)
     run0: dict[int, SimTrace] = field(default_factory=dict)
     batch: _SeedBatch | None = None
 
@@ -846,11 +798,15 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     trace = plan.trace
     if trace is None:
         if scenario.effects.ghost_rate:
-            ghosts = _GhostStream(scenario, cfg, run_index)
-            n_trig = ghosts.first_before(plan.draw_limit)
-            if n_trig is None or n_trig >= plan.ghost_limit:
-                n_trig = plan.n_nat
-            trace = SimTrace(scenario, cfg, plan.resolve(n_trig), ghosts)
+            if shared.seed != scenario.seed:
+                shared.seed, shared.streams = scenario.seed, {}
+            stream = shared.streams.get(run_index)
+            if stream is None:
+                stream = shared.streams[run_index] = _FlagStream(scenario.seed, run_index)
+            tick = stream.first(scenario.effects.ghost_rate, -(-plan.draw_limit // cfg.tick_steps))
+            # A ghost at or after the natural trigger is too late.
+            n_trig = plan.n_nat if tick is None else min(tick * cfg.tick_steps, plan.n_nat)
+            trace = SimTrace(scenario, cfg, plan.resolve(n_trig), stream)
         else:  # no stream: every run is the natural one
             trace = plan.trace = SimTrace(scenario, cfg, plan.resolve(plan.n_nat), None)
     if run_index == 0:
@@ -859,11 +815,11 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
 
 
 def _trace_view(
-    scenario: Scenario, cfg: SimConfig, res: _Resolved, ghosts: _GhostStream | None
+    scenario: Scenario, cfg: SimConfig, res: _Resolved, stream: _FlagStream | None
 ) -> _Rows:
     """A resolved run's events in time order, as :class:`SimEvent` rows, and
     the ego state at each event step, as :class:`SimState` rows.  Draws the
-    ghost gaps, the stream's last read; a ghost-free run has no stream."""
+    ghost gaps; a ghost-free run has no stream."""
     dt = cfg.dt
     range_eff = scenario.odd.d_perception * scenario.effects.perception_range_factor
     ghost = EventKind.GHOST_DETECTED
@@ -872,7 +828,9 @@ def _trace_view(
     # (step, stage order, stage, kind, gap) of each event.
     found = [
         (step, order, sense, ghost, fake_gap)
-        for step, fake_gap in (() if ghosts is None else ghosts.events_before(res.terminal_step))
+        for step, fake_gap in (
+            () if stream is None else _ghost_events(scenario, cfg, stream, res.terminal_step)
+        )
     ]
 
     def add(step: int, kind: EventKind) -> None:
@@ -974,7 +932,7 @@ def monte_carlo_sweep(
     if cfg is None:
         cfg = SimConfig()
 
-    # Grouped by seed, the block keeps one seed's draw records; keeping every
+    # Grouped by seed, the block keeps one seed's flag streams; keeping every
     # (seed, run)'s instead raised the bench's ghost-long peak RSS by 0.18 MB.
     groups: dict[int, list[int]] = {}
     for index, scenario in enumerate(scenarios):
@@ -1042,7 +1000,7 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
 
     with open(path, "w", encoding="utf-8") as f:
         for trace in traces:
-            if trace._ghosts is None:
+            if trace._stream is None:
                 res = trace._res
                 odd, effects = trace._scenario.odd, trace._scenario.effects
                 key = (

@@ -35,18 +35,24 @@ def ghost_draws(
 
 
 class FullDrawGhosts:
-    """Stand-in for the engine's lazy ghost stream, read from ``ghost_draws``."""
+    """Stand-in for the engine's flag stream of one (seed, run) and for its
+    trace view's ghosts, each read from a full draw: ``first`` from the
+    run's first ``need`` flag values, ``events`` from ``ghost_draws``."""
 
-    def __init__(self, scenario: Scenario, cfg: SimConfig, run_index: int):
-        self.steps, self.gaps = ghost_draws(scenario, cfg, run_index)
+    def __init__(self, seed: int, run_index: int):
+        self.seed, self.run = seed, run_index
 
-    def first_before(self, step: int) -> int | None:
-        if self.steps.size and self.steps[0] < step:
-            return int(self.steps[0])
-        return None
+    def first(self, rate: float, need: int) -> int | None:
+        u_flag = np.random.default_rng(derive_seed(self.seed, self.run)).random(need)
+        ticks = np.flatnonzero(u_flag < rate)
+        return int(ticks[0]) if ticks.size else None
 
-    def events_before(self, step: int) -> list[tuple[int, float]]:
-        return [(int(s), float(g)) for s, g in zip(self.steps, self.gaps) if s < step]
+    @staticmethod
+    def events(
+        scenario: Scenario, cfg: SimConfig, stream: FullDrawGhosts, terminal_step: int
+    ) -> list[tuple[int, float]]:
+        steps, gaps = ghost_draws(scenario, cfg, stream.run)
+        return [(int(s), float(g)) for s, g in zip(steps, gaps) if s < terminal_step]
 
 
 @dataclass

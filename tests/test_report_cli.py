@@ -437,14 +437,14 @@ class TestRun0HandOver:
         assert b'"ghost_detected"' in plain
         assert (tmp_path / "viewed" / "traces.jsonl").read_bytes() == plain
 
-    def test_export_resolves_nothing_and_seeds_only_recorded_runs(
+    def test_export_resolves_nothing_and_seeds_only_runs_that_show_a_ghost(
         self, campaign_inputs, tmp_path, monkeypatch
     ):
         # A ghost scenario whose run 0 built no generator in the sweep read
-        # its first ghost from another scenario's (seed, 0) draw record.
-        # Its trace view seeds a generator to draw the ghost gaps when the
-        # trace shows a ghost; here the record settles every other such
-        # view, which shows no ghost, without one.
+        # its first ghost from the (seed, 0) flag stream that another
+        # scenario of its seed drew.  The export's trace view seeds a
+        # generator to draw a run's ghosts only when the trace shows one;
+        # the stream settles every other view, without one.
         stage = ["sweep", None]  # the stage, and the scenario being run
         plans = Counter()
         run0_seeded = {"sweep": [], "export": []}
@@ -486,16 +486,16 @@ class TestRun0HandOver:
         assert plans["sweep", "init"] == len(bundle.scenarios)
         assert plans["sweep", "resolve"] > 0
         assert plans["export", "init"] == plans["export", "resolve"] == 0
-        recorded = [i for i in ghost_ids if i not in run0_seeded["sweep"]]
-        assert recorded and run0_seeded["sweep"]
+        shared = [i for i in ghost_ids if i not in run0_seeded["sweep"]]
+        assert shared and run0_seeded["sweep"]
         lines = (tmp_path / "traces" / "traces.jsonl").read_text().splitlines()
         shown = {
             trace["scenario_id"]
             for trace in map(json.loads, lines)
             if any(event["kind"] == "ghost_detected" for event in trace["events"])
         }
-        assert sorted(run0_seeded["export"]) == sorted(i for i in recorded if i in shown)
-        assert len(run0_seeded["export"]) == 9 < len(recorded) == 12
+        assert sorted(run0_seeded["export"]) == sorted(shown)
+        assert len(shown) == 14 < len(ghost_ids) == 18 and len(shared) == 12
 
     def test_nothing_is_kept_after_a_campaign(self, campaign_inputs, tmp_path, monkeypatch):
         held = []

@@ -397,17 +397,27 @@ class TestReferenceEquivalence:
                 assert stats == expected, f"case {case} ghost_rate={rate}: {swept} {cfg}"
 
 
+def use_full_draws(monkeypatch) -> None:
+    """From here on, every run reads its first ghost, and its trace view its
+    ghosts, from a full draw of its stream (:class:`FullDrawGhosts`)."""
+    monkeypatch.setattr(sim_module, "_FlagStream", FullDrawGhosts)
+    monkeypatch.setattr(sim_module, "_ghost_events", FullDrawGhosts.events)
+
+
 class _GhostAt:
-    """Stand-in ghost stream with one ghost, at ``step``."""
+    """Stand-in flag stream with one flag, at ``tick``, and a stand-in for
+    its trace view's ghosts, which show that flag with ``gap``."""
 
-    def __init__(self, step: int, gap: float):
-        self.step, self.gap = step, gap
+    def __init__(self, tick: int, gap: float):
+        self.tick, self.gap = tick, gap
 
-    def first_before(self, step: int) -> int | None:
-        return self.step if self.step < step else None
+    def first(self, rate: float, need: int) -> int | None:
+        return self.tick if self.tick < need else None
 
-    def events_before(self, step: int) -> list[tuple[int, float]]:
-        return [(self.step, self.gap)] if self.step < step else []
+    @staticmethod
+    def events(scenario, cfg, stream, terminal_step) -> list[tuple[int, float]]:
+        step = stream.tick * cfg.tick_steps
+        return [(step, stream.gap)] if step < terminal_step else []
 
 
 class TestGhostOnNaturalTriggerStep:
@@ -428,10 +438,10 @@ class TestGhostOnNaturalTriggerStep:
             EffectModel(ghost_rate=0.5),
             scenario_id="ghost-on-trigger",
         )
+        monkeypatch.setattr(sim_module, "_ghost_events", _GhostAt.events)
         for ghost_step, expected in ((step, False), (step - cfg.tick_steps, True)):
-            monkeypatch.setattr(
-                sim_module, "_GhostStream", lambda *args: _GhostAt(ghost_step, 1.0)
-            )
+            ghost_tick = ghost_step // cfg.tick_steps
+            monkeypatch.setattr(sim_module, "_FlagStream", lambda *args: _GhostAt(ghost_tick, 1.0))
             trace = simulate(scenario, cfg)
             kpis = compute_kpis(trace, scenario)
             (trigger,) = events_of(trace, EventKind.BRAKE_TRIGGERED)
@@ -608,7 +618,7 @@ class TestGhostStream:
                 for run_index in range(3):
                     context = f"{name} ghost_rate={rate} run {run_index}"
                     with monkeypatch.context() as m:
-                        m.setattr(sim_module, "_GhostStream", FullDrawGhosts)
+                        use_full_draws(m)
                         expected = simulate(scenario, cfg, run_index)
                     trace = simulate(scenario, cfg, run_index)
                     assert trace == expected, context
@@ -629,15 +639,15 @@ class TestGhostStream:
         assert terminals == set(Terminal)
 
     def test_first_flag_draws_one_chunk(self, baseline_vehicle, monkeypatch):
-        # The ghost limit is the horizon, 12,000 ticks; the first chunk of
+        # The draw limit is the horizon, 12,000 ticks; the first chunk of
         # flags holds the first ghost, so the resolution draws no further.
         odd, cfg = _ghost_grid_cases(baseline_vehicle)["horizon-600s"]
         scenario = make_scenario(odd, EffectModel(ghost_rate=0.5), scenario_id="long", seed=1234)
-        assert sim_module._Plan(scenario, cfg).ghost_limit == cfg.max_steps == 12_000 * cfg.tick_steps
+        assert sim_module._Plan(scenario, cfg).draw_limit == cfg.max_steps == 12_000 * cfg.tick_steps
         trace = simulate(scenario, cfg, 0)
-        assert trace._ghosts._drawn == sim_module._GHOST_CHUNK == 4096
+        assert trace._stream.drawn == sim_module._GHOST_CHUNK == 4096
         with monkeypatch.context() as m:
-            m.setattr(sim_module, "_GhostStream", FullDrawGhosts)
+            use_full_draws(m)
             expected = simulate(scenario, cfg, 0)
         assert trace == expected
 
@@ -666,6 +676,33 @@ class TestGhostStream:
             tracemalloc.stop()
         assert trace.terminal is terminal
         assert peak < 1_000_000
+
+
+# Rates of every size, repeats likely, and needs on both sides of a chunk.
+_RATES = st.sampled_from([1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5, 1.0]) | st.floats(1e-5, 1.0)
+_NEEDS = st.integers(0, 3 * sim_module._GHOST_CHUNK)
+
+
+class TestFlagStream:
+    """One stream answers every query on its (seed, run), in any order: a
+    rate below an earlier one reads the record lows, a need beyond what was
+    drawn draws on, and a rate above every earlier one restarts the stream
+    with that rate as its bound."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        run=st.integers(0, 1000),
+        queries=st.lists(st.tuples(_RATES, _NEEDS), min_size=1, max_size=10),
+    )
+    def test_first_matches_a_full_draw(self, seed, run, queries):
+        u_flag = np.random.default_rng(derive_seed(seed, run)).random(max(n for _, n in queries))
+        stream = sim_module._FlagStream(seed, run)
+        for k, (rate, need) in enumerate(queries):
+            flagged = np.flatnonzero(u_flag[:need] < rate)
+            expected = int(flagged[0]) if flagged.size else None
+            assert stream.first(rate, need) == expected, queries[: k + 1]
+            assert stream.bound == max(r for r, _ in queries[: k + 1])
 
 
 def _seed_group(odd, rate: float, seed: int = 1234) -> list:
@@ -720,12 +757,13 @@ def count_generators(monkeypatch) -> dict[str, int]:
 
 
 class TestSharedDraws:
-    """A sweep draws each (seed, run) flag stream once: a later scenario with
-    that seed reads its first ghost from the record of the first stream to
-    draw, unless its rate is above the record's or the record's draws end
-    before its first ghost can be settled.  Each run reads its stream up to
-    its cruise collision, so a later natural trigger reads the record; a
-    lower speed, whose cruise collision comes later, may draw beyond it."""
+    """A sweep draws each (seed, run) flag stream once: every scenario with
+    that seed reads its first ghost from one stream, which draws further
+    chunks of the same generator when its record lows cannot settle a
+    query (a lower speed, whose cruise collision comes later), and restarts
+    from tick 0, with a new generator, only for a rate above every earlier
+    one.  Each run reads its stream up to its cruise collision, so a later
+    natural trigger draws nothing more."""
 
     RUNS = 8
 
@@ -748,9 +786,12 @@ class TestSharedDraws:
                     assert swept == expected, f"{name} ghost_rate={rate} {scenario.id}"
         assert built.get("cond+same-rate", 0) == built.get("cond+earlier-trigger", 0) == 0
         assert built.get("cond+later-trigger", 0) == 0  # within the cruise collision
-        assert 0 < built["cond+third-rate"] < built["cond"]  # reads and draws
-        assert built["cond+triple-rate"] > 0  # above the record's rate
-        assert built["cond+slower"] > 0  # beyond the record's draws
+        assert built.get("cond+third-rate", 0) == 0  # reads the lows, draws on
+        assert built.get("cond+slower", 0) == 0  # draws on, beyond the first draw
+        # Above every earlier rate: each stream that the condition drew
+        # restarts once.
+        assert built["cond+triple-rate"] == built["cond"] > 0
+        assert set(built) == {"cond", "cond+triple-rate"}
 
     def test_recorded_first_ghost_traces_match_full_draws(self, baseline_vehicle, monkeypatch):
         ghost_events = 0
@@ -761,11 +802,13 @@ class TestSharedDraws:
                     for run_index in range(3):
                         context = f"{name} {scenario.id} ghost_rate={rate} run {run_index}"
                         with sim_module._sharing():
-                            simulate(condition, cfg, run_index)
+                            stream = simulate(condition, cfg, run_index)._stream
+                            rng = stream._rng
                             trace = simulate(scenario, cfg, run_index)
-                        assert trace._ghosts._rng is None, context  # read from the record
+                        # Read from the condition's stream, with no new generator.
+                        assert trace._stream is stream and stream._rng is rng, context
                         with monkeypatch.context() as m:
-                            m.setattr(sim_module, "_GhostStream", FullDrawGhosts)
+                            use_full_draws(m)
                             expected = simulate(scenario, cfg, run_index)
                         assert trace == expected, context
                         ghost_events += len(events_of(trace, EventKind.GHOST_DETECTED))
@@ -800,7 +843,7 @@ class TestSharedDraws:
         # A library caller outside any block interleaves scenarios and runs
         # in any order: each call resolves and draws on its own, and gives
         # the trace of the same run within a block, where a nested block
-        # shares the outer block's plan, records and run-0 traces.
+        # shares the outer block's plan, flag streams and run-0 traces.
         odd, cfg = _ghost_grid_cases(baseline_vehicle)["stop"]
         condition, same_rate, lower_rate = _seed_group(odd, 0.05)[:3]
         ghost_free = dataclasses.replace(condition, id="ghost-free", effects=EffectModel())
@@ -809,7 +852,8 @@ class TestSharedDraws:
         calls = [(scenario, i) for i in runs for scenario in scenarios]
         outside = [simulate(scenario, cfg, i) for scenario, i in calls]
         assert len({id(trace) for trace in outside}) == len(calls)
-        assert all(trace._ghosts._read is None for trace in outside if trace._ghosts)
+        streams = [trace._stream for trace in outside if trace._stream]
+        assert len({id(stream) for stream in streams}) == len(streams) > 0
 
         within = {}
         with sim_module._sharing():
@@ -821,8 +865,8 @@ class TestSharedDraws:
                         within[scenario.id, i] = simulate(scenario, cfg, i)
             assert shared.plan.scenario is same_rate and shared.seed == condition.seed
             assert set(shared.run0) == {id(scenario) for scenario in scenarios}
-        for scenario in (same_rate, lower_rate):  # read from the condition's records
-            assert all(within[scenario.id, i]._ghosts._read is not None for i in runs)
+        for scenario in (same_rate, lower_rate):  # read the condition's streams
+            assert all(within[scenario.id, i]._stream is within[condition.id, i]._stream for i in runs)
         assert len({id(within[ghost_free.id, i]) for i in runs}) == 1
         for (scenario, i), trace in zip(calls, outside):
             assert trace == within[scenario.id, i], (scenario.id, i)
@@ -910,7 +954,7 @@ class TestSeedStates:
         built = count_generators(monkeypatch)
         monte_carlo_sweep(scenarios, SimConfig(), 4)
         assert passes == [2 * 4]  # seeds 1 and 2, runs 0-3; seed 3 has no ghosts
-        assert built == {"s0": 4, "s2": 4}  # s1 reads s0's records
+        assert built == {"s0": 4, "s2": 4}  # s1 reads s0's streams
 
     def test_ghost_free_sweep_builds_no_batch(self, baseline_vehicle, monkeypatch):
         odd = baseline_odd(baseline_vehicle)
