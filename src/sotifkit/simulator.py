@@ -54,9 +54,10 @@ and builds no view for a repeat.  The KPIs are read off the resolution
 alone, without a view.
 Runs share only within a :func:`_sharing` block, which a sweep opens and
 ``run_campaign`` holds over its sweep and export: the last plan, the last
-seed's flag streams, the seed states of the sweep's streams, and each
-run-0 trace until the export's call takes it, so the export resolves
-nothing again.  Outside a block, ``simulate`` shares nothing.
+seed's flag streams until the sweep returns, the seed states of the
+sweep's streams, and each run-0 trace until the export's call takes it,
+so the export resolves nothing again.  Outside a block, ``simulate``
+shares nothing.
 A run's stream is still ``default_rng(derive_seed(seed, run))``, but a
 sweep's generators are not built through ``default_rng``: a sweep computes
 the seed state of every (seed, run) that it can draw from, numpy's
@@ -478,8 +479,13 @@ def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> in
 
 
 # A stream, or a trace view, draws at most this many values at a time, so
-# its memory does not grow with the horizon.
+# its memory does not grow with the horizon.  A stream's query at rate p
+# draws ceil(_GHOST_SPAN / p) values first, which hold _GHOST_SPAN flags on
+# average, so it seldom draws far past its first flag (_FlagStream).  A span
+# of 1 drew fewer values at low rates, but its more, smaller draws at high
+# rates took longer.
 _GHOST_CHUNK = 4096
+_GHOST_SPAN = 4.0
 
 # numpy's SeedSequence (O'Neill's seed hash), which NEP 19 keeps fixed: the
 # constant of each hash of its entropy mix (A) and of its generate_state (B),
@@ -588,6 +594,9 @@ class _FlagStream:
     bound the first flag is the first record low below p, so a lower rate,
     as a mitigation sets, reads what a higher one drew.  A rate above the
     bound restarts the stream from tick 0 with that rate as its bound.
+    A query that draws takes ``ceil(_GHOST_SPAN / rate)`` values first,
+    at most ``_GHOST_CHUNK``, and twice as many in each further chunk, up
+    to ``_GHOST_CHUNK``: chunked any way, the values are the same.
     The generator is built at the first draw, so a stream that draws
     nothing imports nothing; numpy is loaded then.
     """
@@ -610,10 +619,13 @@ class _FlagStream:
         for tick, u in lows:
             if u < rate:
                 return tick if tick < need else None
+        # A tiny rate's span overflows to inf, which the comparison also takes.
+        size = _GHOST_CHUNK if _GHOST_SPAN / rate >= _GHOST_CHUNK else math.ceil(_GHOST_SPAN / rate)
         while self.drawn < need:
             if self._rng is None:
                 self._rng = _generator(self.seed, self.run)
-            u = self._rng.random(min(need - self.drawn, _GHOST_CHUNK))
+            u = self._rng.random(min(need - self.drawn, size))
+            size = min(2 * size, _GHOST_CHUNK)
             offset = self.drawn
             self.drawn += u.size
             hits = (u < self.bound).nonzero()[0]
@@ -743,7 +755,8 @@ class _Shared:
     """What a sweep's runs share.  A sweep runs each scenario's runs, and
     the scenarios that share a seed, back to back, so it keeps the ``plan``
     of the last (scenario, cfg) and the flag ``streams`` of the last
-    ``seed``, one per run index, which every scenario of that seed reads.
+    ``seed``, one per run index, which every scenario of that seed reads,
+    until it returns.
     ``run0`` keeps each run-0 trace by id(scenario) until a call with the
     same scenario and cfg takes it; the trace holds the scenario and its
     stream.  ``batch`` holds the seed states of the last sweep's ghost streams, which
@@ -964,6 +977,8 @@ def monte_carlo_sweep(
         if fingerprint is None:
             fingerprint = fingerprints[scenario.odd] = scenario.odd.fingerprint()
         results[index] = _aggregate(scenario, kpis, fingerprint)
+    # The run-0 traces hold the streams that the export reads; the block need not.
+    _shared.seed, _shared.streams = None, {}
     return [results[index] for index in range(len(scenarios))]
 
 

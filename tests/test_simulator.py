@@ -640,16 +640,33 @@ class TestGhostStream:
 
     def test_first_flag_draws_one_chunk(self, baseline_vehicle, monkeypatch):
         # The draw limit is the horizon, 12,000 ticks; the first chunk of
-        # flags holds the first ghost, so the resolution draws no further.
+        # flags, sized to the rate, holds the first ghost, so the resolution
+        # draws no further.
         odd, cfg = _ghost_grid_cases(baseline_vehicle)["horizon-600s"]
         scenario = make_scenario(odd, EffectModel(ghost_rate=0.5), scenario_id="long", seed=1234)
         assert sim_module._Plan(scenario, cfg).draw_limit == cfg.max_steps == 12_000 * cfg.tick_steps
         trace = simulate(scenario, cfg, 0)
-        assert trace._stream.drawn == sim_module._GHOST_CHUNK == 4096
+        assert trace._stream.drawn == math.ceil(sim_module._GHOST_SPAN / 0.5) == 8
         with monkeypatch.context() as m:
             use_full_draws(m)
             expected = simulate(scenario, cfg, 0)
         assert trace == expected
+
+    def test_seed_group_draws_near_its_first_flags(self, baseline_vehicle, monkeypatch):
+        # A condition and a variant at a third of its rate read one stream per
+        # run on the 12,000-tick horizon; the stream stops a few chunks past
+        # the variant's first flag instead of drawing whole 4,096-value chunks.
+        odd, cfg = _ghost_grid_cases(baseline_vehicle)["horizon-600s"]
+        condition, _, third_rate = _seed_group(odd, 0.05)[:3]
+        assert third_rate.effects.ghost_rate == 0.05 / 3
+        for run_index in range(8):
+            with sim_module._sharing():
+                traces = [simulate(s, cfg, run_index) for s in (condition, third_rate)]
+            stream = traces[0]._stream
+            assert traces[1]._stream is stream and stream.drawn <= 500, (run_index, stream.drawn)
+            with monkeypatch.context() as m:
+                use_full_draws(m)
+                assert traces == [simulate(s, cfg, run_index) for s in (condition, third_rate)]
 
     @pytest.mark.parametrize(
         "d_object, ghost_rate, terminal",
@@ -679,7 +696,7 @@ class TestGhostStream:
 
 
 # Rates of every size, repeats likely, and needs on both sides of a chunk.
-_RATES = st.sampled_from([1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5, 1.0]) | st.floats(1e-5, 1.0)
+_RATES = st.sampled_from([5e-324, 1e-300, 1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5, 1.0]) | st.floats(1e-5, 1.0)
 _NEEDS = st.integers(0, 3 * sim_module._GHOST_CHUNK)
 
 
@@ -820,6 +837,17 @@ class TestSharedDraws:
         built = count_generators(monkeypatch)
         monte_carlo_sweep([condition, lower_rate], cfg, self.RUNS)
         assert built == {"cond": self.RUNS}
+
+    def test_sweep_drops_its_streams_on_return(self, baseline_vehicle):
+        # The run-0 traces keep the streams that an export reads; the block
+        # keeps no stream past the sweep.
+        odd, cfg = _ghost_grid_cases(baseline_vehicle)["stop"]
+        group = _seed_group(odd, 0.05)
+        with sim_module._sharing():
+            monte_carlo_sweep(group, cfg, self.RUNS)
+            shared = sim_module._shared
+            assert shared.streams == {} and shared.seed is None
+            assert all(shared.run0[id(s)]._stream is not None for s in group)
 
     def test_shuffled_sweep_gives_each_scenario_the_same_stats(self, baseline_vehicle):
         # One seed per grid case, each with two groups' rates.
@@ -1156,8 +1184,10 @@ class TestAcceptedInputsEndInAResult:
         mu=_log_uniform(5e-324, 1.0),
         mu_factor=_log_uniform(5e-324, 1.0),
         rho_add=st.one_of(st.just(0.0), _log_uniform(5e-324, 1e308)),
-        ghost_rate=st.sampled_from([0.0, 0.05]),
+        ghost_rate=st.one_of(st.just(0.0), _log_uniform(5e-324, 1.0)),
     )
+    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=5e-324)
+    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=1.0)
     @example(dt=1e-22, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.0)
     @example(dt=5e-324, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.0)
     @example(dt=60.0 / 2**53, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.05)
