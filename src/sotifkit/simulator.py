@@ -33,10 +33,15 @@ a crossing step; the gap or velocity that the trace shows decides it, in
 one bounded search (:func:`_first`): it gallops from the guess, clamped
 to the interval (a guess of nan or -inf, or none, from its start), and
 bisects the bracket.  A run differs from the others of its scenario only
-by its first ghost, so a plan per (scenario, cfg) holds everything else,
-and runs that trigger on the same step share one resolution and one KPI
-report; the runs of a ghost-free scenario all return one trace.  A
-(seed, run) has one flag stream (:class:`_FlagStream`), which every
+by its first ghost, so a plan holds everything else, and runs that trigger
+on the same step share one resolution and one KPI report; the runs of a
+ghost-free scenario all return one trace.  A scenario's runs depend only
+on its outcome key (:func:`_outcome_key`): its ODD (vehicle included),
+its perception-range, friction and latency effects and the config, and,
+with ghosts, the ghost rate and the seed.  So the scenarios of one key
+(many taxonomy leaves map to one effect, and a mitigation can leave a
+condition's physics as it was) share one plan, one aggregate, and one
+trace body in the export.  A (seed, run) has one flag stream (:class:`_FlagStream`), which every
 scenario of that seed reads: the scenarios that share a seed run back to
 back, and a stream draws further only when what it drew cannot settle a
 run's first ghost, and redraws from the first frame only for a rate above
@@ -49,15 +54,18 @@ view draws its ghosts from a fresh generator (:func:`_ghost_events`), and
 builds none when its stream shows no flag before the terminal.  The
 export writes each line from the rows, encoding each distinct row once;
 a ghost-free run has no stream, and its events and states depend only on
-its resolution, so the export writes each distinct ghost-free body once
-and builds no view for a repeat.  The KPIs are read off the resolution
-alone, without a view.
+its resolution and the first tick that sees the object, so the export
+writes each distinct ghost-free body once and builds no view for a
+repeat.  The run-0 traces of the ghost scenarios of one key share one
+view.  The KPIs are read off the resolution alone, without a view.
 Runs share only within a :func:`_sharing` block, which a sweep opens and
-``run_campaign`` holds over its sweep and export: the last plan, the last
-seed's flag streams until the sweep returns, the seed states of the
-sweep's streams, and each run-0 trace until the export's call takes it,
-so the export resolves nothing again.  Outside a block, ``simulate``
-shares nothing.
+``run_campaign`` holds over its sweep and export (:class:`_Shared`): the
+resolution of each ghost-free key and the aggregate of each key until the
+sweep returns, the last seed's ghost plans and flag streams until the
+seed changes or the sweep returns, the seed states of the sweep's
+streams, and each run-0 trace until the export's call takes it, so the
+export resolves nothing again.  Outside a block, ``simulate`` shares
+nothing.
 A run's stream is still ``default_rng(derive_seed(seed, run))``, but a
 sweep's generators are not built through ``default_rng``: a sweep computes
 the seed state of every (seed, run) that it can draw from, numpy's
@@ -337,16 +345,19 @@ class _Plan:
     passes its test, searched from the closed-form guess; a guess that is
     not finite (-inf or nan, when the collision's discriminant overflows)
     gallops from the interval's start.
-    A ghost-free scenario has a single resolution and a single ``trace``
-    that every run returns.  Neither a resolution nor a trace refers to its
-    plan, so a trace keeps neither the plan nor its table alive.
+    A plan depends on its scenario only through the scenario's outcome key
+    (:func:`_outcome_key`), so the scenarios that share a key share one
+    plan.  A ghost-free scenario has a single resolution, which a sweep
+    keeps, without its plan, until it returns; a ghost plan is kept while
+    the sweep runs its seed, and its ``run0``, the first run-0 trace that
+    it resolved, lends its view to the other run-0 traces of its key.
+    Neither a resolution nor a trace refers to its plan, so a trace keeps
+    neither the plan nor its table alive.
     """
 
     def __init__(self, scenario: Scenario, cfg: SimConfig):
-        self.scenario = scenario
-        self.cfg = cfg
         self._resolutions: dict[int, _Resolved] = {}
-        self.trace: SimTrace | None = None  # kept only when ghost_rate == 0
+        self.run0: SimTrace | None = None  # the first run-0 trace of a ghost plan
         self.m_stop: int | None = None  # found when a brake first engages
         odd = scenario.odd
         veh = odd.vehicle
@@ -357,7 +368,7 @@ class _Plan:
 
         self.v0 = v0 = veh.v_r
         self.d_obj = d_obj = odd.d_object
-        range_eff = odd.d_perception * eff.perception_range_factor
+        range_eff = _range(scenario)
         d_trigger = core.rss_min_distance(veh)
         mu = odd.mu * eff.mu_factor
         b_eff = core.effective_brake_decel(veh, mu) if mu > 0.0 else 0.0
@@ -396,16 +407,17 @@ class _Plan:
         # a later natural trigger reads no further than the first draw.
         self.draw_limit = min(self.n_hit_cruise, max_steps)
 
-    def resolve(self, n_trig: int) -> _Resolved:
+    def resolve(self, n_trig: int, scenario_id: str) -> _Resolved:
         """The run that triggers at ``n_trig``, resolved when a run first needs
-        it.  A non-finite one is not kept: every call raises SimulationError."""
+        it.  A non-finite one is not kept: every call raises SimulationError,
+        which names the scenario that asked."""
         res = self._resolutions.get(n_trig)
         if res is None:
             res = self._resolve(n_trig)
             for name, value in (("position", res.x(res.terminal_step)), ("velocity", res.v(res.terminal_step))):
                 if not math.isfinite(value):
                     raise SimulationError(
-                        f"non-finite {name} at terminal of scenario '{self.scenario.id}'"
+                        f"non-finite {name} at terminal of scenario '{scenario_id}'"
                     )
             self._resolutions[n_trig] = res
         return res
@@ -463,6 +475,11 @@ class _Plan:
         if res.terminal_step > max_steps:
             res.terminal_step, res.terminal = max_steps, Terminal.TIMEOUT
         return res
+
+
+def _range(scenario: Scenario) -> float:
+    """The perception range under the scenario's effects."""
+    return scenario.odd.d_perception * scenario.effects.perception_range_factor
 
 
 def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> int | None:
@@ -697,6 +714,9 @@ class SimTrace:
     holds the flag stream of its (seed, run), which every scenario of that
     seed reads; a ghost-free trace has no stream.  :func:`compute_kpis`
     reads the resolution only and builds no view, so a sweep never does.
+    A run-0 trace whose ghost plan resolved an earlier run-0 trace (another
+    scenario of its outcome key) holds that trace in place of its view,
+    and takes its rows when first needed: one view for both.
     Equality and hash compare (scenario_id, terminal, events, states).
     """
 
@@ -709,7 +729,7 @@ class SimTrace:
         self._cfg = cfg
         self._res = res
         self._stream = stream
-        self._view: _Rows | None = None
+        self._view: _Rows | SimTrace | None = None
 
     @property
     def scenario_id(self) -> str:
@@ -728,9 +748,12 @@ class SimTrace:
         return self._built()[1]
 
     def _built(self) -> _Rows:
-        if self._view is None:
-            self._view = _trace_view(self._scenario, self._cfg, self._res, self._stream)
-        return self._view
+        view = self._view
+        if view is None:
+            view = self._view = _trace_view(self._scenario, self._cfg, self._res, self._stream)
+        elif isinstance(view, SimTrace):
+            view = self._view = view._built()
+        return view
 
     def _key(self) -> tuple:
         return (self.scenario_id, self.terminal, self._built())
@@ -750,23 +773,80 @@ class SimTrace:
         )
 
 
+def _outcome_key(scenario: Scenario, cfg: SimConfig) -> tuple:
+    """What a scenario's runs depend on: its ODD (vehicle included), the
+    effects that move the ego or its percept, and the config; with ghosts,
+    also their rate and the seed of the flag streams.  Scenarios with one
+    key have equal runs, reports and views, up to the scenario id.  Flat,
+    so that it hashes without a call to a dataclass ``__hash__``."""
+    odd, effects = scenario.odd, scenario.effects
+    vehicle = odd.vehicle
+    key = (
+        odd.d_object, odd.d_perception, odd.mu, odd.odd_tags,
+        vehicle.v_r, vehicle.rho, vehicle.a_max_accel, vehicle.a_min_brake,
+        effects.perception_range_factor, effects.mu_factor, effects.rho_add,
+        cfg.dt, cfg.max_time, cfg.perception_tick,
+    )
+    return key + (effects.ghost_rate, scenario.seed) if effects.ghost_rate else key
+
+
 @dataclass(slots=True)
 class _Shared:
-    """What a sweep's runs share.  A sweep runs each scenario's runs, and
-    the scenarios that share a seed, back to back, so it keeps the ``plan``
-    of the last (scenario, cfg) and the flag ``streams`` of the last
-    ``seed``, one per run index, which every scenario of that seed reads,
-    until it returns.
+    """What a sweep's runs share.  ``scenario`` and ``cfg`` are the last
+    call's, with their ghost ``plan`` or their ghost-free ``trace``, which
+    every run returns.  The scenarios of one outcome key share a plan: the
+    ghost-free ``outcomes`` table holds each key's one resolution until the
+    sweep returns, and ``plans`` the ghost plans of the last ``seed``, with
+    its flag ``streams``, one per run index, which every scenario of that
+    seed reads, until the seed changes or the sweep returns.  A sweep runs
+    the scenarios that share a seed back to back, each one's runs in a row.
+    A resolution keeps its report until the calls move to another key.
     ``run0`` keeps each run-0 trace by id(scenario) until a call with the
     same scenario and cfg takes it; the trace holds the scenario and its
-    stream.  ``batch`` holds the seed states of the last sweep's ghost streams, which
-    the export's streams read too."""
+    stream.  ``batch`` holds the seed states of the last sweep's ghost
+    streams, which the export's streams read too."""
 
+    scenario: Scenario | None = None
+    cfg: SimConfig | None = None
     plan: _Plan | None = None
+    trace: SimTrace | None = None
+    outcomes: dict[tuple, _Resolved] = field(default_factory=dict)
     seed: int | None = None
+    plans: dict[tuple, _Plan] = field(default_factory=dict)
     streams: dict[int, _FlagStream] = field(default_factory=dict)
     run0: dict[int, SimTrace] = field(default_factory=dict)
     batch: _SeedBatch | None = None
+
+    def enter(self, scenario: Scenario, cfg: SimConfig) -> tuple:
+        """Make ``scenario`` at ``cfg`` the current one: find its key's plan
+        or resolution, or build it.  Returns the key."""
+        key = _outcome_key(scenario, cfg)
+        plan, trace = None, None
+        if scenario.effects.ghost_rate:
+            if self.seed != scenario.seed:
+                self.seed, self.plans, self.streams = scenario.seed, {}, {}
+            plan = self.plans.get(key)
+            if plan is None:
+                plan = self.plans[key] = _Plan(scenario, cfg)
+        else:  # no stream: every run is the natural one
+            res = self.outcomes.get(key)
+            if res is None:
+                fresh = _Plan(scenario, cfg)
+                res = self.outcomes[key] = fresh.resolve(fresh.n_nat, scenario.id)
+            trace = SimTrace(scenario, cfg, res, None)
+        # The last key's reports served its runs; a kept trace need not hold them.
+        if self.plan is not None and self.plan is not plan:
+            for res in self.plan._resolutions.values():
+                res.kpis = None
+        elif self.trace is not None and (trace is None or trace._res is not self.trace._res):
+            self.trace._res.kpis = None
+        self.scenario, self.cfg, self.plan, self.trace = scenario, cfg, plan, trace
+        return key
+
+    def end_sweep(self) -> None:
+        """Drop the tables; the run-0 traces hold what the export reads."""
+        self.scenario = self.cfg = self.plan = self.trace = self.seed = None
+        self.outcomes, self.plans, self.streams = {}, {}, {}
 
 
 _shared: _Shared | None = None
@@ -789,9 +869,10 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
 
     ``run_index`` selects the run's random stream within the scenario's
     seed (sweeps use 0, 1, 2, ...); equal inputs give bit-identical traces.
-    Within a :func:`_sharing` block, runs of one scenario at equal configs
-    that trigger on the same step share one resolution, and a ghost-free
-    scenario's runs one trace; outside one, each call resolves afresh.
+    Within a :func:`_sharing` block, the scenarios of one outcome key at
+    equal configs share one plan, their runs that trigger on the same step
+    one resolution, and a ghost-free scenario's runs one trace; outside
+    one, each call resolves afresh.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -801,27 +882,23 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
         if trace is not None and trace._cfg is cfg:
             del shared.run0[id(scenario)]
             return trace
-    plan = shared.plan
-    if plan is None or plan.scenario is not scenario or (plan.cfg is not cfg and plan.cfg != cfg):
-        if plan is not None:
-            # Its reports served its runs; a kept trace need not hold them.
-            for res in plan._resolutions.values():
-                res.kpis = None
-        plan = shared.plan = _Plan(scenario, cfg)
-    trace = plan.trace
+    if shared.scenario is not scenario or (shared.cfg is not cfg and shared.cfg != cfg):
+        shared.enter(scenario, cfg)
+    trace = shared.trace
     if trace is None:
-        if scenario.effects.ghost_rate:
-            if shared.seed != scenario.seed:
-                shared.seed, shared.streams = scenario.seed, {}
-            stream = shared.streams.get(run_index)
-            if stream is None:
-                stream = shared.streams[run_index] = _FlagStream(scenario.seed, run_index)
-            tick = stream.first(scenario.effects.ghost_rate, -(-plan.draw_limit // cfg.tick_steps))
-            # A ghost at or after the natural trigger is too late.
-            n_trig = plan.n_nat if tick is None else min(tick * cfg.tick_steps, plan.n_nat)
-            trace = SimTrace(scenario, cfg, plan.resolve(n_trig), stream)
-        else:  # no stream: every run is the natural one
-            trace = plan.trace = SimTrace(scenario, cfg, plan.resolve(plan.n_nat), None)
+        plan = shared.plan
+        stream = shared.streams.get(run_index)
+        if stream is None:
+            stream = shared.streams[run_index] = _FlagStream(scenario.seed, run_index)
+        tick = stream.first(scenario.effects.ghost_rate, -(-plan.draw_limit // cfg.tick_steps))
+        # A ghost at or after the natural trigger is too late.
+        n_trig = plan.n_nat if tick is None else min(tick * cfg.tick_steps, plan.n_nat)
+        trace = SimTrace(scenario, cfg, plan.resolve(n_trig, scenario.id), stream)
+        if run_index == 0:
+            if plan.run0 is None:
+                plan.run0 = trace
+            else:  # the same run of an equal scenario: its view is this one's
+                trace._view = plan.run0
     if run_index == 0:
         shared.run0.setdefault(id(scenario), trace)
     return trace
@@ -834,7 +911,6 @@ def _trace_view(
     the ego state at each event step, as :class:`SimState` rows.  Draws the
     ghost gaps; a ghost-free run has no stream."""
     dt = cfg.dt
-    range_eff = scenario.odd.d_perception * scenario.effects.perception_range_factor
     ghost = EventKind.GHOST_DETECTED
     sense = _STAGE_FOR_KIND[ghost]
     order = _STAGE_ORDER[sense]
@@ -850,7 +926,7 @@ def _trace_view(
         stage = _STAGE_FOR_KIND[kind]
         found.append((step, _STAGE_ORDER[stage], stage, kind, res.gap(step)))
 
-    n_vis = _first_visible_tick(res, range_eff, cfg.tick_steps)
+    n_vis = _first_visible_tick(res, _range(scenario), cfg.tick_steps)
     if n_vis is not None:
         add(n_vis, EventKind.OBJECT_DETECTED)
     if res.n_trig is not None:
@@ -875,7 +951,7 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
     keeps its one report, so runs that share it derive their KPIs once; a
     natural trigger comes at a gap within the threshold, so a trigger
     beyond it is a ghost's, a false activation.  ``simulate`` drops the
-    reports of a plan's resolutions when a sweep moves to another plan.
+    reports of a key's resolutions when a sweep moves to another key.
     """
     if scenario is not trace._scenario and scenario != trace._scenario:
         raise ContractViolationError(f"compute_kpis: '{scenario.id}' is not the trace's scenario")
@@ -902,23 +978,22 @@ def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
 
 
 def _aggregate(scenario: Scenario, kpis: Sequence[KpiReport], odd_fingerprint: str) -> SweepStats:
-    gaps = [k.final_gap for k in kpis]
-    speeds = [k.impact_speed for k in kpis]
+    ttcs, gaps, collisions, speeds, false_activations = zip(*kpis)
     n = len(kpis)
     # The means add their floats left to right, as sum() did before Python
     # 3.12 compensated, so the bundle's bytes do not depend on the version.
     return SweepStats(
         scenario_id=scenario.id,
         runs=n,
-        collision_rate=sum(k.collision for k in kpis) / n,
-        false_activation_rate=sum(k.false_activation for k in kpis) / n,
+        collision_rate=sum(collisions) / n,
+        false_activation_rate=sum(false_activations) / n,
         gap_mean=functools.reduce(operator.add, gaps, 0.0) / n,
         gap_min=min(gaps),
         gap_max=max(gaps),
         impact_speed_mean=functools.reduce(operator.add, speeds, 0.0) / n,
         impact_speed_min=min(speeds),
         impact_speed_max=max(speeds),
-        ttc_at_trigger_min=min(k.ttc_at_trigger for k in kpis),
+        ttc_at_trigger_min=min(ttcs),
         odd_fingerprint=odd_fingerprint,
     )
 
@@ -936,9 +1011,11 @@ def monte_carlo_sweep(
     it.  It runs in a :func:`_sharing` block, the caller's if one is open.
     The scenarios that share a seed (a condition and its mitigated
     variants) run back to back, groups in the order in which each seed
-    first appears, so that each (seed, run) flag stream is drawn once.  A
-    simulation error is re-raised with the scenario id attached; of several
-    failing scenarios, the first in that run order is reported.
+    first appears, so that each (seed, run) flag stream is drawn once.  The
+    scenarios of one outcome key (:func:`_outcome_key`) share one plan and
+    one aggregate: a later one's stats are the first one's with its own
+    id.  A simulation error is re-raised with the scenario id attached; of
+    several failing scenarios, the first in that run order is reported.
     """
     if runs_per_scenario < 1:
         raise ParameterError(f"runs_per_scenario must be >= 1, got {runs_per_scenario}")
@@ -964,21 +1041,32 @@ def monte_carlo_sweep(
     results: dict[int, SweepStats] = {}
     # Most scenarios of a campaign share one ODD: fingerprint each ODD once.
     fingerprints: dict[OddDefinition, str] = {}
-    for index in (index for group in groups.values() for index in group):
-        scenario = scenarios[index]
-        try:
-            kpis = [
-                compute_kpis(simulate(scenario, cfg, i), scenario)
-                for i in range(runs_per_scenario)
-            ]
-        except SimulationError as exc:
-            raise SimulationError(f"scenario '{scenario.id}': {exc}") from exc
-        fingerprint = fingerprints.get(scenario.odd)
-        if fingerprint is None:
-            fingerprint = fingerprints[scenario.odd] = scenario.odd.fingerprint()
-        results[index] = _aggregate(scenario, kpis, fingerprint)
-    # The run-0 traces hold the streams that the export reads; the block need not.
-    _shared.seed, _shared.streams = None, {}
+    # The stats of each outcome key: ghost-free ones for the whole sweep, as
+    # the block keeps their resolutions, and ghost ones for their seed.
+    ghost_free: dict[tuple, SweepStats] = {}
+    for group in groups.values():
+        ghost: dict[tuple, SweepStats] = {}
+        for index in group:
+            scenario = scenarios[index]
+            try:
+                key = _shared.enter(scenario, cfg)  # its runs' simulate calls find it
+                kpis = [
+                    compute_kpis(simulate(scenario, cfg, i), scenario)
+                    for i in range(runs_per_scenario)
+                ]
+            except SimulationError as exc:
+                raise SimulationError(f"scenario '{scenario.id}': {exc}") from exc
+            memo = ghost if scenario.effects.ghost_rate else ghost_free
+            stats = memo.get(key)
+            if stats is None:
+                fingerprint = fingerprints.get(scenario.odd)
+                if fingerprint is None:
+                    fingerprint = fingerprints[scenario.odd] = scenario.odd.fingerprint()
+                stats = memo[key] = _aggregate(scenario, kpis, fingerprint)
+            elif stats.scenario_id != scenario.id:
+                stats = stats._replace(scenario_id=scenario.id)
+            results[index] = stats
+    _shared.end_sweep()
     return [results[index] for index in range(len(scenarios))]
 
 
@@ -989,9 +1077,11 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     A line is ``json.dumps`` of that object, assembled from texts that one
     :func:`errors.json_encoder` wrote, each distinct one once per call: the
     text of every event and state row, and the events-and-states body of
-    every ghost-free trace.  That body depends only on the run's resolution,
-    perception range and frame period, so a trace whose body was written
-    builds no view."""
+    every ghost-free trace.  That body depends only on the run's resolution
+    and the first tick that sees the object, so a trace whose body was
+    written builds no view.  A ghost trace that shares its view with an
+    earlier trace of its outcome key (:class:`SimTrace`) builds none
+    either."""
     dumps = json_encoder()
     # Event rows have four fields and state rows three, so one memo holds both.
     # No input float is -0.0 (core._require_finite reads it as 0.0), and no
@@ -1017,11 +1107,10 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
         for trace in traces:
             if trace._stream is None:
                 res = trace._res
-                odd, effects = trace._scenario.odd, trace._scenario.effects
                 key = (
                     res.v0, res.dt, res.b_eff, res.d_object, res.n_trig, res.n_eff,
                     res.m_stop, res.terminal_step, res.terminal,
-                    odd.d_perception * effects.perception_range_factor, trace._cfg.tick_steps,
+                    _first_visible_tick(res, _range(trace._scenario), trace._cfg.tick_steps),
                 )
                 tail = bodies.get(key)
                 if tail is None:

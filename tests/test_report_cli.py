@@ -304,16 +304,19 @@ class TestTraceFile:
         self, campaign_inputs, tmp_path, monkeypatch
     ):
         # The sweep reads resolutions only.  The export builds the view (the
-        # event and state rows) of every ghost scenario's trace, and of a
-        # ghost-free trace only when it writes a body (the events and the
-        # states) that it has not written at that perception range before.
+        # event and state rows) of a ghost scenario's trace only for the
+        # first scenario with its ODD, effects and seed, and of a ghost-free
+        # trace only when it writes a body (the events and the states) that
+        # it has not written before.
         built = count_trace_views(monkeypatch)
         built_before_export = []
+        exported = []
         simulate_ = report.simulate
 
         def exporting(scenario, cfg, run_index=0):
             if not built_before_export:
                 built_before_export.append(len(built))
+            exported.append(scenario)
             return simulate_(scenario, cfg, run_index=run_index)
 
         monkeypatch.setattr(report, "simulate", exporting)
@@ -325,22 +328,22 @@ class TestTraceFile:
             trace_dir=tmp_path / "traces",
         )
         assert built_before_export == [0]
-        d_perception = campaign_inputs["odd"].d_perception
         lines = (tmp_path / "traces" / "traces.jsonl").read_text().splitlines()
         expected, written = [], set()
-        for scenario, line in zip(bundle.scenarios, lines, strict=True):
-            effects = scenario.effects
+        for scenario, line in zip(exported, lines, strict=True):
             trace = json.loads(line)
-            body = (
-                json.dumps([trace["events"], trace["states"]]),
-                d_perception * effects["perception_range_factor"],
-            )
-            if effects["ghost_rate"]:
-                expected.append(scenario.id)
-            elif body not in written:
+            if scenario.effects.ghost_rate:
+                body = (scenario.odd, scenario.effects, scenario.seed)
+            else:
+                body = json.dumps([trace["events"], trace["states"]])
+            if body not in written:
                 expected.append(scenario.id)
                 written.add(body)
+        assert [s.id for s in exported] == [s.id for s in bundle.scenarios]
         assert built == expected
+        # 13 ghost outcome keys of 18 ghost scenarios, 24 ghost-free bodies of
+        # 32 ghost-free outcome keys.
+        assert len(built) == 13 + 24 < 18 + 32
         assert len(built) < len(bundle.scenarios)  # ghost-free bodies repeat
 
     def test_traces_do_not_depend_on_runs(self, campaign_inputs, tmp_path):
@@ -449,13 +452,16 @@ class TestRun0HandOver:
         plans = Counter()
         run0_seeded = {"sweep": [], "export": []}
         ghost_ids = []
+        keys = {}  # what a scenario's runs depend on, by id
         simulate_, exported_ = sim_module.simulate, report.simulate
         generator, init, resolve = sim_module._generator, sim_module._Plan.__init__, sim_module._Plan._resolve
 
         def sweeping(scenario, cfg, run_index):
             stage[1] = scenario
-            if run_index == 0 and scenario.effects.ghost_rate > 0:
-                ghost_ids.append(scenario.id)
+            if run_index == 0:
+                keys[scenario.id] = (scenario.odd, scenario.effects, scenario.seed)
+                if scenario.effects.ghost_rate > 0:
+                    ghost_ids.append(scenario.id)
             return simulate_(scenario, cfg, run_index)
 
         def exporting(scenario, cfg, run_index=0):
@@ -483,7 +489,12 @@ class TestRun0HandOver:
         bundle = self._campaign(campaign_inputs, tmp_path / "traces")
 
         assert stage[0] == "export"
-        assert plans["sweep", "init"] == len(bundle.scenarios)
+        # One plan per ghost scenario with its ODD, effects and seed, and per
+        # ghost-free one with its ODD and effects.
+        distinct = {
+            key if key[1].ghost_rate else key[:2] for key in keys.values()
+        }
+        assert plans["sweep", "init"] == len(distinct) == 45 < len(bundle.scenarios) == 86
         assert plans["sweep", "resolve"] > 0
         assert plans["export", "init"] == plans["export", "resolve"] == 0
         shared = [i for i in ghost_ids if i not in run0_seeded["sweep"]]
@@ -494,8 +505,14 @@ class TestRun0HandOver:
             for trace in map(json.loads, lines)
             if any(event["kind"] == "ghost_detected" for event in trace["events"])
         }
-        assert sorted(run0_seeded["export"]) == sorted(shown)
-        assert len(shown) == 14 < len(ghost_ids) == 18 and len(shared) == 12
+        # A run-0 trace with the key of an earlier one shares its view.
+        first_of_key = {}
+        for scenario_id in (trace["scenario_id"] for trace in map(json.loads, lines)):
+            first_of_key.setdefault(keys[scenario_id], scenario_id)
+        first_shown = sorted(i for i in shown if first_of_key[keys[i]] == i)
+        assert sorted(run0_seeded["export"]) == first_shown
+        assert len(first_shown) == 9 < len(shown) == 14 < len(ghost_ids) == 18
+        assert len(shared) == 12
 
     def test_nothing_is_kept_after_a_campaign(self, campaign_inputs, tmp_path, monkeypatch):
         held = []

@@ -891,7 +891,11 @@ class TestSharedDraws:
                     assert sim_module._shared is shared
                     for i in sorted(set(runs)):
                         within[scenario.id, i] = simulate(scenario, cfg, i)
-            assert shared.plan.scenario is same_rate and shared.seed == condition.seed
+            assert shared.scenario is same_rate and shared.seed == condition.seed
+            # The condition and its same-rate variant have one outcome key.
+            assert shared.plans.keys() == {
+                sim_module._outcome_key(s, cfg) for s in (condition, lower_rate)
+            }
             assert set(shared.run0) == {id(scenario) for scenario in scenarios}
         for scenario in (same_rate, lower_rate):  # read the condition's streams
             assert all(within[scenario.id, i]._stream is within[condition.id, i]._stream for i in runs)
@@ -1550,9 +1554,11 @@ class TestLazyTraceView:
         scenario = make_scenario(
             baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.02), scenario_id="g", seed=5
         )
-        with sim_module._sharing():  # the sweep joins it
+        with sim_module._sharing():  # the sweep joins it, and drops its plans on return
             monte_carlo_sweep([scenario], cfg, runs_per_scenario=200)
-            swept = len(derived)
+            assert sim_module._shared.plans == {} and sim_module._shared.plan is None
+        swept = len(derived)
+        with sim_module._sharing():
             resolutions, reports = {}, {}
             for i in range(200):
                 trace = simulate(scenario, cfg, i)
@@ -1560,7 +1566,7 @@ class TestLazyTraceView:
                 key = trigger_key(trace, scenario)
                 assert trace._res is resolutions.setdefault(key[0], trace._res)
                 assert report is reports.setdefault(key, report)
-        assert swept == len(derived) == len(reports) < 200
+        assert swept == len(derived) - swept == len(reports) < 200
 
     def test_report_follows_the_scenario(self, baseline_vehicle):
         # A certain ghost latches the brake at 100 m: beyond this vehicle's
@@ -1581,6 +1587,153 @@ class TestLazyTraceView:
         assert compute_kpis(trace, equal) is kpis
         with pytest.raises(ContractViolationError, match="not the trace's scenario"):
             compute_kpis(trace, other)
+
+
+# A value for every field of the scenario's inputs and of the config that
+# moves a run's row or trace line away from baseline_odd's at 0.05 ghosts.
+_ONE_FIELD_CHANGES = {
+    OddDefinition: {
+        "d_object": 60.0, "d_perception": 50.0, "mu": 0.6,
+        "odd_tags": frozenset({"weather", "night"}),
+    },
+    VehicleParams: {"v_r": 10.0, "rho": 0.5, "a_max_accel": 1.0, "a_min_brake": 7.0},
+    EffectModel: {
+        "perception_range_factor": 0.5, "ghost_rate": 0.2, "mu_factor": 0.6, "rho_add": 0.3,
+    },
+    SimConfig: {"dt": 0.002, "max_time": 5.0, "perception_tick": 0.1},
+}
+_ONE_FIELD_CASES = [
+    (owner, name, base_rate)
+    for owner in _ONE_FIELD_CHANGES
+    for name in _ONE_FIELD_CHANGES[owner]
+    for base_rate in (0.0, 0.05)
+] + [("seed", "seed", 0.05)]
+
+
+def _sweep_and_export(pairs, runs, path) -> tuple[list, list[str]]:
+    """Sweep (scenario, cfg) pairs, a sweep per run of equal configs, and
+    export their run-0 traces, in one sharing block, as run_campaign does."""
+    stats = []
+    with sim_module._sharing():
+        start = 0
+        for end in range(1, len(pairs) + 1):
+            if end == len(pairs) or pairs[end][1] != pairs[start][1]:
+                group = [scenario for scenario, _ in pairs[start:end]]
+                stats += monte_carlo_sweep(group, pairs[start][1], runs)
+                start = end
+        export_trace_jsonl((simulate(s, cfg, 0) for s, cfg in pairs), path)
+    return stats, path.read_text().splitlines()
+
+
+def _without_id(line: str) -> dict:
+    item = json.loads(line)
+    del item["scenario_id"]
+    return item
+
+
+class TestOutcomeKey:
+    """The scenarios of one outcome key share a plan, resolutions, reports,
+    an aggregate and a trace body; scenarios of different keys share none
+    of them, whichever field tells them apart."""
+
+    RUNS = 6
+
+    def test_every_field_is_covered(self):
+        for owner, changes in _ONE_FIELD_CHANGES.items():
+            names = {f.name for f in dataclasses.fields(owner)} - {"vehicle"}
+            assert set(changes) == names, owner
+
+    @pytest.mark.parametrize(
+        "owner, name, base_rate", _ONE_FIELD_CASES,
+        ids=[f"{getattr(o, '__name__', o)}.{n}-ghost{r}" for o, n, r in _ONE_FIELD_CASES],
+    )
+    def test_one_field_apart_is_no_merge(self, baseline_vehicle, tmp_path, owner, name, base_rate):
+        odd, cfg, seed = baseline_odd(baseline_vehicle), SimConfig(), 1234
+        effects = EffectModel(ghost_rate=base_rate)
+        a = make_scenario(odd, effects, scenario_id="a", seed=seed)
+        b_odd, b_effects, b_cfg, b_seed = odd, effects, cfg, seed
+        change = {name: _ONE_FIELD_CHANGES[owner][name]} if owner != "seed" else {}
+        if owner is OddDefinition:
+            b_odd = dataclasses.replace(odd, **change)
+        elif owner is VehicleParams:
+            b_odd = dataclasses.replace(odd, vehicle=dataclasses.replace(baseline_vehicle, **change))
+        elif owner is EffectModel:
+            b_effects = dataclasses.replace(effects, **change)
+        elif owner is SimConfig:
+            b_cfg = dataclasses.replace(cfg, **change)
+        else:
+            b_seed = 99
+        b = make_scenario(b_odd, b_effects, scenario_id="b", seed=b_seed)
+
+        alone = {
+            s.id: _sweep_and_export([(s, c)], self.RUNS, tmp_path / f"{s.id}.jsonl")
+            for s, c in ((a, cfg), (b, b_cfg))
+        }
+        (row_a,), (line_a,) = alone["a"]
+        (row_b,), (line_b,) = alone["b"]
+        # The field matters, so a merge would show.
+        assert (row_a[1:], _without_id(line_a)) != (row_b[1:], _without_id(line_b))
+        for pairs in ([(a, cfg), (b, b_cfg)], [(b, b_cfg), (a, cfg)]):
+            stats, lines = _sweep_and_export(pairs, self.RUNS, tmp_path / "both.jsonl")
+            for (scenario, _), row, line in zip(pairs, stats, lines, strict=True):
+                assert (row, line) == ([row_a, row_b][scenario is b], [line_a, line_b][scenario is b])
+        # Within one block, outside a sweep, the tables hold both keys.
+        with sim_module._sharing():
+            within = [simulate(s, c, i) for i in range(self.RUNS) for s, c in ((a, cfg), (b, b_cfg))]
+        fresh = [simulate(s, c, i) for i in range(self.RUNS) for s, c in ((a, cfg), (b, b_cfg))]
+        assert within == fresh
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from([60.0, 100.0]),  # d_object
+                st.sampled_from([0.5, 1.0]),  # perception_range_factor
+                st.sampled_from([0.0, 0.0, 0.02, 0.2]),  # ghost_rate
+                st.sampled_from([0.5, 1.0]),  # mu_factor
+                st.sampled_from([1, 2]),  # seed
+            ),
+            min_size=1, max_size=6,
+        ),
+        copies=st.lists(st.integers(0, 5), max_size=8),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_duplicates_get_their_originals_row_and_line(
+        self, baseline_vehicle, tmp_path_factory, specs, copies, order
+    ):
+        cfg, runs = SimConfig(), 3
+        originals = [
+            make_scenario(
+                baseline_odd(baseline_vehicle, d_object=d_object),
+                EffectModel(perception_range_factor=factor, ghost_rate=rate, mu_factor=mu_factor),
+                scenario_id=f"s{i}", seed=seed,
+            )
+            for i, (d_object, factor, rate, mu_factor, seed) in enumerate(specs)
+        ]
+        copied = [
+            dataclasses.replace(originals[k % len(originals)], id=f"s{k % len(originals)}~{n}")
+            for n, k in enumerate(copies)
+        ]
+        scenarios = originals + copied
+        order.shuffle(scenarios)
+        path = tmp_path_factory.mktemp("dupes")
+        expected_stats, expected_lines = _sweep_and_export(
+            [(s, cfg) for s in originals], runs, path / "originals.jsonl"
+        )
+        row_of = {row.scenario_id: row for row in expected_stats}
+        line_of = {row.scenario_id: line for row, line in zip(expected_stats, expected_lines)}
+
+        with sim_module._sharing():
+            stats = monte_carlo_sweep(scenarios, cfg, runs)
+            shared = sim_module._shared
+            assert shared.plans == {} and shared.outcomes == {} and shared.plan is None
+            export_trace_jsonl((simulate(s, cfg, 0) for s in scenarios), path / "all.jsonl")
+        lines = (path / "all.jsonl").read_text().splitlines()
+        for scenario, row, line in zip(scenarios, stats, lines, strict=True):
+            original = scenario.id.split("~")[0]
+            assert row == row_of[original]._replace(scenario_id=scenario.id)
+            assert json.loads(line)["scenario_id"] == scenario.id
+            assert _without_id(line) == _without_id(line_of[original])
 
 
 class TestInvariants:
