@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .analysis import load_severity_rules
-from .errors import PipelineError, SotifkitError
+from .errors import ParameterError, PipelineError, SotifkitError
 from .report import (
     emit_markdown_summary,
     file_digest,
@@ -106,6 +106,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         inputs["severity_rules"] = args.severity_rules
 
     try:
+        if args.runs < 1:
+            raise ParameterError(f"--runs must be >= 1, got {args.runs}")
         digests = {name: file_digest(path) for name, path in inputs.items()}
         odd = load_odd(args.odd)
         taxonomy = load_taxonomy(args.taxonomy)

@@ -34,7 +34,7 @@ one bounded search (:func:`_first`): it gallops from the guess, clamped
 to the interval (a guess of nan or -inf, or none, from its start), and
 bisects the bracket.  A run differs from the others of its scenario only
 by its first ghost, so a plan holds everything else, and runs that trigger
-on the same step share one resolution and one KPI report; the runs of a
+on the same step share one resolution, built with its KPI report; the runs of a
 ghost-free scenario all return one trace.  A scenario's runs depend only
 on its outcome key (:func:`_outcome_key`): its ODD (vehicle included),
 its perception-range, friction and latency effects and the config, and,
@@ -50,14 +50,13 @@ events and states, built once, when first needed, and kept, so that the
 export and the objects read one view.  The rows are :class:`SimEvent`
 and :class:`SimState` named tuples, each with the fields of its
 ``traces.jsonl`` item, and ``events`` and ``states`` return them.  A
-view draws its ghosts from a fresh generator (:func:`_ghost_events`), and
-builds none when its stream shows no flag before the terminal.  The
-export writes each line from the rows, encoding each distinct row once;
-a ghost-free run has no stream, and its events and states depend only on
-its resolution and the first tick that sees the object, so the export
+view reads its flagged ticks from its run's stream and draws only their
+gaps (:func:`_ghost_events`).  The export writes each line from the
+rows, encoding each distinct row once; a ghost-free run has no stream,
+and its events and states depend only on its resolution and the first
+tick that sees the object, which the resolution keeps, so the export
 writes each distinct ghost-free body once and builds no view for a
-repeat.  The run-0 traces of the ghost scenarios of one key share one
-view.  The KPIs are read off the resolution alone, without a view.
+repeat.  The run-0 traces of the ghost scenarios of one key share one view.
 Runs share only within a :func:`_sharing` block, which a sweep opens and
 ``run_campaign`` holds over its sweep and export (:class:`_Shared`): the
 resolution of each ghost-free key and the aggregate of each key until the
@@ -306,7 +305,8 @@ class _Resolved:
     m_stop: int         # braking steps until v == 0 (if engaged)
     terminal_step: int
     terminal: Terminal
-    kpis: KpiReport | None = None  # compute_kpis's, for every run of this resolution
+    kpis: KpiReport | None = None  # set by _Plan.resolve, for every run of this resolution
+    n_vis: int | None = -1  # first_visible's; -1 until first asked
 
     def _brake_advance(self, m: int) -> float:
         # Distance gained after m braking steps; advance ceases once the
@@ -329,6 +329,12 @@ class _Resolved:
 
     def gap(self, n: int) -> float:
         return self.d_object - self.x(n)
+
+    def first_visible(self, range_eff: float, tick_steps: int) -> int | None:
+        # Searched once: a resolution has one plan, so one range and tick.
+        if self.n_vis == -1:
+            self.n_vis = _first_visible_tick(self, range_eff, tick_steps)
+        return self.n_vis
 
 
 class _Plan:
@@ -369,7 +375,7 @@ class _Plan:
         self.v0 = v0 = veh.v_r
         self.d_obj = d_obj = odd.d_object
         range_eff = _range(scenario)
-        d_trigger = core.rss_min_distance(veh)
+        self.d_trigger = d_trigger = core.rss_min_distance(veh)
         mu = odd.mu * eff.mu_factor
         b_eff = core.effective_brake_decel(veh, mu) if mu > 0.0 else 0.0
         # A brake too weak for b_eff*dt to be above 0, or a friction product
@@ -408,17 +414,33 @@ class _Plan:
         self.draw_limit = min(self.n_hit_cruise, max_steps)
 
     def resolve(self, n_trig: int, scenario_id: str) -> _Resolved:
-        """The run that triggers at ``n_trig``, resolved when a run first needs
-        it.  A non-finite one is not kept: every call raises SimulationError,
-        which names the scenario that asked."""
+        """The run that triggers at ``n_trig``, resolved with its KPI report
+        when a run first needs it.  A non-finite one is not kept: every call
+        raises SimulationError, which names the scenario that asked."""
         res = self._resolutions.get(n_trig)
         if res is None:
             res = self._resolve(n_trig)
-            for name, value in (("position", res.x(res.terminal_step)), ("velocity", res.v(res.terminal_step))):
+            end = res.terminal_step
+            x_end, v_end = res.x(end), res.v(end)
+            for name, value in (("position", x_end), ("velocity", v_end)):
                 if not math.isfinite(value):
                     raise SimulationError(
                         f"non-finite {name} at terminal of scenario '{scenario_id}'"
                     )
+            collision = res.terminal is Terminal.COLLISION
+            if res.n_trig is None:
+                ttc_at_trigger, false_activation = core.NO_CLOSING, False
+            else:  # a natural trigger comes within the threshold, a ghost's beyond
+                gap = res.gap(res.n_trig)
+                ttc_at_trigger = core.ttc(max(0.0, gap), res.v(res.n_trig))
+                false_activation = gap > self.d_trigger
+            res.kpis = KpiReport(
+                ttc_at_trigger=ttc_at_trigger,
+                final_gap=max(0.0, res.d_object - x_end),
+                collision=collision,
+                impact_speed=v_end if collision else 0.0,
+                false_activation=false_activation,
+            )
             self._resolutions[n_trig] = res
         return res
 
@@ -606,55 +628,62 @@ class _FlagStream:
     do not depend on the config, which sets only how many ticks a run reads.
 
     The stream keeps its generator, the count of values ``drawn``, and
-    their record ``lows`` below ``bound``: each tick whose value is below
-    ``bound`` and below every earlier value, as (tick, u).  At a rate p <=
-    bound the first flag is the first record low below p, so a lower rate,
+    their ``flags`` below ``bound``, as (tick, u) in tick order.  At a rate
+    p <= bound the flags below p are the flagged ticks, so a lower rate,
     as a mitigation sets, reads what a higher one drew.  A rate above the
     bound restarts the stream from tick 0 with that rate as its bound.
-    A query that draws takes ``ceil(_GHOST_SPAN / rate)`` values first,
-    at most ``_GHOST_CHUNK``, and twice as many in each further chunk, up
-    to ``_GHOST_CHUNK``: chunked any way, the values are the same.
+    ``first`` draws ``ceil(_GHOST_SPAN / rate)`` values first, at most
+    ``_GHOST_CHUNK``, and twice as many in each further chunk, up to
+    ``_GHOST_CHUNK``, and ``flagged`` ``_GHOST_CHUNK`` at a time: chunked
+    any way, the values are the same.
     The generator is built at the first draw, so a stream that draws
     nothing imports nothing; numpy is loaded then.
     """
 
-    __slots__ = ("seed", "run", "bound", "drawn", "lows", "_rng")
+    __slots__ = ("seed", "run", "bound", "drawn", "flags", "_rng")
 
     def __init__(self, seed: int, run: int):
         self.seed, self.run = seed, run
         self.bound = 0.0
         self.drawn = 0
-        self.lows: list[tuple[int, float]] = []
+        self.flags: list[tuple[int, float]] = []
         self._rng = None
+
+    def _draw(self, size: int) -> list[tuple[int, float]]:
+        """Draw the next ``size`` values; returns the flags among them."""
+        if self._rng is None:
+            self._rng = _generator(self.seed, self.run)
+        u = self._rng.random(size)
+        hits = (u < self.bound).nonzero()[0]
+        offset = self.drawn
+        self.drawn += size
+        new = [(offset + t, x) for t, x in zip(hits.tolist(), u[hits].tolist())]
+        self.flags += new
+        return new
 
     def first(self, rate: float, need: int) -> int | None:
         """The first tick below ``need`` flagged at ``rate``, or None.  Walks
-        the lows, and draws further chunks only when they cannot settle it."""
+        the flags, and draws further chunks only when they cannot settle it."""
         if rate > self.bound:
-            self.bound, self.drawn, self.lows, self._rng = rate, 0, [], None
-        lows = self.lows
-        for tick, u in lows:
+            self.bound, self.drawn, self.flags, self._rng = rate, 0, [], None
+        for tick, u in self.flags:
             if u < rate:
                 return tick if tick < need else None
         # A tiny rate's span overflows to inf, which the comparison also takes.
         size = _GHOST_CHUNK if _GHOST_SPAN / rate >= _GHOST_CHUNK else math.ceil(_GHOST_SPAN / rate)
         while self.drawn < need:
-            if self._rng is None:
-                self._rng = _generator(self.seed, self.run)
-            u = self._rng.random(min(need - self.drawn, size))
+            for tick, u in self._draw(min(need - self.drawn, size)):
+                if u < rate:
+                    return tick
             size = min(2 * size, _GHOST_CHUNK)
-            offset = self.drawn
-            self.drawn += u.size
-            hits = (u < self.bound).nonzero()[0]
-            found = None
-            for t, x in zip(hits.tolist(), u[hits].tolist()):
-                if not lows or x < lows[-1][1]:
-                    lows.append((offset + t, x))
-                    if found is None and x < rate:
-                        found = offset + t
-            if found is not None:
-                return found
         return None
+
+    def flagged(self, rate: float, need: int) -> list[int]:
+        """Every tick below ``need`` flagged at ``rate``, a rate that
+        ``first`` was asked for, so within the bound; draws on to ``need``."""
+        while self.drawn < need:
+            self._draw(min(need - self.drawn, _GHOST_CHUNK))
+        return [tick for tick, u in self.flags if u < rate and tick < need]
 
 
 def _ghost_events(
@@ -668,37 +697,28 @@ def _ghost_events(
     t shows a ghost at step ``t * tick_steps`` with gap ``u_gap[t] *
     trigger threshold``.  Both arrays span the whole horizon, so runs with
     the same seed stay coupled across effect changes (a lower ghost_rate
-    flags a subset of the same ticks).  A run with no flag before its
-    terminal builds no generator; any other draws from a fresh one, which
-    skips with ``advance`` to its first flag and to that flag's gap, in
-    bounded chunks: drawing a prefix, or skipping values, gives the same
-    values as one full draw."""
-    rate, tick_steps = scenario.effects.ghost_rate, cfg.tick_steps
-    need = -(-terminal_step // tick_steps)
-    first = stream.first(rate, need)
-    if first is None:
+    flags a subset of the same ticks).  The flagged ticks are the stream's
+    (:meth:`_FlagStream.flagged`).  A run with a flag draws its gaps from a
+    fresh generator, which skips with ``advance`` to each flag's gap past
+    those drawn and draws at most ``_GHOST_CHUNK`` values from there, up to
+    the last flag: skipping values gives the same values as one full draw."""
+    tick_steps = cfg.tick_steps
+    ticks = stream.flagged(scenario.effects.ghost_rate, -(-terminal_step // tick_steps))
+    if not ticks:
         return []
     rng = _generator(stream.seed, stream.run)
-    rng.bit_generator.advance(first)  # to u_flag[first]
-    chunks = [  # the flagged ticks of each chunk, from its start
-        (rng.random(min(need - start, _GHOST_CHUNK)) < rate).nonzero()[0]
-        for start in range(first, need, _GHOST_CHUNK)
-    ]
-    while not chunks[-1].size:  # the first chunk holds ``first``
-        chunks.pop()
-    n_ticks = -(-cfg.max_steps // tick_steps)
-    rng.bit_generator.advance(n_ticks - need + first)  # to u_gap[first]
+    rng.bit_generator.advance(-(-cfg.max_steps // tick_steps))  # to u_gap[0]
     d_trigger = trigger_threshold(scenario)
     events: list[tuple[int, float]] = []
-    for i, hits in enumerate(chunks):
-        start = first + i * _GHOST_CHUNK
-        u_gap = rng.random(_GHOST_CHUNK if i + 1 < len(chunks) else int(hits[-1]) + 1)
-        # In Python: numpy's integer and multiply loops, which nothing else
-        # runs, would add their code pages to the peak RSS (about 0.1 MB).
-        events += [
-            ((start + t) * tick_steps, u * d_trigger)
-            for t, u in zip(hits.tolist(), u_gap[hits].tolist())
-        ]
+    start = end = 0  # u_gap[start:end] is drawn, as ``u_gap``
+    for t in ticks:
+        if t >= end:
+            rng.bit_generator.advance(t - end)
+            start, end = t, min(t + _GHOST_CHUNK, ticks[-1] + 1)
+            # A list: numpy's multiply loop, which nothing else runs, would
+            # add its code pages to the peak RSS (about 0.1 MB).
+            u_gap = rng.random(end - start).tolist()
+        events.append((t * tick_steps, u_gap[t - start] * d_trigger))
     return events
 
 
@@ -800,7 +820,6 @@ class _Shared:
     its flag ``streams``, one per run index, which every scenario of that
     seed reads, until the seed changes or the sweep returns.  A sweep runs
     the scenarios that share a seed back to back, each one's runs in a row.
-    A resolution keeps its report until the calls move to another key.
     ``run0`` keeps each run-0 trace by id(scenario) until a call with the
     same scenario and cfg takes it; the trace holds the scenario and its
     stream.  ``batch`` holds the seed states of the last sweep's ghost
@@ -834,12 +853,6 @@ class _Shared:
                 fresh = _Plan(scenario, cfg)
                 res = self.outcomes[key] = fresh.resolve(fresh.n_nat, scenario.id)
             trace = SimTrace(scenario, cfg, res, None)
-        # The last key's reports served its runs; a kept trace need not hold them.
-        if self.plan is not None and self.plan is not plan:
-            for res in self.plan._resolutions.values():
-                res.kpis = None
-        elif self.trace is not None and (trace is None or trace._res is not self.trace._res):
-            self.trace._res.kpis = None
         self.scenario, self.cfg, self.plan, self.trace = scenario, cfg, plan, trace
         return key
 
@@ -926,7 +939,7 @@ def _trace_view(
         stage = _STAGE_FOR_KIND[kind]
         found.append((step, _STAGE_ORDER[stage], stage, kind, res.gap(step)))
 
-    n_vis = _first_visible_tick(res, _range(scenario), cfg.tick_steps)
+    n_vis = res.first_visible(_range(scenario), cfg.tick_steps)
     if n_vis is not None:
         add(n_vis, EventKind.OBJECT_DETECTED)
     if res.n_trig is not None:
@@ -944,37 +957,16 @@ def _trace_view(
 
 
 def compute_kpis(trace: SimTrace, scenario: Scenario) -> KpiReport:
-    """Derive a run's KPI report from its resolution, without building its
+    """A run's KPI report, read off its resolution, without building its
     events or states.
 
-    ``scenario`` must be the trace's own or equal to it.  The resolution
-    keeps its one report, so runs that share it derive their KPIs once; a
-    natural trigger comes at a gap within the threshold, so a trigger
-    beyond it is a ghost's, a false activation.  ``simulate`` drops the
-    reports of a key's resolutions when a sweep moves to another key.
+    ``scenario`` must be the trace's own or equal to it.  The plan builds
+    the report with the resolution (:meth:`_Plan.resolve`), so the runs
+    that share a resolution share one report, which it keeps.
     """
     if scenario is not trace._scenario and scenario != trace._scenario:
         raise ContractViolationError(f"compute_kpis: '{scenario.id}' is not the trace's scenario")
-    res = trace._res
-    report = res.kpis
-    if report is None:
-        n_trig = res.n_trig
-        end = res.terminal_step
-        collision = res.terminal is Terminal.COLLISION
-        if n_trig is None:
-            ttc_at_trigger, false_activation = core.NO_CLOSING, False
-        else:
-            gap = res.gap(n_trig)
-            ttc_at_trigger = core.ttc(max(0.0, gap), res.v(n_trig))
-            false_activation = gap > trigger_threshold(scenario)
-        report = res.kpis = KpiReport(
-            ttc_at_trigger=ttc_at_trigger,
-            final_gap=max(0.0, res.gap(end)),
-            collision=collision,
-            impact_speed=res.v(end) if collision else 0.0,
-            false_activation=false_activation,
-        )
-    return report
+    return trace._res.kpis
 
 
 def _aggregate(scenario: Scenario, kpis: Sequence[KpiReport], odd_fingerprint: str) -> SweepStats:
@@ -1110,7 +1102,7 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
                 key = (
                     res.v0, res.dt, res.b_eff, res.d_object, res.n_trig, res.n_eff,
                     res.m_stop, res.terminal_step, res.terminal,
-                    _first_visible_tick(res, _range(trace._scenario), trace._cfg.tick_steps),
+                    res.first_visible(_range(trace._scenario), trace._cfg.tick_steps),
                 )
                 tail = bodies.get(key)
                 if tail is None:

@@ -36,16 +36,20 @@ def ghost_draws(
 
 class FullDrawGhosts:
     """Stand-in for the engine's flag stream of one (seed, run) and for its
-    trace view's ghosts, each read from a full draw: ``first`` from the
-    run's first ``need`` flag values, ``events`` from ``ghost_draws``."""
+    trace view's ghosts, each read from a full draw: ``flagged`` and
+    ``first`` from the run's first ``need`` flag values, ``events`` from
+    ``ghost_draws``."""
 
     def __init__(self, seed: int, run_index: int):
         self.seed, self.run = seed, run_index
 
-    def first(self, rate: float, need: int) -> int | None:
+    def flagged(self, rate: float, need: int) -> list[int]:
         u_flag = np.random.default_rng(derive_seed(self.seed, self.run)).random(need)
-        ticks = np.flatnonzero(u_flag < rate)
-        return int(ticks[0]) if ticks.size else None
+        return np.flatnonzero(u_flag < rate).tolist()
+
+    def first(self, rate: float, need: int) -> int | None:
+        ticks = self.flagged(rate, need)
+        return ticks[0] if ticks else None
 
     @staticmethod
     def events(

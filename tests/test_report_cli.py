@@ -30,7 +30,7 @@ from sotifkit import (
 )
 from sotifkit.analysis import load_severity_rules
 from sotifkit.cli import EXIT_ERROR, EXIT_GATE_FAILED, EXIT_OK, main
-from sotifkit import report
+from sotifkit import cli, report
 from sotifkit.errors import ContractViolationError, PipelineError, SimulationError, SotifkitError
 from sotifkit.fixtures import fixture_path
 from sotifkit.analysis import AnalysisRow
@@ -513,6 +513,20 @@ class TestRun0HandOver:
         assert sorted(run0_seeded["export"]) == first_shown
         assert len(first_shown) == 9 < len(shown) == 14 < len(ghost_ids) == 18
         assert len(shared) == 12
+
+    def test_export_searches_each_visible_tick_once(self, campaign_inputs, tmp_path, monkeypatch):
+        # A resolution keeps its first visible tick, which the ghost-free
+        # body keys and the views read: one search per distinct resolution.
+        searched = []
+        search = sim_module._first_visible_tick
+
+        def searching(res, *args):
+            searched.append(res)
+            return search(res, *args)
+
+        monkeypatch.setattr(sim_module, "_first_visible_tick", searching)
+        self._campaign(campaign_inputs, tmp_path / "traces", runs=50)
+        assert len({id(res) for res in searched}) == len(searched) <= 45
 
     def test_nothing_is_kept_after_a_campaign(self, campaign_inputs, tmp_path, monkeypatch):
         held = []
@@ -1185,6 +1199,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error in stage 'load': ") and f"dt={float(dt)}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_one_fails_load(self, runs, tmp_path, capsys, monkeypatch):
+        # Checked with the inputs, before filter, generate and mitigate run.
+        started = []
+        monkeypatch.setattr(cli, "run_campaign", lambda **kwargs: started.append(kwargs))
+        out = tmp_path / "bundle"
+        assert main(self._run_args(out, ["--runs", runs])) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error in stage 'load': --runs must be >= 1, got {runs}\n"
+        assert started == [] and not out.exists()
 
     def test_friction_product_below_float_resolution_runs(self, tmp_path, capsys):
         # An ODD mu and a mu_factor of 1e-200 each load; their product

@@ -54,7 +54,8 @@ def baseline_odd(baseline_vehicle, d_object=100.0, d_perception=80.0, mu=1.0):
 
 
 def count_kpi_reports(monkeypatch) -> list[dict]:
-    """The fields of every KpiReport that compute_kpis builds from here on."""
+    """The fields of every KpiReport that a plan builds from here on, each
+    with its resolution."""
     derived = []
 
     def counting(**fields):
@@ -702,7 +703,7 @@ _NEEDS = st.integers(0, 3 * sim_module._GHOST_CHUNK)
 
 class TestFlagStream:
     """One stream answers every query on its (seed, run), in any order: a
-    rate below an earlier one reads the record lows, a need beyond what was
+    rate below an earlier one reads the flags drawn, a need beyond what was
     drawn draws on, and a rate above every earlier one restarts the stream
     with that rate as its bound."""
 
@@ -720,6 +721,8 @@ class TestFlagStream:
             expected = int(flagged[0]) if flagged.size else None
             assert stream.first(rate, need) == expected, queries[: k + 1]
             assert stream.bound == max(r for r, _ in queries[: k + 1])
+            if k % 2:  # a view's query, which draws on to ``need``
+                assert stream.flagged(rate, need) == flagged.tolist(), queries[: k + 1]
 
 
 def _seed_group(odd, rate: float, seed: int = 1234) -> list:
@@ -776,7 +779,7 @@ def count_generators(monkeypatch) -> dict[str, int]:
 class TestSharedDraws:
     """A sweep draws each (seed, run) flag stream once: every scenario with
     that seed reads its first ghost from one stream, which draws further
-    chunks of the same generator when its record lows cannot settle a
+    chunks of the same generator when its drawn flags cannot settle a
     query (a lower speed, whose cruise collision comes later), and restarts
     from tick 0, with a new generator, only for a rate above every earlier
     one.  Each run reads its stream up to its cruise collision, so a later
@@ -803,7 +806,7 @@ class TestSharedDraws:
                     assert swept == expected, f"{name} ghost_rate={rate} {scenario.id}"
         assert built.get("cond+same-rate", 0) == built.get("cond+earlier-trigger", 0) == 0
         assert built.get("cond+later-trigger", 0) == 0  # within the cruise collision
-        assert built.get("cond+third-rate", 0) == 0  # reads the lows, draws on
+        assert built.get("cond+third-rate", 0) == 0  # reads the flags, draws on
         assert built.get("cond+slower", 0) == 0  # draws on, beyond the first draw
         # Above every earlier rate: each stream that the condition drew
         # restarts once.
@@ -837,6 +840,43 @@ class TestSharedDraws:
         built = count_generators(monkeypatch)
         monte_carlo_sweep([condition, lower_rate], cfg, self.RUNS)
         assert built == {"cond": self.RUNS}
+
+    def test_view_within_the_drawn_flags_draws_only_gaps(
+        self, baseline_vehicle, tmp_path, monkeypatch
+    ):
+        # A rare-ghost variant draws the (seed, 0) stream on to its cruise
+        # collision, past the condition's terminal.  The condition's view,
+        # built by the export, takes its flagged ticks from the stream and
+        # draws only the gaps from its first ghost to its last.
+        odd, cfg = _ghost_grid_cases(baseline_vehicle)["stop"]
+        condition = make_scenario(odd, EffectModel(ghost_rate=0.3), scenario_id="cond", seed=1234)
+        rare = dataclasses.replace(condition, id="rare", effects=EffectModel(ghost_rate=1e-4))
+        drawn = []
+        generator = sim_module._generator
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.bit_generator = rng, rng.bit_generator
+
+            def random(self, size):
+                drawn.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(sim_module, "_generator", lambda *key: Counting(generator(*key)))
+        with sim_module._sharing():
+            monte_carlo_sweep([condition, rare], cfg, 1)
+            trace = simulate(condition, cfg, 0)
+            stream = trace._stream
+            assert stream.drawn * cfg.tick_steps >= trace._res.terminal_step
+            before = stream.drawn
+            drawn.clear()
+            export_trace_jsonl([trace], tmp_path / "traces.jsonl")
+        ghosts = events_of(trace, EventKind.GHOST_DETECTED)
+        steps = [round(e.time / cfg.dt) for e in ghosts]
+        assert len(ghosts) >= 2 and stream.drawn == before
+        assert sum(drawn) == (steps[-1] - steps[0]) // cfg.tick_steps + 1
+        expected = FullDrawGhosts.events(condition, cfg, stream, trace._res.terminal_step)
+        assert [(round(e.time / cfg.dt), e.gap) for e in ghosts] == expected
 
     def test_sweep_drops_its_streams_on_return(self, baseline_vehicle):
         # The run-0 traces keep the streams that an export reads; the block
@@ -1540,11 +1580,12 @@ class TestLazyTraceView:
             assert len(derived) == 1
 
             # The sweep joins the block, which keeps the ghost-free plan,
-            # whose resolution keeps its report; a ghost run derives one per
-            # trigger step.
+            # whose resolution keeps its report; a ghost plan builds one per
+            # trigger step, with its resolution.
             monte_carlo_sweep([ghost_free, ghosts], cfg, runs_per_scenario=50)
+        swept = len(derived)  # the calls below resolve afresh, outside the block
         keys = {trigger_key(simulate(ghosts, cfg, i), ghosts) for i in range(50)}
-        assert len(derived) == 1 + len(keys)
+        assert swept == 1 + len(keys)
 
     def test_runs_with_one_trigger_step_share_resolution_and_report(
         self, baseline_vehicle, monkeypatch
@@ -1567,6 +1608,29 @@ class TestLazyTraceView:
                 assert trace._res is resolutions.setdefault(key[0], trace._res)
                 assert report is reports.setdefault(key, report)
         assert swept == len(derived) - swept == len(reports) < 200
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05])
+    def test_interleaved_keys_build_one_report_per_resolution(
+        self, baseline_vehicle, monkeypatch, rate
+    ):
+        # Keys A, B, then A again under a new id: A's resolutions keep their
+        # reports while the sweep runs B, so the copy builds none.
+        derived = count_kpi_reports(monkeypatch)
+        resolved = []
+        resolve = sim_module._Plan._resolve
+
+        def resolving(self, n_trig):
+            resolved.append(n_trig)
+            return resolve(self, n_trig)
+
+        monkeypatch.setattr(sim_module._Plan, "_resolve", resolving)
+        odd = baseline_odd(baseline_vehicle)
+        a = make_scenario(odd, EffectModel(ghost_rate=rate, mu_factor=0.8), "a", seed=9)
+        b = make_scenario(odd, EffectModel(ghost_rate=rate, mu_factor=0.5), "b", seed=9)
+        copy = dataclasses.replace(a, id="a-copy")
+        stats = monte_carlo_sweep([a, b, copy], SimConfig(), runs_per_scenario=30)
+        assert stats[2] == stats[0]._replace(scenario_id="a-copy")
+        assert len(derived) == len(resolved) >= 2
 
     def test_report_follows_the_scenario(self, baseline_vehicle):
         # A certain ghost latches the brake at 100 m: beyond this vehicle's
