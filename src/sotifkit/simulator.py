@@ -13,8 +13,9 @@ number in a trace obeys:
   perception or decision.
 * Perception runs on sensor frames every ``tick_steps`` steps: the object
   enters the percept when gap <= d_perception * perception_range_factor
-  (and stays there; the gap never grows), and a ghost detection with gap
-  uniform in [0, trigger threshold) appears with probability ghost_rate.
+  (and stays there; the gap never grows), and a ghost detection appears
+  with probability ghost_rate, with a gap uniform in [0, trigger threshold)
+  that the frame's own flag uniform gives (:func:`_ghost_events`).
 * The decision stage checks every step: the brake latches when the
   closest perceived gap is <= the designed trigger threshold
   rss_min_distance(vehicle).  The deployed threshold cannot know that a
@@ -50,13 +51,12 @@ events and states, built once, when first needed, and kept, so that the
 export and the objects read one view.  The rows are :class:`SimEvent`
 and :class:`SimState` named tuples, each with the fields of its
 ``traces.jsonl`` item, and ``events`` and ``states`` return them.  A
-view reads its flagged ticks from its run's stream and draws only their
-gaps (:func:`_ghost_events`).  The export writes each line from the
-rows, encoding each distinct row once; a ghost-free run has no stream,
-and its events and states depend only on its resolution and the first
-tick that sees the object, which the resolution keeps, so the export
-writes each distinct ghost-free body once and builds no view for a
-repeat.  The run-0 traces of the ghost scenarios of one key share one view.
+view reads its ghosts, ticks and gaps, from its run's stream and draws
+nothing of its own.  The export writes each line from the rows, encoding
+each distinct row once; a ghost-free run has no stream, and its events
+and states depend only on its resolution, so the export writes the body
+of each ghost-free resolution once and builds no view for a repeat.  The
+run-0 traces of the ghost scenarios of one key share one view.
 Runs share only within a :func:`_sharing` block, which a sweep opens and
 ``run_campaign`` holds over its sweep and export (:class:`_Shared`): the
 resolution of each ghost-free key and the aggregate of each key until the
@@ -69,8 +69,8 @@ A run's stream is still ``default_rng(derive_seed(seed, run))``, but a
 sweep's generators are not built through ``default_rng``: a sweep computes
 the seed state of every (seed, run) that it can draw from, numpy's
 ``SeedSequence`` hash, in one pass (:func:`_seed_states`, which a test
-pins against numpy's ``SeedSequence``).  A stream whose (seed, run) is not
-in the block's batch builds its generator with ``default_rng``.
+pins against numpy's ``SeedSequence``).  A stream whose (seed, run) has no
+state in the block builds its generator with ``default_rng``.
 Identical (scenario, cfg, run_index) always produces a bit-identical
 trace.
 """
@@ -292,9 +292,10 @@ def _first(holds: Callable[[int], bool], lo: int, hi: int, guess: float | None =
     return lo
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Resolved:
-    """Closed-form resolution of one run on the dt grid."""
+    """Closed-form resolution of one run on the dt grid.  Compared and
+    hashed by identity: the export keys a ghost-free body by it."""
 
     v0: float
     dt: float
@@ -306,7 +307,6 @@ class _Resolved:
     terminal_step: int
     terminal: Terminal
     kpis: KpiReport | None = None  # set by _Plan.resolve, for every run of this resolution
-    n_vis: int | None = -1  # first_visible's; -1 until first asked
 
     def _brake_advance(self, m: int) -> float:
         # Distance gained after m braking steps; advance ceases once the
@@ -329,12 +329,6 @@ class _Resolved:
 
     def gap(self, n: int) -> float:
         return self.d_object - self.x(n)
-
-    def first_visible(self, range_eff: float, tick_steps: int) -> int | None:
-        # Searched once: a resolution has one plan, so one range and tick.
-        if self.n_vis == -1:
-            self.n_vis = _first_visible_tick(self, range_eff, tick_steps)
-        return self.n_vis
 
 
 class _Plan:
@@ -517,9 +511,9 @@ def _first_visible_tick(res: _Resolved, range_eff: float, tick_steps: int) -> in
     return k * tick_steps if k <= last_tick else None
 
 
-# A stream, or a trace view, draws at most this many values at a time, so
-# its memory does not grow with the horizon.  A stream's query at rate p
-# draws ceil(_GHOST_SPAN / p) values first, which hold _GHOST_SPAN flags on
+# A stream draws at most this many values at a time, so its memory does not
+# grow with the horizon.  A stream's query at rate p draws
+# ceil(_GHOST_SPAN / p) values first, which hold _GHOST_SPAN flags on
 # average, so it seldom draws far past its first flag (_FlagStream).  A span
 # of 1 drew fewer values at low rates, but its more, smaller draws at high
 # rates took longer.
@@ -572,18 +566,6 @@ def _seed_states(seeds: Sequence[int]) -> list[bytes]:
     return [bytes(states[i : i + 32]) for i in range(0, 32 * n, 32)]
 
 
-@dataclass(slots=True)
-class _SeedBatch:
-    """The seed states of a sweep's ghost streams: for each seed in
-    ``first`` and each run below ``runs``, the state of (seed, run) is
-    ``states[first[seed] + run]``.  One small object per state: one buffer
-    for all of them raised a ghost-long campaign's peak RSS by 0.06 MB."""
-
-    runs: int
-    first: dict[int, int]
-    states: list[bytes]
-
-
 @functools.cache
 def _seeded_type() -> type:
     """A numpy ``ISeedSequence`` whose ``generate_state(4, uint64)``, the
@@ -607,25 +589,25 @@ def _seeded_type() -> type:
 
 def _generator(seed: int, run_index: int) -> np.random.Generator:
     """What ``default_rng(derive_seed(seed, run_index))`` builds.  The
-    block's batch holds the seed state of every key a sweep draws from, and
-    such a key's generator is built from it, without ``default_rng``'s
+    block's ``states`` hold the seed state of every key a sweep draws from,
+    and such a key's generator is built from it, without ``default_rng``'s
     argument dispatch and seed hash; any other key's is ``default_rng``'s,
     which hashes one seed faster than a pass of one."""
     import numpy as np
 
-    batch = _shared.batch if _shared is not None else None
-    first = batch.first.get(seed) if batch is not None and 0 <= run_index < batch.runs else None
-    if first is None:
+    states = _shared.states.get(seed, ()) if _shared is not None else ()
+    if not 0 <= run_index < len(states):
         return np.random.default_rng(derive_seed(seed, run_index))
-    state = batch.states[first + run_index]
-    return np.random.Generator(np.random.PCG64(_seeded_type()((seed, run_index), state)))
+    seeded = _seeded_type()((seed, run_index), states[run_index])
+    return np.random.Generator(np.random.PCG64(seeded))
 
 
 class _FlagStream:
     """The ghost flags of one (seed, run), which every scenario of that seed
     reads: ``u_flag``, the first values of ``_generator(seed, run)``, of
-    which tick t is flagged at rate p when ``u_flag[t] < p``.  The values
-    do not depend on the config, which sets only how many ticks a run reads.
+    which tick t is flagged at rate p when ``u_flag[t] < p``, and then also
+    gives that ghost's gap (:func:`_ghost_events`).  The values do not
+    depend on the config, which sets only how many ticks a run reads.
 
     The stream keeps its generator, the count of values ``drawn``, and
     their ``flags`` below ``bound``, as (tick, u) in tick order.  At a rate
@@ -678,12 +660,12 @@ class _FlagStream:
             size = min(2 * size, _GHOST_CHUNK)
         return None
 
-    def flagged(self, rate: float, need: int) -> list[int]:
-        """Every tick below ``need`` flagged at ``rate``, a rate that
+    def flagged(self, rate: float, need: int) -> list[tuple[int, float]]:
+        """Every flag below ``need`` at ``rate``, as (tick, u), a rate that
         ``first`` was asked for, so within the bound; draws on to ``need``."""
         while self.drawn < need:
             self._draw(min(need - self.drawn, _GHOST_CHUNK))
-        return [tick for tick, u in self.flags if u < rate and tick < need]
+        return [(tick, u) for tick, u in self.flags if u < rate and tick < need]
 
 
 def _ghost_events(
@@ -691,42 +673,29 @@ def _ghost_events(
 ) -> list[tuple[int, float]]:
     """Every ghost of a run before ``terminal_step``, as (step, gap).
 
-    The run's stream is defined as if drawn in full from
-    ``default_rng(derive_seed(scenario.seed, run_index))``: first ``u_flag
-    = random(n_ticks)``, then ``u_gap = random(n_ticks)``.  A flagged tick
-    t shows a ghost at step ``t * tick_steps`` with gap ``u_gap[t] *
-    trigger threshold``.  Both arrays span the whole horizon, so runs with
-    the same seed stay coupled across effect changes (a lower ghost_rate
-    flags a subset of the same ticks).  The flagged ticks are the stream's
-    (:meth:`_FlagStream.flagged`).  A run with a flag draws its gaps from a
-    fresh generator, which skips with ``advance`` to each flag's gap past
-    those drawn and draws at most ``_GHOST_CHUNK`` values from there, up to
-    the last flag: skipping values gives the same values as one full draw."""
-    tick_steps = cfg.tick_steps
-    ticks = stream.flagged(scenario.effects.ghost_rate, -(-terminal_step // tick_steps))
-    if not ticks:
-        return []
-    rng = _generator(stream.seed, stream.run)
-    rng.bit_generator.advance(-(-cfg.max_steps // tick_steps))  # to u_gap[0]
+    The run's stream is ``u_flag``, the values of ``default_rng(derive_seed(
+    scenario.seed, run_index))`` in draw order, one per tick of the horizon
+    (:class:`_FlagStream`).  A tick t with ``u = u_flag[t] < ghost_rate``
+    shows a ghost at step ``t * tick_steps`` with gap ``u / ghost_rate *
+    trigger threshold``.  Given u < p, u / p is uniform on [0, 1) and
+    independent of the other ticks, so the uniform that flags a tick also
+    gives its gap (Devroye 1986, "recycling" a uniform), and the gap does
+    not depend on the horizon.  The same seed keeps runs coupled across
+    effect changes: a lower ghost_rate flags a subset of the same ticks,
+    each with a larger gap."""
+    rate, tick_steps = scenario.effects.ghost_rate, cfg.tick_steps
     d_trigger = trigger_threshold(scenario)
-    events: list[tuple[int, float]] = []
-    start = end = 0  # u_gap[start:end] is drawn, as ``u_gap``
-    for t in ticks:
-        if t >= end:
-            rng.bit_generator.advance(t - end)
-            start, end = t, min(t + _GHOST_CHUNK, ticks[-1] + 1)
-            # A list: numpy's multiply loop, which nothing else runs, would
-            # add its code pages to the peak RSS (about 0.1 MB).
-            u_gap = rng.random(end - start).tolist()
-        events.append((t * tick_steps, u_gap[t - start] * d_trigger))
-    return events
+    return [
+        (t * tick_steps, u / rate * d_trigger)
+        for t, u in stream.flagged(rate, -(-terminal_step // tick_steps))
+    ]
 
 
 class SimTrace:
     """One run to its terminal, as a view of the run's closed-form resolution.
 
     The view is a pair of row tuples, built once, when first needed, by
-    :func:`_trace_view`; only then are the run's ghost gaps drawn.  The
+    :func:`_trace_view`; only then are the run's ghosts read.  The
     rows are kept, so that the export and the objects read one view.
     ``events`` (every :class:`SimEvent`, in time order) and ``states`` (the
     ego's :class:`SimState` at each event step) are those rows, and
@@ -822,8 +791,9 @@ class _Shared:
     the scenarios that share a seed back to back, each one's runs in a row.
     ``run0`` keeps each run-0 trace by id(scenario) until a call with the
     same scenario and cfg takes it; the trace holds the scenario and its
-    stream.  ``batch`` holds the seed states of the last sweep's ghost
-    streams, which the export's streams read too."""
+    stream.  ``states`` holds the seed states of the last sweep's ghost
+    streams, by seed, one per run index, which the block's later streams
+    read too."""
 
     scenario: Scenario | None = None
     cfg: SimConfig | None = None
@@ -834,7 +804,7 @@ class _Shared:
     plans: dict[tuple, _Plan] = field(default_factory=dict)
     streams: dict[int, _FlagStream] = field(default_factory=dict)
     run0: dict[int, SimTrace] = field(default_factory=dict)
-    batch: _SeedBatch | None = None
+    states: dict[int, list[bytes]] = field(default_factory=dict)
 
     def enter(self, scenario: Scenario, cfg: SimConfig) -> tuple:
         """Make ``scenario`` at ``cfg`` the current one: find its key's plan
@@ -921,8 +891,8 @@ def _trace_view(
     scenario: Scenario, cfg: SimConfig, res: _Resolved, stream: _FlagStream | None
 ) -> _Rows:
     """A resolved run's events in time order, as :class:`SimEvent` rows, and
-    the ego state at each event step, as :class:`SimState` rows.  Draws the
-    ghost gaps; a ghost-free run has no stream."""
+    the ego state at each event step, as :class:`SimState` rows.  Reads the
+    ghosts from the run's stream; a ghost-free run has none."""
     dt = cfg.dt
     ghost = EventKind.GHOST_DETECTED
     sense = _STAGE_FOR_KIND[ghost]
@@ -939,7 +909,7 @@ def _trace_view(
         stage = _STAGE_FOR_KIND[kind]
         found.append((step, _STAGE_ORDER[stage], stage, kind, res.gap(step)))
 
-    n_vis = res.first_visible(_range(scenario), cfg.tick_steps)
+    n_vis = _first_visible_tick(res, _range(scenario), cfg.tick_steps)
     if n_vis is not None:
         add(n_vis, EventKind.OBJECT_DETECTED)
     if res.n_trig is not None:
@@ -1020,16 +990,12 @@ def monte_carlo_sweep(
     for index, scenario in enumerate(scenarios):
         groups.setdefault(scenario.seed, []).append(index)
     # One pass computes the seed state of every (seed, run) a ghost stream can
-    # draw from; the block keeps it for the export's streams too.
+    # draw from; the block keeps them, by seed, for its later streams too.
     ghost_seeds = dict.fromkeys(s.seed for s in scenarios if s.effects.ghost_rate > 0)
     if ghost_seeds:
-        _shared.batch = _SeedBatch(
-            runs_per_scenario,
-            {seed: runs_per_scenario * i for i, seed in enumerate(ghost_seeds)},
-            _seed_states([
-                derive_seed(seed, run) for seed in ghost_seeds for run in range(runs_per_scenario)
-            ]),
-        )
+        runs = range(runs_per_scenario)
+        states = iter(_seed_states([derive_seed(seed, i) for seed in ghost_seeds for i in runs]))
+        _shared.states = {seed: [next(states) for _ in runs] for seed in ghost_seeds}
     results: dict[int, SweepStats] = {}
     # Most scenarios of a campaign share one ODD: fingerprint each ODD once.
     fingerprints: dict[OddDefinition, str] = {}
@@ -1069,17 +1035,16 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     A line is ``json.dumps`` of that object, assembled from texts that one
     :func:`errors.json_encoder` wrote, each distinct one once per call: the
     text of every event and state row, and the events-and-states body of
-    every ghost-free trace.  That body depends only on the run's resolution
-    and the first tick that sees the object, so a trace whose body was
-    written builds no view.  A ghost trace that shares its view with an
-    earlier trace of its outcome key (:class:`SimTrace`) builds none
-    either."""
+    every ghost-free resolution.  That body depends only on the resolution,
+    so a ghost-free trace whose resolution's body was written builds no
+    view.  A ghost trace that shares its view with an earlier trace of its
+    outcome key (:class:`SimTrace`) builds none either."""
     dumps = json_encoder()
     # Event rows have four fields and state rows three, so one memo holds both.
     # No input float is -0.0 (core._require_finite reads it as 0.0), and no
     # zero the engine computes from them is: equal keys print the same.
     items: dict[tuple, str] = {}
-    bodies: dict[tuple, str] = {}
+    bodies: dict[_Resolved, str] = {}
     terminals = {terminal: dumps(terminal) for terminal in Terminal}
 
     def array(rows: tuple[SimEvent, ...] | tuple[SimState, ...]) -> str:
@@ -1098,15 +1063,9 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for trace in traces:
             if trace._stream is None:
-                res = trace._res
-                key = (
-                    res.v0, res.dt, res.b_eff, res.d_object, res.n_trig, res.n_eff,
-                    res.m_stop, res.terminal_step, res.terminal,
-                    res.first_visible(_range(trace._scenario), trace._cfg.tick_steps),
-                )
-                tail = bodies.get(key)
+                tail = bodies.get(trace._res)
                 if tail is None:
-                    tail = bodies[key] = body(trace)
+                    tail = bodies[trace._res] = body(trace)
             else:
                 tail = body(trace)
             f.write(

@@ -17,8 +17,10 @@ File format (JSON, UTF-8, no comments)::
            | {"id": str, "name": str, "odd_tags": [str, ...]}  # leaf, no level
 
 A node either has a nonempty ``children`` list or is a leaf; ids and names
-are nonempty, and ids are unique across the whole document.  Values are
-checked against the kinds of :mod:`sotifkit.errors`, as every input file is.
+are nonempty, and ids are unique across the whole document.  A taxonomy
+is at most ``MAX_DEPTH`` levels deep: a root is at level 1, its children
+at level 2, and so on.  Values are checked against the kinds of
+:mod:`sotifkit.errors`, as every input file is.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ __all__ = [
 INTENSITY_LEVELS = ("light", "medium", "heavy")
 
 FORMAT_VERSION = 1
+
+# The deepest level a node may sit at.  Fixed, so that whether a taxonomy
+# loads depends on the file only, not on how deep the caller's stack is.
+MAX_DEPTH = 64
 
 _NODE_FIELDS = {"id": STR, "name": STR, "odd_tags": STRINGS}
 _NODE_OPTIONAL = {"children": LIST, "intensity": one_of(INTENSITY_LEVELS)}
@@ -115,10 +121,11 @@ class TriggeringCondition:
 
 
 def _parse_nodes(
-    items: list, context: str, seen_ids: dict[str, str]
+    items: list, context: str, seen_ids: dict[str, str], depth: int = 1
 ) -> tuple[TaxonomyNode, ...]:
-    """The sibling nodes ``items``, held at ``context``, with their subtrees.
-    ``seen_ids`` maps every id built so far to the place of its node."""
+    """The sibling nodes ``items``, held at ``context`` on level ``depth``,
+    with their subtrees.  ``seen_ids`` maps every id built so far to the
+    place of its node."""
     check_items(items, context, _NODE_FIELDS, _NODE_OPTIONAL)
     nodes = []
     for i, item in enumerate(items):
@@ -140,7 +147,11 @@ def _parse_nodes(
                 raise ValueError(
                     f"{place}.children: category {node_id!r} must have a nonempty children list"
                 )
-            children = _parse_nodes(item["children"], f"{place}.children", seen_ids)
+            if depth == MAX_DEPTH:
+                raise ValueError(
+                    f"{place}.children: a taxonomy is at most {MAX_DEPTH} levels deep"
+                )
+            children = _parse_nodes(item["children"], f"{place}.children", seen_ids, depth + 1)
         nodes.append(
             TaxonomyNode(
                 node_id, item["name"], frozenset(item["odd_tags"]), children, item.get("intensity")

@@ -25,31 +25,33 @@ from sotifkit.simulator import EventKind, KpiReport, SimConfig, SimState, Termin
 def ghost_draws(
     scenario: Scenario, cfg: SimConfig, run_index: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A run's ghost stream drawn in full: flagged tick steps and their gaps."""
+    """A run's ghost stream drawn in full: flagged tick steps and their gaps.
+    A tick whose uniform u is below the ghost rate p is flagged, with gap
+    u / p times the trigger threshold."""
     n_ticks = (cfg.max_steps - 1) // cfg.tick_steps + 1 if cfg.max_steps > 0 else 0
-    rng = np.random.default_rng(derive_seed(scenario.seed, run_index))
-    u_flag = rng.random(n_ticks)
-    u_gap = rng.random(n_ticks)
-    ticks = np.flatnonzero(u_flag < scenario.effects.ghost_rate)
-    return ticks * cfg.tick_steps, u_gap[ticks] * rss_min_distance(scenario.odd.vehicle)
+    u_flag = np.random.default_rng(derive_seed(scenario.seed, run_index)).random(n_ticks)
+    rate = scenario.effects.ghost_rate
+    ticks = np.flatnonzero(u_flag < rate)
+    return ticks * cfg.tick_steps, u_flag[ticks] / rate * rss_min_distance(scenario.odd.vehicle)
 
 
 class FullDrawGhosts:
     """Stand-in for the engine's flag stream of one (seed, run) and for its
-    trace view's ghosts, each read from a full draw: ``flagged`` and
-    ``first`` from the run's first ``need`` flag values, ``events`` from
-    ``ghost_draws``."""
+    trace view's ghosts, each read from a full draw: ``flagged`` (as
+    (tick, u)) and ``first`` from the run's first ``need`` flag values,
+    ``events`` from ``ghost_draws``."""
 
     def __init__(self, seed: int, run_index: int):
         self.seed, self.run = seed, run_index
 
-    def flagged(self, rate: float, need: int) -> list[int]:
+    def flagged(self, rate: float, need: int) -> list[tuple[int, float]]:
         u_flag = np.random.default_rng(derive_seed(self.seed, self.run)).random(need)
-        return np.flatnonzero(u_flag < rate).tolist()
+        ticks = np.flatnonzero(u_flag < rate)
+        return list(zip(ticks.tolist(), u_flag[ticks].tolist()))
 
     def first(self, rate: float, need: int) -> int | None:
-        ticks = self.flagged(rate, need)
-        return ticks[0] if ticks else None
+        flags = self.flagged(rate, need)
+        return flags[0][0] if flags else None
 
     @staticmethod
     def events(
@@ -89,9 +91,7 @@ def reference_run(scenario: Scenario, cfg: SimConfig, run_index: int = 0) -> Ref
     delay_steps = max(0, math.ceil(min((veh.rho + eff.rho_add) / dt, max_steps + 1) - 1e-9))
 
     n_ticks = (max_steps - 1) // tick_steps + 1 if max_steps > 0 else 0
-    rng = np.random.default_rng(derive_seed(scenario.seed, run_index))
-    flags = rng.random(n_ticks) < eff.ghost_rate
-    gap_u = rng.random(n_ticks)
+    u_flag = np.random.default_rng(derive_seed(scenario.seed, run_index)).random(n_ticks)
 
     x, v = 0.0, veh.v_r
     visible = False
@@ -121,8 +121,8 @@ def reference_run(scenario: Scenario, cfg: SimConfig, run_index: int = 0) -> Ref
             tick = n // tick_steps
             if gap <= range_eff:
                 visible = True
-            if flags[tick]:
-                ghost_gap = gap_u[tick] * d_trigger
+            if u_flag[tick] < eff.ghost_rate:
+                ghost_gap = u_flag[tick] / eff.ghost_rate * d_trigger
 
         if trigger_step is None:
             perceived = []

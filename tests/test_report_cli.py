@@ -306,8 +306,8 @@ class TestTraceFile:
         # The sweep reads resolutions only.  The export builds the view (the
         # event and state rows) of a ghost scenario's trace only for the
         # first scenario with its ODD, effects and seed, and of a ghost-free
-        # trace only when it writes a body (the events and the states) that
-        # it has not written before.
+        # trace only for the first scenario with its ODD and effects, whose
+        # resolution the others share: one view per outcome key.
         built = count_trace_views(monkeypatch)
         built_before_export = []
         exported = []
@@ -329,22 +329,20 @@ class TestTraceFile:
         )
         assert built_before_export == [0]
         lines = (tmp_path / "traces" / "traces.jsonl").read_text().splitlines()
+        assert len(lines) == len(exported)
         expected, written = [], set()
-        for scenario, line in zip(exported, lines, strict=True):
-            trace = json.loads(line)
+        for scenario in exported:
+            key = (scenario.odd, scenario.effects)
             if scenario.effects.ghost_rate:
-                body = (scenario.odd, scenario.effects, scenario.seed)
-            else:
-                body = json.dumps([trace["events"], trace["states"]])
-            if body not in written:
+                key += (scenario.seed,)
+            if key not in written:
                 expected.append(scenario.id)
-                written.add(body)
+                written.add(key)
         assert [s.id for s in exported] == [s.id for s in bundle.scenarios]
         assert built == expected
-        # 13 ghost outcome keys of 18 ghost scenarios, 24 ghost-free bodies of
-        # 32 ghost-free outcome keys.
-        assert len(built) == 13 + 24 < 18 + 32
-        assert len(built) < len(bundle.scenarios)  # ghost-free bodies repeat
+        # 13 ghost outcome keys of 18 ghost scenarios, 32 ghost-free outcome
+        # keys of 68 ghost-free scenarios.
+        assert len(built) == 13 + 32 < len(bundle.scenarios) == 18 + 68
 
     def test_traces_do_not_depend_on_runs(self, campaign_inputs, tmp_path):
         # The export writes each scenario's run 0.  What the sweep keeps (a
@@ -440,17 +438,17 @@ class TestRun0HandOver:
         assert b'"ghost_detected"' in plain
         assert (tmp_path / "viewed" / "traces.jsonl").read_bytes() == plain
 
-    def test_export_resolves_nothing_and_seeds_only_runs_that_show_a_ghost(
+    def test_export_resolves_nothing_and_seeds_no_generator(
         self, campaign_inputs, tmp_path, monkeypatch
     ):
         # A ghost scenario whose run 0 built no generator in the sweep read
         # its first ghost from the (seed, 0) flag stream that another
-        # scenario of its seed drew.  The export's trace view seeds a
-        # generator to draw a run's ghosts only when the trace shows one;
-        # the stream settles every other view, without one.
+        # scenario of its seed drew.  The export's trace views read their
+        # ghosts, ticks and gaps, from the streams that the sweep drew, and
+        # seed no generator.
         stage = ["sweep", None]  # the stage, and the scenario being run
         plans = Counter()
-        run0_seeded = {"sweep": [], "export": []}
+        seeded = {"sweep": [], "export": []}  # (scenario id, run index)
         ghost_ids = []
         keys = {}  # what a scenario's runs depend on, by id
         simulate_, exported_ = sim_module.simulate, report.simulate
@@ -469,8 +467,7 @@ class TestRun0HandOver:
             return exported_(scenario, cfg, run_index=run_index)
 
         def generating(seed, run_index):
-            if run_index == 0:
-                run0_seeded[stage[0]].append(stage[1].id)
+            seeded[stage[0]].append((stage[1].id, run_index))
             return generator(seed, run_index)
 
         def planning(self, *args):
@@ -497,26 +494,22 @@ class TestRun0HandOver:
         assert plans["sweep", "init"] == len(distinct) == 45 < len(bundle.scenarios) == 86
         assert plans["sweep", "resolve"] > 0
         assert plans["export", "init"] == plans["export", "resolve"] == 0
-        shared = [i for i in ghost_ids if i not in run0_seeded["sweep"]]
-        assert shared and run0_seeded["sweep"]
+        run0_seeded = [scenario_id for scenario_id, run in seeded["sweep"] if run == 0]
+        shared = [i for i in ghost_ids if i not in run0_seeded]
+        assert len(shared) == 12 and run0_seeded
+        assert seeded["export"] == []
         lines = (tmp_path / "traces" / "traces.jsonl").read_text().splitlines()
-        shown = {
+        shown = [
             trace["scenario_id"]
             for trace in map(json.loads, lines)
             if any(event["kind"] == "ghost_detected" for event in trace["events"])
-        }
-        # A run-0 trace with the key of an earlier one shares its view.
-        first_of_key = {}
-        for scenario_id in (trace["scenario_id"] for trace in map(json.loads, lines)):
-            first_of_key.setdefault(keys[scenario_id], scenario_id)
-        first_shown = sorted(i for i in shown if first_of_key[keys[i]] == i)
-        assert sorted(run0_seeded["export"]) == first_shown
-        assert len(first_shown) == 9 < len(shown) == 14 < len(ghost_ids) == 18
-        assert len(shared) == 12
+        ]
+        assert len(shown) == 14 < len(ghost_ids) == 18
 
     def test_export_searches_each_visible_tick_once(self, campaign_inputs, tmp_path, monkeypatch):
-        # A resolution keeps its first visible tick, which the ghost-free
-        # body keys and the views read: one search per distinct resolution.
+        # Only a view searches its run's first visible tick, and the export
+        # builds at most one view per resolution: one search per distinct
+        # resolution that it shows.
         searched = []
         search = sim_module._first_visible_tick
 

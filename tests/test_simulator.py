@@ -669,6 +669,48 @@ class TestGhostStream:
                 use_full_draws(m)
                 assert traces == [simulate(s, cfg, run_index) for s in (condition, third_rate)]
 
+    def test_gaps_do_not_depend_on_the_horizon(self, fixture_odd):
+        # A ghost's gap is its flag's own uniform, so the horizon, which sets
+        # only how many flags a run may read, moves no ghost.
+        scenario = make_scenario(fixture_odd, EffectModel(ghost_rate=0.02), seed=12345)
+        ghosts = []
+        for max_time in (60.0, 61.0, 600.0):
+            trace = simulate(scenario, SimConfig(max_time=max_time), 3)
+            ghosts.append([e for e in events_of(trace, EventKind.GHOST_DETECTED) if e.time < 60.0])
+        assert ghosts[0] and ghosts[1] == ghosts[0] and ghosts[2] == ghosts[0]
+
+    @pytest.mark.parametrize("rate", [0.01, 0.05, 0.3, 1.0])
+    def test_gaps_are_uniform_below_the_threshold(self, baseline_vehicle, rate):
+        # Given u < p, u / p is uniform on [0, 1).  Over 10^4 flags or more,
+        # every gap lies in [0, threshold), and gap / threshold passes a
+        # two-sided Kolmogorov-Smirnov test for U[0, 1) at the 99.9% level.
+        cfg = SimConfig(dt=0.05, perception_tick=0.05)  # a tick per step
+        ticks = math.ceil(12_000 / rate)
+        scenario = make_scenario(baseline_odd(baseline_vehicle), EffectModel(ghost_rate=rate), seed=7)
+        stream = sim_module._FlagStream(scenario.seed, 0)
+        stream.first(rate, ticks)
+        gaps = [gap for _, gap in sim_module._ghost_events(scenario, cfg, stream, ticks)]
+        d_trigger = rss_min_distance(baseline_vehicle)
+        assert len(gaps) >= 10_000 and all(0.0 <= gap < d_trigger for gap in gaps)
+        x = np.sort(gaps) / d_trigger
+        n = len(x)
+        k = np.arange(1, n + 1)
+        distance = max((k / n - x).max(), (x - (k - 1) / n).max())
+        assert distance < math.sqrt(-math.log(0.001 / 2) / 2) / math.sqrt(n)
+
+    def test_lower_rate_shows_its_ticks_with_larger_gaps(self, baseline_vehicle):
+        # A tick flagged at rate p is flagged at every rate above u; its gap,
+        # u / p times the threshold, is larger at the lower rate.
+        cfg = SimConfig(dt=0.05, perception_tick=0.05)
+        odd = baseline_odd(baseline_vehicle)
+        high, low = (make_scenario(odd, EffectModel(ghost_rate=rate), seed=7) for rate in (0.3, 0.1))
+        stream = sim_module._FlagStream(7, 0)
+        stream.first(0.3, 2000)
+        at_high = dict(sim_module._ghost_events(high, cfg, stream, 2000))
+        at_low = dict(sim_module._ghost_events(low, cfg, stream, 2000))
+        assert at_low and at_low.keys() < at_high.keys()
+        assert all(at_low[step] > at_high[step] for step in at_low)
+
     @pytest.mark.parametrize(
         "d_object, ghost_rate, terminal",
         [(100.0, 0.05, Terminal.STOPPED), (1e7, 1e-12, Terminal.TIMEOUT)],
@@ -677,7 +719,7 @@ class TestGhostStream:
     def test_memory_bounded_on_long_horizon(
         self, d_object, ghost_rate, terminal, baseline_vehicle
     ):
-        # 2e6 ticks: drawing both streams in full would take 32 MB.
+        # 2e6 ticks: drawing the stream in full would take 16 MB.
         cfg = SimConfig(dt=0.05, perception_tick=0.05, max_time=1e5)
         scenario = make_scenario(
             baseline_odd(baseline_vehicle, d_object=d_object),
@@ -688,7 +730,7 @@ class TestGhostStream:
         tracemalloc.start()
         try:
             trace = simulate(scenario, cfg)
-            assert trace.events  # the view draws the ghost gaps
+            assert trace.events  # the view reads the ghosts, drawing on to the terminal
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -722,7 +764,8 @@ class TestFlagStream:
             assert stream.first(rate, need) == expected, queries[: k + 1]
             assert stream.bound == max(r for r, _ in queries[: k + 1])
             if k % 2:  # a view's query, which draws on to ``need``
-                assert stream.flagged(rate, need) == flagged.tolist(), queries[: k + 1]
+                expected_flags = list(zip(flagged.tolist(), u_flag[flagged].tolist()))
+                assert stream.flagged(rate, need) == expected_flags, queries[: k + 1]
 
 
 def _seed_group(odd, rate: float, seed: int = 1234) -> list:
@@ -841,13 +884,13 @@ class TestSharedDraws:
         monte_carlo_sweep([condition, lower_rate], cfg, self.RUNS)
         assert built == {"cond": self.RUNS}
 
-    def test_view_within_the_drawn_flags_draws_only_gaps(
+    def test_view_within_the_drawn_flags_draws_nothing(
         self, baseline_vehicle, tmp_path, monkeypatch
     ):
         # A rare-ghost variant draws the (seed, 0) stream on to its cruise
         # collision, past the condition's terminal.  The condition's view,
-        # built by the export, takes its flagged ticks from the stream and
-        # draws only the gaps from its first ghost to its last.
+        # built by the export, takes its ghosts, ticks and gaps, from the
+        # flags that the stream drew, and draws nothing.
         odd, cfg = _ghost_grid_cases(baseline_vehicle)["stop"]
         condition = make_scenario(odd, EffectModel(ghost_rate=0.3), scenario_id="cond", seed=1234)
         rare = dataclasses.replace(condition, id="rare", effects=EffectModel(ghost_rate=1e-4))
@@ -856,7 +899,7 @@ class TestSharedDraws:
 
         class Counting:
             def __init__(self, rng):
-                self.rng, self.bit_generator = rng, rng.bit_generator
+                self.rng = rng
 
             def random(self, size):
                 drawn.append(size)
@@ -872,9 +915,8 @@ class TestSharedDraws:
             drawn.clear()
             export_trace_jsonl([trace], tmp_path / "traces.jsonl")
         ghosts = events_of(trace, EventKind.GHOST_DETECTED)
-        steps = [round(e.time / cfg.dt) for e in ghosts]
         assert len(ghosts) >= 2 and stream.drawn == before
-        assert sum(drawn) == (steps[-1] - steps[0]) // cfg.tick_steps + 1
+        assert drawn == []
         expected = FullDrawGhosts.events(condition, cfg, stream, trace._res.terminal_step)
         assert [(round(e.time / cfg.dt), e.gap) for e in ghosts] == expected
 
@@ -1006,11 +1048,11 @@ class TestSeedStates:
         with sim_module._sharing():
             monte_carlo_sweep([scenario], SimConfig(), 3)
             assert passes == [3]
-            batch = sim_module._shared.batch
+            states = sim_module._shared.states
             for seed, run in ((99, 0), (99, 2), (99, 3), (99, -1), (100, 0)):
                 built = sim_module._generator(seed, run).bit_generator.state
                 assert built == np.random.default_rng(derive_seed(seed, run)).bit_generator.state
-            assert sim_module._shared.batch is batch
+            assert sim_module._shared.states is states
         assert passes == [3]  # a missing key's generator is default_rng's
         outside = sim_module._generator(99, 1).bit_generator.state  # no block, no batch
         assert outside == np.random.default_rng(derive_seed(99, 1)).bit_generator.state
@@ -1034,7 +1076,7 @@ class TestSeedStates:
         passes = count_seed_batches(monkeypatch)
         with sim_module._sharing():
             monte_carlo_sweep(scenarios, SimConfig(), 5)
-            assert sim_module._shared.batch is None
+            assert sim_module._shared.states == {}
         assert passes == []
 
 
@@ -1512,7 +1554,7 @@ class TestGhostFreeMemo:
 
 
 class TestLazyTraceView:
-    """A trace builds its events and states, and draws its ghost gaps, only
+    """A trace builds its events and states, and reads its ghosts, only
     when they are read; a sweep reads none of them."""
 
     def test_sweep_builds_no_view(self, baseline_vehicle, monkeypatch):
@@ -1664,7 +1706,7 @@ _ONE_FIELD_CHANGES = {
     EffectModel: {
         "perception_range_factor": 0.5, "ghost_rate": 0.2, "mu_factor": 0.6, "rho_add": 0.3,
     },
-    SimConfig: {"dt": 0.002, "max_time": 5.0, "perception_tick": 0.1},
+    SimConfig: {"dt": 0.002, "max_time": 3.0, "perception_tick": 0.1},
 }
 _ONE_FIELD_CASES = [
     (owner, name, base_rate)

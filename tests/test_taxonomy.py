@@ -11,12 +11,13 @@ from sotifkit import (
     TriggeringCondition,
     enumerate_leaves,
     filter_by_odd,
+    load_taxonomy,
     parse_taxonomy,
     serialize_taxonomy,
 )
 from sotifkit.errors import TaxonomyError
 from sotifkit.fixtures import fixture_path
-from sotifkit.taxonomy import TaxonomyNode
+from sotifkit.taxonomy import MAX_DEPTH, TaxonomyNode
 
 SNOW_DOC = json.dumps(
     {
@@ -152,6 +153,40 @@ class TestParse:
         for version in ("2", "true", "1.0", '"1"'):
             with pytest.raises(TaxonomyError, match="version"):
                 parse_taxonomy(f'{{"version": {version}, "roots": []}}')
+
+
+def chain_taxonomy(levels: int) -> str:
+    """A taxonomy that is one chain of categories, with its leaf on level
+    ``levels``."""
+    node = {"id": f"n{levels}", "name": "leaf", "odd_tags": []}
+    for level in range(levels - 1, 0, -1):
+        node = {"id": f"n{level}", "name": f"level {level}", "odd_tags": [], "children": [node]}
+    return json.dumps({"version": 1, "roots": [node]})
+
+
+def called_deep(frames: int, call):
+    """``call()``, run ``frames`` Python frames deeper than this call."""
+    return call() if frames == 0 else called_deep(frames - 1, call)
+
+
+class TestMaxDepth:
+    """Whether a taxonomy loads depends on its depth, not on the caller's
+    stack: a json.loads call nested deep enough fails where the same call
+    at the top of a script succeeds."""
+
+    def test_at_the_limit_loads_deep_in_the_stack(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(chain_taxonomy(MAX_DEPTH), encoding="utf-8")
+        (condition,) = enumerate_leaves(called_deep(300, lambda: load_taxonomy(path)))
+        assert len(condition.category_path) == MAX_DEPTH - 1
+
+    def test_one_level_deeper_is_rejected(self, tmp_path):
+        path = tmp_path / "deeper.json"
+        path.write_text(chain_taxonomy(MAX_DEPTH + 1), encoding="utf-8")
+        place = "roots[0]" + ".children[0]" * (MAX_DEPTH - 1)
+        with pytest.raises(TaxonomyError) as info:
+            load_taxonomy(path)
+        assert str(info.value) == f"{path}: {place}.children: a taxonomy is at most 64 levels deep"
 
 
 class TestRoundTrip:
