@@ -42,21 +42,21 @@ its perception-range, friction and latency effects and the config, and,
 with ghosts, the ghost rate and the seed.  So the scenarios of one key
 (many taxonomy leaves map to one effect, and a mitigation can leave a
 condition's physics as it was) share one plan, one aggregate, and one
-trace body in the export.  A (seed, run) has one flag stream (:class:`_FlagStream`), which every
+view in the export.  A (seed, run) has one flag stream (:class:`_FlagStream`), which every
 scenario of that seed reads: the scenarios that share a seed run back to
 back, and a stream draws further only when what it drew cannot settle a
 run's first ghost, and redraws from the first frame only for a rate above
 every earlier one.  A trace is a view of its resolution: rows of its
-events and states, built once, when first needed, and kept, so that the
-export and the objects read one view.  The rows are :class:`SimEvent`
-and :class:`SimState` named tuples, each with the fields of its
-``traces.jsonl`` item, and ``events`` and ``states`` return them.  A
-view reads its ghosts, ticks and gaps, from its run's stream and draws
-nothing of its own.  The export writes each line from the rows, encoding
-each distinct row once; a ghost-free run has no stream, and its events
-and states depend only on its resolution, so the export writes the body
-of each ghost-free resolution once and builds no view for a repeat.  The
-run-0 traces of the ghost scenarios of one key share one view.
+events and states, built when first needed.  The rows depend only on the
+resolution and the run's flag stream (none for a ghost-free run), so a
+resolution keeps the rows of the last view built of it, with that
+stream, and every trace of both reads them: the export and the objects
+read one view, and so do the run-0 traces of one key.  The rows are
+:class:`SimEvent` and :class:`SimState` named tuples, each with the
+fields of its ``traces.jsonl`` item, and ``events`` and ``states``
+return them.  A view reads its ghosts, ticks and gaps, from its run's
+stream and draws nothing of its own.  The export writes each line from
+the rows, encoding each distinct row once.
 Runs share only within a :func:`_sharing` block, which a sweep opens and
 ``run_campaign`` holds over its sweep and export (:class:`_Shared`): the
 resolution of each ghost-free key and the aggregate of each key until the
@@ -294,8 +294,9 @@ def _first(holds: Callable[[int], bool], lo: int, hi: int, guess: float | None =
 
 @dataclass(slots=True, eq=False)
 class _Resolved:
-    """Closed-form resolution of one run on the dt grid.  Compared and
-    hashed by identity: the export keys a ghost-free body by it."""
+    """Closed-form resolution of one run on the dt grid.  ``view`` holds the
+    rows of the last view built of it, with the flag stream that they read
+    (:meth:`SimTrace._built`)."""
 
     v0: float
     dt: float
@@ -307,6 +308,7 @@ class _Resolved:
     terminal_step: int
     terminal: Terminal
     kpis: KpiReport | None = None  # set by _Plan.resolve, for every run of this resolution
+    view: tuple[_FlagStream | None, _Rows] | None = None
 
     def _brake_advance(self, m: int) -> float:
         # Distance gained after m braking steps; advance ceases once the
@@ -349,15 +351,12 @@ class _Plan:
     (:func:`_outcome_key`), so the scenarios that share a key share one
     plan.  A ghost-free scenario has a single resolution, which a sweep
     keeps, without its plan, until it returns; a ghost plan is kept while
-    the sweep runs its seed, and its ``run0``, the first run-0 trace that
-    it resolved, lends its view to the other run-0 traces of its key.
-    Neither a resolution nor a trace refers to its plan, so a trace keeps
-    neither the plan nor its table alive.
+    the sweep runs its seed.  Neither a resolution nor a trace refers to
+    its plan, so a trace keeps neither the plan nor its table alive.
     """
 
     def __init__(self, scenario: Scenario, cfg: SimConfig):
         self._resolutions: dict[int, _Resolved] = {}
-        self.run0: SimTrace | None = None  # the first run-0 trace of a ghost plan
         self.m_stop: int | None = None  # found when a brake first engages
         odd = scenario.odd
         veh = odd.vehicle
@@ -444,15 +443,12 @@ class _Plan:
         if v0 == 0.0:
             return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, 0, Terminal.STOPPED)
 
-        if n_trig >= min(n_hit_cruise, max_steps):
-            # Never triggered: cruise into the object or run out the clock.
-            if n_hit_cruise <= max_steps:
-                return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, n_hit_cruise, Terminal.COLLISION)
-            return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, max_steps, Terminal.TIMEOUT)
-
         n_eff = n_trig + self.delay_steps
         if n_hit_cruise <= n_eff or n_eff >= max_steps:
-            # Collision or horizon before any brake force is applied.
+            # Cruise into the object or run out the clock: the collision or
+            # the horizon comes before any brake force, or before the trigger.
+            if n_trig >= min(n_hit_cruise, max_steps):
+                n_trig = None  # never triggered
             if n_hit_cruise <= max_steps:
                 return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, n_hit_cruise, Terminal.COLLISION)
             return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, max_steps, Terminal.TIMEOUT)
@@ -694,22 +690,23 @@ def _ghost_events(
 class SimTrace:
     """One run to its terminal, as a view of the run's closed-form resolution.
 
-    The view is a pair of row tuples, built once, when first needed, by
-    :func:`_trace_view`; only then are the run's ghosts read.  The
-    rows are kept, so that the export and the objects read one view.
-    ``events`` (every :class:`SimEvent`, in time order) and ``states`` (the
-    ego's :class:`SimState` at each event step) are those rows, and
-    :func:`export_trace_jsonl` writes them as they are.  A ghost trace
-    holds the flag stream of its (seed, run), which every scenario of that
-    seed reads; a ghost-free trace has no stream.  :func:`compute_kpis`
-    reads the resolution only and builds no view, so a sweep never does.
-    A run-0 trace whose ghost plan resolved an earlier run-0 trace (another
-    scenario of its outcome key) holds that trace in place of its view,
-    and takes its rows when first needed: one view for both.
+    The view is a pair of row tuples, built when first needed by
+    :func:`_trace_view`; only then are the run's ghosts read.  A ghost
+    trace holds the flag stream of its (seed, run), which every scenario of
+    that seed reads; a ghost-free trace has no stream.  The rows depend
+    only on the resolution and the stream, so the resolution keeps the rows
+    of the last view built of it, with their stream, and a trace reads
+    them when its stream is that one: the export and the objects, and the
+    traces of one resolution and stream, read one view.  ``events`` (every
+    :class:`SimEvent`, in time order) and ``states`` (the ego's
+    :class:`SimState` at each event step) are those rows, and
+    :func:`export_trace_jsonl` writes them as they are.
+    :func:`compute_kpis` reads the resolution only and builds no view, so a
+    sweep never does.
     Equality and hash compare (scenario_id, terminal, events, states).
     """
 
-    __slots__ = ("_scenario", "_cfg", "_res", "_stream", "_view")
+    __slots__ = ("_scenario", "_cfg", "_res", "_stream")
 
     def __init__(
         self, scenario: Scenario, cfg: SimConfig, res: _Resolved, stream: _FlagStream | None
@@ -718,7 +715,6 @@ class SimTrace:
         self._cfg = cfg
         self._res = res
         self._stream = stream
-        self._view: _Rows | SimTrace | None = None
 
     @property
     def scenario_id(self) -> str:
@@ -737,12 +733,11 @@ class SimTrace:
         return self._built()[1]
 
     def _built(self) -> _Rows:
-        view = self._view
-        if view is None:
-            view = self._view = _trace_view(self._scenario, self._cfg, self._res, self._stream)
-        elif isinstance(view, SimTrace):
-            view = self._view = view._built()
-        return view
+        res, stream = self._res, self._stream
+        view = res.view
+        if view is None or view[0] is not stream:
+            view = res.view = (stream, _trace_view(self._scenario, self._cfg, res, stream))
+        return view[1]
 
     def _key(self) -> tuple:
         return (self.scenario_id, self.terminal, self._built())
@@ -783,17 +778,18 @@ def _outcome_key(scenario: Scenario, cfg: SimConfig) -> tuple:
 class _Shared:
     """What a sweep's runs share.  ``scenario`` and ``cfg`` are the last
     call's, with their ghost ``plan`` or their ghost-free ``trace``, which
-    every run returns.  The scenarios of one outcome key share a plan: the
-    ghost-free ``outcomes`` table holds each key's one resolution until the
-    sweep returns, and ``plans`` the ghost plans of the last ``seed``, with
-    its flag ``streams``, one per run index, which every scenario of that
-    seed reads, until the seed changes or the sweep returns.  A sweep runs
-    the scenarios that share a seed back to back, each one's runs in a row.
+    every run returns, so that a sweep builds no trace per run.  The
+    scenarios of one outcome key share a plan: the ghost-free ``outcomes``
+    table holds each key's one resolution until the sweep returns, and
+    ``plans`` the ghost plans of the last ``seed``, with its flag
+    ``streams``, one per run index, which every scenario of that seed
+    reads, until the seed changes or the sweep returns.  A sweep runs the
+    scenarios that share a seed back to back, each one's runs in a row.
     ``run0`` keeps each run-0 trace by id(scenario) until a call with the
-    same scenario and cfg takes it; the trace holds the scenario and its
-    stream.  ``states`` holds the seed states of the last sweep's ghost
-    streams, by seed, one per run index, which the block's later streams
-    read too."""
+    same scenario and cfg takes it; the trace holds the scenario, its
+    resolution and its stream, so the export resolves nothing again.
+    ``states`` holds the seed states of the last sweep's ghost streams, by
+    seed, one per run index, which the block's later streams read too."""
 
     scenario: Scenario | None = None
     cfg: SimConfig | None = None
@@ -877,11 +873,6 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
         # A ghost at or after the natural trigger is too late.
         n_trig = plan.n_nat if tick is None else min(tick * cfg.tick_steps, plan.n_nat)
         trace = SimTrace(scenario, cfg, plan.resolve(n_trig, scenario.id), stream)
-        if run_index == 0:
-            if plan.run0 is None:
-                plan.run0 = trace
-            else:  # the same run of an equal scenario: its view is this one's
-                trace._view = plan.run0
     if run_index == 0:
         shared.run0.setdefault(id(scenario), trace)
     return trace
@@ -999,11 +990,9 @@ def monte_carlo_sweep(
     results: dict[int, SweepStats] = {}
     # Most scenarios of a campaign share one ODD: fingerprint each ODD once.
     fingerprints: dict[OddDefinition, str] = {}
-    # The stats of each outcome key: ghost-free ones for the whole sweep, as
-    # the block keeps their resolutions, and ghost ones for their seed.
-    ghost_free: dict[tuple, SweepStats] = {}
+    # The stats of each outcome key; a ghost key holds its seed.
+    aggregates: dict[tuple, SweepStats] = {}
     for group in groups.values():
-        ghost: dict[tuple, SweepStats] = {}
         for index in group:
             scenario = scenarios[index]
             try:
@@ -1014,13 +1003,12 @@ def monte_carlo_sweep(
                 ]
             except SimulationError as exc:
                 raise SimulationError(f"scenario '{scenario.id}': {exc}") from exc
-            memo = ghost if scenario.effects.ghost_rate else ghost_free
-            stats = memo.get(key)
+            stats = aggregates.get(key)
             if stats is None:
                 fingerprint = fingerprints.get(scenario.odd)
                 if fingerprint is None:
                     fingerprint = fingerprints[scenario.odd] = scenario.odd.fingerprint()
-                stats = memo[key] = _aggregate(scenario, kpis, fingerprint)
+                stats = aggregates[key] = _aggregate(scenario, kpis, fingerprint)
             elif stats.scenario_id != scenario.id:
                 stats = stats._replace(scenario_id=scenario.id)
             results[index] = stats
@@ -1032,19 +1020,16 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     """Write traces as JSON lines, one trace per line: its scenario id, its
     terminal, its events and its ego states, in the order given.
 
-    A line is ``json.dumps`` of that object, assembled from texts that one
-    :func:`errors.json_encoder` wrote, each distinct one once per call: the
-    text of every event and state row, and the events-and-states body of
-    every ghost-free resolution.  That body depends only on the resolution,
-    so a ghost-free trace whose resolution's body was written builds no
-    view.  A ghost trace that shares its view with an earlier trace of its
-    outcome key (:class:`SimTrace`) builds none either."""
+    A line is ``json.dumps`` of that object, assembled from the text of
+    every event and state row, which one :func:`errors.json_encoder`
+    writes, each distinct row once per call.  A trace whose resolution
+    last built its view for the trace's stream (:class:`SimTrace`), as an
+    earlier trace of its outcome key did, builds no view."""
     dumps = json_encoder()
     # Event rows have four fields and state rows three, so one memo holds both.
     # No input float is -0.0 (core._require_finite reads it as 0.0), and no
     # zero the engine computes from them is: equal keys print the same.
     items: dict[tuple, str] = {}
-    bodies: dict[_Resolved, str] = {}
     terminals = {terminal: dumps(terminal) for terminal in Terminal}
 
     def array(rows: tuple[SimEvent, ...] | tuple[SimState, ...]) -> str:
@@ -1056,19 +1041,11 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
             texts.append(item)
         return "[" + ", ".join(texts) + "]"
 
-    def body(trace: SimTrace) -> str:
-        events, states = trace._built()
-        return '"events": ' + array(events) + ', "states": ' + array(states) + "}"
-
     with open(path, "w", encoding="utf-8") as f:
         for trace in traces:
-            if trace._stream is None:
-                tail = bodies.get(trace._res)
-                if tail is None:
-                    tail = bodies[trace._res] = body(trace)
-            else:
-                tail = body(trace)
+            events, states = trace._built()
             f.write(
                 '{"scenario_id": ' + dumps(trace.scenario_id)
-                + ', "terminal": ' + terminals[trace.terminal] + ", " + tail + "\n"
+                + ', "terminal": ' + terminals[trace.terminal]
+                + ', "events": ' + array(events) + ', "states": ' + array(states) + "}\n"
             )

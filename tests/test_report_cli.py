@@ -508,8 +508,8 @@ class TestRun0HandOver:
 
     def test_export_searches_each_visible_tick_once(self, campaign_inputs, tmp_path, monkeypatch):
         # Only a view searches its run's first visible tick, and the export
-        # builds at most one view per resolution: one search per distinct
-        # resolution that it shows.
+        # builds one view per outcome key, whose run-0 traces share one
+        # resolution and one stream: one search per key.
         searched = []
         search = sim_module._first_visible_tick
 
@@ -519,7 +519,32 @@ class TestRun0HandOver:
 
         monkeypatch.setattr(sim_module, "_first_visible_tick", searching)
         self._campaign(campaign_inputs, tmp_path / "traces", runs=50)
-        assert len({id(res) for res in searched}) == len(searched) <= 45
+        assert len({id(res) for res in searched}) == len(searched) == 45
+
+    def test_one_outcome_key_shows_one_view(self, campaign_inputs, tmp_path, monkeypatch):
+        # A resolution keeps the rows of the last view built of it, with the
+        # flag stream that they read.  The run-0 traces of one outcome key
+        # share both, so they show one view: the same rows, also when read
+        # after the export.  fog-light and soiling-light have no ghosts;
+        # snow-light and its fast-pipeline variant have one ghost key.
+        exported = {}
+        export_ = report.export_trace_jsonl
+
+        def keeping(traces, path):
+            traces = list(traces)
+            exported.update((trace.scenario_id, trace) for trace in traces)
+            return export_(traces, path)
+
+        monkeypatch.setattr(report, "export_trace_jsonl", keeping)
+        bundle = self._campaign(campaign_inputs, tmp_path / "traces")
+        ghost_rates = {s.id: s.effects["ghost_rate"] for s in bundle.scenarios}
+        for first, second, has_ghosts in (
+            ("fog-light", "soiling-light", False),
+            ("snow-light", "snow-light+fast-pipeline", True),
+        ):
+            assert (ghost_rates[first] > 0) is (ghost_rates[second] > 0) is has_ghosts
+            a, b = exported[first], exported[second]
+            assert a.events is b.events and a.states is b.states, (first, second)
 
     def test_nothing_is_kept_after_a_campaign(self, campaign_inputs, tmp_path, monkeypatch):
         held = []

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import random
 import tracemalloc
 import types
+from collections import Counter
 from datetime import timedelta
 
 import numpy as np
@@ -23,7 +25,7 @@ from sotifkit import (
     rss_min_distance,
     simulate,
 )
-from sotifkit.core import NO_CLOSING
+from sotifkit.core import NO_CLOSING, VEHICLE_FIELDS
 from sotifkit.errors import ContractViolationError, ParameterError, SimulationError
 from sotifkit.scenario import derive_seed, generate_scenarios
 import sotifkit.simulator as sim_module
@@ -1255,12 +1257,31 @@ def _log_uniform(low: float, high: float):
     )
 
 
+# Any loader-accepted float of a field that may be 0, up to 1e308.
+_ZERO_OR_ANY = st.one_of(st.just(0.0), _log_uniform(5e-324, 1e308))
+# Each drawn field replaces the fixture's; an absent one keeps it.
+_ODD_AND_VEHICLE = st.fixed_dictionaries(
+    {},
+    optional={
+        "v_r": _ZERO_OR_ANY,
+        "rho": _ZERO_OR_ANY,
+        "a_max_accel": _ZERO_OR_ANY,
+        "a_min_brake": _log_uniform(5e-324, 1e308),
+        "d_object": _log_uniform(5e-324, 1e308),
+        "d_perception": _log_uniform(5e-324, 1e308),
+        "perception_range_factor": _log_uniform(5e-324, 1.0),
+    },
+)
+
+
 class TestAcceptedInputsEndInAResult:
-    """Every ``dt``, friction and added response latency that the loaders
-    accept ends in finite KPIs or a ParameterError that names the field: a
-    horizon of more than 2**53 steps is rejected where the config is built,
-    a friction product that underflows to 0 brakes as a brake of 0, and a
-    delay at or past the horizon never applies the brake."""
+    """Every ``dt``, friction, added response latency, vehicle, object and
+    perception distance and range factor that the loaders accept ends in
+    finite KPIs or a ParameterError that names the field: a horizon of more
+    than 2**53 steps is rejected where the config is built, a vehicle whose
+    safe distance overflows where the vehicle is, a friction product that
+    underflows to 0 brakes as a brake of 0, and a delay at or past the
+    horizon never applies the brake."""
 
     # Most of [5e-324, 0.05] lies below the 2**53-step limit of the 60 s
     # horizon, so half the draws come from above it.
@@ -1271,22 +1292,51 @@ class TestAcceptedInputsEndInAResult:
         mu_factor=_log_uniform(5e-324, 1.0),
         rho_add=st.one_of(st.just(0.0), _log_uniform(5e-324, 1e308)),
         ghost_rate=st.one_of(st.just(0.0), _log_uniform(5e-324, 1.0)),
+        fields=_ODD_AND_VEHICLE,
     )
-    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=5e-324)
-    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=1.0)
-    @example(dt=1e-22, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.0)
-    @example(dt=5e-324, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.0)
-    @example(dt=60.0 / 2**53, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.05)
-    @example(dt=0.001, mu=1e-200, mu_factor=1e-200, rho_add=0.0, ghost_rate=0.05)
-    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=1e308, ghost_rate=0.05)
-    def test_finite_kpis_or_named_error(self, fixture_odd, dt, mu, mu_factor, rho_add, ghost_rate):
+    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=5e-324, fields={})
+    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=1.0, fields={})
+    @example(dt=1e-22, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.0, fields={})
+    @example(dt=5e-324, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.0, fields={})
+    @example(dt=60.0 / 2**53, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.05, fields={})
+    @example(dt=0.001, mu=1e-200, mu_factor=1e-200, rho_add=0.0, ghost_rate=0.05, fields={})
+    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=1e308, ghost_rate=0.05, fields={})
+    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.05, fields={"v_r": 0.0})
+    @example(dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.0, fields={"v_r": 1e308})
+    @example(
+        dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.05,
+        fields={"rho": 0.0, "a_max_accel": 0.0, "a_min_brake": 1e308},
+    )
+    @example(
+        dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.05,
+        fields={"d_object": 5e-324, "d_perception": 5e-324, "perception_range_factor": 5e-324},
+    )
+    @example(
+        dt=0.001, mu=1.0, mu_factor=1.0, rho_add=0.0, ghost_rate=0.05,
+        fields={"d_object": 1e308, "d_perception": 1e308},
+    )
+    def test_finite_kpis_or_named_error(
+        self, fixture_odd, dt, mu, mu_factor, rho_add, ghost_rate, fields
+    ):
         try:
             cfg = SimConfig(dt=dt)
         except ParameterError as exc:
             assert not 60.0 / dt <= 2**53 and f"dt={dt}" in str(exc)
             return
-        odd = dataclasses.replace(fixture_odd, mu=mu)
-        effects = EffectModel(mu_factor=mu_factor, rho_add=rho_add, ghost_rate=ghost_rate)
+        vehicle_fields = {name: fields.pop(name) for name in VEHICLE_FIELDS if name in fields}
+        try:
+            vehicle = dataclasses.replace(fixture_odd.vehicle, **vehicle_fields)
+        except ParameterError as exc:
+            assert "rss_min_distance must be finite" in str(exc)
+            return
+        range_factor = fields.pop("perception_range_factor", 1.0)
+        odd = dataclasses.replace(fixture_odd, mu=mu, vehicle=vehicle, **fields)
+        effects = EffectModel(
+            perception_range_factor=range_factor,
+            mu_factor=mu_factor,
+            rho_add=rho_add,
+            ghost_rate=ghost_rate,
+        )
         scenario = make_scenario(odd, effects, scenario_id="fixture", seed=5)
         trace = simulate(scenario, cfg)
         kpis = compute_kpis(trace, scenario)
@@ -1607,6 +1657,39 @@ class TestLazyTraceView:
             assert [e._asdict() for e in trace.events] == item["events"]
             assert [s._asdict() for s in trace.states] == item["states"]
         assert built == ["g", "g"]
+
+    def test_a_resolution_holds_one_view(self, baseline_vehicle):
+        # Most runs trigger naturally and share that resolution, but each
+        # reads its own flag stream, so each builds a view of its own.  A
+        # resolution keeps the rows of its last view only, so what the block
+        # holds after the last run grows with the resolutions reached (under
+        # 50, about 20 KB of views), not with the runs viewed: a view per run
+        # would hold about 2.5 MB.
+        cfg = SimConfig()
+        scenario = make_scenario(
+            baseline_odd(baseline_vehicle), EffectModel(ghost_rate=1e-4), scenario_id="g", seed=5
+        )
+        assert simulate(scenario, cfg, 0).events  # the first draw and view import what they use
+
+        def held(view: bool) -> int:
+            with sim_module._sharing():
+                tracemalloc.start()
+                try:
+                    runs = Counter()
+                    for i in range(2000):
+                        trace = simulate(scenario, cfg, i)
+                        runs[id(trace._res)] += 1
+                        if view:
+                            assert trace.events
+                    del trace
+                    gc.collect()
+                    current, _ = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert max(runs.values()) > 1900 and len(runs) < 50
+            return current
+
+        assert held(view=True) - held(view=False) < 100_000
 
     def test_ghost_free_runs_derive_kpis_once(self, baseline_vehicle, monkeypatch):
         derived = count_kpi_reports(monkeypatch)
