@@ -3,8 +3,9 @@ document goes through, the input files and the report bundle alike.
 
 A document's fields are declared as kinds of JSON value (:class:`Kind`);
 :func:`check_object` and :func:`check_items` check them, naming the
-offending field, and :func:`located` names the place of an error raised
-while the checked values are built into records.  :func:`json_encoder`
+offending field; :func:`item_columns` reads a list of objects as the
+columns that check it; and :func:`located` names the place of an error
+raised while the checked values are built into records.  :func:`json_encoder`
 writes what the bundle and the trace file hold.
 """
 
@@ -208,25 +209,26 @@ def check_object(
     return data
 
 
-def items_pass(
+def item_columns(
     items: list, fields: Mapping[str, Kind], optional: Mapping[str, Kind] = {}
-) -> bool:
-    """True if ``items`` are JSON objects that would each pass
-    :func:`check_object`.  A whole column is checked at once."""
+) -> list[list] | None:
+    """The columns of ``items`` if they are JSON objects that would each
+    pass :func:`check_object`, None if they would not: the values of each
+    key of ``fields``, one per item, then those of each key of ``optional``
+    that the items hold.  A whole column is checked at once."""
     if not set(map(type, items)) <= {dict}:
-        return False
+        return None
     try:
-        columns = [(kind, [item[key] for item in items]) for key, kind in fields.items()]
+        columns = [[item[key] for item in items] for key in fields]
     except KeyError:  # a required key is missing
-        return False
-    columns += [
-        (kind, [item[key] for item in items if key in item]) for key, kind in optional.items()
-    ]
+        return None
+    columns += [[item[key] for item in items if key in item] for key in optional]
     # The columns hold every known key of every item: the items hold no
     # other key if they hold no more keys than the columns.
-    if sum(map(len, items)) != sum(len(column) for _, column in columns):
-        return False
-    return all(kind.accepts(column) for kind, column in columns)
+    if sum(map(len, items)) != sum(map(len, columns)):
+        return None
+    kinds = chain(fields.values(), optional.values())
+    return columns if all(kind.accepts(column) for kind, column in zip(kinds, columns)) else None
 
 
 def check_items(
@@ -236,25 +238,28 @@ def check_items(
     optional: Mapping[str, Kind] = {},
 ) -> list:
     """``items`` if it is a JSON list of objects that each pass
-    :func:`check_object`.  Only a list that fails :func:`items_pass` is
+    :func:`check_object`.  Only a list whose :func:`item_columns` fail is
     searched item by item, so that the error names the item
     (``context[i]``) and the field."""
     if not isinstance(items, list):
         raise ValueError(f"{context}: expected a JSON list of objects")
-    if not items_pass(items, fields, optional):
+    if item_columns(items, fields, optional) is None:
         for i, item in enumerate(items):
             check_object(item, f"{context}[{i}]", fields, optional)
     return items
 
 
-def check_unique(items: list, context: str, key: str) -> None:
-    """Raise naming ``context[i].key`` if item i of a checked list repeats
-    the ``key`` value of an earlier item."""
+def check_unique(values: list, context: str, key: str) -> None:
+    """Raise naming ``context[i].key`` if value i, the ``key`` of item i of
+    a checked list, repeats the value of an earlier item.  Only values that
+    hold a repeat are searched for it."""
+    if len(set(values)) == len(values):
+        return
     first: dict = {}
-    for i, item in enumerate(items):
-        j = first.setdefault(item[key], i)
+    for i, value in enumerate(values):
+        j = first.setdefault(value, i)
         if j != i:
-            raise ValueError(f"{context}[{i}].{key}: {item[key]!r} repeats {context}[{j}]")
+            raise ValueError(f"{context}[{i}].{key}: {value!r} repeats {context}[{j}]")
 
 
 @contextmanager

@@ -25,7 +25,8 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -45,12 +46,13 @@ from .errors import (
     STRINGS,
     ContractViolationError,
     Kind,
+    ParameterError,
     PipelineError,
     check_items,
     check_object,
     check_unique,
     fields_of,
-    items_pass,
+    item_columns,
     json_encoder,
     list_of,
     located,
@@ -72,6 +74,7 @@ from .risk import (
 from .scenario import (
     EFFECT_FIELDS,
     EffectMapping,
+    EffectModel,
     MitigationSpec,
     OddDefinition,
     Scenario,
@@ -175,6 +178,9 @@ class MitigationOutcome(NamedTuple):
         return self.mitigated_scenario_id is not None
 
 
+_scenario_id = attrgetter("scenario_id")
+
+
 @dataclass(frozen=True)
 class ReportBundle:
     meta: RunMeta
@@ -188,23 +194,37 @@ class ReportBundle:
     acceptance: tuple[AcceptanceVerdict, ...]
 
     def __post_init__(self) -> None:
-        ids = {s.id for s in self.scenarios}
+        # Each check compares sets of ids; only a failing one is searched
+        # item by item, to name the item.
+        ids = set(map(attrgetter("id"), self.scenarios))
         for table in ("kpi_table", "analysis_sheet", "risk_table", "acceptance"):
-            for item in getattr(self, table):
-                if item.scenario_id not in ids:
-                    raise ContractViolationError(
-                        f"{table} references unknown scenario '{item.scenario_id}'"
-                    )
+            items = getattr(self, table)
+            if not ids.issuperset(map(_scenario_id, items)):
+                item = next(item for item in items if item.scenario_id not in ids)
+                raise ContractViolationError(
+                    f"{table} references unknown scenario '{item.scenario_id}'"
+                )
         # A mitigation's KPIs are the kpi_table rows it names (None: not applied).
-        known = {None, *(s.scenario_id for s in self.kpi_table)}
-        for i, m in enumerate(self.mitigation_table):
-            for field in ("scenario_id", "mitigated_scenario_id"):
-                if getattr(m, field) not in known:
-                    raise ContractViolationError(
-                        f"mitigation_table[{i}].{field}: {getattr(m, field)!r} has no kpi_table row"
-                    )
+        known = {None, *map(_scenario_id, self.kpi_table)}
+        fields = ("scenario_id", "mitigated_scenario_id")
+        named = chain.from_iterable(map(attrgetter(*fields), self.mitigation_table))
+        if not known.issuperset(named):
+            for i, m in enumerate(self.mitigation_table):
+                for field in fields:
+                    if getattr(m, field) not in known:
+                        raise ContractViolationError(
+                            f"mitigation_table[{i}].{field}: {getattr(m, field)!r} "
+                            "has no kpi_table row"
+                        )
+        # Every scenario ran the campaign's runs.
+        runs = self.meta.runs_per_scenario
+        if set(map(attrgetter("runs"), self.kpi_table)) - {runs}:
+            i, row = next((i, s) for i, s in enumerate(self.kpi_table) if s.runs != runs)
+            raise ContractViolationError(
+                f"kpi_table[{i}].runs: {row.runs}, but meta.runs_per_scenario is {runs}"
+            )
         # One verdict per condition scenario, and none for another scenario.
-        judged = [v.scenario_id for v in self.acceptance]
+        judged = list(map(_scenario_id, self.acceptance))
         conditions = {s.id for s in self.scenarios if s.is_condition}
         if len(judged) != len(conditions) or set(judged) != conditions:
             verdicts = Counter(judged)
@@ -306,7 +326,7 @@ def run_campaign(
         ]
         all_scenarios = scenarios + [m for _, _, m in trials if m is not None]
         # A mitigated id, <scenario id>+<mitigation id>, can spell another's.
-        check_unique([{"id": s.id} for s in all_scenarios], "scenarios", "id")
+        check_unique([s.id for s in all_scenarios], "scenarios", "id")
 
     # The sweep's run-0 traces are kept until the export takes them.
     with _sharing():
@@ -401,21 +421,26 @@ class _Column(NamedTuple):
 
 class _Table:
     """An item type on disk: ``fields`` gives each JSON key's kind for the
-    checker, ``to_dict`` and ``from_dict`` code an item.  The columns follow
-    the item's fields (:func:`errors.fields_of`: a NamedTuple's or a
-    dataclass's), so that an item is built from its values in column
-    order.  The values are read all at once; only the coded
-    columns cost a Python call per item."""
+    checker, ``to_dict`` writes an item and ``load`` reads a list of them.
+    The columns follow the item's fields (:func:`errors.fields_of`: a
+    NamedTuple's or a dataclass's), so that an item is built from its
+    values in column order.  A list is read by its columns: the columns
+    that check it also build its records, and only the coded columns cost
+    a Python call per item."""
 
-    def __init__(self, cls: Callable[..., Any], columns: Mapping[str, Kind | _Column]):
+    def __init__(self, cls: type, columns: Mapping[str, Kind | _Column]):
         columns = {k: c if isinstance(c, _Column) else _Column(c) for k, c in columns.items()}
-        self.cls = cls
         self.fields = {key: column.kind for key, column in columns.items()}
         self._keys = tuple(columns)
         self._attrs = attrgetter(*(c.attr or key for key, c in columns.items()))
-        self._items = itemgetter(*columns)
         self._encoders = [(key, c.encode) for key, c in columns.items() if c.encode]
         self._decoders = [(i, c.decode) for i, c in enumerate(columns.values()) if c.decode]
+        # A record type that is a tuple (the result NamedTuples, which check
+        # nothing when built) is made from a row of values by tuple.__new__
+        # alone, without a Python-level __new__ call per item.
+        self._make = (
+            partial(tuple.__new__, cls) if issubclass(cls, tuple) else lambda row: cls(*row)
+        )
 
     @classmethod
     def of(cls, item_cls: type, kind: Kind, **special: Kind | _Column) -> "_Table":
@@ -430,12 +455,35 @@ class _Table:
             data[key] = encode(data[key])
         return data
 
-    def from_dict(self, data: Mapping) -> Any:
-        """The item of a checked dict; keys it has no column for are ignored."""
-        values = list(self._items(data))
+    def columns(
+        self, items: list, context: str, search: Callable[[], object] | None = None
+    ) -> list[list]:
+        """The columns of ``items``, a JSON list of objects that each pass
+        :func:`errors.check_object` against ``fields``: the values of each
+        key, in column order.  Only a list whose columns fail is searched
+        item by item, by ``search`` (:func:`errors.check_items` at
+        ``context`` if None), to raise naming the item.  If that names none
+        (each value passes alone, as finite numbers whose sum overflows do),
+        the columns are read as they are."""
+        columns = item_columns(items, self.fields)
+        if columns is None:
+            (search or partial(check_items, items, context, self.fields))()
+            columns = [[item[key] for item in items] for key in self._keys]
+        return columns
+
+    def records(self, columns: list[list]) -> list:
+        """The item of each row of ``columns``: each decoder maps its column."""
         for i, decode in self._decoders:
-            values[i] = decode(values[i])
-        return self.cls(*values)
+            columns[i] = list(map(decode, columns[i]))
+        return list(map(self._make, zip(*columns)))
+
+    def load(self, items: list, context: str) -> tuple:
+        """The items of ``items``, checked as :meth:`columns` checks them."""
+        return tuple(self.records(self.columns(items, context)))
+
+    def from_dict(self, data: Mapping) -> Any:
+        """The item of one checked dict; keys it has no column for are ignored."""
+        return self.records([[data[key]] for key in self._keys])[0]
 
 
 # JSON has no Infinity: an unbounded value (a ttc, hours or km to hazard)
@@ -458,15 +506,23 @@ def _named(cls: type, name: Callable[[Any], str] = attrgetter("name")) -> _Colum
 
 
 _SEVERITY = _named(Severity)
+# A run count is at least 1, and a rate is a share of runs.
+_COUNT = Kind("an integer >= 1", lambda column: INT.accepts(column) and min(column, default=1) >= 1)
+_RATE = Kind(
+    "a finite number in [0, 1]",
+    lambda column: NUMBER.accepts(column)
+    and 0 <= min(column, default=0)
+    and max(column, default=0) <= 1,
+)
 _VIOLATIONS = _Table.of(Violation, NUMBER, clause=STR)
+# A verdict's violations are read by bundle_from_dict, those of all
+# verdicts as one table.
 _VERDICTS = _Table.of(
     AcceptanceVerdict,
     STR,
     passed=BOOL,
     violations=_Column(
-        list_of(OBJECT),
-        lambda violations: list(map(_VIOLATIONS.to_dict, violations)),
-        lambda items: tuple(map(_VIOLATIONS.from_dict, items)),
+        list_of(OBJECT), lambda violations: list(map(_VIOLATIONS.to_dict, violations))
     ),
 )
 _CRITERIA = _Table.of(AcceptanceCriteria, NUMBER)
@@ -474,7 +530,7 @@ _META = _Table.of(
     RunMeta,
     STR,
     base_seed=INT,
-    runs_per_scenario=INT,
+    runs_per_scenario=_COUNT,
     dt=NUMBER,
     max_time=NUMBER,
     perception_tick=NUMBER,
@@ -499,6 +555,8 @@ _BUNDLE_TABLES = {
         NUMBER,
         scenario_id=STR,
         runs=INT,
+        collision_rate=_RATE,
+        false_activation_rate=_RATE,
         ttc_at_trigger_min=_UNBOUNDED,
         odd_fingerprint=STR,
     ),
@@ -506,7 +564,7 @@ _BUNDLE_TABLES = {
     # written: the table reads a row's other values, in AnalysisRow field
     # order, and bundle_from_dict joins them with its scenario.
     "analysis_sheet": _Table(
-        lambda *values: values,
+        tuple,
         {
             "scenario_id": STR,
             "affected_subsystems": _Column(
@@ -566,16 +624,45 @@ def _join_sheet(
 ) -> tuple[AnalysisRow, ...]:
     """The analysis rows of the values that the analysis table read, each
     joined with the leaf id and category path of its condition scenario."""
-    by_id = {s.id: s for s in scenarios}
-    rows = []
-    for i, (scenario_id, *values) in enumerate(items):
-        scenario = by_id.get(scenario_id)
-        if scenario is None or not scenario.is_condition:
-            raise ContractViolationError(
-                f"analysis_sheet[{i}].scenario_id: {scenario_id!r} is not a condition scenario"
-            )
-        rows.append(AnalysisRow(scenario_id, scenario.leaf_id, scenario.category_path, *values))
-    return tuple(rows)
+    items = list(items)
+    paths = {s.id: s.category_path for s in scenarios if s.is_condition}
+    if not paths.keys() >= set(map(itemgetter(0), items)):
+        i, scenario_id = next((i, v[0]) for i, v in enumerate(items) if v[0] not in paths)
+        raise ContractViolationError(
+            f"analysis_sheet[{i}].scenario_id: {scenario_id!r} is not a condition scenario"
+        )
+    # A condition scenario's leaf id is its id.
+    return tuple(
+        AnalysisRow(scenario_id, scenario_id, paths[scenario_id], *values)
+        for scenario_id, *values in items
+    )
+
+
+# The effects of a scenario: every EffectModel field.
+_EFFECTS = dict.fromkeys(EFFECT_FIELDS, NUMBER)
+# The id key of each table whose ids must not repeat.
+_IDS = {"scenarios": "id", "kpi_table": "scenario_id", "analysis_sheet": "scenario_id"}
+
+
+def _check_effects(effects: list) -> None:
+    """Check that each scenario's effects, a checked JSON object, holds
+    exactly the EffectModel fields, each in its domain.  Each field's domain
+    is an interval of its own, so the values of a field lie in it when its
+    least and its greatest do: the columns are checked by two EffectModels.
+    Only a failing column is searched scenario by scenario."""
+    columns = item_columns(effects, _EFFECTS)
+    if columns is not None and effects:
+        try:
+            for pick in (min, max):
+                EffectModel(**dict(zip(_EFFECTS, map(pick, columns))))
+            return
+        except ParameterError:
+            pass  # searched below
+    for i, item in enumerate(effects):
+        context = f"scenarios[{i}].effects"
+        check_object(item, context, _EFFECTS)
+        with located(context):
+            EffectModel(**item)
 
 
 def bundle_from_dict(data: Mapping) -> ReportBundle:
@@ -583,24 +670,25 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
     acceptance = check_object(
         data["acceptance"], "acceptance", {"criteria": OBJECT, "verdicts": LIST}
     )
-    tables = {
-        name: tuple(map(table.from_dict, check_items(data[name], name, table.fields)))
-        for name, table in _BUNDLE_TABLES.items()
-    }
+    tables = {name: table.load(data[name], name) for name, table in _BUNDLE_TABLES.items()}
+    _check_effects(list(map(attrgetter("effects"), tables["scenarios"])))
     # The other tables name a scenario, and a mitigation its kpi_table rows,
-    # by id: an id must name one item.
-    check_unique(data["scenarios"], "scenarios", "id")
-    check_unique(data["kpi_table"], "kpi_table", "scenario_id")
-    check_unique(data["analysis_sheet"], "analysis_sheet", "scenario_id")
-    verdicts = check_items(acceptance["verdicts"], "acceptance.verdicts", _VERDICTS.fields)
-    check_unique(verdicts, "acceptance.verdicts", "scenario_id")
+    # by id (each table's first column): an id must name one item.
+    for name, key in _IDS.items():
+        check_unique(list(map(itemgetter(0), tables[name])), name, key)
+    scenario_ids, passed, lists = _VERDICTS.columns(acceptance["verdicts"], "acceptance.verdicts")
+    check_unique(scenario_ids, "acceptance.verdicts", "scenario_id")
     tables["analysis_sheet"] = _join_sheet(tables["analysis_sheet"], tables["scenarios"])
-    # The violations of all verdicts are checked at once; only a failure is
-    # searched verdict by verdict.
-    violations = [v["violations"] for v in verdicts]
-    if not items_pass(list(chain.from_iterable(violations)), _VIOLATIONS.fields):
-        for i, items in enumerate(violations):
+
+    # The violations of all verdicts are read as one table; only a failure
+    # is searched verdict by verdict.
+    def search() -> None:
+        for i, items in enumerate(lists):
             check_items(items, f"acceptance.verdicts[{i}].violations", _VIOLATIONS.fields)
+
+    flat = list(chain.from_iterable(lists))
+    found = iter(_VIOLATIONS.records(_VIOLATIONS.columns(flat, "", search)))
+    violations = [tuple(islice(found, len(items))) for items in lists]
     criteria = check_object(acceptance["criteria"], "acceptance.criteria", _CRITERIA.fields)
     with located("acceptance.criteria"):
         criteria = _CRITERIA.from_dict(criteria)
@@ -611,7 +699,7 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
         taxonomy_summary=summary,
         **tables,
         criteria=criteria,
-        acceptance=tuple(map(_VERDICTS.from_dict, verdicts)),
+        acceptance=tuple(_VERDICTS.records([scenario_ids, passed, violations])),
     )
 
 
@@ -789,10 +877,6 @@ def _fmt(x: float | None, digits: int = 3) -> str:
     return f"{x:.{digits}f}"
 
 
-# The summary's mitigation columns: each KPI before -> after, and its digits.
-_MITIGATION_KPIS = (("gap_mean", 3), ("collision_rate", 2), ("false_activation_rate", 2))
-
-
 def emit_markdown_summary(bundle: ReportBundle) -> str:
     """Human-readable argumentation summary for the campaign."""
     lines: list[str] = []
@@ -887,10 +971,22 @@ def emit_markdown_summary(bundle: ReportBundle) -> str:
 
     if bundle.mitigation_table:
         kpis = {s.scenario_id: s for s in bundle.kpi_table}
-        # A condition scenario's before cells recur in the row of every
-        # mitigation: each is formatted once, with its arrow, beside the
-        # KPI and digits of its after cell.
-        before_cells: dict[str, list[tuple[str, str, int]]] = {}
+
+        def cells(scenario_id: str | None) -> tuple[str, str, str]:
+            """The gap mean, collision rate and false activation rate cells
+            of a scenario's kpi_table row (None: not applied)."""
+            row = kpis.get(scenario_id)
+            if row is None:
+                return ("-", "-", "-")
+            return (
+                _fmt(row.gap_mean),
+                _fmt(row.collision_rate, 2),
+                _fmt(row.false_activation_rate, 2),
+            )
+
+        # A condition scenario's cells recur in the row of every mitigation,
+        # and are formatted once.
+        before_cells: dict[str, tuple[str, str, str]] = {}
         lines.append("## Mitigations")
         lines.append("")
         lines.append(
@@ -900,19 +996,14 @@ def emit_markdown_summary(bundle: ReportBundle) -> str:
         for m in bundle.mitigation_table:
             before = before_cells.get(m.scenario_id)
             if before is None:
-                row = kpis[m.scenario_id]
-                before = before_cells[m.scenario_id] = [
-                    (f"{_fmt(getattr(row, kpi), digits)} -> ", kpi, digits)
-                    for kpi, digits in _MITIGATION_KPIS
-                ]
-            after = kpis.get(m.mitigated_scenario_id)  # None when not applied
-            changes = " | ".join(
-                [cell + _fmt(getattr(after, kpi, None), digits) for cell, kpi, digits in before]
-            )
+                before = before_cells[m.scenario_id] = cells(m.scenario_id)
+            gap, collisions, false_activations = before
+            gap_after, collisions_after, false_activations_after = cells(m.mitigated_scenario_id)
             passes = "-" if m.passes_after is None else ("yes" if m.passes_after else "no")
             lines.append(
                 f"| {m.mitigation_id} | {m.scenario_id} | {'yes' if m.applied else 'no'} "
-                f"| {changes} | {passes} |"
+                f"| {gap} -> {gap_after} | {collisions} -> {collisions_after} "
+                f"| {false_activations} -> {false_activations_after} | {passes} |"
             )
         lines.append("")
 

@@ -309,7 +309,7 @@ def load_occurrences(path: str | Path) -> list[OccurrenceSpec]:
     with located(str(path)):
         data = parse_json(Path(path).read_text(encoding="utf-8"))
     check_items(data, str(path), {"leaf_id": STR, "exposure_rate": NUMBER}, {"source": STR})
-    check_unique(data, str(path), "leaf_id")
+    check_unique([item["leaf_id"] for item in data], str(path), "leaf_id")
     specs = []
     for i, item in enumerate(data):
         with located(f"{path}[{i}]"):

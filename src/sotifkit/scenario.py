@@ -405,7 +405,7 @@ def load_mitigations(path: str | Path) -> list[MitigationSpec]:
         {"effect_overrides": OBJECT, "vehicle_overrides": OBJECT},
     )
     # Mitigated scenarios are named "<scenario id>+<mitigation id>".
-    check_unique(data, str(path), "id")
+    check_unique([item["id"] for item in data], str(path), "id")
     mitigations = []
     for i, item in enumerate(data):
         with located(f"{path}[{i}]"):

@@ -34,6 +34,7 @@ from sotifkit.cli import EXIT_GATE_FAILED, main
 from sotifkit.errors import json_encoder
 from sotifkit.fixtures import fixture_path
 from sotifkit.report import (
+    bundle_from_dict,
     bundle_text,
     bundle_to_dict,
     emit_markdown_summary,
@@ -156,7 +157,9 @@ WORKLOAD_DIGESTS = {
 def test_benchmark_workload_matches_recorded_digests(name, tmp_path, monkeypatch):
     """The benchmark's inputs and outputs, made as ``bench/campaign.py``
     makes them: ``run_campaign`` with the run-0 traces, then
-    ``write_bundle``."""
+    ``write_bundle``.  The bundle it writes reads back by its columns to
+    the bundle's own dict, and renders the summary it wrote, on tables of
+    up to 705 rows."""
     monkeypatch.syspath_prepend(str(BENCH))
     import campaign
     from workloads import WORKLOADS, write_inputs
@@ -165,7 +168,11 @@ def test_benchmark_workload_matches_recorded_digests(name, tmp_path, monkeypatch
     paths = write_inputs(workload, workload.default_seed, tmp_path / "inputs", SRC)
     inputs = campaign.load_inputs(paths)
     out = tmp_path / "out"
-    campaign.write_bundle(campaign.run_campaign(inputs, workload, workload.default_seed, out), out)
+    bundle = campaign.run_campaign(inputs, workload, workload.default_seed, out)
+    campaign.write_bundle(bundle, out)
+    loaded = load_bundle(out)
+    assert emit_markdown_summary(loaded).encode("utf-8") == (out / "summary.md").read_bytes()
+    assert loaded == bundle_from_dict(bundle_to_dict(bundle))
 
     def digest(path: Path) -> str:
         return hashlib.sha256(read_blanked(path)).hexdigest()

@@ -31,7 +31,13 @@ from sotifkit import (
 from sotifkit.analysis import load_severity_rules
 from sotifkit.cli import EXIT_ERROR, EXIT_GATE_FAILED, EXIT_OK, main
 from sotifkit import cli, report
-from sotifkit.errors import ContractViolationError, PipelineError, SimulationError, SotifkitError
+from sotifkit.errors import (
+    ContractViolationError,
+    ParameterError,
+    PipelineError,
+    SimulationError,
+    SotifkitError,
+)
 from sotifkit.fixtures import fixture_path
 from sotifkit.analysis import AnalysisRow
 from sotifkit.report import (
@@ -815,6 +821,231 @@ class TestBundleValueTypes:
         emit_markdown_summary(loaded)
 
 
+def _items_of(data: dict, table: str) -> list:
+    return data["acceptance"]["verdicts"] if table == "acceptance.verdicts" else data[table]
+
+
+def _verdict_with_violations(data: dict) -> dict:
+    """The small bundle's first verdict that has violations
+    (acceptance.verdicts[2])."""
+    return next(v for v in data["acceptance"]["verdicts"] if v["violations"])
+
+
+def _set_section(data: dict, table: str, value) -> None:
+    if table == "acceptance.verdicts":
+        data["acceptance"]["verdicts"] = value
+    else:
+        data[table] = value
+
+
+# For each table of the small bundle (a key, and a value of the wrong kind
+# for it): the edits that each fault needs.
+_FAULTS = {
+    "scenarios": ("seed", "x"),
+    "kpi_table": ("gap_mean", "x"),
+    "analysis_sheet": ("severity", "S9"),
+    "risk_table": ("risk_level", 5),
+    "mitigation_table": ("passes_after", "yes"),
+    "acceptance.verdicts": ("passed", None),
+}
+_EDITS = {
+    **{
+        f"{table}-{fault}": edit
+        for table, (key, wrong) in _FAULTS.items()
+        for fault, edit in {
+            "not-list": lambda d, t=table: _set_section(d, t, 5),
+            "item-not-object": lambda d, t=table: _items_of(d, t).__setitem__(1, 5),
+            "missing-key": lambda d, t=table, k=key: _items_of(d, t)[1].pop(k),
+            "unknown-key": lambda d, t=table: _items_of(d, t)[1].__setitem__("colour", "red"),
+            "wrong-kind": lambda d, t=table, k=key, w=wrong: _items_of(d, t)[1].__setitem__(k, w),
+            "repeated-id": lambda d, t=table: _items_of(d, t).append(dict(_items_of(d, t)[1])),
+        }.items()
+    },
+    "violations-not-list": lambda d: _verdict_with_violations(d).__setitem__("violations", 5),
+    "violations-item-not-object": lambda d: _verdict_with_violations(d)["violations"].__setitem__(
+        0, 5
+    ),
+    "violations-missing-key": lambda d: _verdict_with_violations(d)["violations"][0].pop(
+        "measured"
+    ),
+    "violations-unknown-key": lambda d: _verdict_with_violations(d)["violations"][0].__setitem__(
+        "colour", "red"
+    ),
+    "violations-wrong-kind": lambda d: _verdict_with_violations(d)["violations"][0].__setitem__(
+        "clause", 5
+    ),
+    "effects-not-the-effect-fields": lambda d: d["scenarios"][1].__setitem__(
+        "effects", {"foo": "bar"}
+    ),
+    "effects-value-wrong-kind": lambda d: d["scenarios"][1]["effects"].__setitem__("rho_add", "x"),
+    "effects-value-out-of-domain": lambda d: d["scenarios"][1]["effects"].__setitem__(
+        "ghost_rate", 5
+    ),
+    "kpi-runs-not-meta-runs": lambda d: d["kpi_table"][1].__setitem__("runs", 7),
+    "kpi-runs-negative": lambda d: d["kpi_table"][1].__setitem__("runs", -4),
+    "kpi-rate-above-one": lambda d: d["kpi_table"][1].__setitem__("collision_rate", 1.5),
+    "kpi-rate-below-zero": lambda d: d["kpi_table"][1].__setitem__("false_activation_rate", -0.1),
+    "meta-runs-below-one": lambda d: d["meta"].__setitem__("runs_per_scenario", 0),
+}
+# The exact error of each edit.  The messages of the table faults were
+# recorded from the reader that read a table item by item; a table read by
+# its columns must name the same item in the same words.  The risk and
+# mitigation tables key no item by id: a repeated row of either loads.
+_LOAD_ERRORS = {
+    "scenarios-not-list": (ValueError, "scenarios: expected a JSON list, got 5"),
+    "scenarios-item-not-object": (ValueError, "scenarios[1]: expected a JSON object, got int"),
+    "scenarios-missing-key": (ValueError, "scenarios[1]: missing keys ['seed']"),
+    "scenarios-unknown-key": (ValueError, "scenarios[1]: unknown keys ['colour']"),
+    "scenarios-wrong-kind": (ValueError, "scenarios[1].seed: expected an integer, got 'x'"),
+    "scenarios-repeated-id": (ValueError, "scenarios[86].id: 'rain-light' repeats scenarios[1]"),
+    "kpi_table-not-list": (ValueError, "kpi_table: expected a JSON list, got 5"),
+    "kpi_table-item-not-object": (ValueError, "kpi_table[1]: expected a JSON object, got int"),
+    "kpi_table-missing-key": (ValueError, "kpi_table[1]: missing keys ['gap_mean']"),
+    "kpi_table-unknown-key": (ValueError, "kpi_table[1]: unknown keys ['colour']"),
+    "kpi_table-wrong-kind": (
+        ValueError,
+        "kpi_table[1].gap_mean: expected a finite number, got 'x'",
+    ),
+    "kpi_table-repeated-id": (
+        ValueError,
+        "kpi_table[86].scenario_id: 'rain-light' repeats kpi_table[1]",
+    ),
+    "analysis_sheet-not-list": (ValueError, "analysis_sheet: expected a JSON list, got 5"),
+    "analysis_sheet-item-not-object": (
+        ValueError,
+        "analysis_sheet[1]: expected a JSON object, got int",
+    ),
+    "analysis_sheet-missing-key": (ValueError, "analysis_sheet[1]: missing keys ['severity']"),
+    "analysis_sheet-unknown-key": (ValueError, "analysis_sheet[1]: unknown keys ['colour']"),
+    "analysis_sheet-wrong-kind": (
+        ValueError,
+        "analysis_sheet[1].severity: expected one of ['S0', 'S1', 'S2', 'S3'], got 'S9'",
+    ),
+    "analysis_sheet-repeated-id": (
+        ValueError,
+        "analysis_sheet[22].scenario_id: 'rain-medium' repeats analysis_sheet[1]",
+    ),
+    "risk_table-not-list": (ValueError, "risk_table: expected a JSON list, got 5"),
+    "risk_table-item-not-object": (ValueError, "risk_table[1]: expected a JSON object, got int"),
+    "risk_table-missing-key": (ValueError, "risk_table[1]: missing keys ['risk_level']"),
+    "risk_table-unknown-key": (ValueError, "risk_table[1]: unknown keys ['colour']"),
+    "risk_table-wrong-kind": (
+        ValueError,
+        "risk_table[1].risk_level: expected one of ['negligible', 'low', 'medium', 'high'], got 5",
+    ),
+    "mitigation_table-not-list": (ValueError, "mitigation_table: expected a JSON list, got 5"),
+    "mitigation_table-item-not-object": (
+        ValueError,
+        "mitigation_table[1]: expected a JSON object, got int",
+    ),
+    "mitigation_table-missing-key": (
+        ValueError,
+        "mitigation_table[1]: missing keys ['passes_after']",
+    ),
+    "mitigation_table-unknown-key": (ValueError, "mitigation_table[1]: unknown keys ['colour']"),
+    "mitigation_table-wrong-kind": (
+        ValueError,
+        "mitigation_table[1].passes_after: expected true, false or null, got 'yes'",
+    ),
+    "acceptance.verdicts-not-list": (
+        ValueError,
+        "acceptance.verdicts: expected a JSON list, got 5",
+    ),
+    "acceptance.verdicts-item-not-object": (
+        ValueError,
+        "acceptance.verdicts[1]: expected a JSON object, got int",
+    ),
+    "acceptance.verdicts-missing-key": (
+        ValueError,
+        "acceptance.verdicts[1]: missing keys ['passed']",
+    ),
+    "acceptance.verdicts-unknown-key": (
+        ValueError,
+        "acceptance.verdicts[1]: unknown keys ['colour']",
+    ),
+    "acceptance.verdicts-wrong-kind": (
+        ValueError,
+        "acceptance.verdicts[1].passed: expected true or false, got None",
+    ),
+    "acceptance.verdicts-repeated-id": (
+        ValueError,
+        "acceptance.verdicts[22].scenario_id: 'rain-medium' repeats acceptance.verdicts[1]",
+    ),
+    "violations-not-list": (
+        ValueError,
+        "acceptance.verdicts[2].violations: expected a list, each item a JSON object, got 5",
+    ),
+    "violations-item-not-object": (
+        ValueError,
+        "acceptance.verdicts[2].violations: expected a list, each item a JSON object, got [5]",
+    ),
+    "violations-missing-key": (
+        ValueError,
+        "acceptance.verdicts[2].violations[0]: missing keys ['measured']",
+    ),
+    "violations-unknown-key": (
+        ValueError,
+        "acceptance.verdicts[2].violations[0]: unknown keys ['colour']",
+    ),
+    "violations-wrong-kind": (
+        ValueError,
+        "acceptance.verdicts[2].violations[0].clause: expected a string, got 5",
+    ),
+    # A scenario's effects hold exactly the EffectModel fields, each in its
+    # domain, and a kpi_table row agrees with meta and holds rates.
+    "effects-not-the-effect-fields": (
+        ValueError,
+        "scenarios[1].effects: missing keys "
+        "['ghost_rate', 'mu_factor', 'perception_range_factor', 'rho_add']",
+    ),
+    "effects-value-wrong-kind": (
+        ValueError,
+        "scenarios[1].effects.rho_add: expected a finite number, got 'x'",
+    ),
+    "effects-value-out-of-domain": (
+        ParameterError,
+        "scenarios[1].effects: ghost_rate must be in [0, 1], got 5.0",
+    ),
+    "kpi-runs-not-meta-runs": (
+        ContractViolationError,
+        "kpi_table[1].runs: 7, but meta.runs_per_scenario is 10",
+    ),
+    "kpi-runs-negative": (
+        ContractViolationError,
+        "kpi_table[1].runs: -4, but meta.runs_per_scenario is 10",
+    ),
+    "kpi-rate-above-one": (
+        ValueError,
+        "kpi_table[1].collision_rate: expected a finite number in [0, 1], got 1.5",
+    ),
+    "kpi-rate-below-zero": (
+        ValueError,
+        "kpi_table[1].false_activation_rate: expected a finite number in [0, 1], got -0.1",
+    ),
+    "meta-runs-below-one": (
+        ValueError,
+        "meta.runs_per_scenario: expected an integer >= 1, got 0",
+    ),
+}
+
+
+class TestLoadErrors:
+    @pytest.mark.parametrize("case", sorted(_LOAD_ERRORS))
+    def test_error_names_the_item_in_recorded_words(self, small_bundle_json, case):
+        data = json.loads(small_bundle_json)
+        _EDITS[case](data)
+        cls, message = _LOAD_ERRORS[case]
+        with pytest.raises(ValueError) as info:
+            bundle_from_dict(data)
+        assert (type(info.value), str(info.value)) == (cls, message)
+
+    @pytest.mark.parametrize("table", ["risk_table", "mitigation_table"])
+    def test_repeated_row_of_a_table_without_ids_loads(self, small_bundle_json, table):
+        data = json.loads(small_bundle_json)
+        _EDITS[f"{table}-repeated-id"](data)
+        assert len(getattr(bundle_from_dict(data), table)) == len(data[table])
+
+
 # Every input document a campaign loads, by its `sotifkit run` flag: the
 # fixture files, and a severity-rules document (no fixture ships one).
 _INPUT_DOCUMENTS = {
@@ -1517,6 +1748,27 @@ class TestCli:
         main(self._run_args(out, ["--no-gate"]))
         data = json.loads((out / "bundle.json").read_text())
         data[section] = value
+        (out / "bundle.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_ERROR
+        assert f"cannot load bundle {out}: {where}" in capsys.readouterr().err
+
+    # A kpi_table row that ran other runs than meta states, and a scenario
+    # whose effects are not the effect model's fields, once loaded.
+    @pytest.mark.parametrize(
+        "section, field, value, where",
+        [
+            ("kpi_table", "runs", 7, "kpi_table[1].runs: 7, but meta.runs_per_scenario is 5"),
+            ("scenarios", "effects", {"foo": "bar"}, "scenarios[1].effects: missing keys"),
+        ],
+    )
+    def test_report_rejects_item_contradicting_bundle(
+        self, section, field, value, where, tmp_path, capsys
+    ):
+        out = tmp_path / "bundle"
+        main(self._run_args(out, ["--no-gate"]))
+        data = json.loads((out / "bundle.json").read_text())
+        data[section][1][field] = value
         (out / "bundle.json").write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["report", str(out)]) == EXIT_ERROR
