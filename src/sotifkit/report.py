@@ -640,8 +640,14 @@ def _join_sheet(
 
 # The effects of a scenario: every EffectModel field.
 _EFFECTS = dict.fromkeys(EFFECT_FIELDS, NUMBER)
-# The id key of each table whose ids must not repeat.
-_IDS = {"scenarios": "id", "kpi_table": "scenario_id", "analysis_sheet": "scenario_id"}
+# The key of each table, its first columns (an id, or a pair of ids).
+_KEYS = {
+    "scenarios": ("id",),
+    "kpi_table": ("scenario_id",),
+    "analysis_sheet": ("scenario_id",),
+    "risk_table": ("scenario_id", "hazard_id"),
+    "mitigation_table": ("mitigation_id", "scenario_id"),
+}
 
 
 def _check_effects(effects: list) -> None:
@@ -673,9 +679,10 @@ def bundle_from_dict(data: Mapping) -> ReportBundle:
     tables = {name: table.load(data[name], name) for name, table in _BUNDLE_TABLES.items()}
     _check_effects(list(map(attrgetter("effects"), tables["scenarios"])))
     # The other tables name a scenario, and a mitigation its kpi_table rows,
-    # by id (each table's first column): an id must name one item.
-    for name, key in _IDS.items():
-        check_unique(list(map(itemgetter(0), tables[name])), name, key)
+    # by id: a key must name one item.
+    for name, key in _KEYS.items():
+        values = list(map(itemgetter(*range(len(key))), tables[name]))
+        check_unique(values, name, key[0] if len(key) == 1 else f"({', '.join(key)})")
     scenario_ids, passed, lists = _VERDICTS.columns(acceptance["verdicts"], "acceptance.verdicts")
     check_unique(scenario_ids, "acceptance.verdicts", "scenario_id")
     tables["analysis_sheet"] = _join_sheet(tables["analysis_sheet"], tables["scenarios"])

@@ -57,20 +57,19 @@ fields of its ``traces.jsonl`` item, and ``events`` and ``states``
 return them.  A view reads its ghosts, ticks and gaps, from its run's
 stream and draws nothing of its own.  The export writes each line from
 the rows, encoding each distinct row once.
-Runs share only within a :func:`_sharing` block, which a sweep opens and
-``run_campaign`` holds over its sweep and export (:class:`_Shared`): the
-resolution of each ghost-free key and the aggregate of each key until the
-sweep returns, the last seed's ghost plans and flag streams until the
-seed changes or the sweep returns, the seed states of the sweep's
-streams, and each run-0 trace until the export's call takes it, so the
-export resolves nothing again.  Outside a block, ``simulate`` shares
-nothing.
-A run's stream is still ``default_rng(derive_seed(seed, run))``, but a
-sweep's generators are not built through ``default_rng``: a sweep computes
-the seed state of every (seed, run) that it can draw from, numpy's
-``SeedSequence`` hash, in one pass (:func:`_seed_states`, which a test
-pins against numpy's ``SeedSequence``).  A stream whose (seed, run) has no
-state in the block builds its generator with ``default_rng``.
+Runs share only within a :func:`_sharing` block (:class:`_Shared`), which
+a sweep opens for itself and ``run_campaign`` over its sweep and export.
+The sweep's block holds the resolution of each ghost-free key, the
+aggregate of each key, the last seed's ghost plans and flag streams until
+the seed changes, and the seed states of its streams; all die when the
+sweep returns or raises.  A nested block shares only the enclosing block's
+run-0 traces, each kept until the export's call takes it, so the export
+resolves nothing again.  Outside a block, ``simulate`` shares nothing.
+A run's stream is ``default_rng(derive_seed(seed, run))``, value for
+value, but every generator is numpy's ``PCG64`` handed the seed state of
+numpy's ``SeedSequence`` hash, which :func:`_seed_states` computes (a test
+pins it against numpy's ``SeedSequence``): in one pass for every (seed,
+run) that a sweep can draw from, or in a pass of one for a stream outside.
 Identical (scenario, cfg, run_index) always produces a bit-identical
 trace.
 """
@@ -107,7 +106,6 @@ __all__ = [
     "simulate",
     "compute_kpis",
     "monte_carlo_sweep",
-    "trigger_threshold",
     "export_trace_jsonl",
 ]
 
@@ -242,11 +240,6 @@ class SweepStats(NamedTuple):
     impact_speed_max: float
     ttc_at_trigger_min: float
     odd_fingerprint: str
-
-
-def trigger_threshold(scenario: Scenario) -> float:
-    """The designed brake-trigger distance for this scenario's vehicle."""
-    return core.rss_min_distance(scenario.odd.vehicle)
 
 
 def _ceil_steps(quotient: float) -> int:
@@ -564,46 +557,42 @@ def _seed_states(seeds: Sequence[int]) -> list[bytes]:
 
 @functools.cache
 def _seeded_type() -> type:
-    """A numpy ``ISeedSequence`` whose ``generate_state(4, uint64)``, the
-    state that PCG64 asks for, is a state that :func:`_seed_states`
-    computed; any other request is ``SeedSequence``'s own.  Defined at the
-    first draw, which imports numpy."""
+    """A numpy ``ISeedSequence`` that holds a state that :func:`_seed_states`
+    computed: ``generate_state(4, uint64)``, the one request that PCG64
+    makes, returns it, and any other request raises.  Defined at the first
+    draw, which imports numpy."""
     import numpy as np
     from numpy.random.bit_generator import ISeedSequence
 
     class Seeded(ISeedSequence):
-        def __init__(self, key: tuple[int, int], state: bytes):
-            self.key, self.state = key, state
+        def __init__(self, state: bytes):
+            self.state = state
 
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words == 4 and dtype is np.uint64:
                 return np.frombuffer(self.state, np.uint64)
-            return np.random.SeedSequence(derive_seed(*self.key)).generate_state(n_words, dtype)
+            raise NotImplementedError(f"a seed state is 4 uint64 words, not {n_words} of {dtype}")
 
     return Seeded
 
 
-def _generator(seed: int, run_index: int) -> np.random.Generator:
-    """What ``default_rng(derive_seed(seed, run_index))`` builds.  The
-    block's ``states`` hold the seed state of every key a sweep draws from,
-    and such a key's generator is built from it, without ``default_rng``'s
-    argument dispatch and seed hash; any other key's is ``default_rng``'s,
-    which hashes one seed faster than a pass of one."""
+def _generator(seed: int, run_index: int, state: bytes | None) -> np.random.Generator:
+    """What ``default_rng(derive_seed(seed, run_index))`` builds, built from
+    the key's seed state: ``state``, which a sweep computed in its batch, or,
+    if None, a batch of one."""
     import numpy as np
 
-    states = _shared.states.get(seed, ()) if _shared is not None else ()
-    if not 0 <= run_index < len(states):
-        return np.random.default_rng(derive_seed(seed, run_index))
-    seeded = _seeded_type()((seed, run_index), states[run_index])
-    return np.random.Generator(np.random.PCG64(seeded))
+    if state is None:
+        (state,) = _seed_states([derive_seed(seed, run_index)])
+    return np.random.Generator(np.random.PCG64(_seeded_type()(state)))
 
 
 class _FlagStream:
     """The ghost flags of one (seed, run), which every scenario of that seed
-    reads: ``u_flag``, the first values of ``_generator(seed, run)``, of
-    which tick t is flagged at rate p when ``u_flag[t] < p``, and then also
-    gives that ghost's gap (:func:`_ghost_events`).  The values do not
-    depend on the config, which sets only how many ticks a run reads.
+    reads: ``u_flag``, the first values of ``default_rng(derive_seed(seed,
+    run))``, of which tick t is flagged at rate p when ``u_flag[t] < p``, and
+    then also gives that ghost's gap (:func:`_ghost_events`).  The values do
+    not depend on the config, which sets only how many ticks a run reads.
 
     The stream keeps its generator, the count of values ``drawn``, and
     their ``flags`` below ``bound``, as (tick, u) in tick order.  At a rate
@@ -614,14 +603,15 @@ class _FlagStream:
     ``_GHOST_CHUNK``, and twice as many in each further chunk, up to
     ``_GHOST_CHUNK``, and ``flagged`` ``_GHOST_CHUNK`` at a time: chunked
     any way, the values are the same.
-    The generator is built at the first draw, so a stream that draws
-    nothing imports nothing; numpy is loaded then.
+    The generator is built at the first draw (:func:`_generator`, from the
+    ``state`` that a sweep hands it), so a stream that draws nothing
+    imports nothing; numpy is loaded then.
     """
 
-    __slots__ = ("seed", "run", "bound", "drawn", "flags", "_rng")
+    __slots__ = ("seed", "run", "state", "bound", "drawn", "flags", "_rng")
 
-    def __init__(self, seed: int, run: int):
-        self.seed, self.run = seed, run
+    def __init__(self, seed: int, run: int, state: bytes | None):
+        self.seed, self.run, self.state = seed, run, state
         self.bound = 0.0
         self.drawn = 0
         self.flags: list[tuple[int, float]] = []
@@ -630,7 +620,7 @@ class _FlagStream:
     def _draw(self, size: int) -> list[tuple[int, float]]:
         """Draw the next ``size`` values; returns the flags among them."""
         if self._rng is None:
-            self._rng = _generator(self.seed, self.run)
+            self._rng = _generator(self.seed, self.run, self.state)
         u = self._rng.random(size)
         hits = (u < self.bound).nonzero()[0]
         offset = self.drawn
@@ -680,7 +670,7 @@ def _ghost_events(
     effect changes: a lower ghost_rate flags a subset of the same ticks,
     each with a larger gap."""
     rate, tick_steps = scenario.effects.ghost_rate, cfg.tick_steps
-    d_trigger = trigger_threshold(scenario)
+    d_trigger = core.rss_min_distance(scenario.odd.vehicle)
     return [
         (t * tick_steps, u / rate * d_trigger)
         for t, u in stream.flagged(rate, -(-terminal_step // tick_steps))
@@ -776,20 +766,21 @@ def _outcome_key(scenario: Scenario, cfg: SimConfig) -> tuple:
 
 @dataclass(slots=True)
 class _Shared:
-    """What a sweep's runs share.  ``scenario`` and ``cfg`` are the last
-    call's, with their ghost ``plan`` or their ghost-free ``trace``, which
-    every run returns, so that a sweep builds no trace per run.  The
-    scenarios of one outcome key share a plan: the ghost-free ``outcomes``
-    table holds each key's one resolution until the sweep returns, and
+    """What the runs of one :func:`_sharing` block share.  ``scenario`` and
+    ``cfg`` are the last call's, with their ghost ``plan`` or their
+    ghost-free ``trace``, which every run returns, so that a sweep builds no
+    trace per run.  The scenarios of one outcome key share a plan: the
+    ghost-free ``outcomes`` table holds each key's one resolution, and
     ``plans`` the ghost plans of the last ``seed``, with its flag
     ``streams``, one per run index, which every scenario of that seed
-    reads, until the seed changes or the sweep returns.  A sweep runs the
-    scenarios that share a seed back to back, each one's runs in a row.
-    ``run0`` keeps each run-0 trace by id(scenario) until a call with the
-    same scenario and cfg takes it; the trace holds the scenario, its
-    resolution and its stream, so the export resolves nothing again.
-    ``states`` holds the seed states of the last sweep's ghost streams, by
-    seed, one per run index, which the block's later streams read too."""
+    reads, until the seed changes.  A sweep runs the scenarios that share a
+    seed back to back, each one's runs in a row.  ``states`` holds the seed
+    states of a sweep's ghost streams, by seed, one per run index, and
+    ``simulate`` hands each stream it creates its own.  ``run0`` keeps each
+    run-0 trace by id(scenario) until a call with the same scenario and cfg
+    takes it; the trace holds the scenario, its resolution and its stream,
+    so the export resolves nothing again.  A nested block shares only the
+    enclosing block's ``run0``."""
 
     scenario: Scenario | None = None
     cfg: SimConfig | None = None
@@ -822,21 +813,16 @@ class _Shared:
         self.scenario, self.cfg, self.plan, self.trace = scenario, cfg, plan, trace
         return key
 
-    def end_sweep(self) -> None:
-        """Drop the tables; the run-0 traces hold what the export reads."""
-        self.scenario = self.cfg = self.plan = self.trace = self.seed = None
-        self.outcomes, self.plans, self.streams = {}, {}, {}
-
 
 _shared: _Shared | None = None
 
 
 @contextmanager
 def _sharing():
-    """Within the block, runs share one :class:`_Shared`, a nested block the
-    outer one's; nothing is kept after the outermost, also when it raises."""
+    """Runs within the block share a :class:`_Shared` of its own, which dies
+    with it, also when it raises, and the enclosing block's run-0 traces."""
     global _shared
-    outer, _shared = _shared, _shared or _Shared()
+    outer, _shared = _shared, _Shared(run0={} if _shared is None else _shared.run0)
     try:
         yield
     finally:
@@ -851,7 +837,8 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     Within a :func:`_sharing` block, the scenarios of one outcome key at
     equal configs share one plan, their runs that trigger on the same step
     one resolution, and a ghost-free scenario's runs one trace; outside
-    one, each call resolves afresh.
+    one, each call resolves afresh.  A new flag stream takes its seed state
+    from the block's ``states``, which only a sweep fills.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -868,7 +855,9 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
         plan = shared.plan
         stream = shared.streams.get(run_index)
         if stream is None:
-            stream = shared.streams[run_index] = _FlagStream(scenario.seed, run_index)
+            states = shared.states.get(scenario.seed, ())
+            state = states[run_index] if 0 <= run_index < len(states) else None
+            stream = shared.streams[run_index] = _FlagStream(scenario.seed, run_index, state)
         tick = stream.first(scenario.effects.ghost_rate, -(-plan.draw_limit // cfg.tick_steps))
         # A ghost at or after the natural trigger is too late.
         n_trig = plan.n_nat if tick is None else min(tick * cfg.tick_steps, plan.n_nat)
@@ -961,7 +950,8 @@ def monte_carlo_sweep(
 
     Run i of a scenario uses the random stream (scenario.seed, i), so the
     result is a pure function of the inputs: execution order cannot change
-    it.  It runs in a :func:`_sharing` block, the caller's if one is open.
+    it.  It runs in a :func:`_sharing` block of its own, whose tables die
+    when it returns or raises; an enclosing block keeps its run-0 traces.
     The scenarios that share a seed (a condition and its mitigated
     variants) run back to back, groups in the order in which each seed
     first appears, so that each (seed, run) flag stream is drawn once.  The
@@ -981,7 +971,7 @@ def monte_carlo_sweep(
     for index, scenario in enumerate(scenarios):
         groups.setdefault(scenario.seed, []).append(index)
     # One pass computes the seed state of every (seed, run) a ghost stream can
-    # draw from; the block keeps them, by seed, for its later streams too.
+    # draw from; the block keeps them, by seed, until the sweep returns.
     ghost_seeds = dict.fromkeys(s.seed for s in scenarios if s.effects.ghost_rate > 0)
     if ghost_seeds:
         runs = range(runs_per_scenario)
@@ -1012,7 +1002,6 @@ def monte_carlo_sweep(
             elif stats.scenario_id != scenario.id:
                 stats = stats._replace(scenario_id=scenario.id)
             results[index] = stats
-    _shared.end_sweep()
     return [results[index] for index in range(len(scenarios))]
 
 

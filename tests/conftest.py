@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -88,6 +89,34 @@ def count_trace_views(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(sim_module, "_trace_view", counting)
     return built
+
+
+def watch_generators(
+    monkeypatch,
+    seeded: Callable[[dict], object],
+    drawn: Callable[[int], object] = lambda size: None,
+) -> None:
+    """From here on, call ``seeded`` with the PCG64 state of every generator
+    that a ghost stream builds, and ``drawn`` with the size of each draw of
+    uniforms from one.  A stream builds ``numpy.random.Generator(
+    numpy.random.PCG64(...))`` from the names at each build, so counting
+    subclasses set there see every generator; ``default_rng`` builds its
+    own, which they do not see.  The subclasses take numpy's class names,
+    so that a state reads as numpy's own."""
+    import numpy as np
+
+    class PCG64(np.random.PCG64):
+        def __init__(self, seed_seq):
+            super().__init__(seed_seq)
+            seeded(self.state)
+
+    class Generator(np.random.Generator):
+        def random(self, size=None, *args, **kwargs):
+            drawn(size)
+            return super().random(size, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    monkeypatch.setattr(np.random, "Generator", Generator)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -39,9 +39,10 @@ class FullDrawGhosts:
     """Stand-in for the engine's flag stream of one (seed, run) and for its
     trace view's ghosts, each read from a full draw: ``flagged`` (as
     (tick, u)) and ``first`` from the run's first ``need`` flag values,
-    ``events`` from ``ghost_draws``."""
+    ``events`` from ``ghost_draws``.  The seed state that the engine hands
+    a stream is not read: the full draw seeds ``default_rng`` itself."""
 
-    def __init__(self, seed: int, run_index: int):
+    def __init__(self, seed: int, run_index: int, state: bytes | None):
         self.seed, self.run = seed, run_index
 
     def flagged(self, rate: float, need: int) -> list[tuple[int, float]]:

@@ -3,11 +3,14 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import gc
 import io
 import json
 import math
 import re
 import tempfile
+import traceback
+import weakref
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -58,7 +61,7 @@ from sotifkit.simulator import KpiReport, SimConfig, SweepStats, compute_kpis, s
 import sotifkit.simulator as sim_module
 from sotifkit.taxonomy import enumerate_leaves, filter_by_odd, parse_taxonomy
 
-from conftest import count_trace_views
+from conftest import count_trace_views, watch_generators
 
 
 _FIXTURE_ODD = json.loads(fixture_path("odd.json").read_text())
@@ -452,16 +455,16 @@ class TestRun0HandOver:
         # scenario of its seed drew.  The export's trace views read their
         # ghosts, ticks and gaps, from the streams that the sweep drew, and
         # seed no generator.
-        stage = ["sweep", None]  # the stage, and the scenario being run
+        stage = ["sweep", None, None]  # the stage, and the scenario and run being run
         plans = Counter()
         seeded = {"sweep": [], "export": []}  # (scenario id, run index)
         ghost_ids = []
         keys = {}  # what a scenario's runs depend on, by id
         simulate_, exported_ = sim_module.simulate, report.simulate
-        generator, init, resolve = sim_module._generator, sim_module._Plan.__init__, sim_module._Plan._resolve
+        init, resolve = sim_module._Plan.__init__, sim_module._Plan._resolve
 
         def sweeping(scenario, cfg, run_index):
-            stage[1] = scenario
+            stage[1:] = [scenario, run_index]
             if run_index == 0:
                 keys[scenario.id] = (scenario.odd, scenario.effects, scenario.seed)
                 if scenario.effects.ghost_rate > 0:
@@ -469,12 +472,11 @@ class TestRun0HandOver:
             return simulate_(scenario, cfg, run_index)
 
         def exporting(scenario, cfg, run_index=0):
-            stage[:] = ["export", scenario]
+            stage[:] = ["export", scenario, run_index]
             return exported_(scenario, cfg, run_index=run_index)
 
-        def generating(seed, run_index):
-            seeded[stage[0]].append((stage[1].id, run_index))
-            return generator(seed, run_index)
+        def generating(state):
+            seeded[stage[0]].append((stage[1].id, stage[2]))
 
         def planning(self, *args):
             plans[stage[0], "init"] += 1
@@ -486,7 +488,7 @@ class TestRun0HandOver:
 
         monkeypatch.setattr(sim_module, "simulate", sweeping)
         monkeypatch.setattr(report, "simulate", exporting)
-        monkeypatch.setattr(sim_module, "_generator", generating)
+        watch_generators(monkeypatch, generating)
         monkeypatch.setattr(sim_module._Plan, "__init__", planning)
         monkeypatch.setattr(sim_module._Plan, "_resolve", resolving)
         bundle = self._campaign(campaign_inputs, tmp_path / "traces")
@@ -586,6 +588,52 @@ class TestRun0HandOver:
         with pytest.raises(PipelineError, match="export"):
             self._campaign(campaign_inputs, tmp_path / "export-fails")
         assert held[2] == held[3] + 1 == len(bundle.scenarios)
+        assert sim_module._shared is None
+
+    def test_a_raising_sweep_keeps_none_of_its_tables(self, campaign_inputs, tmp_path, monkeypatch):
+        # A sweep's tables die with its own block, also when it raises inside
+        # the campaign's block: once the error's frames are cleared, the only
+        # KPI reports left are those of the run-0 traces that the campaign's
+        # block keeps for the export.
+        reports = []  # a weak reference to every report built
+        found = []  # (reports alive, reports of run-0 traces) when the sweep raised
+
+        class Report(list):
+            """A KpiReport's values in a list, which, unlike a tuple, takes
+            weak references."""
+
+        def reporting(**fields):
+            kpis = Report(KpiReport(**fields))
+            reports.append(weakref.ref(kpis))
+            return kpis
+
+        compute, sweep_ = sim_module.compute_kpis, report.monte_carlo_sweep
+        calls = []
+
+        def failing(trace, scenario):
+            calls.append(scenario.id)
+            if len(calls) == 200:
+                raise SimulationError("late in the sweep")
+            return compute(trace, scenario)
+
+        def sweeping(*args):
+            try:
+                return sweep_(*args)
+            except SimulationError as exc:
+                for error in (exc, exc.__cause__):
+                    traceback.clear_frames(error.__traceback__)
+                gc.collect()
+                alive = {id(kpis) for kpis in (ref() for ref in reports) if kpis is not None}
+                found.append((alive, {id(t._res.kpis) for t in sim_module._shared.run0.values()}))
+                raise
+
+        monkeypatch.setattr(sim_module, "KpiReport", reporting)
+        monkeypatch.setattr(sim_module, "compute_kpis", failing)
+        monkeypatch.setattr(report, "monte_carlo_sweep", sweeping)
+        with pytest.raises(PipelineError, match="late in the sweep"):
+            self._campaign(campaign_inputs, tmp_path / "traces")
+        ((alive, held),) = found
+        assert alive == held and len(reports) > len(held) > 0
         assert sim_module._shared is None
 
 
@@ -889,8 +937,9 @@ _EDITS = {
 }
 # The exact error of each edit.  The messages of the table faults were
 # recorded from the reader that read a table item by item; a table read by
-# its columns must name the same item in the same words.  The risk and
-# mitigation tables key no item by id: a repeated row of either loads.
+# its columns must name the same item in the same words.  The risk table
+# keys a row by its (scenario, hazard) pair, and the mitigation table by its
+# (mitigation, scenario) pair: a repeated row of either names both items.
 _LOAD_ERRORS = {
     "scenarios-not-list": (ValueError, "scenarios: expected a JSON list, got 5"),
     "scenarios-item-not-object": (ValueError, "scenarios[1]: expected a JSON object, got int"),
@@ -933,6 +982,10 @@ _LOAD_ERRORS = {
         ValueError,
         "risk_table[1].risk_level: expected one of ['negligible', 'low', 'medium', 'high'], got 5",
     ),
+    "risk_table-repeated-id": (
+        ValueError,
+        "risk_table[22].(scenario_id, hazard_id): ('rain-medium', None) repeats risk_table[1]",
+    ),
     "mitigation_table-not-list": (ValueError, "mitigation_table: expected a JSON list, got 5"),
     "mitigation_table-item-not-object": (
         ValueError,
@@ -946,6 +999,11 @@ _LOAD_ERRORS = {
     "mitigation_table-wrong-kind": (
         ValueError,
         "mitigation_table[1].passes_after: expected true, false or null, got 'yes'",
+    ),
+    "mitigation_table-repeated-id": (
+        ValueError,
+        "mitigation_table[88].(mitigation_id, scenario_id): ('sensor-diversity', 'rain-medium') "
+        "repeats mitigation_table[1]",
     ),
     "acceptance.verdicts-not-list": (
         ValueError,
@@ -1040,10 +1098,18 @@ class TestLoadErrors:
         assert (type(info.value), str(info.value)) == (cls, message)
 
     @pytest.mark.parametrize("table", ["risk_table", "mitigation_table"])
-    def test_repeated_row_of_a_table_without_ids_loads(self, small_bundle_json, table):
+    def test_repeated_row_of_a_pair_keyed_table_is_rejected(
+        self, small_bundle_json, table, tmp_path, capsys
+    ):
+        # A repeated risk or mitigation row once loaded, and the summary
+        # listed it twice; `sotifkit report` now exits 2 naming both items.
         data = json.loads(small_bundle_json)
         _EDITS[f"{table}-repeated-id"](data)
-        assert len(getattr(bundle_from_dict(data), table)) == len(data[table])
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(data))
+        assert main(["report", str(path)]) == EXIT_ERROR
+        message = _LOAD_ERRORS[f"{table}-repeated-id"][1]
+        assert f"cannot load bundle {path}: {message}\n" in capsys.readouterr().err
 
 
 # Every input document a campaign loads, by its `sotifkit run` flag: the

@@ -41,7 +41,7 @@ from sotifkit.simulator import (
     export_trace_jsonl,
 )
 
-from conftest import count_trace_views, make_scenario
+from conftest import count_trace_views, make_scenario, watch_generators
 from reference_sim import FullDrawGhosts, ghost_draws, reference_run, trace_kpis
 
 
@@ -689,7 +689,7 @@ class TestGhostStream:
         cfg = SimConfig(dt=0.05, perception_tick=0.05)  # a tick per step
         ticks = math.ceil(12_000 / rate)
         scenario = make_scenario(baseline_odd(baseline_vehicle), EffectModel(ghost_rate=rate), seed=7)
-        stream = sim_module._FlagStream(scenario.seed, 0)
+        stream = sim_module._FlagStream(scenario.seed, 0, None)
         stream.first(rate, ticks)
         gaps = [gap for _, gap in sim_module._ghost_events(scenario, cfg, stream, ticks)]
         d_trigger = rss_min_distance(baseline_vehicle)
@@ -706,7 +706,7 @@ class TestGhostStream:
         cfg = SimConfig(dt=0.05, perception_tick=0.05)
         odd = baseline_odd(baseline_vehicle)
         high, low = (make_scenario(odd, EffectModel(ghost_rate=rate), seed=7) for rate in (0.3, 0.1))
-        stream = sim_module._FlagStream(7, 0)
+        stream = sim_module._FlagStream(7, 0, None)
         stream.first(0.3, 2000)
         at_high = dict(sim_module._ghost_events(high, cfg, stream, 2000))
         at_low = dict(sim_module._ghost_events(low, cfg, stream, 2000))
@@ -759,7 +759,7 @@ class TestFlagStream:
     )
     def test_first_matches_a_full_draw(self, seed, run, queries):
         u_flag = np.random.default_rng(derive_seed(seed, run)).random(max(n for _, n in queries))
-        stream = sim_module._FlagStream(seed, run)
+        stream = sim_module._FlagStream(seed, run, None)
         for k, (rate, need) in enumerate(queries):
             flagged = np.flatnonzero(u_flag[:need] < rate)
             expected = int(flagged[0]) if flagged.size else None
@@ -806,18 +806,17 @@ def count_generators(monkeypatch) -> dict[str, int]:
     run is being simulated is known when its stream builds its generator."""
     built: dict[str, int] = {}
     running = []
-    simulate_, generator = sim_module.simulate, sim_module._generator
+    simulate_ = sim_module.simulate
 
     def simulating(scenario, *args):
         running[:] = [scenario.id]
         return simulate_(scenario, *args)
 
-    def generating(seed, run_index):
+    def seeded(state):
         built[running[0]] = built.get(running[0], 0) + 1
-        return generator(seed, run_index)
 
     monkeypatch.setattr(sim_module, "simulate", simulating)
-    monkeypatch.setattr(sim_module, "_generator", generating)
+    watch_generators(monkeypatch, seeded)
     return built
 
 
@@ -897,17 +896,7 @@ class TestSharedDraws:
         condition = make_scenario(odd, EffectModel(ghost_rate=0.3), scenario_id="cond", seed=1234)
         rare = dataclasses.replace(condition, id="rare", effects=EffectModel(ghost_rate=1e-4))
         drawn = []
-        generator = sim_module._generator
-
-        class Counting:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def random(self, size):
-                drawn.append(size)
-                return self.rng.random(size)
-
-        monkeypatch.setattr(sim_module, "_generator", lambda *key: Counting(generator(*key)))
+        watch_generators(monkeypatch, lambda state: None, drawn.append)
         with sim_module._sharing():
             monte_carlo_sweep([condition, rare], cfg, 1)
             trace = simulate(condition, cfg, 0)
@@ -951,38 +940,48 @@ class TestSharedDraws:
         by_id = {s.scenario_id: s for s in in_order}
         assert stats == [by_id[s.scenario_id] for s in stats]
 
-    def test_interleaved_calls_outside_a_block_share_nothing(self, baseline_vehicle):
+    def test_interleaved_calls_outside_a_block_share_nothing(self, baseline_vehicle, monkeypatch):
         # A library caller outside any block interleaves scenarios and runs
         # in any order: each call resolves and draws on its own, and gives
-        # the trace of the same run within a block, where a nested block
-        # shares the outer block's plan, flag streams and run-0 traces.
+        # the trace of the same run within a block.  A nested block has
+        # plans, resolutions and flag streams of its own, and shares only
+        # the enclosing block's run-0 traces.  Runs share a resolution when
+        # compute_kpis returns one report for them.
         odd, cfg = _ghost_grid_cases(baseline_vehicle)["stop"]
         condition, same_rate, lower_rate = _seed_group(odd, 0.05)[:3]
         ghost_free = dataclasses.replace(condition, id="ghost-free", effects=EffectModel())
         scenarios = [condition, ghost_free, lower_rate, same_rate]
         runs = (3, 0, 5, 1, 0)
         calls = [(scenario, i) for i in runs for scenario in scenarios]
+        seeded = []
+        watch_generators(monkeypatch, seeded.append)
         outside = [simulate(scenario, cfg, i) for scenario, i in calls]
         assert len({id(trace) for trace in outside}) == len(calls)
-        streams = [trace._stream for trace in outside if trace._stream]
-        assert len({id(stream) for stream in streams}) == len(streams) > 0
+        reports = [compute_kpis(trace, scenario) for (scenario, _), trace in zip(calls, outside)]
+        assert len({id(report) for report in reports}) == len(calls)
+        assert len(seeded) == sum(scenario is not ghost_free for scenario, _ in calls)
 
         within = {}
+        seeded.clear()
         with sim_module._sharing():
-            shared = sim_module._shared
             for scenario in scenarios:
-                with sim_module._sharing():
-                    assert sim_module._shared is shared
-                    for i in sorted(set(runs)):
-                        within[scenario.id, i] = simulate(scenario, cfg, i)
-            assert shared.scenario is same_rate and shared.seed == condition.seed
+                for i in sorted(set(runs)):
+                    within[scenario.id, i] = simulate(scenario, cfg, i)
+            # The variants read the condition's streams, one per run.
+            assert len(seeded) == len(set(runs))
             # The condition and its same-rate variant have one outcome key.
-            assert shared.plans.keys() == {
-                sim_module._outcome_key(s, cfg) for s in (condition, lower_rate)
-            }
-            assert set(shared.run0) == {id(scenario) for scenario in scenarios}
-        for scenario in (same_rate, lower_rate):  # read the condition's streams
-            assert all(within[scenario.id, i]._stream is within[condition.id, i]._stream for i in runs)
+            for i in runs:
+                assert compute_kpis(within[same_rate.id, i], same_rate) is compute_kpis(
+                    within[condition.id, i], condition
+                )
+            with sim_module._sharing():
+                taken = [simulate(scenario, cfg, 0) for scenario in scenarios]
+                assert all(trace is within[s.id, 0] for s, trace in zip(scenarios, taken))
+                again = simulate(condition, cfg, 1)
+                assert len(seeded) == len(set(runs)) + 1
+                mine = compute_kpis(again, condition)
+            assert again is not within[condition.id, 1] and again == within[condition.id, 1]
+            assert mine is not compute_kpis(within[condition.id, 1], condition)
         assert len({id(within[ghost_free.id, i]) for i in runs}) == 1
         for (scenario, i), trace in zip(calls, outside):
             assert trace == within[scenario.id, i], (scenario.id, i)
@@ -1019,7 +1018,7 @@ class TestSeedStates:
     @staticmethod
     def pcg64_states(seeds) -> list[dict]:
         states = sim_module._seed_states(seeds)
-        return [np.random.PCG64(sim_module._seeded_type()((0, 0), state)).state for state in states]
+        return [np.random.PCG64(sim_module._seeded_type()(state)).state for state in states]
 
     def test_edge_seeds_match_numpy(self):
         assert batch_states(self.EDGES) == numpy_states(self.EDGES)
@@ -1035,30 +1034,34 @@ class TestSeedStates:
             assert batch_states([seed]) == numpy_states([seed]), seed
             assert self.pcg64_states([seed]) == [np.random.PCG64(seed).state]
 
-    def test_other_requests_are_the_seed_sequences_own(self):
-        key = (1234, 5)
-        (state,) = sim_module._seed_states([derive_seed(*key)])
-        seeded = sim_module._seeded_type()(key, state)
-        expected = np.random.SeedSequence(derive_seed(*key))
-        for n_words, dtype in ((4, np.uint64), (8, np.uint32), (2, np.uint64), (4, np.uint32)):
-            got = seeded.generate_state(n_words, dtype)
-            assert got.tolist() == expected.generate_state(n_words, dtype).tolist(), (n_words, dtype)
+    def test_only_the_pcg64_request_is_answered(self):
+        # PCG64 asks for four 64-bit words, the state that the pass computed;
+        # a seed state answers no other request.
+        (state,) = sim_module._seed_states([derive_seed(1234, 5)])
+        seeded = sim_module._seeded_type()(state)
+        assert seeded.generate_state(4, np.uint64).tolist() == numpy_states([derive_seed(1234, 5)])[0]
+        for n_words, dtype in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
+            with pytest.raises(NotImplementedError):
+                seeded.generate_state(n_words, dtype)
 
     def test_keys_in_and_missing_from_the_batch(self, baseline_vehicle, monkeypatch):
+        # A sweep seeds each of its streams from its one batch; a run outside
+        # a sweep, alone or in a block that no sweep filled, seeds its stream
+        # from a batch of one.  Every generator is built through numpy's
+        # PCG64, not default_rng, with default_rng's state for its key.
         scenario = make_scenario(baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.05), seed=99)
         passes = count_seed_batches(monkeypatch)
-        with sim_module._sharing():
-            monte_carlo_sweep([scenario], SimConfig(), 3)
-            assert passes == [3]
-            states = sim_module._shared.states
-            for seed, run in ((99, 0), (99, 2), (99, 3), (99, -1), (100, 0)):
-                built = sim_module._generator(seed, run).bit_generator.state
-                assert built == np.random.default_rng(derive_seed(seed, run)).bit_generator.state
-            assert sim_module._shared.states is states
-        assert passes == [3]  # a missing key's generator is default_rng's
-        outside = sim_module._generator(99, 1).bit_generator.state  # no block, no batch
-        assert outside == np.random.default_rng(derive_seed(99, 1)).bit_generator.state
+        seeded = []
+        watch_generators(monkeypatch, seeded.append)
+        monte_carlo_sweep([scenario], SimConfig(), 3)
         assert passes == [3]
+        expected = [np.random.default_rng(derive_seed(99, run)).bit_generator.state for run in range(4)]
+        assert seeded == expected[:3]
+        simulate(scenario, SimConfig(), 3)
+        with sim_module._sharing():  # a block that no sweep filled has no batch
+            simulate(scenario, SimConfig(), 1)
+        assert passes == [3, 1, 1]
+        assert seeded == expected[:3] + [expected[3], expected[1]]
 
     def test_sweep_seeds_each_generator_from_one_batch(self, baseline_vehicle, monkeypatch):
         odd = baseline_odd(baseline_vehicle)
@@ -1704,13 +1707,27 @@ class TestLazyTraceView:
             assert all(report is reports[0] for report in reports)
             assert len(derived) == 1
 
-            # The sweep joins the block, which keeps the ghost-free plan,
-            # whose resolution keeps its report; a ghost plan builds one per
-            # trigger step, with its resolution.
-            monte_carlo_sweep([ghost_free, ghosts], cfg, runs_per_scenario=50)
-        swept = len(derived)  # the calls below resolve afresh, outside the block
+        # The sweep's block has tables of its own: it derives the ghost-free
+        # report once more, which all its runs return, and a ghost plan one
+        # per trigger step, with its resolution.
+        returned = []
+        compute = sim_module.compute_kpis
+
+        def returning(trace, scenario):
+            report = compute(trace, scenario)
+            returned.append((scenario.id, report))
+            return report
+
+        monkeypatch.setattr(sim_module, "compute_kpis", returning)
+        monte_carlo_sweep([ghost_free, ghosts], cfg, runs_per_scenario=50)
+        swept = len(derived) - 1  # the calls below resolve afresh, outside a block
+        free = [report for scenario_id, report in returned if scenario_id == "ghost-free"]
+        assert len(free) == 50 and all(report is free[0] for report in free)
+        assert free[0] is not reports[0] and free[0] == reports[0]
         keys = {trigger_key(simulate(ghosts, cfg, i), ghosts) for i in range(50)}
         assert swept == 1 + len(keys)
+        shown = {id(report) for scenario_id, report in returned if scenario_id == "ghosts"}
+        assert len(shown) == len(keys)
 
     def test_runs_with_one_trigger_step_share_resolution_and_report(
         self, baseline_vehicle, monkeypatch
@@ -1720,7 +1737,7 @@ class TestLazyTraceView:
         scenario = make_scenario(
             baseline_odd(baseline_vehicle), EffectModel(ghost_rate=0.02), scenario_id="g", seed=5
         )
-        with sim_module._sharing():  # the sweep joins it, and drops its plans on return
+        with sim_module._sharing():  # the sweep's plans are its own: the block keeps none
             monte_carlo_sweep([scenario], cfg, runs_per_scenario=200)
             assert sim_module._shared.plans == {} and sim_module._shared.plan is None
         swept = len(derived)
