@@ -11,7 +11,6 @@ to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -28,6 +27,7 @@ from .errors import (
     one_of,
     parse_json,
 )
+from .records import Record, set_field
 from .scenario import EffectModel, Scenario
 from .simulator import Stage, SweepStats
 
@@ -80,25 +80,31 @@ HAZARD_RATES = {
 }
 
 
-@dataclass(frozen=True)
-class SeverityRules:
+class SeverityRules(Record):
     """Severity from sweep outcomes (defaults, expert-overridable).
 
     Collision severity steps on the worst impact speed; runs with false
     activations but no collision rate S1; everything else S0.
     """
 
-    s3_impact_speed: float = 11.0
-    s2_impact_speed: float = 5.0
-    false_activation_severity: Severity = Severity.S1
+    __slots__ = _fields = ("s3_impact_speed", "s2_impact_speed", "false_activation_severity")
 
-    def __post_init__(self) -> None:
-        core._store_floats(self, ("s3_impact_speed", "s2_impact_speed"))
-        if not 0.0 < self.s2_impact_speed <= self.s3_impact_speed:
+    def __init__(
+        self,
+        s3_impact_speed: float = 11.0,
+        s2_impact_speed: float = 5.0,
+        false_activation_severity: Severity = Severity.S1,
+    ) -> None:
+        s3_impact_speed = core._require_finite("s3_impact_speed", s3_impact_speed)
+        s2_impact_speed = core._require_finite("s2_impact_speed", s2_impact_speed)
+        if not 0.0 < s2_impact_speed <= s3_impact_speed:
             raise ParameterError(
                 "need 0 < s2_impact_speed <= s3_impact_speed, got "
-                f"{self.s2_impact_speed}, {self.s3_impact_speed}"
+                f"{s2_impact_speed}, {s3_impact_speed}"
             )
+        set_field(self, "s3_impact_speed", s3_impact_speed)
+        set_field(self, "s2_impact_speed", s2_impact_speed)
+        set_field(self, "false_activation_severity", false_activation_severity)
 
     def collision_severity(self, impact_speed_max: float) -> Severity:
         if impact_speed_max >= self.s3_impact_speed:

@@ -11,9 +11,9 @@ throughout: neither the safe distance nor the time to collision takes one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
+from .records import Record, set_field
 
 __all__ = [
     "VEHICLE_FIELDS",
@@ -31,16 +31,11 @@ NO_CLOSING = math.inf
 
 
 def _require_finite(name: str, value: float) -> float:
+    """``value`` as a finite float, for the float field ``name`` of a record,
+    so that an int-valued input equals, and behaves as, the float one."""
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
     return float(value) or 0.0  # -0.0, false as 0.0 is, is read as 0.0
-
-
-def _store_floats(obj: object, names: tuple[str, ...]) -> None:
-    """Store each named field of a frozen dataclass as a finite float, so
-    that an int-valued input equals, and behaves as, the float one."""
-    for name in names:
-        object.__setattr__(obj, name, _require_finite(name, getattr(obj, name)))
 
 
 VEHICLE_FIELDS = ("v_r", "rho", "a_max_accel", "a_min_brake")
@@ -58,8 +53,7 @@ def check_vehicle_field(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class VehicleParams:
+class VehicleParams(Record):
     """Kinematic parameters of the ego vehicle.
 
     v_r: current (constant) driving speed in m/s.
@@ -68,14 +62,13 @@ class VehicleParams:
     a_min_brake: available braking deceleration magnitude in m/s^2.
     """
 
-    v_r: float
-    rho: float
-    a_max_accel: float
-    a_min_brake: float
+    __slots__ = _fields = VEHICLE_FIELDS
 
-    def __post_init__(self) -> None:
-        for name in VEHICLE_FIELDS:
-            object.__setattr__(self, name, check_vehicle_field(name, getattr(self, name)))
+    def __init__(self, v_r: float, rho: float, a_max_accel: float, a_min_brake: float) -> None:
+        set_field(self, "v_r", check_vehicle_field("v_r", v_r))
+        set_field(self, "rho", check_vehicle_field("rho", rho))
+        set_field(self, "a_max_accel", check_vehicle_field("a_max_accel", a_max_accel))
+        set_field(self, "a_min_brake", check_vehicle_field("a_min_brake", a_min_brake))
         try:
             d_min = rss_min_distance(self)
         except OverflowError:

@@ -11,7 +11,6 @@ writes what the bundle and the trace file hold.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from contextlib import contextmanager
@@ -177,10 +176,9 @@ def json_encoder() -> Callable[[object], str]:
 
 def fields_of(cls: type, kind: Kind, **kinds: Kind) -> dict[str, Kind]:
     """The JSON keys of a record written field by field: every field of
-    ``cls``, a NamedTuple (its ``_fields``) or a dataclass, in declaration
-    order, of kind ``kind`` unless ``kinds`` names another."""
-    names = cls._fields if issubclass(cls, tuple) else [f.name for f in dataclasses.fields(cls)]
-    return {name: kinds.get(name, kind) for name in names}
+    ``cls`` (a NamedTuple or a :class:`~sotifkit.records.Record`), in its
+    ``_fields`` order, of kind ``kind`` unless ``kinds`` names another."""
+    return {name: kinds.get(name, kind) for name in cls._fields}
 
 
 def check_object(

@@ -23,7 +23,6 @@ import hashlib
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from itertools import chain, islice
@@ -60,6 +59,7 @@ from .errors import (
     one_of,
     parse_json,
 )
+from .records import Record, set_field
 from .risk import (
     AcceptanceCriteria,
     AcceptanceVerdict,
@@ -120,18 +120,43 @@ def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunMeta:
-    tool: str
-    version: str
-    created_utc: str
-    base_seed: int
-    runs_per_scenario: int
-    dt: float
-    max_time: float
-    perception_tick: float
-    input_digests: Mapping[str, str]
-    odd_well_formed: bool
+class RunMeta(Record):
+    __slots__ = _fields = (
+        "tool",
+        "version",
+        "created_utc",
+        "base_seed",
+        "runs_per_scenario",
+        "dt",
+        "max_time",
+        "perception_tick",
+        "input_digests",
+        "odd_well_formed",
+    )
+
+    def __init__(
+        self,
+        tool: str,
+        version: str,
+        created_utc: str,
+        base_seed: int,
+        runs_per_scenario: int,
+        dt: float,
+        max_time: float,
+        perception_tick: float,
+        input_digests: Mapping[str, str],
+        odd_well_formed: bool,
+    ) -> None:
+        set_field(self, "tool", tool)
+        set_field(self, "version", version)
+        set_field(self, "created_utc", created_utc)
+        set_field(self, "base_seed", base_seed)
+        set_field(self, "runs_per_scenario", runs_per_scenario)
+        set_field(self, "dt", dt)
+        set_field(self, "max_time", max_time)
+        set_field(self, "perception_tick", perception_tick)
+        set_field(self, "input_digests", input_digests)
+        set_field(self, "odd_well_formed", odd_well_formed)
 
 
 class ScenarioSummary(NamedTuple):
@@ -181,19 +206,40 @@ class MitigationOutcome(NamedTuple):
 _scenario_id = attrgetter("scenario_id")
 
 
-@dataclass(frozen=True)
-class ReportBundle:
-    meta: RunMeta
-    taxonomy_summary: Mapping
-    scenarios: tuple[ScenarioSummary, ...]
-    kpi_table: tuple[SweepStats, ...]
-    analysis_sheet: tuple[AnalysisRow, ...]
-    risk_table: tuple[RiskResult, ...]
-    mitigation_table: tuple[MitigationOutcome, ...]
-    criteria: AcceptanceCriteria
-    acceptance: tuple[AcceptanceVerdict, ...]
+class ReportBundle(Record):
+    __slots__ = _fields = (
+        "meta",
+        "taxonomy_summary",
+        "scenarios",
+        "kpi_table",
+        "analysis_sheet",
+        "risk_table",
+        "mitigation_table",
+        "criteria",
+        "acceptance",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        meta: RunMeta,
+        taxonomy_summary: Mapping,
+        scenarios: tuple[ScenarioSummary, ...],
+        kpi_table: tuple[SweepStats, ...],
+        analysis_sheet: tuple[AnalysisRow, ...],
+        risk_table: tuple[RiskResult, ...],
+        mitigation_table: tuple[MitigationOutcome, ...],
+        criteria: AcceptanceCriteria,
+        acceptance: tuple[AcceptanceVerdict, ...],
+    ) -> None:
+        set_field(self, "meta", meta)
+        set_field(self, "taxonomy_summary", taxonomy_summary)
+        set_field(self, "scenarios", scenarios)
+        set_field(self, "kpi_table", kpi_table)
+        set_field(self, "analysis_sheet", analysis_sheet)
+        set_field(self, "risk_table", risk_table)
+        set_field(self, "mitigation_table", mitigation_table)
+        set_field(self, "criteria", criteria)
+        set_field(self, "acceptance", acceptance)
         # Each check compares sets of ids; only a failing one is searched
         # item by item, to name the item.
         ids = set(map(attrgetter("id"), self.scenarios))
@@ -423,7 +469,7 @@ class _Table:
     """An item type on disk: ``fields`` gives each JSON key's kind for the
     checker, ``to_dict`` writes an item and ``load`` reads a list of them.
     The columns follow the item's fields (:func:`errors.fields_of`: a
-    NamedTuple's or a dataclass's), so that an item is built from its
+    NamedTuple's or a record's ``_fields``), so that an item is built from its
     values in column order.  A list is read by its columns: the columns
     that check it also build its records, and only the coded columns cost
     a Python call per item."""

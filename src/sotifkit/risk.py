@@ -22,9 +22,7 @@ real-world data-availability problem, and this tool's job is propagation.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -45,6 +43,7 @@ from .errors import (
     located,
     parse_json,
 )
+from .records import Record, set_field
 from .simulator import SweepStats
 
 __all__ = [
@@ -99,18 +98,18 @@ def risk_level(s: Severity, o: OccurrenceClass) -> RiskLevel:
     return RISK_MATRIX[int(s)][int(o) - 1]
 
 
-@dataclass(frozen=True)
-class OccurrenceSpec:
+class OccurrenceSpec(Record):
     """Expected encounters of one triggering condition per operating hour."""
 
-    leaf_id: str
-    exposure_rate: float
-    source: str = ""
+    __slots__ = _fields = ("leaf_id", "exposure_rate", "source")
 
-    def __post_init__(self) -> None:
-        core._store_floats(self, ("exposure_rate",))
-        if self.exposure_rate < 0:
-            raise ParameterError(f"exposure_rate must be >= 0, got {self.exposure_rate}")
+    def __init__(self, leaf_id: str, exposure_rate: float, source: str = "") -> None:
+        exposure_rate = core._require_finite("exposure_rate", exposure_rate)
+        if exposure_rate < 0:
+            raise ParameterError(f"exposure_rate must be >= 0, got {exposure_rate}")
+        set_field(self, "leaf_id", leaf_id)
+        set_field(self, "exposure_rate", exposure_rate)
+        set_field(self, "source", source)
 
 
 _O1, _O2, _O3, _O4 = OccurrenceClass
@@ -156,20 +155,25 @@ class RiskResult(NamedTuple):
     km_to_hazard: float
 
 
-def _clause(measure: Callable[[SweepStats, SweepStats], float | None]):
-    """A criteria field: the threshold of ``measure(nominal, stats)``, a
-    scenario's measured value (None: the clause does not apply)."""
-    return dataclasses.field(metadata={"measure": measure})
-
-
 def _gap_degradation(nominal: SweepStats, stats: SweepStats) -> float | None:
     if nominal.gap_mean > 0.0:
         return (nominal.gap_mean - stats.gap_mean) / nominal.gap_mean
     return None
 
 
-@dataclass(frozen=True)
-class AcceptanceCriteria:
+# Each acceptance clause as (name, measure, whether it is a ``min_``
+# clause).  The clause's threshold is the criteria field of its name, and
+# ``measure(nominal, stats)`` is a scenario's measured value (None: the
+# clause does not apply).
+_CLAUSES: tuple[tuple[str, Callable[[SweepStats, SweepStats], float | None], bool], ...] = (
+    ("max_final_gap_degradation", _gap_degradation, False),
+    ("max_collision_rate", lambda nominal, s: s.collision_rate, False),
+    ("max_false_activation_rate", lambda nominal, s: s.false_activation_rate, False),
+    ("min_ttc_at_trigger", lambda nominal, s: s.ttc_at_trigger_min, True),
+)
+
+
+class AcceptanceCriteria(Record):
     """Release thresholds for scenario KPIs relative to the nominal run.
 
     Each field is one clause, named by the field: a ``max_`` clause fails
@@ -177,24 +181,27 @@ class AcceptanceCriteria:
     the value falls below it.
     """
 
-    max_final_gap_degradation: float = _clause(_gap_degradation)
-    max_collision_rate: float = _clause(lambda nominal, s: s.collision_rate)
-    max_false_activation_rate: float = _clause(lambda nominal, s: s.false_activation_rate)
-    min_ttc_at_trigger: float = _clause(lambda nominal, s: s.ttc_at_trigger_min)
+    __slots__ = _fields = tuple(name for name, _, _ in _CLAUSES)
 
-    def __post_init__(self) -> None:
-        core._store_floats(self, tuple(name for name, _, _ in _CLAUSES))
+    def __init__(
+        self,
+        max_final_gap_degradation: float,
+        max_collision_rate: float,
+        max_false_activation_rate: float,
+        min_ttc_at_trigger: float,
+    ) -> None:
+        given = (
+            max_final_gap_degradation,
+            max_collision_rate,
+            max_false_activation_rate,
+            min_ttc_at_trigger,
+        )
+        thresholds = dict(zip(self._fields, map(core._require_finite, self._fields, given)))
         for name in ("max_collision_rate", "max_false_activation_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ParameterError(f"{name} must be in [0, 1], got {value}")
-
-
-# Each clause as (name, measure, whether it is a ``min_`` clause), read once.
-_CLAUSES = tuple(
-    (f.name, f.metadata["measure"], f.name.startswith("min_"))
-    for f in dataclasses.fields(AcceptanceCriteria)
-)
+            if not 0.0 <= thresholds[name] <= 1.0:
+                raise ParameterError(f"{name} must be in [0, 1], got {thresholds[name]}")
+        for name, threshold in thresholds.items():
+            set_field(self, name, threshold)
 
 
 class Violation(NamedTuple):

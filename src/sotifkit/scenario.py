@@ -10,10 +10,9 @@ fixture assumptions that domain experts own.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+import operator
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,6 +34,7 @@ from .errors import (
     of_types,
     parse_json,
 )
+from .records import Record, set_field
 from .taxonomy import TriggeringCondition
 
 __all__ = [
@@ -78,8 +78,7 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big") & _SEED_MASK
 
 
-@dataclass(frozen=True)
-class OddDefinition:
+class OddDefinition(Record):
     """Operational design domain: a straight one-way road with one static
     object ahead, clear weather and dry surface assumed nominally.
 
@@ -90,24 +89,34 @@ class OddDefinition:
     vehicle: ego kinematic parameters.
     """
 
-    d_object: float
-    d_perception: float
-    mu: float
-    odd_tags: frozenset[str]
-    vehicle: VehicleParams
+    __slots__ = _fields = ("d_object", "d_perception", "mu", "odd_tags", "vehicle")
 
-    def __post_init__(self) -> None:
-        core._store_floats(self, ("d_object", "d_perception", "mu"))
+    def __init__(
+        self,
+        d_object: float,
+        d_perception: float,
+        mu: float,
+        odd_tags: frozenset[str],
+        vehicle: VehicleParams,
+    ) -> None:
+        d_object = core._require_finite("d_object", d_object)
+        d_perception = core._require_finite("d_perception", d_perception)
+        mu = core._require_finite("mu", mu)
         # Stored frozen, so that an ODD given a set or list is hashable.
-        if isinstance(self.odd_tags, str):
-            raise ParameterError(f"odd_tags must be a collection of tags, got {self.odd_tags!r}")
-        object.__setattr__(self, "odd_tags", frozenset(self.odd_tags))
-        if not self.d_object > 0:
-            raise ParameterError(f"d_object must be > 0, got {self.d_object}")
-        if not self.d_perception > 0:
-            raise ParameterError(f"d_perception must be > 0, got {self.d_perception}")
-        if not 0.0 < self.mu <= 1.0:
-            raise ParameterError(f"mu must be in (0, 1], got {self.mu}")
+        if isinstance(odd_tags, str):
+            raise ParameterError(f"odd_tags must be a collection of tags, got {odd_tags!r}")
+        odd_tags = frozenset(odd_tags)
+        if not d_object > 0:
+            raise ParameterError(f"d_object must be > 0, got {d_object}")
+        if not d_perception > 0:
+            raise ParameterError(f"d_perception must be > 0, got {d_perception}")
+        if not 0.0 < mu <= 1.0:
+            raise ParameterError(f"mu must be in (0, 1], got {mu}")
+        set_field(self, "d_object", d_object)
+        set_field(self, "d_perception", d_perception)
+        set_field(self, "mu", mu)
+        set_field(self, "odd_tags", odd_tags)
+        set_field(self, "vehicle", vehicle)
 
     @property
     def is_nominally_well_formed(self) -> bool:
@@ -134,8 +143,7 @@ class OddDefinition:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class EffectModel:
+class EffectModel(Record):
     """Physical impact of a triggering condition on the function.
 
     perception_range_factor: multiplies the sensor range, (0, 1].
@@ -146,23 +154,35 @@ class EffectModel:
     The neutral element (1, 0, 1, 0) leaves the ODD untouched.
     """
 
-    perception_range_factor: float = 1.0
-    ghost_rate: float = 0.0
-    mu_factor: float = 1.0
-    rho_add: float = 0.0
+    __slots__ = _fields = ("perception_range_factor", "ghost_rate", "mu_factor", "rho_add")
 
-    def __post_init__(self) -> None:
-        core._store_floats(self, EFFECT_FIELDS)
-        if not 0.0 < self.perception_range_factor <= 1.0:
+    def __init__(
+        self,
+        perception_range_factor: float = 1.0,
+        ghost_rate: float = 0.0,
+        mu_factor: float = 1.0,
+        rho_add: float = 0.0,
+    ) -> None:
+        perception_range_factor = core._require_finite(
+            "perception_range_factor", perception_range_factor
+        )
+        mu_factor = core._require_finite("mu_factor", mu_factor)
+        ghost_rate = core._require_finite("ghost_rate", ghost_rate)
+        rho_add = core._require_finite("rho_add", rho_add)
+        if not 0.0 < perception_range_factor <= 1.0:
             raise ParameterError(
-                f"perception_range_factor must be in (0, 1], got {self.perception_range_factor}"
+                f"perception_range_factor must be in (0, 1], got {perception_range_factor}"
             )
-        if not 0.0 <= self.ghost_rate <= 1.0:
-            raise ParameterError(f"ghost_rate must be in [0, 1], got {self.ghost_rate}")
-        if not 0.0 < self.mu_factor <= 1.0:
-            raise ParameterError(f"mu_factor must be in (0, 1], got {self.mu_factor}")
-        if not self.rho_add >= 0.0:
-            raise ParameterError(f"rho_add must be >= 0, got {self.rho_add}")
+        if not 0.0 <= ghost_rate <= 1.0:
+            raise ParameterError(f"ghost_rate must be in [0, 1], got {ghost_rate}")
+        if not 0.0 < mu_factor <= 1.0:
+            raise ParameterError(f"mu_factor must be in (0, 1], got {mu_factor}")
+        if not rho_add >= 0.0:
+            raise ParameterError(f"rho_add must be >= 0, got {rho_add}")
+        set_field(self, "perception_range_factor", perception_range_factor)
+        set_field(self, "ghost_rate", ghost_rate)
+        set_field(self, "mu_factor", mu_factor)
+        set_field(self, "rho_add", rho_add)
 
     @property
     def is_neutral(self) -> bool:
@@ -184,8 +204,7 @@ def _effect_from_partial(partial: Mapping[str, float], context: str) -> EffectMo
         return EffectModel(**partial)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """The ODD plus at most one triggering condition, ready to simulate.
 
     A nominal scenario (condition is None) must have neutral effects.  The
@@ -194,29 +213,43 @@ class Scenario:
     may drive a condition scenario's effects back to neutral.
     """
 
-    id: str
-    odd: OddDefinition
-    condition: TriggeringCondition | None
-    effects: EffectModel
-    seed: int
+    __slots__ = _fields = ("id", "odd", "condition", "effects", "seed")
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        odd: OddDefinition,
+        condition: TriggeringCondition | None,
+        effects: EffectModel,
+        seed: int,
+    ) -> None:
+        if not id:
             raise ParameterError("scenario id must be nonempty")
-        if not 0 <= self.seed <= _SEED_MASK:
-            raise ParameterError(f"seed must be a 64-bit unsigned int, got {self.seed}")
-        if self.condition is None and not self.effects.is_neutral:
+        # Stored as a plain int: the seed is both a label that derive_seed
+        # writes out and the key of the flag streams that every scenario of
+        # a seed reads, and True, 1 and numpy's 1 must be one seed in both.
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ParameterError(f"seed must be a 64-bit unsigned int, got {seed!r}") from None
+        if not 0 <= seed <= _SEED_MASK:
+            raise ParameterError(f"seed must be a 64-bit unsigned int, got {seed}")
+        if condition is None and not effects.is_neutral:
             raise ParameterError(
-                f"scenario '{self.id}' has no triggering condition but non-neutral effects"
+                f"scenario '{id}' has no triggering condition but non-neutral effects"
             )
+        set_field(self, "id", id)
+        set_field(self, "odd", odd)
+        set_field(self, "condition", condition)
+        set_field(self, "effects", effects)
+        set_field(self, "seed", seed)
 
     @property
     def is_nominal(self) -> bool:
         return self.condition is None
 
 
-@dataclass(frozen=True)
-class MitigationSpec:
+class MitigationSpec(Record):
     """A function modification that weakly improves effects toward neutral.
 
     effect_overrides: replacement values per effect field; each must be
@@ -225,29 +258,35 @@ class MitigationSpec:
     stronger brake); validated against the vehicle invariants on apply.
     """
 
-    id: str
-    description: str
-    effect_overrides: Mapping[str, float] = dataclasses.field(default_factory=dict)
-    vehicle_overrides: Mapping[str, float] | None = None
+    __slots__ = _fields = ("id", "description", "effect_overrides", "vehicle_overrides")
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        description: str,
+        effect_overrides: Mapping[str, float] | None = None,  # None: {}
+        vehicle_overrides: Mapping[str, float] | None = None,
+    ) -> None:
+        if effect_overrides is None:
+            effect_overrides = {}
+        if not id:
             raise ParameterError("mitigation id must be nonempty")
-        unknown = set(self.effect_overrides) - set(EFFECT_FIELDS)
+        unknown = set(effect_overrides) - set(EFFECT_FIELDS)
         if unknown:
-            raise ParameterError(
-                f"mitigation '{self.id}': unknown effect fields {sorted(unknown)}"
-            )
-        if self.vehicle_overrides is not None:
-            unknown = set(self.vehicle_overrides) - set(VEHICLE_FIELDS)
+            raise ParameterError(f"mitigation '{id}': unknown effect fields {sorted(unknown)}")
+        if vehicle_overrides is not None:
+            unknown = set(vehicle_overrides) - set(VEHICLE_FIELDS)
             if unknown:
                 raise ParameterError(
-                    f"mitigation '{self.id}': unknown vehicle fields {sorted(unknown)}"
+                    f"mitigation '{id}': unknown vehicle fields {sorted(unknown)}"
                 )
+        set_field(self, "id", id)
+        set_field(self, "description", description)
+        set_field(self, "effect_overrides", effect_overrides)
+        set_field(self, "vehicle_overrides", vehicle_overrides)
 
 
-@dataclass(frozen=True)
-class EffectMapping:
+class EffectMapping(Record):
     """Condition -> effect resolution table, usually loaded from JSON.
 
     Lookup order: an exact ``by_leaf`` entry, then the deepest ancestor
@@ -256,9 +295,17 @@ class EffectMapping:
     that matches nothing raises :class:`UnmappedConditionError`.
     """
 
-    by_leaf: Mapping[str, Mapping[str, float]] = dataclasses.field(default_factory=dict)
-    by_category: Mapping[str, Mapping[str, float]] = dataclasses.field(default_factory=dict)
-    defaults: Mapping[str, float] | None = None
+    __slots__ = _fields = ("by_leaf", "by_category", "defaults")
+
+    def __init__(
+        self,
+        by_leaf: Mapping[str, Mapping[str, float]] | None = None,  # None: {}
+        by_category: Mapping[str, Mapping[str, float]] | None = None,  # None: {}
+        defaults: Mapping[str, float] | None = None,
+    ) -> None:
+        set_field(self, "by_leaf", {} if by_leaf is None else by_leaf)
+        set_field(self, "by_category", {} if by_category is None else by_category)
+        set_field(self, "defaults", defaults)
 
 
 def resolve_effects(condition: TriggeringCondition, mapping: EffectMapping) -> EffectModel:
@@ -342,13 +389,11 @@ def apply_mitigation(scenario: Scenario, m: MitigationSpec) -> Scenario:
             raise InvalidMitigationError(
                 f"mitigation '{m.id}' worsens {field_name}: {old} -> {float(new)}"
             )
-    effects = dataclasses.replace(scenario.effects, **m.effect_overrides)
+    effects = scenario.effects._replace(**m.effect_overrides)
 
     odd = scenario.odd
     if m.vehicle_overrides:
-        odd = dataclasses.replace(
-            odd, vehicle=dataclasses.replace(odd.vehicle, **m.vehicle_overrides)
-        )
+        odd = odd._replace(vehicle=odd.vehicle._replace(**m.vehicle_overrides))
 
     return Scenario(
         id=f"{scenario.id}+{m.id}",

@@ -81,13 +81,13 @@ import math
 import operator
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import core
 from .errors import ContractViolationError, ParameterError, SimulationError, json_encoder
+from .records import Record, set_field
 from .scenario import OddDefinition, Scenario, derive_seed
 
 if TYPE_CHECKING:
@@ -151,41 +151,39 @@ _STAGE_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Integration settings.
 
-    ``perception_tick`` is quantized to a whole number of ``dt`` steps
-    (the effective frame period is tick_steps * dt).  The horizon is at
-    most 2**53 steps: beyond, consecutive step numbers round to one float,
-    and a crossing step can no longer be told by its gap.
+    ``perception_tick`` is quantized to a whole number of ``dt`` steps,
+    ``tick_steps`` (the effective frame period is tick_steps * dt), and the
+    horizon ``max_time`` to ``max_steps``.  The horizon is at most 2**53
+    steps: beyond, consecutive step numbers round to one float, and a
+    crossing step can no longer be told by its gap.
     """
 
-    dt: float = 0.001
-    max_time: float = 60.0
-    perception_tick: float = 0.05
+    _fields = ("dt", "max_time", "perception_tick")
+    __slots__ = (*_fields, "tick_steps", "max_steps")
 
-    def __post_init__(self) -> None:
-        core._store_floats(self, ("dt", "max_time", "perception_tick"))
-        if not 0.0 < self.dt <= self.perception_tick <= self.max_time:
+    def __init__(
+        self, dt: float = 0.001, max_time: float = 60.0, perception_tick: float = 0.05
+    ) -> None:
+        dt = core._require_finite("dt", dt)
+        max_time = core._require_finite("max_time", max_time)
+        perception_tick = core._require_finite("perception_tick", perception_tick)
+        if not 0.0 < dt <= perception_tick <= max_time:
             raise ParameterError(
                 "need 0 < dt <= perception_tick <= max_time, got "
-                f"dt={self.dt}, perception_tick={self.perception_tick}, "
-                f"max_time={self.max_time}"
+                f"dt={dt}, perception_tick={perception_tick}, max_time={max_time}"
             )
-        if not self.max_time / self.dt <= 2**53:
+        if not max_time / dt <= 2**53:
             raise ParameterError(
-                f"max_time / dt must be at most 2**53 steps, got dt={self.dt}, "
-                f"max_time={self.max_time}"
+                f"max_time / dt must be at most 2**53 steps, got dt={dt}, max_time={max_time}"
             )
-
-    @functools.cached_property
-    def tick_steps(self) -> int:
-        return max(1, round(self.perception_tick / self.dt))
-
-    @functools.cached_property
-    def max_steps(self) -> int:
-        return int(self.max_time / self.dt + 1e-9)
+        set_field(self, "dt", dt)
+        set_field(self, "max_time", max_time)
+        set_field(self, "perception_tick", perception_tick)
+        set_field(self, "tick_steps", max(1, round(perception_tick / dt)))
+        set_field(self, "max_steps", int(max_time / dt + 1e-9))
 
 
 class SimEvent(NamedTuple):
@@ -285,23 +283,40 @@ def _first(holds: Callable[[int], bool], lo: int, hi: int, guess: float | None =
     return lo
 
 
-@dataclass(slots=True, eq=False)
 class _Resolved:
-    """Closed-form resolution of one run on the dt grid.  ``view`` holds the
-    rows of the last view built of it, with the flag stream that they read
-    (:meth:`SimTrace._built`)."""
+    """Closed-form resolution of one run on the dt grid.  ``kpis`` is set
+    by :meth:`_Plan.resolve`, for every run of this resolution; ``view``
+    holds the rows of the last view built of it, with the flag stream that
+    they read (:meth:`SimTrace._built`)."""
 
-    v0: float
-    dt: float
-    b_eff: float
-    d_object: float
-    n_trig: int | None  # decision step where the brake latched
-    n_eff: int | None   # step where brake force starts (None: never engaged)
-    m_stop: int         # braking steps until v == 0 (if engaged)
-    terminal_step: int
-    terminal: Terminal
-    kpis: KpiReport | None = None  # set by _Plan.resolve, for every run of this resolution
-    view: tuple[_FlagStream | None, _Rows] | None = None
+    __slots__ = (
+        "v0", "dt", "b_eff", "d_object", "n_trig", "n_eff", "m_stop", "terminal_step",
+        "terminal", "kpis", "view",
+    )
+
+    def __init__(
+        self,
+        v0: float,
+        dt: float,
+        b_eff: float,
+        d_object: float,
+        n_trig: int | None,  # decision step where the brake latched
+        n_eff: int | None,  # step where brake force starts (None: never engaged)
+        m_stop: int,  # braking steps until v == 0 (if engaged)
+        terminal_step: int,
+        terminal: Terminal,
+    ) -> None:
+        self.v0 = v0
+        self.dt = dt
+        self.b_eff = b_eff
+        self.d_object = d_object
+        self.n_trig = n_trig
+        self.n_eff = n_eff
+        self.m_stop = m_stop
+        self.terminal_step = terminal_step
+        self.terminal = terminal
+        self.kpis: KpiReport | None = None
+        self.view: tuple[_FlagStream | None, _Rows] | None = None
 
     def _brake_advance(self, m: int) -> float:
         # Distance gained after m braking steps; advance ceases once the
@@ -752,7 +767,7 @@ def _outcome_key(scenario: Scenario, cfg: SimConfig) -> tuple:
     effects that move the ego or its percept, and the config; with ghosts,
     also their rate and the seed of the flag streams.  Scenarios with one
     key have equal runs, reports and views, up to the scenario id.  Flat,
-    so that it hashes without a call to a dataclass ``__hash__``."""
+    so that it hashes without a call to a record's ``__hash__``."""
     odd, effects = scenario.odd, scenario.effects
     vehicle = odd.vehicle
     key = (
@@ -764,7 +779,6 @@ def _outcome_key(scenario: Scenario, cfg: SimConfig) -> tuple:
     return key + (effects.ghost_rate, scenario.seed) if effects.ghost_rate else key
 
 
-@dataclass(slots=True)
 class _Shared:
     """What the runs of one :func:`_sharing` block share.  ``scenario`` and
     ``cfg`` are the last call's, with their ghost ``plan`` or their
@@ -782,16 +796,22 @@ class _Shared:
     so the export resolves nothing again.  A nested block shares only the
     enclosing block's ``run0``."""
 
-    scenario: Scenario | None = None
-    cfg: SimConfig | None = None
-    plan: _Plan | None = None
-    trace: SimTrace | None = None
-    outcomes: dict[tuple, _Resolved] = field(default_factory=dict)
-    seed: int | None = None
-    plans: dict[tuple, _Plan] = field(default_factory=dict)
-    streams: dict[int, _FlagStream] = field(default_factory=dict)
-    run0: dict[int, SimTrace] = field(default_factory=dict)
-    states: dict[int, list[bytes]] = field(default_factory=dict)
+    __slots__ = (
+        "scenario", "cfg", "plan", "trace", "outcomes", "seed", "plans", "streams", "run0",
+        "states",
+    )
+
+    def __init__(self, run0: dict[int, SimTrace]) -> None:
+        self.scenario: Scenario | None = None
+        self.cfg: SimConfig | None = None
+        self.plan: _Plan | None = None
+        self.trace: SimTrace | None = None
+        self.outcomes: dict[tuple, _Resolved] = {}
+        self.seed: int | None = None
+        self.plans: dict[tuple, _Plan] = {}
+        self.streams: dict[int, _FlagStream] = {}
+        self.run0 = run0
+        self.states: dict[int, list[bytes]] = {}
 
     def enter(self, scenario: Scenario, cfg: SimConfig) -> tuple:
         """Make ``scenario`` at ``cfg`` the current one: find its key's plan
@@ -842,7 +862,7 @@ def simulate(scenario: Scenario, cfg: SimConfig | None = None, run_index: int = 
     """
     if cfg is None:
         cfg = SimConfig()
-    shared = _shared or _Shared()
+    shared = _shared or _Shared({})
     if run_index == 0:
         trace = shared.run0.get(id(scenario))
         if trace is not None and trace._cfg is cfg:

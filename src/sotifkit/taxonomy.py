@@ -26,7 +26,6 @@ at level 2, and so on.  Values are checked against the kinds of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -41,6 +40,7 @@ from .errors import (
     one_of,
     parse_json,
 )
+from .records import Record, set_field
 
 __all__ = [
     "INTENSITY_LEVELS",
@@ -66,33 +66,43 @@ _NODE_FIELDS = {"id": STR, "name": STR, "odd_tags": STRINGS}
 _NODE_OPTIONAL = {"children": LIST, "intensity": one_of(INTENSITY_LEVELS)}
 
 
-@dataclass(frozen=True)
-class TaxonomyNode:
+class TaxonomyNode(Record):
     """One taxonomy node; immutable after parsing."""
 
-    id: str
-    name: str
-    odd_tags: frozenset[str]
-    children: tuple["TaxonomyNode", ...] = ()
-    intensity: str | None = None
+    __slots__ = _fields = ("id", "name", "odd_tags", "children", "intensity")
+
+    def __init__(
+        self,
+        id: str,
+        name: str,
+        odd_tags: frozenset[str],
+        children: tuple[TaxonomyNode, ...] = (),
+        intensity: str | None = None,
+    ) -> None:
+        set_field(self, "id", id)
+        set_field(self, "name", name)
+        set_field(self, "odd_tags", odd_tags)
+        set_field(self, "children", children)
+        set_field(self, "intensity", intensity)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
 
-@dataclass(frozen=True)
-class Taxonomy:
+class Taxonomy(Record):
     """A parsed taxonomy document (forest of root categories)."""
 
-    roots: tuple[TaxonomyNode, ...]
+    __slots__ = _fields = ("roots",)
+
+    def __init__(self, roots: tuple[TaxonomyNode, ...]) -> None:
+        set_field(self, "roots", roots)
 
     def leaf_count(self) -> int:
         return sum(1 for _ in _iter_leaves(self.roots))
 
 
-@dataclass(frozen=True)
-class TriggeringCondition:
+class TriggeringCondition(Record):
     """A leaf condition plus its category path and effective relevance tags.
 
     ``category_path`` holds the ancestor *names* root-first (the leaf's own
@@ -100,24 +110,27 @@ class TriggeringCondition:
     all its ancestors' tags, so subtree-level tagging propagates down.
     """
 
-    leaf_id: str
-    category_path: tuple[str, ...]
-    intensity: str | None = None
-    odd_tags: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = _fields = ("leaf_id", "category_path", "intensity", "odd_tags")
 
-    def __post_init__(self) -> None:
-        for name in ("category_path", "odd_tags"):
-            if isinstance(getattr(self, name), str):
+    def __init__(
+        self,
+        leaf_id: str,
+        category_path: tuple[str, ...],
+        intensity: str | None = None,
+        odd_tags: frozenset[str] = frozenset(),
+    ) -> None:
+        for name, names in (("category_path", category_path), ("odd_tags", odd_tags)):
+            if isinstance(names, str):
                 raise TaxonomyError(
-                    f"condition '{self.leaf_id}': {name} must be a collection of names, "
-                    f"got {getattr(self, name)!r}"
+                    f"condition '{leaf_id}': {name} must be a collection of names, got {names!r}"
                 )
-        object.__setattr__(self, "category_path", tuple(self.category_path))
-        object.__setattr__(self, "odd_tags", frozenset(self.odd_tags))
-        if not self.category_path:
-            raise TaxonomyError(
-                f"condition '{self.leaf_id}' has an empty category path"
-            )
+        category_path, odd_tags = tuple(category_path), frozenset(odd_tags)
+        if not category_path:
+            raise TaxonomyError(f"condition '{leaf_id}' has an empty category path")
+        set_field(self, "leaf_id", leaf_id)
+        set_field(self, "category_path", category_path)
+        set_field(self, "intensity", intensity)
+        set_field(self, "odd_tags", odd_tags)
 
 
 def _parse_nodes(

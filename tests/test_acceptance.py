@@ -7,7 +7,6 @@ computed inside each test, never from the engine under test.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -186,7 +185,7 @@ def test_criterion_6_monotonicity_suites(fixture_odd):
         )
         bump = rng.uniform(0.01, 5.0)
         field = ("v_r", "rho", "a_max_accel", "a_min_brake")[i % 4]
-        q = dataclasses.replace(p, **{field: getattr(p, field) + bump})
+        q = p._replace(**{field: getattr(p, field) + bump})
         if field == "a_min_brake":
             assert rss_min_distance(q) <= rss_min_distance(p)
         else:

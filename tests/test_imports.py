@@ -1,10 +1,14 @@
-"""A fresh interpreter loads numpy only when a run first draws a ghost.
+"""A fresh interpreter loads numpy only when a run first draws a ghost,
+and never loads the dataclass machinery.
 
 numpy builds the ghost stream of a scenario with ``ghost_rate > 0``.
 Importing the package, validating a taxonomy, re-rendering a report and
 running a ghost-free campaign never need it, so none of them loads it.
-Each check runs in its own interpreter, because this test session has
-numpy loaded long before.
+The records are plain classes on :class:`sotifkit.records.Record`, so
+importing the package generates no code: it loads neither ``dataclasses``
+nor ``inspect``, which ``dataclasses`` imports.  Each check runs in its
+own interpreter, because this test session has these modules loaded long
+before.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from conftest import run_fresh_python
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def numpy_loaded_after(statements: str) -> bool:
-    """Whether numpy is in ``sys.modules`` once ``statements`` have run in
-    a fresh interpreter."""
-    done = run_fresh_python("-c", f"{statements}\nimport sys\nprint('numpy' in sys.modules)")
+def loaded_after(statements: str, module: str = "numpy") -> bool:
+    """Whether ``module`` is in ``sys.modules`` once ``statements`` have run
+    in a fresh interpreter."""
+    done = run_fresh_python("-c", f"{statements}\nimport sys\nprint({module!r} in sys.modules)")
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1] == "True"
 
@@ -60,20 +64,26 @@ def ghost_free_effects(tmp_path) -> Path:
 
 @pytest.mark.parametrize("statements", ["import sotifkit", "import sotifkit.cli"])
 def test_import_loads_no_numpy(statements):
-    assert not numpy_loaded_after(statements)
+    assert not loaded_after(statements)
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+@pytest.mark.parametrize("statements", ["import sotifkit", "import sotifkit.cli"])
+def test_import_generates_no_record_code(statements, module):
+    assert not loaded_after(statements, module)
 
 
 def test_taxonomy_validate_loads_no_numpy():
-    assert not numpy_loaded_after(cli_main("taxonomy", "validate", fixture_path("taxonomy.json")))
+    assert not loaded_after(cli_main("taxonomy", "validate", fixture_path("taxonomy.json")))
 
 
 def test_report_loads_no_numpy():
-    assert not numpy_loaded_after(cli_main("report", GOLDEN))
+    assert not loaded_after(cli_main("report", GOLDEN))
 
 
 def test_ghost_free_run_loads_no_numpy(ghost_free_effects, tmp_path):
-    assert not numpy_loaded_after(campaign(ghost_free_effects, tmp_path / "out"))
+    assert not loaded_after(campaign(ghost_free_effects, tmp_path / "out"))
 
 
 def test_run_with_ghosts_loads_numpy(tmp_path):
-    assert numpy_loaded_after(campaign(fixture_path("effects.json"), tmp_path / "out"))
+    assert loaded_after(campaign(fixture_path("effects.json"), tmp_path / "out"))

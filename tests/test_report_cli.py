@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import dataclasses
 import gc
 import io
 import json
@@ -691,7 +690,7 @@ class TestBundlePersistence:
         # write_bundle writes the pieces that bundle_text joins, also for a
         # bundle whose list sections are empty (a nominal-only run with no
         # mitigations).
-        odd = dataclasses.replace(campaign_inputs["odd"], odd_tags=frozenset({"no-such-tag"}))
+        odd = campaign_inputs["odd"]._replace(odd_tags=frozenset({"no-such-tag"}))
         empty = run_campaign(
             **{**campaign_inputs, "odd": odd}, runs_per_scenario=2, trace_dir=tmp_path / "traces"
         )
@@ -732,7 +731,7 @@ class TestBundlePersistence:
         }
         for acceptance, message in cases.items():
             with pytest.raises(ContractViolationError, match=re.escape(message)):
-                dataclasses.replace(small_bundle, acceptance=acceptance)
+                small_bundle._replace(acceptance=acceptance)
 
     def test_dict_round_trip(self, small_bundle):
         # bundle_to_dict gives what the file holds: lists, not tuples.
@@ -1332,12 +1331,8 @@ class TestMarkdownSummary:
         assert "All acceptance criteria met." in emit_markdown_summary(bundle)
 
     def test_nominal_only_run_notes_it(self, campaign_inputs, tmp_path):
-        import dataclasses
-
         inputs = dict(campaign_inputs)
-        inputs["odd"] = dataclasses.replace(
-            inputs["odd"], odd_tags=frozenset({"no-such-tag"})
-        )
+        inputs["odd"] = inputs["odd"]._replace(odd_tags=frozenset({"no-such-tag"}))
         bundle = run_campaign(**inputs, base_seed=1, runs_per_scenario=3, trace_dir=tmp_path)
         assert len(bundle.scenarios) == 1
         assert "Nominal-only run" in emit_markdown_summary(bundle)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -160,7 +159,7 @@ class TestHazardRate:
 )
 def test_int_valued_fields_stored_as_floats(value):
     # An int-valued input equals, and is written as, the float one.
-    numbers = [x for x in vars(value).values() if type(x) in (int, float)]
+    numbers = [x for x in value._asdict().values() if type(x) in (int, float)]
     assert numbers and all(type(x) is float for x in numbers)
 
 
@@ -357,7 +356,7 @@ class TestMatchedSeedMitigationProperty:
                 rho_add=rng.uniform(0.0, 0.8),
             )
             scenario = make_scenario(
-                dataclasses.replace(fixture_odd), effects, f"case{i}", seed=i
+                fixture_odd._replace(), effects, f"case{i}", seed=i
             )
             overrides = {}
             if rng.random() < 0.8:

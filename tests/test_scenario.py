@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from sotifkit import (
@@ -37,9 +37,7 @@ from conftest import make_condition, make_scenario
 @pytest.fixture
 def snow_heavy():
     cond = make_condition("snow-heavy")
-    return dataclasses.replace(
-        cond, category_path=("Environmental conditions", "Weather", "Snow")
-    )
+    return cond._replace(category_path=("Environmental conditions", "Weather", "Snow"))
 
 
 class TestEffectModel:
@@ -77,10 +75,8 @@ class TestOddDefinition:
 
     def test_fingerprint_ignores_vehicle(self, baseline_vehicle):
         a = OddDefinition(100.0, 120.0, 1.0, frozenset(), baseline_vehicle)
-        upgraded = dataclasses.replace(
-            a, vehicle=dataclasses.replace(baseline_vehicle, a_min_brake=6.5)
-        )
-        other_road = dataclasses.replace(a, d_object=90.0)
+        upgraded = a._replace(vehicle=baseline_vehicle._replace(a_min_brake=6.5))
+        other_road = a._replace(d_object=90.0)
         assert a.fingerprint() == upgraded.fingerprint()
         assert a.fingerprint() != other_road.fingerprint()
 
@@ -318,6 +314,29 @@ class TestScenarioInvariants:
         )
         assert not s.is_nominal
 
+    @pytest.mark.parametrize("seed", [1, True, np.int64(1), np.uint64(1)], ids=repr)
+    def test_seed_is_stored_as_a_plain_int(self, fixture_odd, seed):
+        s = Scenario("s", fixture_odd, None, EffectModel(), seed)
+        assert type(s.seed) is int and s.seed == 1
+
+    @pytest.mark.parametrize(
+        "seed", [1.5, 1.0, np.float64(1.0), "1", None, -1, 2**64], ids=repr
+    )
+    def test_seed_must_be_a_64_bit_unsigned_int(self, fixture_odd, seed):
+        with pytest.raises(ParameterError, match="seed must be a 64-bit unsigned int"):
+            Scenario("s", fixture_odd, None, EffectModel(), seed)
+
+    def test_kpis_of_a_bool_seed_do_not_depend_on_the_sweep(self, fixture_odd):
+        # True equals 1, and the flag streams of seed 1 served a scenario of
+        # seed True after one of seed 1, while derive_seed drew its own
+        # streams from the label "True" when it ran alone.
+        def scenario(scenario_id, seed):
+            return make_scenario(fixture_odd, EffectModel(ghost_rate=0.05), scenario_id, seed)
+
+        (alone,) = monte_carlo_sweep([scenario("b", True)], runs_per_scenario=20)
+        after = monte_carlo_sweep([scenario("a", 1), scenario("b", True)], runs_per_scenario=20)
+        assert after == [alone._replace(scenario_id="a"), alone]
+
 
 class TestApplyMitigation:
     def _scenario(self, odd, **effects):
@@ -407,6 +426,6 @@ class TestSeedDerivation:
 
     def test_vehicle_params_unaffected_by_seed_scheme(self, baseline_vehicle):
         # Smoke check that deriving seeds never mutates shared inputs.
-        before = dataclasses.asdict(baseline_vehicle)
+        before = baseline_vehicle._asdict()
         derive_seed(baseline_vehicle, 0)
-        assert dataclasses.asdict(baseline_vehicle) == before
+        assert baseline_vehicle._asdict() == before

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import copy
 import gc
 import json
 import math
@@ -138,7 +138,7 @@ class TestOracleCases:
         assert kpis.impact_speed == pytest.approx(7.85, abs=0.05)
 
     def test_stationary_ego(self, baseline_vehicle):
-        still = dataclasses.replace(baseline_vehicle, v_r=0.0)
+        still = baseline_vehicle._replace(v_r=0.0)
         scenario = make_scenario(baseline_odd(still), scenario_id="still")
         trace = simulate(scenario, SimConfig())
         kpis = compute_kpis(trace, scenario)
@@ -392,8 +392,8 @@ class TestReferenceEquivalence:
         for case in range(250):
             scenario, cfg = self._random_case(rng)
             for rate in (0.0, 1e-3, 0.05, 1.0):
-                effects = dataclasses.replace(scenario.effects, ghost_rate=rate)
-                swept = dataclasses.replace(scenario, effects=effects)
+                effects = scenario.effects._replace(ghost_rate=rate)
+                swept = scenario._replace(effects=effects)
                 (stats,) = monte_carlo_sweep([swept], cfg, runs_per_scenario=6)
                 kpis = [compute_kpis(simulate(swept, cfg, i), swept) for i in range(6)]
                 expected = sim_module._aggregate(swept, kpis, swept.odd.fingerprint())
@@ -599,7 +599,7 @@ def _ghost_grid_cases(vehicle):
         "stop": (baseline_odd(vehicle), SimConfig()),
         "collide": (baseline_odd(vehicle, d_object=20.0), SimConfig()),
         "timeout": (baseline_odd(vehicle, d_object=2000.0), SimConfig(max_time=2.0)),
-        "standstill": (baseline_odd(dataclasses.replace(vehicle, v_r=0.0)), SimConfig()),
+        "standstill": (baseline_odd(vehicle._replace(v_r=0.0)), SimConfig()),
         "horizon-600s": (
             baseline_odd(vehicle, d_object=9000.0, d_perception=30.0),
             SimConfig(dt=0.01, max_time=600.0),
@@ -780,21 +780,20 @@ def _seed_group(odd, rate: float, seed: int = 1234) -> list:
 
     def braking(factor: float):
         brake = odd.vehicle.a_min_brake * factor
-        return dataclasses.replace(odd, vehicle=dataclasses.replace(odd.vehicle, a_min_brake=brake))
+        return odd._replace(vehicle=odd.vehicle._replace(a_min_brake=brake))
 
-    slower = dataclasses.replace(odd.vehicle, v_r=odd.vehicle.v_r / 2)
+    slower = odd.vehicle._replace(v_r=odd.vehicle.v_r / 2)
     variants = {
         "same-rate": (odd, rate),
         "third-rate": (odd, rate / 3),
         "triple-rate": (odd, min(1.0, 3 * rate)),
         "later-trigger": (braking(1.5), rate),
         "earlier-trigger": (braking(1 / 1.5), rate),
-        "slower": (dataclasses.replace(odd, vehicle=slower), rate),
+        "slower": (odd._replace(vehicle=slower), rate),
     }
     return [condition] + [
-        dataclasses.replace(
-            condition, id=f"cond+{name}", odd=variant_odd,
-            effects=EffectModel(ghost_rate=variant_rate),
+        condition._replace(
+            id=f"cond+{name}", odd=variant_odd, effects=EffectModel(ghost_rate=variant_rate),
         )
         for name, (variant_odd, variant_rate) in variants.items()
     ]
@@ -894,7 +893,7 @@ class TestSharedDraws:
         # flags that the stream drew, and draws nothing.
         odd, cfg = _ghost_grid_cases(baseline_vehicle)["stop"]
         condition = make_scenario(odd, EffectModel(ghost_rate=0.3), scenario_id="cond", seed=1234)
-        rare = dataclasses.replace(condition, id="rare", effects=EffectModel(ghost_rate=1e-4))
+        rare = condition._replace(id="rare", effects=EffectModel(ghost_rate=1e-4))
         drawn = []
         watch_generators(monkeypatch, lambda state: None, drawn.append)
         with sim_module._sharing():
@@ -928,7 +927,7 @@ class TestSharedDraws:
         for seed, (odd, _) in enumerate(_ghost_grid_cases(baseline_vehicle).values()):
             for rate in (0.01, 0.2):
                 scenarios += [
-                    dataclasses.replace(s, id=f"{s.id}-{seed}-{rate}")
+                    s._replace(id=f"{s.id}-{seed}-{rate}")
                     for s in _seed_group(odd, rate, seed=seed)
                 ]
         cfg = SimConfig()
@@ -949,7 +948,7 @@ class TestSharedDraws:
         # compute_kpis returns one report for them.
         odd, cfg = _ghost_grid_cases(baseline_vehicle)["stop"]
         condition, same_rate, lower_rate = _seed_group(odd, 0.05)[:3]
-        ghost_free = dataclasses.replace(condition, id="ghost-free", effects=EffectModel())
+        ghost_free = condition._replace(id="ghost-free", effects=EffectModel())
         scenarios = [condition, ghost_free, lower_rate, same_rate]
         runs = (3, 0, 5, 1, 0)
         calls = [(scenario, i) for i in runs for scenario in scenarios]
@@ -1092,7 +1091,7 @@ class TestSpeedBelowFloatResolution:
 
     @staticmethod
     def scenarios(baseline_vehicle, d_object=100.0):
-        vehicle = dataclasses.replace(baseline_vehicle, v_r=5e-324)
+        vehicle = baseline_vehicle._replace(v_r=5e-324)
         odd = baseline_odd(vehicle, d_object=d_object)
         return [
             make_scenario(odd, scenario_id="still"),
@@ -1171,7 +1170,7 @@ class TestBrakeBelowFloatResolution:
     def test_ego_below_float_resolution_times_out(self, baseline_vehicle):
         # v_r * dt and b_eff * dt are both 0.0: a ghost's brake latches,
         # and the ego neither moves nor slows.
-        vehicle = dataclasses.replace(baseline_vehicle, v_r=5e-324)
+        vehicle = baseline_vehicle._replace(v_r=5e-324)
         cfg = SimConfig(max_time=5.0)
         (weak, weak_ghosts, *_) = self.scenarios(baseline_odd(vehicle))
         for scenario in (weak, weak_ghosts):
@@ -1186,7 +1185,7 @@ class TestBrakeBelowFloatResolution:
         # steps, far past its stop; the search starts at the stop instead
         # and gallops back to the collision, about 1,000 steps in, reading
         # the advance a few times per doubling, not once per step.
-        vehicle = dataclasses.replace(baseline_vehicle, v_r=1e-300, rho=1e-3, a_min_brake=1e-12)
+        vehicle = baseline_vehicle._replace(v_r=1e-300, rho=1e-3, a_min_brake=1e-12)
         scenario = make_scenario(
             baseline_odd(vehicle, d_object=1e-300), EffectModel(mu_factor=1e-300), scenario_id="far"
         )
@@ -1328,12 +1327,12 @@ class TestAcceptedInputsEndInAResult:
             return
         vehicle_fields = {name: fields.pop(name) for name in VEHICLE_FIELDS if name in fields}
         try:
-            vehicle = dataclasses.replace(fixture_odd.vehicle, **vehicle_fields)
+            vehicle = fixture_odd.vehicle._replace(**vehicle_fields)
         except ParameterError as exc:
             assert "rss_min_distance must be finite" in str(exc)
             return
         range_factor = fields.pop("perception_range_factor", 1.0)
-        odd = dataclasses.replace(fixture_odd, mu=mu, vehicle=vehicle, **fields)
+        odd = fixture_odd._replace(mu=mu, vehicle=vehicle, **fields)
         effects = EffectModel(
             perception_range_factor=range_factor,
             mu_factor=mu_factor,
@@ -1358,14 +1357,14 @@ class TestBrakingCollisionSearch:
     def overflowing(baseline_vehicle):
         # b_eff*dt*dt/2 is about 5e295, so the discriminant overflows to inf
         # and the closed-form root is -inf.
-        vehicle = dataclasses.replace(baseline_vehicle, v_r=5e-324, a_max_accel=1e12, a_min_brake=1e300)
+        vehicle = baseline_vehicle._replace(v_r=5e-324, a_max_accel=1e12, a_min_brake=1e300)
         odd = baseline_odd(vehicle, d_object=1000.0, d_perception=1000.0)
         return make_scenario(odd, EffectModel(ghost_rate=0.5), scenario_id="overflowing")
 
     @staticmethod
     def far(baseline_vehicle):
         # A guess about 1e15 braking steps past a collision about 1,000 in.
-        vehicle = dataclasses.replace(baseline_vehicle, v_r=1e-300, rho=1e-3, a_min_brake=1e-12)
+        vehicle = baseline_vehicle._replace(v_r=1e-300, rho=1e-3, a_min_brake=1e-12)
         odd = baseline_odd(vehicle, d_object=1e-300)
         return make_scenario(odd, EffectModel(mu_factor=1e-300), scenario_id="far")
 
@@ -1553,7 +1552,7 @@ class TestGhostFreeMemo:
         b = make_scenario(baseline_odd(baseline_vehicle, d_object=20.0), scenario_id="memo-b")
         fine, coarse = SimConfig(), SimConfig(dt=0.01)
         calls = [(a, fine), (b, fine), (a, fine), (a, coarse), (b, coarse), (a, fine)]
-        twin = dataclasses.replace(a)
+        twin = a._replace()
         assert twin is not a
         with sim_module._sharing():
             traces = [simulate(scenario, cfg, i) for i, (scenario, cfg) in enumerate(calls)]
@@ -1569,7 +1568,9 @@ class TestGhostFreeMemo:
 
         def diverging(plan, n_trig):
             calls.append(n_trig)
-            return dataclasses.replace(resolve(plan, n_trig), v0=math.inf)
+            res = copy.copy(resolve(plan, n_trig))
+            res.v0 = math.inf
+            return res
 
         monkeypatch.setattr(sim_module._Plan, "_resolve", diverging)
         scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="memo-diverges")
@@ -1769,7 +1770,7 @@ class TestLazyTraceView:
         odd = baseline_odd(baseline_vehicle)
         a = make_scenario(odd, EffectModel(ghost_rate=rate, mu_factor=0.8), "a", seed=9)
         b = make_scenario(odd, EffectModel(ghost_rate=rate, mu_factor=0.5), "b", seed=9)
-        copy = dataclasses.replace(a, id="a-copy")
+        copy = a._replace(id="a-copy")
         stats = monte_carlo_sweep([a, b, copy], SimConfig(), runs_per_scenario=30)
         assert stats[2] == stats[0]._replace(scenario_id="a-copy")
         assert len(derived) == len(resolved) >= 2
@@ -1781,14 +1782,14 @@ class TestLazyTraceView:
         # own scenario or an equal one, never against another vehicle's.
         effects = EffectModel(ghost_rate=1.0)
         scenario = make_scenario(baseline_odd(baseline_vehicle), effects, scenario_id="s")
-        slower = dataclasses.replace(baseline_vehicle, rho=5.0)
+        slower = baseline_vehicle._replace(rho=5.0)
         assert rss_min_distance(slower) > 100.0
         other = make_scenario(baseline_odd(slower), effects, scenario_id="s")
         trace = simulate(scenario)
         kpis = compute_kpis(trace, scenario)
         assert kpis.false_activation
         assert kpis == trace_kpis(trace, scenario)
-        equal = dataclasses.replace(scenario)
+        equal = scenario._replace()
         assert equal is not scenario and equal == scenario
         assert compute_kpis(trace, equal) is kpis
         with pytest.raises(ContractViolationError, match="not the trace's scenario"):
@@ -1846,7 +1847,7 @@ class TestOutcomeKey:
 
     def test_every_field_is_covered(self):
         for owner, changes in _ONE_FIELD_CHANGES.items():
-            names = {f.name for f in dataclasses.fields(owner)} - {"vehicle"}
+            names = set(owner._fields) - {"vehicle"}
             assert set(changes) == names, owner
 
     @pytest.mark.parametrize(
@@ -1860,13 +1861,13 @@ class TestOutcomeKey:
         b_odd, b_effects, b_cfg, b_seed = odd, effects, cfg, seed
         change = {name: _ONE_FIELD_CHANGES[owner][name]} if owner != "seed" else {}
         if owner is OddDefinition:
-            b_odd = dataclasses.replace(odd, **change)
+            b_odd = odd._replace(**change)
         elif owner is VehicleParams:
-            b_odd = dataclasses.replace(odd, vehicle=dataclasses.replace(baseline_vehicle, **change))
+            b_odd = odd._replace(vehicle=baseline_vehicle._replace(**change))
         elif owner is EffectModel:
-            b_effects = dataclasses.replace(effects, **change)
+            b_effects = effects._replace(**change)
         elif owner is SimConfig:
-            b_cfg = dataclasses.replace(cfg, **change)
+            b_cfg = cfg._replace(**change)
         else:
             b_seed = 99
         b = make_scenario(b_odd, b_effects, scenario_id="b", seed=b_seed)
@@ -1917,7 +1918,7 @@ class TestOutcomeKey:
             for i, (d_object, factor, rate, mu_factor, seed) in enumerate(specs)
         ]
         copied = [
-            dataclasses.replace(originals[k % len(originals)], id=f"s{k % len(originals)}~{n}")
+            originals[k % len(originals)]._replace(id=f"s{k % len(originals)}~{n}")
             for n, k in enumerate(copies)
         ]
         scenarios = originals + copied
@@ -2056,9 +2057,7 @@ class TestSweep:
         odd_a = baseline_odd(baseline_vehicle)
         odd_b = baseline_odd(baseline_vehicle, d_object=60.0)
         # The vehicle is left out of the fingerprint, but not out of the ODD.
-        odd_a_upgraded = dataclasses.replace(
-            odd_a, vehicle=dataclasses.replace(baseline_vehicle, rho=0.1)
-        )
+        odd_a_upgraded = odd_a._replace(vehicle=baseline_vehicle._replace(rho=0.1))
         odds = (odd_a, odd_b, odd_a, odd_a_upgraded)
         scenarios = [make_scenario(odd, scenario_id=f"s{i}") for i, odd in enumerate(odds)]
         stats = monte_carlo_sweep(scenarios, runs_per_scenario=1)
@@ -2216,7 +2215,7 @@ class TestExports:
         cfg = SimConfig()
         traces = []
         for i, (v_r, d_object, range_factor, ghost_rate, seed) in enumerate(specs):
-            vehicle = dataclasses.replace(baseline_vehicle, v_r=v_r)
+            vehicle = baseline_vehicle._replace(v_r=v_r)
             effects = EffectModel(perception_range_factor=range_factor, ghost_rate=ghost_rate)
             scenario = make_scenario(
                 baseline_odd(vehicle, d_object=d_object), effects, scenario_id=f"s{i}", seed=seed
