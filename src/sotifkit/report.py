@@ -17,7 +17,6 @@ and reads the item.
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import math
@@ -26,7 +25,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import partial
 from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -83,6 +82,7 @@ from .scenario import (
     mitigation_applicable,
 )
 from .simulator import (
+    PERCEPTION_TICK,
     SimConfig,
     Stage,
     SweepStats,
@@ -429,11 +429,11 @@ def run_campaign(
         tool=TOOL_NAME,
         version=__version__,
         created_utc=datetime.now(timezone.utc).isoformat(),
-        base_seed=base_seed,
+        base_seed=index(base_seed),  # an int: generate_scenarios took it
         runs_per_scenario=runs_per_scenario,
         dt=cfg.dt,
         max_time=cfg.max_time,
-        perception_tick=cfg.perception_tick,
+        perception_tick=PERCEPTION_TICK,
         input_digests=dict(input_digests or {}),
         odd_well_formed=odd.is_nominally_well_formed,
     )
@@ -651,9 +651,10 @@ _BUNDLE_SECTIONS = {
 def bundle_to_dict(bundle: ReportBundle) -> dict:
     """The bundle as bundle.json holds it: fresh dicts and lists only, so a
     caller may change the result without touching ``bundle``."""
+    summary = bundle.taxonomy_summary
     return {
         "meta": _META.to_dict(bundle.meta),
-        "taxonomy_summary": copy.deepcopy(bundle.taxonomy_summary),
+        "taxonomy_summary": {**summary, "leaves_by_root": dict(summary["leaves_by_root"])},
         **{
             name: list(map(table.to_dict, getattr(bundle, name)))
             for name, table in _BUNDLE_TABLES.items()

@@ -333,7 +333,12 @@ def generate_scenarios(
     base_seed: int,
 ) -> list[Scenario]:
     """One nominal scenario plus one scenario per (already ODD-filtered)
-    condition.  Deterministic: seeds are derived from (base_seed, id)."""
+    condition.  Deterministic: seeds are derived from (base_seed, id), with
+    ``base_seed`` a plain int, as :class:`Scenario` takes its seed (True is 1)."""
+    try:
+        base_seed = operator.index(base_seed)
+    except TypeError:
+        raise ParameterError(f"base_seed must be an integer, got {base_seed!r}") from None
     scenarios = [
         Scenario(
             id=NOMINAL_ID,

@@ -10,12 +10,15 @@ number in a trace obeys:
 * Steps n = 0, 1, ... at t = n*dt with state (x_n, v_n); x_0 = 0, v_0 = v_r.
 * Terminal check first at each step: collision when gap_n <= 0, stopped
   when v_n == 0, timeout at the horizon step.  A terminal step has no
-  perception or decision.
-* Perception runs on sensor frames every ``tick_steps`` steps: the object
-  enters the percept when gap <= d_perception * perception_range_factor
-  (and stays there; the gap never grows), and a ghost detection appears
-  with probability ghost_rate, with a gap uniform in [0, trigger threshold)
-  that the frame's own flag uniform gives (:func:`_ghost_events`).
+  perception or decision; its event, the trace's last, is of kind
+  ``trace.terminal``: ``EventKind.STOPPED``, ``COLLISION`` or ``TIMEOUT``.
+* Perception runs on sensor frames every :data:`PERCEPTION_TICK` (a fixed
+  50 ms), quantized to ``tick_steps = round(PERCEPTION_TICK / dt)`` steps
+  (so dt is at most 0.05 s): the object enters the percept when gap <=
+  d_perception * perception_range_factor (and stays there; the gap never
+  grows), and a ghost detection appears with probability ghost_rate, with
+  a gap uniform in [0, trigger threshold) that the frame's own flag
+  uniform gives (:func:`_ghost_events`).
 * The decision stage checks every step: the brake latches when the
   closest perceived gap is <= the designed trigger threshold
   rss_min_distance(vehicle).  The deployed threshold cannot know that a
@@ -94,10 +97,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "PERCEPTION_TICK",
     "SimConfig",
     "Stage",
     "EventKind",
-    "Terminal",
     "SimEvent",
     "SimState",
     "SimTrace",
@@ -127,12 +130,6 @@ class EventKind(str, Enum):
     TIMEOUT = "timeout"
 
 
-class Terminal(str, Enum):
-    STOPPED = "stopped"
-    COLLISION = "collision"
-    TIMEOUT = "timeout"
-
-
 _STAGE_FOR_KIND = {
     EventKind.GHOST_DETECTED: Stage.PERCEPTION_SENSE,
     EventKind.OBJECT_DETECTED: Stage.PERCEPTION_ALGO,
@@ -143,37 +140,32 @@ _STAGE_FOR_KIND = {
     EventKind.TIMEOUT: Stage.ACTUATION,
 }
 
-_STAGE_ORDER = {
-    Stage.PERCEPTION_SENSE: 0,
-    Stage.PERCEPTION_ALGO: 1,
-    Stage.DECISION: 2,
-    Stage.ACTUATION: 3,
-}
+_STAGE_ORDER = {stage: order for order, stage in enumerate(Stage)}
+
+PERCEPTION_TICK = 0.05  # s, the sensor frame period
 
 
 class SimConfig(Record):
-    """Integration settings.
+    """Integration settings: the step ``dt`` and the horizon ``max_time``.
 
-    ``perception_tick`` is quantized to a whole number of ``dt`` steps,
-    ``tick_steps`` (the effective frame period is tick_steps * dt), and the
-    horizon ``max_time`` to ``max_steps``.  The horizon is at most 2**53
-    steps: beyond, consecutive step numbers round to one float, and a
-    crossing step can no longer be told by its gap.
+    Sensor frames come every :data:`PERCEPTION_TICK` (a fixed 50 ms),
+    quantized to ``tick_steps = round(PERCEPTION_TICK / dt)`` steps (the
+    effective frame period is tick_steps * dt), so dt <= PERCEPTION_TICK
+    <= max_time.  The horizon is quantized to ``max_steps``, at most 2**53:
+    beyond, consecutive step numbers round to one float, and a crossing
+    step can no longer be told by its gap.
     """
 
-    _fields = ("dt", "max_time", "perception_tick")
+    _fields = ("dt", "max_time")
     __slots__ = (*_fields, "tick_steps", "max_steps")
 
-    def __init__(
-        self, dt: float = 0.001, max_time: float = 60.0, perception_tick: float = 0.05
-    ) -> None:
+    def __init__(self, dt: float = 0.001, max_time: float = 60.0) -> None:
         dt = core._require_finite("dt", dt)
         max_time = core._require_finite("max_time", max_time)
-        perception_tick = core._require_finite("perception_tick", perception_tick)
-        if not 0.0 < dt <= perception_tick <= max_time:
+        if not 0.0 < dt <= PERCEPTION_TICK <= max_time:
             raise ParameterError(
-                "need 0 < dt <= perception_tick <= max_time, got "
-                f"dt={dt}, perception_tick={perception_tick}, max_time={max_time}"
+                f"need 0 < dt <= PERCEPTION_TICK ({PERCEPTION_TICK}) <= max_time, "
+                f"got dt={dt}, max_time={max_time}"
             )
         if not max_time / dt <= 2**53:
             raise ParameterError(
@@ -181,8 +173,7 @@ class SimConfig(Record):
             )
         set_field(self, "dt", dt)
         set_field(self, "max_time", max_time)
-        set_field(self, "perception_tick", perception_tick)
-        set_field(self, "tick_steps", max(1, round(perception_tick / dt)))
+        set_field(self, "tick_steps", round(PERCEPTION_TICK / dt))
         set_field(self, "max_steps", int(max_time / dt + 1e-9))
 
 
@@ -304,7 +295,7 @@ class _Resolved:
         n_eff: int | None,  # step where brake force starts (None: never engaged)
         m_stop: int,  # braking steps until v == 0 (if engaged)
         terminal_step: int,
-        terminal: Terminal,
+        terminal: EventKind,  # STOPPED, COLLISION or TIMEOUT
     ) -> None:
         self.v0 = v0
         self.dt = dt
@@ -428,7 +419,7 @@ class _Plan:
                     raise SimulationError(
                         f"non-finite {name} at terminal of scenario '{scenario_id}'"
                     )
-            collision = res.terminal is Terminal.COLLISION
+            collision = res.terminal is EventKind.COLLISION
             if res.n_trig is None:
                 ttc_at_trigger, false_activation = core.NO_CLOSING, False
             else:  # a natural trigger comes within the threshold, a ghost's beyond
@@ -449,7 +440,7 @@ class _Plan:
         v0, dt, b_eff, d_obj = self.v0, self.dt, self.b_eff, self.d_obj
         max_steps, n_hit_cruise = self.max_steps, self.n_hit_cruise
         if v0 == 0.0:
-            return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, 0, Terminal.STOPPED)
+            return _Resolved(v0, dt, b_eff, d_obj, None, None, 0, 0, EventKind.STOPPED)
 
         n_eff = n_trig + self.delay_steps
         if n_hit_cruise <= n_eff or n_eff >= max_steps:
@@ -458,8 +449,8 @@ class _Plan:
             if n_trig >= min(n_hit_cruise, max_steps):
                 n_trig = None  # never triggered
             if n_hit_cruise <= max_steps:
-                return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, n_hit_cruise, Terminal.COLLISION)
-            return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, max_steps, Terminal.TIMEOUT)
+                return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, n_hit_cruise, EventKind.COLLISION)
+            return _Resolved(v0, dt, b_eff, d_obj, n_trig, None, 0, max_steps, EventKind.TIMEOUT)
 
         # Braking engages at n_eff with speed still v0, and stops the ego
         # m_stop braking steps later unless it reaches the object first:
@@ -472,7 +463,7 @@ class _Plan:
                 lambda m: v0 - m * b_eff * dt <= 0.0, 0, max_steps + 1, guess
             )
         need = d_obj - v0 * dt * n_eff  # > 0 because n_hit_cruise > n_eff
-        res = _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, n_eff + m_stop, Terminal.STOPPED)
+        res = _Resolved(v0, dt, b_eff, d_obj, n_trig, n_eff, m_stop, n_eff + m_stop, EventKind.STOPPED)
 
         # The first braking step whose advance reaches the object, if any, is
         # a collision; the closed form guesses it, and the advance decides.
@@ -491,9 +482,9 @@ class _Plan:
             # -inf or nan, which gallops from the first step.
             m_coll = _first(lambda m: res._brake_advance(m) >= need, 1, m_stop, root)
             if m_coll < m_stop:
-                res.terminal_step, res.terminal = n_eff + m_coll, Terminal.COLLISION
+                res.terminal_step, res.terminal = n_eff + m_coll, EventKind.COLLISION
         if res.terminal_step > max_steps:
-            res.terminal_step, res.terminal = max_steps, Terminal.TIMEOUT
+            res.terminal_step, res.terminal = max_steps, EventKind.TIMEOUT
         return res
 
 
@@ -705,7 +696,8 @@ class SimTrace:
     traces of one resolution and stream, read one view.  ``events`` (every
     :class:`SimEvent`, in time order) and ``states`` (the ego's
     :class:`SimState` at each event step) are those rows, and
-    :func:`export_trace_jsonl` writes them as they are.
+    :func:`export_trace_jsonl` writes them as they are.  ``terminal`` is
+    the :class:`EventKind` of the last event.
     :func:`compute_kpis` reads the resolution only and builds no view, so a
     sweep never does.
     Equality and hash compare (scenario_id, terminal, events, states).
@@ -726,7 +718,7 @@ class SimTrace:
         return self._scenario.id
 
     @property
-    def terminal(self) -> Terminal:
+    def terminal(self) -> EventKind:
         return self._res.terminal
 
     @property
@@ -774,7 +766,7 @@ def _outcome_key(scenario: Scenario, cfg: SimConfig) -> tuple:
         odd.d_object, odd.d_perception, odd.mu, odd.odd_tags,
         vehicle.v_r, vehicle.rho, vehicle.a_max_accel, vehicle.a_min_brake,
         effects.perception_range_factor, effects.mu_factor, effects.rho_add,
-        cfg.dt, cfg.max_time, cfg.perception_tick,
+        cfg.dt, cfg.max_time,
     )
     return key + (effects.ghost_rate, scenario.seed) if effects.ghost_rate else key
 
@@ -916,7 +908,7 @@ def _trace_view(
         add(res.n_trig, EventKind.BRAKE_TRIGGERED)
     if res.n_eff is not None and res.n_eff < res.terminal_step:
         add(res.n_eff, EventKind.BRAKE_EFFECTIVE)
-    add(res.terminal_step, EventKind[res.terminal.name])
+    add(res.terminal_step, res.terminal)
 
     found.sort(key=operator.itemgetter(0, 1))  # by step, then stage order
     events = tuple(SimEvent(step * dt, stage, kind, gap) for step, _, stage, kind, gap in found)
@@ -1039,7 +1031,7 @@ def export_trace_jsonl(traces: Iterable[SimTrace], path: str | Path) -> None:
     # No input float is -0.0 (core._require_finite reads it as 0.0), and no
     # zero the engine computes from them is: equal keys print the same.
     items: dict[tuple, str] = {}
-    terminals = {terminal: dumps(terminal) for terminal in Terminal}
+    terminals = {kind: dumps(kind) for kind in EventKind}
 
     def array(rows: tuple[SimEvent, ...] | tuple[SimState, ...]) -> str:
         texts = []

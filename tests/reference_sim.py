@@ -19,7 +19,7 @@ import numpy as np
 from sotifkit.core import effective_brake_decel, rss_min_distance
 from sotifkit.errors import ContractViolationError
 from sotifkit.scenario import Scenario, derive_seed
-from sotifkit.simulator import EventKind, KpiReport, SimConfig, SimState, Terminal
+from sotifkit.simulator import EventKind, KpiReport, SimConfig, SimState
 
 
 def ghost_draws(
@@ -166,7 +166,7 @@ def trace_kpis(trace, scenario: Scenario) -> KpiReport:
     terminal_event = terminal_events[0]
     terminal_state = _state_at(trace, terminal_event.time)
 
-    collision = trace.terminal is Terminal.COLLISION
+    collision = trace.terminal is EventKind.COLLISION
     final_gap = max(0.0, terminal_event.gap)
     impact_speed = terminal_state.velocity if collision else 0.0
 

@@ -41,7 +41,7 @@ from sotifkit.analysis import HAZARD_COLLISION, link_hazards
 from sotifkit.fixtures import fixture_path
 from sotifkit.report import bundle_to_dict
 from sotifkit.risk import RiskLevel
-from sotifkit.simulator import EventKind, Terminal
+from sotifkit.simulator import EventKind
 
 from conftest import make_scenario
 
@@ -75,7 +75,7 @@ def test_criterion_2_nominal_safety(fixture_odd):
 
     trace = simulate(scenario, cfg)
     kpis = compute_kpis(trace, scenario)
-    assert trace.terminal is Terminal.STOPPED
+    assert trace.terminal is EventKind.STOPPED
     assert kpis.final_gap == pytest.approx(gap_oracle, abs=gap_tol)
 
     ttc_oracle = d_min / v
@@ -138,7 +138,7 @@ def test_criterion_4_perception_starvation():
         assert odd.d_perception * factor < d_brake_eff  # the starvation premise
         scenario = make_scenario(odd, effects, scenario_id="starved", seed=case)
         trace = simulate(scenario, cfg)
-        assert trace.terminal is Terminal.COLLISION, (case, vehicle, odd, effects)
+        assert trace.terminal is EventKind.COLLISION, (case, vehicle, odd, effects)
     _pass(4, "starved perception always collides (120 random parameter sets)")
 
 

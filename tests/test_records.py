@@ -101,8 +101,8 @@ CASES = {
         None,
     ),
     "SimConfig": (
-        SimConfig(0.01, 10, 0.05),
-        "SimConfig(dt=0.01, max_time=10.0, perception_tick=0.05)",
+        SimConfig(0.01, 10),
+        "SimConfig(dt=0.01, max_time=10.0)",
         ({"dt": 0.1}, ParameterError),
     ),
     "SeverityRules": (
@@ -153,7 +153,7 @@ FIELDS = {
     "Scenario": ("id", "odd", "condition", "effects", "seed"),
     "MitigationSpec": ("id", "description", "effect_overrides", "vehicle_overrides"),
     "EffectMapping": ("by_leaf", "by_category", "defaults"),
-    "SimConfig": ("dt", "max_time", "perception_tick"),
+    "SimConfig": ("dt", "max_time"),
     "SeverityRules": ("s3_impact_speed", "s2_impact_speed", "false_activation_severity"),
     "OccurrenceSpec": ("leaf_id", "exposure_rate", "source"),
     "AcceptanceCriteria": (
@@ -261,7 +261,7 @@ def test_copy_deepcopy_and_pickle_round_trip(case):
 
 
 def test_a_config_copy_keeps_its_step_counts():
-    cfg = SimConfig(0.01, 10, 0.05)
+    cfg = SimConfig(0.01, 10)
     for copied in (cfg._replace(), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
         assert (copied.tick_steps, copied.max_steps) == (5, 1000)
     finer = cfg._replace(dt=0.001)

@@ -14,6 +14,7 @@ from collections import Counter
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -56,7 +57,14 @@ from sotifkit.scenario import (
     load_mitigations,
     mitigation_applicable,
 )
-from sotifkit.simulator import KpiReport, SimConfig, SweepStats, compute_kpis, simulate
+from sotifkit.simulator import (
+    PERCEPTION_TICK,
+    KpiReport,
+    SimConfig,
+    SweepStats,
+    compute_kpis,
+    simulate,
+)
 import sotifkit.simulator as sim_module
 from sotifkit.taxonomy import enumerate_leaves, filter_by_odd, parse_taxonomy
 
@@ -279,6 +287,33 @@ class TestRunCampaign:
         a["meta"].pop("created_utc")
         b["meta"].pop("created_utc")
         assert a == b
+
+    def test_base_seed_is_taken_as_a_plain_int(self, campaign_inputs, tmp_path):
+        # True and numpy's 1 are seed 1: the bundle's bytes (its timestamp
+        # aside) and traces are seed 1's, and the bundle loads.
+        written = []
+        for number, seed in enumerate((1, True, np.int64(1))):
+            out = tmp_path / str(number)
+            bundle = run_campaign(
+                **campaign_inputs, base_seed=seed, runs_per_scenario=2, trace_dir=out / "traces"
+            )
+            path = write_bundle(bundle, out)
+            assert type(load_bundle(path).meta.base_seed) is int
+            text = re.sub(r'"created_utc": "[^"]*"', '"created_utc": ""', path.read_text())
+            written.append((text, (out / "traces" / "traces.jsonl").read_bytes()))
+        assert '"base_seed": 1,' in written[0][0]
+        assert written[1] == written[0] and written[2] == written[0]
+
+    @pytest.mark.parametrize("seed", [1.5, "1", None], ids=repr)
+    def test_a_base_seed_that_is_no_integer_fails_before_any_file(
+        self, campaign_inputs, tmp_path, seed
+    ):
+        with pytest.raises(PipelineError, match="base_seed must be an integer") as info:
+            run_campaign(
+                **campaign_inputs, base_seed=seed, runs_per_scenario=2, trace_dir=tmp_path / "t"
+            )
+        assert info.value.stage == "generate" and type(info.value.cause) is ParameterError
+        assert list(tmp_path.iterdir()) == []
 
     def test_gravel_fails_gate_with_h1(self, small_bundle):
         verdict = next(
@@ -648,6 +683,12 @@ class TestBundlePersistence:
             "risk.csv",
             "summary.md",
         ]
+
+    def test_meta_records_the_perception_tick(self, small_bundle, tmp_path):
+        # The frame period is a constant of the engine; the bundle keeps
+        # recording it.
+        data = json.loads(write_bundle(small_bundle, tmp_path / "bundle").read_text())
+        assert data["meta"]["perception_tick"] == PERCEPTION_TICK == 0.05
 
     def test_round_trip_reconstructs_tables(self, small_bundle, tmp_path):
         out = tmp_path / "bundle"

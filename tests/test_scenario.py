@@ -291,6 +291,18 @@ class TestGenerateScenarios:
         with pytest.raises(UnmappedConditionError):
             generate_scenarios(fixture_odd, self._conditions(1), EffectMapping(), 1)
 
+    @pytest.mark.parametrize("base_seed", [True, np.int64(1)], ids=repr)
+    def test_base_seed_is_taken_as_a_plain_int(self, fixture_odd, base_seed):
+        # derive_seed writes its labels out, so True would label "True".
+        mapping = EffectMapping(defaults={})
+        one = generate_scenarios(fixture_odd, self._conditions(3), mapping, 1)
+        assert generate_scenarios(fixture_odd, self._conditions(3), mapping, base_seed) == one
+
+    @pytest.mark.parametrize("base_seed", [1.5, "1", None], ids=repr)
+    def test_base_seed_must_be_an_integer(self, fixture_odd, base_seed):
+        with pytest.raises(ParameterError, match="base_seed must be an integer"):
+            generate_scenarios(fixture_odd, self._conditions(1), EffectMapping(defaults={}), base_seed)
+
 
 class TestScenarioInvariants:
     def test_nominal_requires_neutral_effects(self, fixture_odd):

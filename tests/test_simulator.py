@@ -27,17 +27,24 @@ from sotifkit import (
 )
 from sotifkit.core import NO_CLOSING, VEHICLE_FIELDS
 from sotifkit.errors import ContractViolationError, ParameterError, SimulationError
-from sotifkit.scenario import derive_seed, generate_scenarios
+from sotifkit.fixtures import fixture_path
+from sotifkit.scenario import (
+    apply_mitigation,
+    derive_seed,
+    generate_scenarios,
+    load_mitigations,
+    mitigation_applicable,
+)
 import sotifkit.simulator as sim_module
 from sotifkit.report import write_kpi_csv
 from sotifkit.taxonomy import enumerate_leaves, filter_by_odd
 from sotifkit.simulator import (
+    PERCEPTION_TICK,
     EventKind,
     KpiReport,
     SimEvent,
     SimState,
     SimTrace,
-    Terminal,
     export_trace_jsonl,
 )
 
@@ -96,9 +103,14 @@ class TestSimConfig:
         with pytest.raises(ParameterError):
             SimConfig(dt=0.0)
         with pytest.raises(ParameterError):
-            SimConfig(dt=0.1, perception_tick=0.05)
+            SimConfig(dt=0.1)
         with pytest.raises(ParameterError):
-            SimConfig(max_time=0.01, perception_tick=0.05)
+            SimConfig(max_time=0.01)
+
+    def test_fields_are_dt_and_max_time(self):
+        # The frame period is the constant PERCEPTION_TICK, not a field.
+        assert SimConfig._fields == ("dt", "max_time")
+        assert SimConfig(dt=0.01).tick_steps == round(PERCEPTION_TICK / 0.01) == 5
 
 
 class TestOracleCases:
@@ -114,7 +126,7 @@ class TestOracleCases:
         oracle_gap = d_min - (v * baseline_vehicle.rho + v**2 / (2 * 5.0))
         tol = 3 * v * cfg.dt + 1e-6
 
-        assert trace.terminal is Terminal.STOPPED
+        assert trace.terminal is EventKind.STOPPED
         assert not kpis.collision and kpis.impact_speed == 0.0
         assert kpis.final_gap == pytest.approx(oracle_gap, abs=tol)
         assert kpis.final_gap == pytest.approx(6.956, abs=tol + 1e-3)
@@ -132,7 +144,7 @@ class TestOracleCases:
         d_min = rss_min_distance(baseline_vehicle)
         oracle_impact = math.sqrt(v**2 - 2 * 2.5 * (d_min - v * baseline_vehicle.rho))
 
-        assert trace.terminal is Terminal.COLLISION
+        assert trace.terminal is EventKind.COLLISION
         assert kpis.collision and kpis.final_gap == 0.0
         assert kpis.impact_speed == pytest.approx(oracle_impact, abs=0.05)
         assert kpis.impact_speed == pytest.approx(7.85, abs=0.05)
@@ -142,7 +154,7 @@ class TestOracleCases:
         scenario = make_scenario(baseline_odd(still), scenario_id="still")
         trace = simulate(scenario, SimConfig())
         kpis = compute_kpis(trace, scenario)
-        assert trace.terminal is Terminal.STOPPED
+        assert trace.terminal is EventKind.STOPPED
         assert trace.states[-1].time == 0.0
         assert kpis.final_gap == 100.0
         assert kpis.ttc_at_trigger is NO_CLOSING
@@ -154,7 +166,7 @@ class TestOracleCases:
         cfg = SimConfig(max_time=5.0)
         trace = simulate(scenario, cfg)
         kpis = compute_kpis(trace, scenario)
-        assert trace.terminal is Terminal.TIMEOUT
+        assert trace.terminal is EventKind.TIMEOUT
         assert not events_of(trace, EventKind.BRAKE_TRIGGERED)
         assert kpis.ttc_at_trigger is NO_CLOSING
         assert not kpis.false_activation
@@ -168,7 +180,7 @@ class TestOracleCases:
         (trigger,) = events_of(trace, EventKind.BRAKE_TRIGGERED)
         assert trigger.time == 0.0  # certain ghost on the first frame
         assert kpis.false_activation
-        assert trace.terminal is Terminal.STOPPED
+        assert trace.terminal is EventKind.STOPPED
         assert kpis.final_gap == pytest.approx(100.0 - 33.18, abs=0.1)
 
     def test_collision_during_response_window(self, baseline_vehicle):
@@ -181,7 +193,7 @@ class TestOracleCases:
         )
         trace = simulate(scenario, SimConfig())
         kpis = compute_kpis(trace, scenario)
-        assert trace.terminal is Terminal.COLLISION
+        assert trace.terminal is EventKind.COLLISION
         assert events_of(trace, EventKind.BRAKE_TRIGGERED)
         assert not events_of(trace, EventKind.BRAKE_EFFECTIVE)
         assert kpis.impact_speed == pytest.approx(baseline_vehicle.v_r, abs=1e-9)
@@ -197,7 +209,7 @@ class TestOracleCases:
         trace = simulate(scenario, SimConfig())
         (trigger,) = events_of(trace, EventKind.BRAKE_TRIGGERED)
         assert trigger.time == 0.0
-        assert trace.terminal is Terminal.COLLISION  # 30 m < stopping need
+        assert trace.terminal is EventKind.COLLISION  # 30 m < stopping need
 
     def test_response_decomposition_observed(self, baseline_vehicle):
         scenario = make_scenario(baseline_odd(baseline_vehicle), scenario_id="nominal")
@@ -237,6 +249,25 @@ class TestTraceStructure:
         assert [s.time for s in trace.states] == sorted({e.time for e in trace.events})
         assert trace.events[-1].kind.value == trace.terminal.value
         assert trace.states[-1].time == trace.events[-1].time
+
+    def test_terminal_is_the_kind_of_the_last_event(
+        self, fixture_odd, fixture_taxonomy, fixture_mapping
+    ):
+        # Every run-0 trace of the fixture campaign, mitigated variants too.
+        conditions = filter_by_odd(enumerate_leaves(fixture_taxonomy), fixture_odd.odd_tags)
+        scenarios = generate_scenarios(fixture_odd, conditions, fixture_mapping, 42)
+        scenarios += [
+            apply_mitigation(scenario, mitigation)
+            for mitigation in load_mitigations(fixture_path("mitigations.json"))
+            for scenario in scenarios[1:]
+            if mitigation_applicable(scenario, mitigation)
+        ]
+        terminals = Counter()
+        for scenario in scenarios:
+            trace = simulate(scenario, SimConfig())
+            assert trace.terminal is trace.events[-1].kind, scenario.id
+            terminals[trace.terminal] += 1
+        assert set(terminals) == {EventKind.STOPPED, EventKind.COLLISION}, terminals
 
     def test_detection_precedes_trigger(self, baseline_vehicle):
         trace = simulate(make_scenario(baseline_odd(baseline_vehicle), scenario_id="s"))
@@ -319,12 +350,9 @@ class TestReferenceEquivalence:
             mu_factor=rng.uniform(0.3, 1.0),
             rho_add=rng.choice([0.0, rng.uniform(0.0, 1.0)]),
         )
-        dt = rng.choice([0.005, 0.01, 0.02])
-        cfg = SimConfig(
-            dt=dt,
-            perception_tick=dt * rng.randint(1, 10),
-            max_time=rng.uniform(5.0, 30.0),
-        )
+        k = rng.randint(1, 10)  # a frame every k steps
+        cfg = SimConfig(dt=PERCEPTION_TICK / k, max_time=rng.uniform(5.0, 30.0))
+        assert cfg.tick_steps == k
         scenario = make_scenario(odd, effects, scenario_id="ref", seed=rng.getrandbits(63))
         return scenario, cfg
 
@@ -475,9 +503,9 @@ class TestTraceAgreesWithItself:
             if trigger.time not in ghost_times:
                 assert trigger.gap <= d_trigger, trigger
                 assert detections and detections[0] <= trigger.time, events
-        if trace.terminal is Terminal.COLLISION:
+        if trace.terminal is EventKind.COLLISION:
             assert events[-1].gap <= 0.0, events[-1]
-        if trace.terminal is Terminal.STOPPED:
+        if trace.terminal is EventKind.STOPPED:
             assert trace.states[-1].velocity == 0.0, trace.states[-1]
         assert compute_kpis(trace, scenario) == trace_kpis(trace, scenario)
 
@@ -518,7 +546,7 @@ class TestTraceAgreesWithItself:
         vehicle = VehicleParams(v_r=10.0, rho=0.1, a_max_accel=0.0, a_min_brake=8.0)
         scenario = self._scenario(vehicle, 100.000000000005, 0.5)
         trace = simulate(scenario)
-        assert trace.terminal is Terminal.COLLISION
+        assert trace.terminal is EventKind.COLLISION
         (collision,) = events_of(trace, EventKind.COLLISION)
         assert collision.gap <= 0.0
         assert compute_kpis(trace, scenario).final_gap == 0.0
@@ -531,7 +559,7 @@ class TestTraceAgreesWithItself:
         )
         scenario = self._scenario(vehicle, 200.0, 150.0)
         trace = simulate(scenario)
-        assert trace.terminal is Terminal.STOPPED
+        assert trace.terminal is EventKind.STOPPED
         assert trace.states[-1].velocity == 0.0
         self.assert_consistent(trace, scenario)
 
@@ -545,7 +573,7 @@ class TestTraceAgreesWithItself:
         weak = self._scenario(
             VehicleParams(v_r=10.0, rho=0.0, a_max_accel=0.0, a_min_brake=1e-300), 100.0, 1e300
         )
-        for scenario, terminal in ((far, Terminal.TIMEOUT), (weak, Terminal.COLLISION)):
+        for scenario, terminal in ((far, EventKind.TIMEOUT), (weak, EventKind.COLLISION)):
             trace = simulate(scenario)
             assert trace.terminal is terminal
             self.assert_consistent(trace, scenario)
@@ -639,7 +667,7 @@ class TestGhostStream:
                         if step < terminal_step
                     ], context
                     terminals.add(trace.terminal)
-        assert terminals == set(Terminal)
+        assert terminals == {EventKind.STOPPED, EventKind.COLLISION, EventKind.TIMEOUT}
 
     def test_first_flag_draws_one_chunk(self, baseline_vehicle, monkeypatch):
         # The draw limit is the horizon, 12,000 ticks; the first chunk of
@@ -686,7 +714,7 @@ class TestGhostStream:
         # Given u < p, u / p is uniform on [0, 1).  Over 10^4 flags or more,
         # every gap lies in [0, threshold), and gap / threshold passes a
         # two-sided Kolmogorov-Smirnov test for U[0, 1) at the 99.9% level.
-        cfg = SimConfig(dt=0.05, perception_tick=0.05)  # a tick per step
+        cfg = SimConfig(dt=0.05)  # a tick per step
         ticks = math.ceil(12_000 / rate)
         scenario = make_scenario(baseline_odd(baseline_vehicle), EffectModel(ghost_rate=rate), seed=7)
         stream = sim_module._FlagStream(scenario.seed, 0, None)
@@ -703,7 +731,7 @@ class TestGhostStream:
     def test_lower_rate_shows_its_ticks_with_larger_gaps(self, baseline_vehicle):
         # A tick flagged at rate p is flagged at every rate above u; its gap,
         # u / p times the threshold, is larger at the lower rate.
-        cfg = SimConfig(dt=0.05, perception_tick=0.05)
+        cfg = SimConfig(dt=0.05)
         odd = baseline_odd(baseline_vehicle)
         high, low = (make_scenario(odd, EffectModel(ghost_rate=rate), seed=7) for rate in (0.3, 0.1))
         stream = sim_module._FlagStream(7, 0, None)
@@ -715,14 +743,14 @@ class TestGhostStream:
 
     @pytest.mark.parametrize(
         "d_object, ghost_rate, terminal",
-        [(100.0, 0.05, Terminal.STOPPED), (1e7, 1e-12, Terminal.TIMEOUT)],
+        [(100.0, 0.05, EventKind.STOPPED), (1e7, 1e-12, EventKind.TIMEOUT)],
         ids=["stops", "times-out"],
     )
     def test_memory_bounded_on_long_horizon(
         self, d_object, ghost_rate, terminal, baseline_vehicle
     ):
         # 2e6 ticks: drawing the stream in full would take 16 MB.
-        cfg = SimConfig(dt=0.05, perception_tick=0.05, max_time=1e5)
+        cfg = SimConfig(dt=0.05, max_time=1e5)
         scenario = make_scenario(
             baseline_odd(baseline_vehicle, d_object=d_object),
             EffectModel(ghost_rate=ghost_rate),
@@ -1101,13 +1129,13 @@ class TestSpeedBelowFloatResolution:
     def test_simulate(self, baseline_vehicle):
         cfg = SimConfig(max_time=5.0)
         still, ghosts = self.scenarios(baseline_vehicle)
-        for scenario, terminal in ((still, Terminal.TIMEOUT), (ghosts, Terminal.STOPPED)):
+        for scenario, terminal in ((still, EventKind.TIMEOUT), (ghosts, EventKind.STOPPED)):
             trace = simulate(scenario, cfg)
             assert trace.terminal is terminal, scenario.id
             TestTraceAgreesWithItself.assert_consistent(trace, scenario)
             kpis = compute_kpis(trace, scenario)
             assert kpis.final_gap == 100.0 and not kpis.collision
-            assert kpis.false_activation is (terminal is Terminal.STOPPED)
+            assert kpis.false_activation is (terminal is EventKind.STOPPED)
             reference = reference_run(scenario, cfg)
             assert (reference.terminal, reference.terminal_step) == (
                 trace.terminal.value, round(trace.events[-1].time / cfg.dt)
@@ -1116,7 +1144,7 @@ class TestSpeedBelowFloatResolution:
     def test_starting_within_the_threshold_triggers_at_once(self, baseline_vehicle):
         (still, _) = self.scenarios(baseline_vehicle, d_object=1.0)
         trace = simulate(still, SimConfig(max_time=5.0))
-        assert trace.terminal is Terminal.STOPPED
+        assert trace.terminal is EventKind.STOPPED
         assert events_of(trace, EventKind.BRAKE_TRIGGERED)[0].time == 0.0
         TestTraceAgreesWithItself.assert_consistent(trace, still)
 
@@ -1161,7 +1189,7 @@ class TestBrakeBelowFloatResolution:
         cfg = SimConfig()
         for scenario in self.scenarios(baseline_odd(baseline_vehicle, d_object=99.99)):
             trace = simulate(scenario, cfg)
-            assert trace.terminal is Terminal.COLLISION, scenario.id
+            assert trace.terminal is EventKind.COLLISION, scenario.id
             assert events_of(trace, EventKind.BRAKE_TRIGGERED), scenario.id
             kpis = compute_kpis(trace, scenario)
             assert kpis.impact_speed == baseline_vehicle.v_r and kpis.final_gap == 0.0
@@ -1175,7 +1203,7 @@ class TestBrakeBelowFloatResolution:
         (weak, weak_ghosts, *_) = self.scenarios(baseline_odd(vehicle))
         for scenario in (weak, weak_ghosts):
             trace = simulate(scenario, cfg)
-            assert trace.terminal is Terminal.TIMEOUT, scenario.id
+            assert trace.terminal is EventKind.TIMEOUT, scenario.id
             assert trace.states[-1].velocity == 5e-324
             self.assert_agrees_with_reference(trace, scenario, cfg)
         assert events_of(trace, EventKind.BRAKE_TRIGGERED)
@@ -1203,7 +1231,7 @@ class TestBrakeBelowFloatResolution:
         monkeypatch.setattr(sim_module._Resolved, "_brake_advance", counting)
         trace = simulate(scenario, cfg)
         monkeypatch.undo()
-        assert trace.terminal is Terminal.COLLISION
+        assert trace.terminal is EventKind.COLLISION
         self.assert_agrees_with_reference(trace, scenario, cfg)
 
     def test_sweep(self, baseline_vehicle):
@@ -1223,7 +1251,7 @@ class TestBrakeBelowFloatResolution:
             effects = EffectModel(mu_factor=1e-200, ghost_rate=rate)
             scenario = make_scenario(odd, effects, scenario_id=f"product-{rate}")
             trace = simulate(scenario, cfg)
-            assert trace.terminal is Terminal.COLLISION, scenario.id
+            assert trace.terminal is EventKind.COLLISION, scenario.id
             kpis = compute_kpis(trace, scenario)
             assert kpis.impact_speed == baseline_vehicle.v_r and kpis.final_gap == 0.0
             self.assert_agrees_with_reference(trace, scenario, cfg)
@@ -1241,7 +1269,7 @@ class TestDelayPastTheHorizon:
             effects = EffectModel(rho_add=1e308, ghost_rate=rate)
             scenario = make_scenario(odd, effects, scenario_id=f"late-{rate}")
             trace = simulate(scenario, cfg)
-            assert trace.terminal is Terminal.COLLISION, scenario.id
+            assert trace.terminal is EventKind.COLLISION, scenario.id
             assert not events_of(trace, EventKind.BRAKE_EFFECTIVE), scenario.id
             kpis = compute_kpis(trace, scenario)
             assert kpis.impact_speed == baseline_vehicle.v_r and kpis.final_gap == 0.0
@@ -1372,7 +1400,7 @@ class TestBrakingCollisionSearch:
         scenario = self.overflowing(baseline_vehicle)
         cfg = SimConfig(dt=0.01, max_time=2.0)
         trace = simulate(scenario, cfg)
-        assert trace.terminal is Terminal.STOPPED
+        assert trace.terminal is EventKind.STOPPED
         TestBrakeBelowFloatResolution.assert_agrees_with_reference(trace, scenario, cfg)
         (stats,) = monte_carlo_sweep([scenario], cfg, 3)
         assert stats.collision_rate == 0.0 and stats.gap_min == 1000.0
@@ -1396,7 +1424,7 @@ class TestBrakingCollisionSearch:
         monkeypatch.setattr(sim_module._Resolved, "_brake_advance", counting)
         trace = simulate(scenario, cfg)
         monkeypatch.undo()
-        assert trace.terminal is Terminal.COLLISION
+        assert trace.terminal is EventKind.COLLISION
         assert [(e.time, e.kind) for e in trace.events] == [(e.time, e.kind) for e in short.events]
 
     def test_advance_does_not_decrease_where_searched(self, baseline_vehicle):
@@ -1545,7 +1573,7 @@ class TestGhostFreeMemo:
                 simulate(other, cfg, 0)  # replaces the plan
                 again = simulate(scenario, cfg, 1)
                 assert again is not trace and again == trace, name
-        assert terminals == set(Terminal)
+        assert terminals == {EventKind.STOPPED, EventKind.COLLISION, EventKind.TIMEOUT}
 
     def test_trace_follows_scenario_and_config(self, baseline_vehicle):
         a = make_scenario(baseline_odd(baseline_vehicle), scenario_id="memo-a")
@@ -1594,7 +1622,7 @@ class TestGhostFreeMemo:
             )
             return make_scenario(odd, EffectModel(mu_factor=number(1)), scenario_id="ints")
 
-        cfg_int = SimConfig(dt=0.001, max_time=60, perception_tick=0.05)
+        cfg_int = SimConfig(dt=0.001, max_time=60)
         as_int = simulate(scenario(int), cfg_int)
         as_float = simulate(scenario(float), SimConfig())
         for trace in (as_int, as_float):
@@ -1807,7 +1835,7 @@ _ONE_FIELD_CHANGES = {
     EffectModel: {
         "perception_range_factor": 0.5, "ghost_rate": 0.2, "mu_factor": 0.6, "rho_add": 0.3,
     },
-    SimConfig: {"dt": 0.002, "max_time": 3.0, "perception_tick": 0.1},
+    SimConfig: {"dt": 0.002, "max_time": 3.0},
 }
 _ONE_FIELD_CASES = [
     (owner, name, base_rate)
@@ -2002,7 +2030,7 @@ class TestInvariants:
             scenario = make_scenario(odd, scenario_id="safe")
             trace = simulate(scenario, cfg)
             kpis = compute_kpis(trace, scenario)
-            assert trace.terminal is Terminal.STOPPED, (vehicle, odd)
+            assert trace.terminal is EventKind.STOPPED, (vehicle, odd)
             assert kpis.final_gap > 0.0, (vehicle, odd)
 
     def test_final_gap_monotone_in_friction(self, baseline_vehicle):
@@ -2042,7 +2070,7 @@ class TestInvariants:
             assert odd.d_perception * factor < d_brake_eff
             scenario = make_scenario(odd, effects, scenario_id="starved")
             trace = simulate(scenario, SimConfig(max_time=120.0))
-            assert trace.terminal is Terminal.COLLISION, (vehicle, odd, effects)
+            assert trace.terminal is EventKind.COLLISION, (vehicle, odd, effects)
 
 
 class TestSweep:
